@@ -16,6 +16,12 @@ import math
 import os
 import sys
 
+# One BLAS thread per sweep worker: --threads sets the parallelism, and
+# OpenBLAS reads these variables once, when numpy and scipy load their
+# copies of it. An explicit setting in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import __version__

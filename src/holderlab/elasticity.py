@@ -173,14 +173,6 @@ def interior_dofs(mesh):
     return np.sort(np.concatenate([2 * inner, 2 * inner + 1]))
 
 
-def assemble_elastic_stiffness(mesh, p):
-    """Stiffness restricted to interior dofs (zero Dirichlet on the
-    whole boundary); positive definite since rigid motions are pinned."""
-    k = full_vector_stiffness(mesh, p.cells)
-    idx = interior_dofs(mesh)
-    return k[np.ix_(idx, idx)].tocsr()
-
-
 def _basis_dofs(basis):
     return 2 * basis.entries[:, 0] + basis.entries[:, 1]
 

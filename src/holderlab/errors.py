@@ -14,7 +14,7 @@ class NotPositiveDefinite(HolderLabError):
     """A matrix expected to be SPD produced a non-positive pivot.
 
     For assembled systems this signals a coefficient outside the
-    ellipticity cone or a broken mean-value constraint row.
+    ellipticity cone or a system left singular (no node grounded).
     """
 
 

@@ -1,10 +1,12 @@
-"""Dense/sparse symmetric linear algebra and 1D adaptive quadrature.
+"""Banded SPD solves, small symmetric eigenproblems and 1D adaptive
+quadrature.
 
 All other modules funnel their linear solves and eigenvalue evaluations
-through this one. Matrices are 64-bit floats throughout. Symmetric
-eigenproblems go through LAPACK's symmetric solver; problem sizes stay
-in the hundreds, so dense factorizations are used even for sparse
-inputs.
+through this one. Matrices are 64-bit floats throughout. Assembled
+stiffness matrices are sparse with a narrow band under the mesh's
+row-major numbering, so they are factored in LAPACK band storage
+(pbtrf/pbtrs); small dense symmetric eigenproblems go through LAPACK's
+symmetric solver.
 """
 
 import math
@@ -44,145 +46,46 @@ def eig_min(m):
     return float(w[0])
 
 
-def _as_dense(m):
-    if scipy.sparse.issparse(m):
-        return m.toarray()
-    return np.asarray(m, dtype=float)
+class BandFactor:
+    """Upper Cholesky factor U (U.T @ U = A) of a banded SPD matrix, in
+    LAPACK's upper band storage: band[u + i - j, j] = U[i, j]."""
 
-
-class SpdFactor:
-    """Cholesky factor of an SPD matrix, kept with the original matrix
-    so solves can do one iterative-refinement pass."""
-
-    def __init__(self, mat):
-        dense = _as_dense(mat)
-        n = dense.shape[0]
-        if dense.shape != (n, n):
-            raise DimensionMismatch("matrix must be square")
-        if not np.allclose(dense, dense.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(dense).max())):
-            raise NotPositiveDefinite("matrix is not symmetric")
-        try:
-            self._cho = scipy.linalg.cho_factor(dense, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotPositiveDefinite(str(exc)) from exc
-        except ValueError as exc:
-            raise NotPositiveDefinite(str(exc)) from exc
-        self.n = n
-        self._mat = dense
-
-    @property
-    def lower(self):
-        """Lower-triangular factor L with L @ L.T equal to the input."""
-        return np.tril(self._cho[0])
+    def __init__(self, band):
+        self.band = band
+        self.n = band.shape[1]
 
 
 def factor_spd(m):
-    """Cholesky-factor a symmetric positive definite matrix.
+    """Banded Cholesky factorization (LAPACK pbtrf) of a symmetric
+    positive definite matrix.
 
-    Accepts a dense array or any scipy.sparse matrix. Raises
-    NotPositiveDefinite on a non-positive pivot, which for assembled
-    systems signals a coefficient outside the ellipticity cone or a
-    broken constraint row.
+    Accepts a scipy.sparse matrix or a dense array; only the upper
+    triangle is read, and the band width is that of its farthest
+    nonzero. Raises NotPositiveDefinite on a non-positive pivot, which
+    for assembled systems signals a coefficient outside the
+    ellipticity cone or a singular (ungrounded) system.
     """
-    return SpdFactor(m)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatch("matrix must be square")
+    upper = scipy.sparse.triu(m, format="coo")
+    upper.sum_duplicates()
+    u = int((upper.col - upper.row).max(initial=0))
+    band = np.zeros((u + 1, m.shape[0]))
+    band[u + upper.row - upper.col, upper.col] = upper.data
+    try:
+        return BandFactor(scipy.linalg.cholesky_banded(band, check_finite=False))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
 
 
 def solve(f, b):
-    """Solve f's matrix against b (vector or column block).
-
-    One refinement pass keeps the relative residual at or below 1e-12
-    even for moderately conditioned systems.
-    """
+    """Solve f's matrix against b (vector or column block)."""
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.n:
         raise DimensionMismatch(
             "right-hand side has %d rows, factor is %d" % (b.shape[0], f.n)
         )
-    x = scipy.linalg.cho_solve(f._cho, b, check_finite=False)
-    scale = np.linalg.norm(b)
-    if scale == 0.0:
-        return np.zeros_like(b)
-    for _ in range(4):
-        r = b - f._mat @ x
-        if np.linalg.norm(r) <= 1e-13 * scale:
-            break
-        x = x + scipy.linalg.cho_solve(f._cho, r, check_finite=False)
-    return x
-
-
-class ConstrainedFactor:
-    """Factorization of the bordered system [[K, c], [c^T, 0]].
-
-    The augmented matrix is symmetric indefinite (exactly one negative
-    eigenvalue), so plain Cholesky cannot apply. Instead K is shifted
-    by a rank-one term sigma*c*c^T that is positive on the constraint
-    violation direction: for K positive semidefinite with kernel not
-    orthogonal to c, the shifted matrix is SPD and the bordered solve
-    reduces to two SPD solves. A coefficient outside the ellipticity
-    cone (K indefinite) or a zero constraint row both leave the shifted
-    matrix non-SPD, surfacing as NotPositiveDefinite.
-    """
-
-    def __init__(self, K, c):
-        K = _as_dense(K)
-        c = np.asarray(c, dtype=float).ravel()
-        n = c.shape[0]
-        if K.shape != (n, n):
-            raise DimensionMismatch("K and constraint row sizes differ")
-        cc = float(c @ c)
-        if cc == 0.0:
-            raise NotPositiveDefinite("constraint row is zero")
-        sigma = float(np.trace(K)) / cc
-        if sigma <= 0.0:
-            sigma = 1.0
-        self._K = K
-        self._c = c
-        self._sigma = sigma
-        self._f = factor_spd(symmetrize(K + sigma * np.outer(c, c)))
-        self._z = solve(self._f, c)
-        self._cz = float(c @ self._z)
-        if self._cz <= 0.0:
-            raise NotPositiveDefinite("constraint direction lost in shift")
-        self.n = n
-
-    def _solve_once(self, b, beta):
-        y = solve(self._f, b)
-        nu = (beta - self._c @ y) / self._cz
-        u = y + np.outer(self._z, nu) if b.ndim == 2 else y + nu * self._z
-        lam = self._sigma * beta - nu
-        return u, lam
-
-    def solve(self, b, beta=0.0):
-        """Return (u, lam) with K u + lam c = b and c.u = beta.
-
-        b may be a vector or an (n, k) block; beta broadcasts.
-        """
-        b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise DimensionMismatch(
-                "right-hand side has %d rows, system is %d" % (b.shape[0], self.n)
-            )
-        beta = np.asarray(beta, dtype=float)
-        u, lam = self._solve_once(b, beta)
-        scale = max(np.linalg.norm(b), float(np.max(np.abs(beta))) if beta.size else 0.0)
-        if scale == 0.0:
-            scale = 1.0
-        # refine against the unshifted bordered system until the
-        # augmented residual is at solver noise
-        for _ in range(4):
-            r = b - self._K @ u - (np.outer(self._c, lam) if b.ndim == 2 else lam * self._c)
-            rho = beta - self._c @ u
-            if max(np.linalg.norm(r), float(np.max(np.abs(rho)))) <= 1e-13 * scale:
-                break
-            du, dlam = self._solve_once(r, rho)
-            u = u + du
-            lam = lam + dlam
-        return u, lam
-
-
-def factor_constrained(K, c):
-    """Factor the saddle system that pins a single linear constraint."""
-    return ConstrainedFactor(K, c)
+    return scipy.linalg.cho_solve_banded((f.band, False), b, check_finite=False)
 
 
 def adaptive_quadrature(f, a, b, tol, max_depth=50):

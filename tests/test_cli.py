@@ -1,6 +1,7 @@
 """End-to-end checks of the command line front end."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -189,3 +190,28 @@ def test_module_runs_as_script(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["seed"] == 7
+
+
+def test_cli_pins_blas_threads_unless_set():
+    code = (
+        "import holderlab.cli, os; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], os.environ['OMP_NUM_THREADS'])"
+    )
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+
+    def child_sees(extra):
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**env, **extra},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    assert child_sees({}) == ["1", "1"]
+    assert child_sees({"OPENBLAS_NUM_THREADS": "2"}) == ["2", "1"]

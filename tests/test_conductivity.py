@@ -3,8 +3,8 @@ import pytest
 
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
-from holderlab.errors import BasisMismatch, CellCountMismatch
-from holderlab.numerics import eig_min, spectral_norm
+from holderlab.errors import BasisMismatch, CellCountMismatch, NotPositiveDefinite
+from holderlab.numerics import eig_min, factor_spd, spectral_norm
 from holderlab.operators import (
     DataOperator,
     gram_inv_sqrt,
@@ -88,15 +88,48 @@ def test_stiffness_cell_count_mismatch():
         cd.stiffness_block(m, np.array([[1.0, 1.0, 0.0]]))
 
 
-def test_augmented_assembly_shape():
+def grounded_free(m):
+    ground = cd.ground_node(m, mx.patch_nodes(m))
+    return np.delete(np.arange(m.n_nodes), ground)
+
+
+def test_grounded_stiffness_spd_and_row_sums():
+    m = unit_mesh(4, cols=2)
+    k = cd.stiffness_block(m, random_params(2, seed=1).cells)
+    dense = k.toarray()
+    assert np.abs(dense.sum(axis=1)).max() <= 1e-14 * np.abs(dense).max()
+    free = grounded_free(m)
+    assert eig_min(dense[np.ix_(free, free)]) > 0
+
+
+def test_indefinite_cell_fails_factorization():
     m = unit_mesh(4)
-    aug = cd.assemble_stiffness(m, random_params(1, seed=1))
-    n = m.n_nodes
-    assert aug.shape == (n + 1, n + 1)
-    dense = aug.toarray()
-    assert np.allclose(dense, dense.T)
-    assert dense[n, n] == 0.0
-    assert abs(dense[n, :n].sum() - 1.0) < 1e-14  # mean row integrates 1
+    k = cd.stiffness_block(m, np.array([[1.0, 1.0, 2.0]]))
+    free = grounded_free(m)
+    with pytest.raises(NotPositiveDefinite):
+        factor_spd(k[free][:, free])
+
+
+def test_ground_node_off_patch():
+    for side in mx.SIDES:
+        for t0, t1 in ((0.0, 1.0), (0.0, 0.25), (0.5, 1.0), (0.25, 0.75)):
+            m = mx.build_mesh(8, mx.PartitionSpec(2, 2), mx.PatchSpec(side, t0, t1))
+            pn = mx.patch_nodes(m)
+            assert cd.ground_node(m, pn) not in pn
+
+
+def test_nd_matrix_ground_independent(monkeypatch):
+    m = unit_mesh(8, cols=2)
+    basis = cd.current_basis(m)
+    p = random_params(2, seed=16)
+    base = cd.nd_matrix(m, p, basis).matrix
+    default = cd.ground_node(m, basis.nodes)
+    # the far corner of the square and the middle of the opposite side
+    for ground in (m.n_nodes - 1, m.n_nodes - 5):
+        assert ground != default and ground not in basis.nodes
+        monkeypatch.setattr(cd, "ground_node", lambda mesh, patch, g=ground: g)
+        alt = cd.nd_matrix(m, p, basis).matrix
+        assert np.abs(alt - base).max() <= 1e-12 * np.abs(base).max()
 
 
 def test_nd_scaling():

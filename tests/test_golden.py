@@ -1,0 +1,63 @@
+"""Golden check: small pinned sweeps of both problems against committed
+records, so a refactor of the solver stack can show it changes no
+number beyond rounding.
+
+Each tests/golden/<problem>/ holds the config and the records.csv it
+produced. Regenerate (only when outputs change on purpose) from the
+repository root with
+
+    PYTHONPATH=src python -m holderlab.cli sweep tests/golden/<problem>/config.json
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from holderlab.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# Relative tolerances of the benchmark's reference check: a ray
+# record's operator distances are differences of two near-equal
+# operators, whose rounding error grows like 1/t.
+RAY_TOL_T = 3e-11
+PAIR_TOL = 1e-10
+
+
+def read_records(path):
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    header, body = rows[0], rows[1:]
+    return comments, header, [dict(zip(header, row)) for row in body]
+
+
+def rel_err(got, want):
+    got, want = float(got), float(want)
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_sweep_matches_golden_records(problem, tmp_path):
+    folder = GOLDEN / problem
+    cfg = json.loads((folder / "config.json").read_text())
+    cfg["output_dir"] = str(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["sweep", str(cfg_path)]) == 0
+
+    want_comments, want_header, want = read_records(folder / "records.csv")
+    got_comments, got_header, got = read_records(tmp_path / "records.csv")
+    assert got_comments == want_comments  # version, config hash, seed, dropped
+    assert got_header == want_header
+    assert len(got) == len(want)
+    worst = 0.0
+    for g, w in zip(got, want):
+        for field in ("pair_id", "kind", "t", "delta_R", "delta_finite", "flags"):
+            assert g[field] == w[field], (w["pair_id"], field)
+        tol = RAY_TOL_T / float(w["t"]) if w["t"] else PAIR_TOL
+        for field in ("delta_F", "phi"):
+            err = rel_err(g[field], w[field])
+            assert err <= tol, (w["pair_id"], field, err, tol)
+            worst = max(worst, err / tol)
+    print("%s golden: %d records, worst shift %.1e of tolerance" % (problem, len(got), worst))

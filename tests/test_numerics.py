@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from holderlab import numerics as nx
 from holderlab.errors import (
@@ -24,14 +25,38 @@ def random_spd(n, seed, shift=None):
     return nx.symmetrize(g @ g.T + shift * np.eye(n))
 
 
+def banded_spd(n, bandwidth, seed):
+    """Sparse SPD matrix with the given number of superdiagonals."""
+    rng = np.random.default_rng(seed)
+    offsets = range(-bandwidth, bandwidth + 1)
+    m = scipy.sparse.diags(
+        [rng.uniform(-1.0, 1.0, n - abs(k)) for k in offsets], list(offsets)
+    ).toarray()
+    m = nx.symmetrize(m) + (2 * bandwidth + 1) * np.eye(n)
+    return scipy.sparse.csr_matrix(m)
+
+
+def upper_from_band(band):
+    """Dense U from LAPACK upper band storage."""
+    u, n = band.shape[0] - 1, band.shape[1]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i, min(n, i + u + 1)):
+            out[i, j] = band[u + i - j, j]
+    return out
+
+
 def test_factor_diagonal():
-    f = nx.factor_spd(np.diag([4.0, 9.0]))
-    assert np.allclose(f.lower, np.diag([2.0, 3.0]))
+    f = nx.factor_spd(scipy.sparse.diags([4.0, 9.0]).tocsr())
+    assert np.array_equal(f.band, [[2.0, 3.0]])
+    assert np.array_equal(nx.solve(f, np.array([8.0, 27.0])), [2.0, 3.0])
 
 
 def test_factor_identity():
-    f = nx.factor_spd(np.eye(5))
-    assert np.allclose(f.lower, np.eye(5))
+    f = nx.factor_spd(scipy.sparse.identity(5, format="csr"))
+    assert np.array_equal(f.band, np.ones((1, 5)))
+    b = np.arange(10.0).reshape(5, 2)
+    assert np.array_equal(nx.solve(f, b), b)
 
 
 def test_factor_rejects_indefinite():
@@ -73,9 +98,28 @@ def test_factor_solve_residual_random():
 
 
 def test_factor_reproduces_input():
-    m = random_spd(17, seed=3)
+    m = banded_spd(17, bandwidth=3, seed=3)
     f = nx.factor_spd(m)
-    assert np.linalg.norm(f.lower @ f.lower.T - m) <= 1e-12 * np.linalg.norm(m)
+    assert f.band.shape == (4, 17)
+    u = upper_from_band(f.band)
+    dense = m.toarray()
+    assert np.linalg.norm(u.T @ u - dense) <= 1e-12 * np.linalg.norm(dense)
+    b = np.random.default_rng(4).standard_normal((17, 3))
+    x = nx.solve(f, b)
+    assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_factor_reads_upper_triangle_only():
+    m = banded_spd(9, bandwidth=2, seed=6)
+    lower_noise = scipy.sparse.tril(scipy.sparse.random(9, 9, density=0.5, random_state=7), -1)
+    a = nx.factor_spd(m)
+    b = nx.factor_spd(scipy.sparse.triu(m) + lower_noise)
+    assert np.array_equal(a.band, b.band)
+
+
+def test_factor_rejects_non_square():
+    with pytest.raises(DimensionMismatch):
+        nx.factor_spd(scipy.sparse.csr_matrix((3, 4)))
 
 
 def test_spectral_norm_examples():
@@ -130,46 +174,73 @@ def test_quadrature_depth_cap():
 
 
 def neumann_like(n, seed):
-    """PSD matrix whose kernel is exactly the constant vector."""
+    """Sparse PSD matrix whose kernel is exactly the constants: the
+    graph Laplacian of a weighted path with random chords of span at
+    most 3, like a P1 stiffness matrix."""
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, n - 1))
-    k = nx.symmetrize(g @ g.T)
-    one = np.ones(n)
-    k = k - np.outer(k @ one, one) / n - np.outer(one, one @ k) / n
-    k = k + (one @ (nx.symmetrize(g @ g.T) @ one)) / n**2 * np.outer(one, one)
-    return nx.symmetrize(k)
+    rows, cols = [], []
+    for span in (1, 2, 3):
+        i = np.arange(n - span)
+        keep = i if span == 1 else i[rng.uniform(size=i.size) < 0.5]
+        rows.append(keep)
+        cols.append(keep + span)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    w = -rng.uniform(0.5, 1.5, rows.size)
+    off = scipy.sparse.coo_matrix((w, (rows, cols)), shape=(n, n))
+    off = off + off.T
+    return (off - scipy.sparse.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
+
+
+def grounded_solve(k, b, ground):
+    """Solve k u = b with u[ground] = 0 through the reduced system."""
+    free = np.delete(np.arange(k.shape[0]), ground)
+    u = np.zeros_like(b)
+    u[free] = nx.solve(nx.factor_spd(k[free][:, free]), b[free])
+    return u
+
+
+def zero_sum(b):
+    return b - b.mean(axis=0)
 
 
 def test_constrained_solve_residual():
+    """Grounding one node (the constraint u[g] = 0) solves the singular
+    Neumann-like system exactly for a compatible, zero-sum load."""
     n = 25
     k = neumann_like(n, seed=2)
-    c = np.random.default_rng(3).uniform(0.5, 1.5, n)
-    cf = nx.factor_constrained(k, c)
-    b = np.random.default_rng(4).standard_normal(n)
-    u, lam = cf.solve(b)
-    assert np.linalg.norm(k @ u + lam * c - b) <= 1e-12 * np.linalg.norm(b)
-    assert abs(c @ u) <= 1e-12 * np.linalg.norm(b)
+    b = zero_sum(np.random.default_rng(4).standard_normal(n))
+    u = grounded_solve(k, b, ground=n - 1)
+    assert u[n - 1] == 0.0
+    assert np.linalg.norm(k @ u - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_constrained_block_solve():
+    """Block grounded solves at two grounds differ by one constant per
+    column, so every pairing with a zero-sum load agrees."""
     n = 18
     k = neumann_like(n, seed=8)
-    c = np.random.default_rng(9).uniform(0.5, 1.5, n)
-    cf = nx.factor_constrained(k, c)
-    b = np.random.default_rng(10).standard_normal((n, 4))
-    u, lam = cf.solve(b, np.zeros(4))
-    assert np.linalg.norm(k @ u + np.outer(c, lam) - b) <= 1e-12 * np.linalg.norm(b)
-    assert np.abs(c @ u).max() <= 1e-12
+    b = zero_sum(np.random.default_rng(10).standard_normal((n, 4)))
+    u = grounded_solve(k, b, ground=0)
+    v = grounded_solve(k, b, ground=11)
+    assert np.linalg.norm(k @ u - b) <= 1e-12 * np.linalg.norm(b)
+    shift = u - v
+    assert np.abs(shift - shift[0]).max() <= 1e-12 * np.abs(u).max()
+    assert np.abs(b.T @ u - b.T @ v).max() <= 1e-12 * np.abs(b.T @ u).max()
 
 
 def test_constrained_rejects_zero_row():
-    k = neumann_like(10, seed=1)
+    """A constraint that pins nothing is rejected: here a ground that
+    leaves a second connected component floating, whose last pivot is
+    exactly zero."""
+    pair = scipy.sparse.csr_matrix([[1.0, -1.0], [-1.0, 1.0]])
+    k = scipy.sparse.block_diag([pair, pair], format="csr")
+    free = np.array([1, 2, 3])
     with pytest.raises(NotPositiveDefinite):
-        nx.factor_constrained(k, np.zeros(10))
+        nx.factor_spd(k[free][:, free])
 
 
 def test_constrained_rejects_indefinite():
-    k = neumann_like(10, seed=1) - 5.0 * np.eye(10)
-    c = np.ones(10)
+    k = neumann_like(10, seed=1) - 5.0 * scipy.sparse.identity(10)
+    free = np.arange(1, 10)
     with pytest.raises(NotPositiveDefinite):
-        nx.factor_constrained(nx.symmetrize(k), c)
+        nx.factor_spd(k.tocsr()[free][:, free])
