@@ -25,8 +25,6 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
-from . import conductivity as cd
-from . import elasticity as el
 from . import mesh as mx
 from . import stability as sl
 from .errors import ConfigError, HolderLabError
@@ -215,22 +213,8 @@ def normalize_config(raw):
         raise ConfigError("must be a path string", field="output_dir")
     cfg["output_dir"] = out
 
-    known = {
-        "problem",
-        "seed",
-        "mesh",
-        "compact_set",
-        "recovered_cells",
-        "sweep",
-        "probe_k",
-        "select",
-        "fit",
-        "counterexample",
-        "derivcheck",
-        "output_dir",
-    }
     for key in raw:
-        if key not in known:
+        if key not in cfg:
             raise ConfigError("unknown field", field=key)
     return cfg
 
@@ -388,39 +372,16 @@ def cmd_mesh(cfg, args):
     return 0
 
 
-def _first_param_cells(cfg, spec):
-    return sl.sample_cells(spec, 1, cfg["seed"], stream=1)[0]
-
-
-def _forward_parts(cfg):
-    mesh = build_mesh_from(cfg)
+def _forward_problem(cfg):
+    """The forward problem, the spec and the first sampled point."""
     spec = build_spec_from(cfg)
-    if cfg["problem"] == "conductivity":
-        basis = cd.current_basis(mesh)
-
-        def forward(cells):
-            return cd.nd_matrix(mesh, cd.ConductivityParams(cells), basis)
-
-        def derivative(cells, d):
-            return cd.nd_derivative(
-                mesh, cd.ConductivityParams(cells), d, basis
-            )
-
-    else:
-        basis = el.displacement_basis(mesh)
-
-        def forward(cells):
-            return el.dn_matrix(mesh, el.ElasticityParams(cells), basis)
-
-        def derivative(cells, d):
-            return el.dn_derivative(mesh, el.ElasticityParams(cells), d, basis)
-
-    return mesh, spec, basis, forward, derivative
+    cells = sl.sample_cells(spec, 1, cfg["seed"], stream=1)[0]
+    return sl.forward_problem(build_mesh_from(cfg), spec.kind), spec, cells
 
 
 def cmd_forward(cfg, args):
-    _, spec, basis, forward, _ = _forward_parts(cfg)
-    op = forward(_first_param_cells(cfg, spec))
+    problem, _, cells = _forward_problem(cfg)
+    op = problem.forward(cells)
     head = header_line(config_hash(cfg), cfg["seed"])
     buf = [head, "# kind %s dim %d" % (op.kind, op.dim)]
     for row in op.matrix:
@@ -432,22 +393,21 @@ def cmd_forward(cfg, args):
 
 
 def cmd_derivcheck(cfg, args):
-    _, spec, basis, forward, derivative = _forward_parts(cfg)
-    cells = _first_param_cells(cfg, spec)
+    problem, spec, cells = _forward_problem(cfg)
     direction = sl.sample_direction(spec, cfg["seed"], index=0)
-    deriv = derivative(cells, direction)
+    deriv = problem.derivative(cells, direction)
     scale = float(np.abs(deriv).max())
     head = header_line(config_hash(cfg), cfg["seed"])
     lines = [head, "h,rel_err"]
     errs = []
     for h in cfg["derivcheck"]["steps"]:
-        plus = forward(cells + h * direction).matrix
-        minus = forward(cells - h * direction).matrix
+        plus = problem.forward(cells + h * direction).matrix
+        minus = problem.forward(cells - h * direction).matrix
         err = float(np.abs((plus - minus) / (2.0 * h) - deriv).max() / scale)
         errs.append(err)
         lines.append("%s,%s" % (repr(float(h)), repr(err)))
-    radial = derivative(cells, cells)
-    base = forward(cells).matrix
+    radial = problem.derivative(cells, cells)
+    base = problem.forward(cells).matrix
     sign = -1.0 if cfg["problem"] == "conductivity" else 1.0
     radial_err = float(np.abs(radial - sign * base).max() / np.abs(base).max())
     lines.append("# radial_identity_rel_err %s" % repr(radial_err))

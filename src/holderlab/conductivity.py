@@ -7,22 +7,21 @@ is assembled by solving one Neumann problem per basis current. The
 potential space is H1 modulo constants, realized by grounding one node
 off the patch: the basis currents have zero mean, so the patch pairing
 of a potential does not see the constant the ground fixes.
+
+NDProblem holds everything about one mesh that does not depend on the
+conductivity: the current basis, its whitening, the ground node, the
+patch loads and the stiffness as a linear map of the cell components.
+nd_matrix and nd_derivative evaluate it with one banded factorization.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .errors import CellCountMismatch, EmptyPatch
-from .mesh import (
-    boundary_mass_matrix,
-    boundary_hat_integrals,
-    patch_nodes,
-    triangle_areas,
-)
-from .numerics import factor_spd, solve, symmetrize
-from .operators import DataOperator, operator_distance  # noqa: F401
+from . import operators
+from .errors import EmptyPatch
+from .mesh import boundary_hat_integrals, boundary_mass_matrix, p1_gradients, patch_nodes
+from .numerics import CellStiffness, factor_spd, scatter, solve, symmetrize
 
 KIND = "conductivity_nd"
 
@@ -95,41 +94,6 @@ def current_basis(mesh):
     return CurrentBasis(pn, coeffs, gram)
 
 
-def _gradients(mesh):
-    """Per-triangle P1 basis gradients (n_tri, 3, 2) and areas."""
-    p = mesh.nodes[mesh.triangles]
-    area = triangle_areas(mesh)
-    g = np.empty((len(mesh.triangles), 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        g[:, i, 0] = p[:, j, 1] - p[:, k, 1]
-        g[:, i, 1] = p[:, k, 0] - p[:, j, 0]
-    g /= (2.0 * area)[:, None, None]
-    return g, area
-
-
-def stiffness_block(mesh, cells):
-    """P1 stiffness matrix for the piecewise constant coefficient given
-    by (N, 3) component rows; the rows need not be positive definite
-    (directions are allowed)."""
-    cells = np.atleast_2d(np.asarray(cells, dtype=float))
-    n_cells = int(mesh.labels.max())
-    if cells.shape[0] != n_cells:
-        raise CellCountMismatch(
-            "%d cell matrices for a %d-cell partition" % (cells.shape[0], n_cells)
-        )
-    mats = cell_matrices(cells)[mesh.labels - 1]
-    g, area = _gradients(mesh)
-    ke = np.einsum("t,tai,tij,tbj->tab", area, g, mats, g)
-    rows = np.broadcast_to(mesh.triangles[:, :, None], ke.shape)
-    cols = np.broadcast_to(mesh.triangles[:, None, :], ke.shape)
-    n = mesh.n_nodes
-    k = scipy.sparse.coo_matrix(
-        (ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    )
-    return k.tocsr()
-
-
 def ground_node(mesh, patch):
     """Node whose potential is fixed to zero: the one farthest from the
     midpoint of the patch (node indices in arclength order), which
@@ -141,57 +105,75 @@ def ground_node(mesh, patch):
 
 
 def _patch_loads(mesh, basis):
-    """Load vectors over all nodes: row i is the pairing of basis
-    current i with every nodal trace."""
-    n = mesh.n_nodes
-    a = mesh.boundary_edges[:, 0]
-    b = mesh.boundary_edges[:, 1]
-    h = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a], axis=1)
-    mass = scipy.sparse.coo_matrix(
-        (
-            np.concatenate([h / 3.0, h / 3.0, h / 6.0, h / 6.0]),
-            (
-                np.concatenate([a, b, a, b]),
-                np.concatenate([a, b, b, a]),
-            ),
-        ),
-        shape=(n, n),
-    ).tocsr()
-    return mass[:, basis.nodes] @ basis.coeffs.T
+    """Load vectors over all nodes: column i pairs basis current i,
+    through the boundary mass matrix, with every nodal trace."""
+    x = np.zeros((mesh.n_nodes, basis.k))
+    x[basis.nodes] = basis.coeffs.T
+    a, b = mesh.boundary_edges.T
+    h = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a], axis=1)[:, None]
+    loads = np.zeros_like(x)
+    np.add.at(loads, a, h / 3.0 * x[a] + h / 6.0 * x[b])
+    np.add.at(loads, b, h / 3.0 * x[b] + h / 6.0 * x[a])
+    return loads
 
 
-def nd_solutions(mesh, p, basis):
-    """Solve the grounded Neumann problem for every basis current.
+def stiffness_form(mesh, active):
+    """P1 stiffness over the active nodes (active[i] is node i's
+    position among them, -1 if left out), linear in the (N, 3) cell
+    rows; directions need not be positive definite."""
+    g, area = p1_gradients(mesh)
+    comps = cell_matrices(np.eye(3))
+    return CellStiffness(g.transpose(0, 2, 1), comps, area, mesh.triangles, mesh.labels, active)
 
-    Returns (U, B): potentials and load vectors, both (n_nodes, k).
-    The potentials vanish at the ground node; they differ from the
-    zero-mean ones by a constant per column, which neither the loads
-    nor any stiffness matrix sees.
+
+class NDProblem:
+    """The grounded Neumann problem of one mesh, built once.
+
+    form is the P1 stiffness over the free (ungrounded) nodes, linear
+    in the (N, 3) cell components; loads (n_free, k) pairs every basis
+    current with every free nodal trace.
     """
-    k_block = stiffness_block(mesh, p.cells)
-    loads = _patch_loads(mesh, basis)
-    free = np.delete(np.arange(mesh.n_nodes), ground_node(mesh, basis.nodes))
-    f = factor_spd(k_block[free][:, free])
-    u = np.zeros_like(loads)
-    u[free] = solve(f, loads[free])
-    return u, loads
+
+    def __init__(self, mesh):
+        self.basis = current_basis(mesh)
+        self.whitener = operators.gram_inv_sqrt(self.basis.gram)
+        self.ground = ground_node(mesh, self.basis.nodes)
+        free = np.delete(np.arange(mesh.n_nodes), self.ground)
+        active = np.full(mesh.n_nodes, -1)
+        active[free] = np.arange(free.size)
+        self.form = stiffness_form(mesh, active)
+        self.band = self.form.band_layout(slice(None), free.size)
+        self.loads = _patch_loads(mesh, self.basis)[free]
+
+    def solutions(self, cells):
+        """Grounded potentials on the free nodes, one column per basis
+        current. They differ from the zero-mean ones by a constant per
+        column, which neither the loads nor any stiffness sees."""
+        band = scatter(self.form.values(cells), self.band)
+        return solve(factor_spd(band), self.loads)
+
+    def forward(self, cells):
+        return nd_matrix(self, ConductivityParams(cells))
+
+    def derivative(self, cells, dp):
+        return nd_derivative(self, ConductivityParams(cells), dp)
 
 
-def nd_matrix(mesh, p, basis):
+def nd_matrix(problem, p):
     """Matrix of the local Neumann-to-Dirichlet map in the current
     basis: M[i][j] = pairing of current j with the trace of the
     potential driven by current i."""
-    u, loads = nd_solutions(mesh, p, basis)
-    return DataOperator(symmetrize(loads.T @ u), basis.gram, KIND)
+    u = problem.solutions(p.cells)
+    m = symmetrize(problem.loads.T @ u)
+    return operators.DataOperator(m, problem.basis.gram, KIND, problem.whitener)
 
 
-def nd_derivative(mesh, p, dp, basis):
+def nd_derivative(problem, p, dp):
     """Directional derivative of the map at p in direction dp, as a
     matrix in the current basis.
 
     dp is an (N, 3) array of symmetric per-cell components; it need not
     be positive definite.
     """
-    u, _ = nd_solutions(mesh, p, basis)
-    k_dp = stiffness_block(mesh, np.asarray(dp, dtype=float))
-    return symmetrize(-(u.T @ (k_dp @ u)))
+    u = problem.solutions(p.cells)
+    return -problem.form.pairing(problem.form.values(dp), u)

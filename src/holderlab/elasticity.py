@@ -8,17 +8,21 @@ boundary displacement supported compactly in the patch to the
 resulting traction; its matrix is the Schur complement of the interior
 block of the vector P1 stiffness, equivalently the energy of the
 lifted-and-corrected solution.
+
+DNProblem holds everything about one mesh that does not depend on the
+stiffness tensors: the displacement basis, its whitening and the vector
+stiffness as a linear map of the nine Mandel entries per cell. dn_matrix
+and dn_derivative evaluate it with one banded factorization.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
-from .errors import CellCountMismatch, NotPositiveDefinite, PatchTooSmall
-from .mesh import boundary_mass_matrix, boundary_node_set, patch_nodes, triangle_areas
-from .numerics import eig_min, factor_spd, solve, symmetrize
-from .operators import DataOperator
+from . import operators
+from .errors import NotPositiveDefinite, PatchTooSmall
+from .mesh import boundary_mass_matrix, boundary_node_set, p1_gradients, patch_nodes
+from .numerics import CellStiffness, eig_min, factor_spd, layout, scatter, solve, symmetrize
 
 KIND = "elasticity_dn"
 
@@ -123,109 +127,92 @@ def displacement_basis(mesh):
 def _strain_operators(mesh):
     """Per-triangle Mandel strain matrices B (n_tri, 3, 6) over the
     local dofs (v0x, v0y, v1x, v1y, v2x, v2y), plus areas."""
-    p = mesh.nodes[mesh.triangles]
-    area = triangle_areas(mesh)
-    g = np.empty((len(mesh.triangles), 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        g[:, i, 0] = p[:, j, 1] - p[:, k, 1]
-        g[:, i, 1] = p[:, k, 0] - p[:, j, 0]
-    g /= (2.0 * area)[:, None, None]
+    g, area = p1_gradients(mesh)
     b = np.zeros((len(mesh.triangles), 3, 6))
-    for i in range(3):
-        gx, gy = g[:, i, 0], g[:, i, 1]
-        b[:, 0, 2 * i] = gx
-        b[:, 1, 2 * i + 1] = gy
-        b[:, 2, 2 * i] = gy / ROOT2
-        b[:, 2, 2 * i + 1] = gx / ROOT2
+    b[:, 0, 0::2] = g[:, :, 0]
+    b[:, 1, 1::2] = g[:, :, 1]
+    b[:, 2, 0::2] = g[:, :, 1] / ROOT2
+    b[:, 2, 1::2] = g[:, :, 0] / ROOT2
     return b, area
 
 
-def full_vector_stiffness(mesh, cells):
-    """Vector P1 stiffness over all 2*n_nodes displacement dofs for
-    per-cell Mandel matrices; directions (non-SPD cells) allowed."""
-    cells = np.asarray(cells, dtype=float)
-    if cells.ndim == 2:
-        cells = cells[None]
-    n_cells = int(mesh.labels.max())
-    if cells.shape[0] != n_cells:
-        raise CellCountMismatch(
-            "%d cell tensors for a %d-cell partition" % (cells.shape[0], n_cells)
-        )
-    mats = cells[mesh.labels - 1]
-    b, area = _strain_operators(mesh)
-    ke = np.einsum("t,tia,tij,tjb->tab", area, b, mats, b)
-    dofs = np.empty((len(mesh.triangles), 6), dtype=np.intp)
-    dofs[:, 0::2] = 2 * mesh.triangles
-    dofs[:, 1::2] = 2 * mesh.triangles + 1
-    rows = np.broadcast_to(dofs[:, :, None], ke.shape)
-    cols = np.broadcast_to(dofs[:, None, :], ke.shape)
-    n = 2 * mesh.n_nodes
-    k = scipy.sparse.coo_matrix(
-        (ke.ravel(), (rows.ravel(), cols.ravel())), shape=(n, n)
-    )
-    return k.tocsr()
-
-
 def interior_dofs(mesh):
-    bset = boundary_node_set(mesh)
-    inner = np.setdiff1d(np.arange(mesh.n_nodes), bset)
+    inner = np.setdiff1d(np.arange(mesh.n_nodes), boundary_node_set(mesh))
     return np.sort(np.concatenate([2 * inner, 2 * inner + 1]))
 
 
-def _basis_dofs(basis):
-    return 2 * basis.entries[:, 0] + basis.entries[:, 1]
+def stiffness_form(mesh, active):
+    """Vector P1 stiffness over the active dofs (active[d] is dof d's
+    position among them, -1 if left out; dof 2*node + component),
+    linear in the (N, 3, 3) Mandel cells; directions need not be
+    positive definite."""
+    b, area = _strain_operators(mesh)
+    dofs = np.repeat(2 * mesh.triangles, 2, axis=1)
+    dofs[:, 1::2] += 1
+    return CellStiffness(b, np.eye(9).reshape(9, 3, 3), area, dofs, mesh.labels, active)
 
 
-def dn_solutions(mesh, p, basis, lift=None):
-    """Full displacement solutions for every basis datum.
+class DNProblem:
+    """The localized Dirichlet problem of one mesh, built once.
 
-    lift is an optional (n_interior, k) array of interior values for
-    the lifting operator; the default is the zero extension. Returns
-    (U_full, K_full, idx_interior).
+    The active dofs are the interior dofs followed by the basis dofs;
+    form is the vector P1 stiffness over them, linear in the (N, 3, 3)
+    Mandel cells. band, load and energy place its values into the
+    interior block K[idx, idx] (band storage), K[idx, bd] and
+    K[bd, bd].
     """
-    k_full = full_vector_stiffness(mesh, p.cells)
-    idx = interior_dofs(mesh)
-    bd = _basis_dofs(basis)
-    n = 2 * mesh.n_nodes
-    k = basis.k
-    e_full = np.zeros((n, k))
-    e_full[bd, np.arange(k)] = 1.0
-    if lift is not None:
-        e_full[idx, :] = lift
-    loads = (k_full @ e_full)[idx]
-    f = factor_spd(k_full[np.ix_(idx, idx)])
-    corr = solve(f, loads)
-    u_full = e_full.copy()
-    u_full[idx] -= corr
-    return u_full, k_full, idx
+
+    def __init__(self, mesh):
+        self.basis = displacement_basis(mesh)
+        self.whitener = operators.gram_inv_sqrt(self.basis.gram)
+        idx = interior_dofs(mesh)
+        bd = 2 * self.basis.entries[:, 0] + self.basis.entries[:, 1]
+        n, k = idx.size, self.basis.k
+        active = np.full(2 * mesh.n_nodes, -1)
+        active[idx] = np.arange(n)
+        active[bd] = n + np.arange(k)
+        self.form = stiffness_form(mesh, active)
+        r, c = self.form.rows, self.form.cols
+        inner = np.flatnonzero(c < n)
+        cross = np.flatnonzero((r < n) & (c >= n))
+        outer = np.flatnonzero(r >= n)
+        self.band = self.form.band_layout(inner, n)
+        self.load = layout(cross, r[cross], c[cross] - n, (n, k))
+        self.energy = layout(
+            np.concatenate([outer, outer]),
+            np.concatenate([r[outer], c[outer]]) - n,
+            np.concatenate([c[outer], r[outer]]) - n,
+            (k, k),
+        )
+
+    def solutions(self, cells):
+        """Stiffness slot values, the interior loads K[idx, bd] of the
+        zero-extended basis data and the interior corrections that
+        make each datum's extension discrete-harmonic."""
+        values = self.form.values(cells)
+        loads = scatter(values, self.load)
+        return values, loads, solve(factor_spd(scatter(values, self.band)), loads)
+
+    def forward(self, cells):
+        return dn_matrix(self, ElasticityParams(cells))
+
+    def derivative(self, cells, dp):
+        return dn_derivative(self, ElasticityParams(cells), dp)
 
 
-def dn_matrix(mesh, p, basis, lift=None):
-    """Matrix of the localized Dirichlet-to-Neumann map: lifted-datum
-    energy minus the correction energy recovered through the interior
-    solve. Independent of the lift choice up to solver accuracy."""
-    k_full = full_vector_stiffness(mesh, p.cells)
-    idx = interior_dofs(mesh)
-    bd = _basis_dofs(basis)
-    n = 2 * mesh.n_nodes
-    k = basis.k
-    e_full = np.zeros((n, k))
-    e_full[bd, np.arange(k)] = 1.0
-    if lift is not None:
-        e_full[idx, :] = lift
-    ke = k_full @ e_full
-    q = e_full.T @ ke
-    loads = ke[idx]
-    f = factor_spd(k_full[np.ix_(idx, idx)])
-    corr = solve(f, loads)
-    m = q - loads.T @ corr
-    return DataOperator(symmetrize(m), basis.gram, KIND)
+def dn_matrix(problem, p):
+    """Matrix of the localized Dirichlet-to-Neumann map: datum energy
+    minus the correction energy recovered through the interior
+    solve."""
+    values, loads, corr = problem.solutions(p.cells)
+    m = scatter(values, problem.energy) - loads.T @ corr
+    return operators.DataOperator(symmetrize(m), problem.basis.gram, KIND, problem.whitener)
 
 
-def dn_derivative(mesh, p, dp, basis):
+def dn_derivative(problem, p, dp):
     """Directional derivative of the map at p in direction dp: the
-    dp-energy pairing of the full solutions."""
-    u_full, _, _ = dn_solutions(mesh, p, basis)
-    k_dp = full_vector_stiffness(mesh, np.asarray(dp, dtype=float))
-    return symmetrize(u_full.T @ (k_dp @ u_full))
+    dp-energy pairing of the full solutions, which are the basis data
+    minus their interior corrections."""
+    _, _, corr = problem.solutions(p.cells)
+    u = np.vstack([-corr, np.eye(problem.basis.k)])
+    return problem.form.pairing(problem.form.values(dp), u)

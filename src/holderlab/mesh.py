@@ -85,37 +85,28 @@ def build_mesh(n_sub, part, patch):
     ix, iy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
     nodes = np.column_stack([ix.ravel() / n_sub, iy.ravel() / n_sub])
 
-    def idx(i, j):
-        return j * m + i
-
-    tris = []
-    for j in range(n_sub):
-        for i in range(n_sub):
-            bl, br = idx(i, j), idx(i + 1, j)
-            tl, tr = idx(i, j + 1), idx(i + 1, j + 1)
-            tris.append((bl, br, tr))
-            tris.append((bl, tr, tl))
-    triangles = np.array(tris, dtype=np.intp)
+    # squares row by row from the bottom-left corner bl, each split into
+    # (bl, br, tr) and (bl, tr, tl); node (i, j) is j*m + i
+    bl = (np.arange(n_sub)[:, None] * m + np.arange(n_sub)).ravel()
+    tr = bl + m + 1
+    triangles = np.stack(
+        [np.column_stack([bl, bl + 1, tr]), np.column_stack([bl, tr, bl + m])], axis=1
+    ).reshape(-1, 3).astype(np.intp)
 
     cent = nodes[triangles].mean(axis=1)
     col = np.minimum((cent[:, 0] * part.grid_cols).astype(int), part.grid_cols - 1)
     row = np.minimum((cent[:, 1] * part.grid_rows).astype(int), part.grid_rows - 1)
     labels = row * part.grid_cols + col + 1
 
-    edges = []
-    for i in range(n_sub):  # bottom, left to right
-        edges.append((idx(i, 0), idx(i + 1, 0)))
-    for j in range(n_sub):  # right, upward
-        edges.append((idx(n_sub, j), idx(n_sub, j + 1)))
-    for i in range(n_sub):  # top, right to left
-        edges.append((idx(n_sub - i, n_sub), idx(n_sub - i - 1, n_sub)))
-    for j in range(n_sub):  # left, downward
-        edges.append((idx(0, n_sub - j), idx(0, n_sub - j - 1)))
-    boundary_edges = np.array(edges, dtype=np.intp)
+    # counterclockwise ring of boundary nodes: bottom left to right,
+    # right upward, top right to left, left downward
+    s = np.arange(n_sub)
+    ring = np.concatenate([s, n_sub + s * m, n_sub * m + n_sub - s, (n_sub - s) * m])
+    boundary_edges = np.column_stack([ring, np.roll(ring, -1)]).astype(np.intp)
 
     mid = 0.5 * (nodes[boundary_edges[:, 0]] + nodes[boundary_edges[:, 1]])
     side_of = np.repeat(np.arange(4), n_sub)
-    frac = np.empty(len(edges))
+    frac = np.empty(len(ring))
     frac[side_of == 0] = mid[side_of == 0, 0]
     frac[side_of == 1] = mid[side_of == 1, 1]
     frac[side_of == 2] = 1.0 - mid[side_of == 2, 0]
@@ -133,16 +124,25 @@ def triangle_areas(mesh):
     return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
+def p1_gradients(mesh):
+    """Gradients of the three P1 basis functions of every triangle,
+    (n_tri, 3, 2), and the triangle areas."""
+    p = mesh.nodes[mesh.triangles]
+    area = triangle_areas(mesh)
+    pj = np.roll(p, -1, axis=1)  # vertex i+1 of vertex i's triangle
+    pk = np.roll(p, -2, axis=1)  # vertex i+2
+    g = np.stack([pj[:, :, 1] - pk[:, :, 1], pk[:, :, 0] - pj[:, :, 0]], axis=2)
+    return g / (2.0 * area)[:, None, None], area
+
+
 def patch_nodes(mesh):
     """Node indices along the patch in arclength order, endpoints
     included."""
     sel = np.flatnonzero(mesh.on_patch)
     if sel.size == 0:
         raise EmptyPatch("no boundary edge lies on the patch")
-    out = [mesh.boundary_edges[sel[0], 0]]
-    for e in sel:
-        out.append(mesh.boundary_edges[e, 1])
-    return np.array(out, dtype=np.intp)
+    edges = mesh.boundary_edges
+    return np.concatenate([edges[sel[:1], 0], edges[sel, 1]]).astype(np.intp)
 
 
 def patch_edge_lengths(mesh):
@@ -157,16 +157,9 @@ def patch_edge_lengths(mesh):
 def boundary_mass_matrix(mesh):
     """Gram matrix of the patch hat functions in L2 of the patch:
     tridiagonal, with h/3 diagonal and h/6 coupling per patch edge."""
-    pn = patch_nodes(mesh)
     h = patch_edge_lengths(mesh)
-    k = pn.size
-    g = np.zeros((k, k))
-    for e in range(k - 1):
-        g[e, e] += h[e] / 3.0
-        g[e + 1, e + 1] += h[e] / 3.0
-        g[e, e + 1] += h[e] / 6.0
-        g[e + 1, e] += h[e] / 6.0
-    return symmetrize(g)
+    diag = np.append(h, 0.0) / 3.0 + np.insert(h, 0, 0.0) / 3.0
+    return symmetrize(np.diag(diag) + np.diag(h / 6.0, 1) + np.diag(h / 6.0, -1))
 
 
 def boundary_hat_integrals(mesh):

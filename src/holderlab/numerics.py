@@ -2,20 +2,26 @@
 quadrature.
 
 All other modules funnel their linear solves and eigenvalue evaluations
-through this one. Matrices are 64-bit floats throughout. Assembled
-stiffness matrices are sparse with a narrow band under the mesh's
-row-major numbering, so they are factored in LAPACK band storage
-(pbtrf/pbtrs); small dense symmetric eigenproblems go through LAPACK's
-symmetric solver.
+through this one. Matrices are 64-bit floats throughout. A stiffness
+matrix is linear in the cell components of its coefficient, so
+CellStiffness stores it once per mesh as one row of slot values per
+component on a fixed sparsity pattern; a call is a small matmul and a
+scatter into LAPACK band storage, which is narrow under the mesh's
+row-major numbering and factored with pbtrf/pbtrs. Small dense
+symmetric eigenproblems go through LAPACK's symmetric solver.
 """
 
 import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
-from .errors import DimensionMismatch, NotPositiveDefinite, ToleranceNotReached
+from .errors import (
+    CellCountMismatch,
+    DimensionMismatch,
+    NotPositiveDefinite,
+    ToleranceNotReached,
+)
 
 
 def symmetrize(a):
@@ -55,23 +61,19 @@ class BandFactor:
         self.n = band.shape[1]
 
 
-def factor_spd(m):
+def factor_spd(band):
     """Banded Cholesky factorization (LAPACK pbtrf) of a symmetric
-    positive definite matrix.
-
-    Accepts a scipy.sparse matrix or a dense array; only the upper
-    triangle is read, and the band width is that of its farthest
-    nonzero. Raises NotPositiveDefinite on a non-positive pivot, which
-    for assembled systems signals a coefficient outside the
+    positive definite matrix given in upper band storage,
+    band[u + i - j, j] = A[i, j] for i <= j; the unused top-left corner
+    is never read. Raises NotPositiveDefinite on a non-positive pivot,
+    which for assembled systems signals a coefficient outside the
     ellipticity cone or a singular (ungrounded) system.
     """
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatch("matrix must be square")
-    upper = scipy.sparse.triu(m, format="coo")
-    upper.sum_duplicates()
-    u = int((upper.col - upper.row).max(initial=0))
-    band = np.zeros((u + 1, m.shape[0]))
-    band[u + upper.row - upper.col, upper.col] = upper.data
+    band = np.asarray(band, dtype=float)
+    if band.ndim != 2 or not 1 <= band.shape[0] <= band.shape[1]:
+        raise DimensionMismatch(
+            "band storage must have 1 to n rows for n columns, got %s" % (band.shape,)
+        )
     try:
         return BandFactor(scipy.linalg.cholesky_banded(band, check_finite=False))
     except np.linalg.LinAlgError as exc:
@@ -86,6 +88,75 @@ def solve(f, b):
             "right-hand side has %d rows, factor is %d" % (b.shape[0], f.n)
         )
     return scipy.linalg.cho_solve_banded((f.band, False), b, check_finite=False)
+
+
+class CellStiffness:
+    """P1 stiffness K(c) = sum_t area_t ops_t.T A_t(c) ops_t over the
+    active dofs, linear in the cell components c, on the fixed pattern
+    of its upper triangle: slot s is K[rows[s], cols[s]], rows <= cols,
+    and values(c) = c.ravel() @ stack.
+
+    ops (n_tri, m, d) maps a triangle's local dofs to its gradient or
+    strain vector, comps (n_comp, m, m) is the coefficient matrix of
+    each unit component, dofs (n_tri, d) the global dof of every local
+    dof, labels (n_tri,) every triangle's 1-based cell and active[g]
+    global dof g's position among the active dofs (-1 if inactive).
+    """
+
+    def __init__(self, ops, comps, area, dofs, labels, active):
+        elem = np.einsum("jkl,tka,tlb->tjab", comps, ops, ops, optimize=True)
+        elem *= area[:, None, None, None]
+        n_comp, d = comps.shape[0], dofs.shape[1]
+        self.n_cells = int(labels.max())
+        loc = active[dofs]
+        r = np.broadcast_to(loc[:, :, None], (len(loc), d, d))
+        c = np.broadcast_to(loc[:, None, :], (len(loc), d, d))
+        t, a, b = np.nonzero((r >= 0) & (r <= c))
+        n = int(active.max()) + 1
+        slots, slot = np.unique(r[t, a, b] * n + c[t, a, b], return_inverse=True)
+        self.rows, self.cols = np.divmod(slots, n)
+        stack = np.zeros((self.n_cells, n_comp, slots.size))
+        np.add.at(stack, (labels[t] - 1, slice(None), slot), elem[t, :, a, b])
+        self.stack = stack.reshape(-1, slots.size)
+        # a diagonal entry appears once in the upper triangle, an
+        # off-diagonal one stands for two entries of K
+        self._weight = np.where(self.rows == self.cols, 0.5, 1.0)
+
+    def values(self, cells):
+        """Slot values of K at the cell components, or directions."""
+        cells = np.asarray(cells, dtype=float)
+        if len(cells) != self.n_cells or cells.size != self.stack.shape[0]:
+            raise CellCountMismatch(
+                "cells of shape %s for a %d-cell partition" % (cells.shape, self.n_cells)
+            )
+        return cells.reshape(-1) @ self.stack
+
+    def pairing(self, values, u):
+        """u.T @ K @ u for the K with these slot values; u holds one
+        column per vector over the active dofs. Exactly symmetric."""
+        half = u[self.rows].T @ ((self._weight * values)[:, None] * u[self.cols])
+        return half + half.T
+
+    def band_layout(self, select, n):
+        """Index map into LAPACK upper band storage of the n x n matrix
+        formed by the selected slots, which lie in its upper triangle."""
+        r, c = self.rows[select], self.cols[select]
+        u = int((c - r).max())
+        return layout(select, u + r - c, c, (u + 1, n))
+
+
+def layout(select, rows, cols, shape):
+    """Index map that places the selected slot values at (rows, cols)
+    of a zero array of the given shape."""
+    return select, np.ravel_multi_index((rows, cols), shape), shape
+
+
+def scatter(values, index_map):
+    """Dense array holding slot values where an index map places them."""
+    select, flat, shape = index_map
+    out = np.zeros(shape)
+    out.reshape(-1)[flat] = values[select]
+    return out
 
 
 def adaptive_quadrature(f, a, b, tol, max_depth=50):

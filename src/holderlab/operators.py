@@ -4,6 +4,7 @@ A DataOperator is the matrix of a forward map in a fixed boundary
 basis together with the Gram matrix of that basis. Distances between
 operators are measured in the Gram-whitened spectral norm, the declared
 stand-in for the continuum operator norm on a fixed discretization.
+Every operator carries the whitening G^{-1/2} of its basis.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,11 @@ class DataOperator:
     matrix: np.ndarray
     gram: np.ndarray
     kind: str  # "conductivity_nd" or "elasticity_dn"
+    whitener: np.ndarray = None  # G^{-1/2}, from gram unless given
+
+    def __post_init__(self):
+        if self.whitener is None:
+            self.whitener = gram_inv_sqrt(self.gram)
 
     @property
     def dim(self):
@@ -44,7 +50,7 @@ def whitened_difference(a, b):
     """G^{-1/2} (M_a - M_b) G^{-1/2}, the difference expressed in the
     Gram-orthonormalized basis."""
     check_compatible(a, b)
-    w = gram_inv_sqrt(a.gram)
+    w = a.whitener
     return symmetrize(w @ (a.matrix - b.matrix) @ w)
 
 

@@ -4,9 +4,10 @@ flat-vs-analytic counterexample study.
 A sweep samples parameter pairs from a compact ellipticity class,
 evaluates the forward map on both, and records the recovered-quantity
 distance, the operator distance, the scalarization value, and
-optionally a finite-measurement distance. The envelope fit estimates
-(theta, C) so that every record lies below
-log delta_R <= theta * log delta_F + log C + slack.
+optionally a finite-measurement distance. It builds one forward
+problem for the mesh and solves each ray's base point once for all
+the ray's steps. The envelope fit estimates (theta, C) so that every
+record lies below log delta_R <= theta * log delta_F + log C + slack.
 """
 
 import math
@@ -176,20 +177,11 @@ def _cell_frobenius(spec, cells_a, cells_b, subset):
     return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2)))))
 
 
-def _forward_factory(mesh, spec):
-    if spec.kind == "conductivity":
-        basis = cd.current_basis(mesh)
-
-        def forward(cells):
-            return cd.nd_matrix(mesh, cd.ConductivityParams(cells), basis)
-
-    else:
-        basis = el.displacement_basis(mesh)
-
-        def forward(cells):
-            return el.dn_matrix(mesh, el.ElasticityParams(cells), basis)
-
-    return forward, basis
+def forward_problem(mesh, kind):
+    """The forward problem of the given kind, built once per mesh."""
+    if kind == "conductivity":
+        return cd.NDProblem(mesh)
+    return el.DNProblem(mesh)
 
 
 def default_ray_steps(n):
@@ -216,13 +208,14 @@ def sweep(
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Records are ordered by pair id
     regardless of the thread count; a record whose solve fails is
-    dropped and counted.
+    dropped and counted, and a failed base solve drops all its ray's
+    records.
     """
     if max(rq.cell_subset) > spec.n_cells:
         raise ValueError("recovered cell label outside the partition")
     ray_steps = np.asarray(ray_steps, dtype=float)
-    forward, basis = _forward_factory(mesh, spec)
-    k = basis.k if probe_k is None else probe_k
+    problem = forward_problem(mesh, spec.kind)
+    k = problem.basis.k if probe_k is None else probe_k
     weights = probe_weights(k)
 
     ps = sample_cells(spec, n_random_pairs, seed, _STREAM_RANDOM_P)
@@ -230,20 +223,18 @@ def sweep(
     bases = sample_cells(spec, n_rays, seed, _STREAM_RAY_BASE)
     dirs = [_direction(_rng(seed, _STREAM_RAY_DIR, i), spec) for i in range(n_rays)]
 
-    jobs = []
-    for i in range(n_random_pairs):
-        jobs.append(("random_random", None, ps[i], qs[i]))
+    # one job per random pair and one per ray, which solves its base
+    # point once for all its steps
+    jobs = [("random_random", ps[i], [(None, qs[i])]) for i in range(n_random_pairs)]
     for r in range(n_rays):
-        for t in ray_steps:
-            jobs.append(("near_diagonal", float(t), bases[r], bases[r] + t * dirs[r]))
+        steps = [(float(t), bases[r] + t * dirs[r]) for t in ray_steps]
+        jobs.append(("near_diagonal", bases[r], steps))
 
-    def run(job):
-        kind, t, cells_p, cells_q = job
+    def record(kind, t, cells_p, op_p, cells_q):
         try:
-            op_p = forward(cells_p)
-            op_q = forward(cells_q)
-        except HolderLabError as exc:
-            return ("dropped", kind, t, type(exc).__name__)
+            op_q = problem.forward(cells_q)
+        except HolderLabError:
+            return None
         d_r = _cell_frobenius(spec, cells_p, cells_q, rq.cell_subset)
         d_f = operator_distance(op_p, op_q)
         ph = phi(op_p, op_q, weights)
@@ -251,23 +242,31 @@ def sweep(
         flags = ()
         if d_f == 0.0 and d_r > 0.0:
             flags = ("injectivity_violation",)
-        return ("ok", kind, t, d_r, d_f, ph, d_fin, flags, (op_p, op_q))
+        return (kind, t, d_r, d_f, ph, d_fin, flags, (op_p, op_q))
+
+    def run(job):
+        kind, cells_p, steps = job
+        try:
+            op_p = problem.forward(cells_p)
+        except HolderLabError:
+            return [None] * len(steps)
+        return [record(kind, t, cells_p, op_p, cells_q) for t, cells_q in steps]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, jobs))
+            results = [res for out in pool.map(run, jobs) for res in out]
     else:
-        results = [run(job) for job in jobs]
+        results = [res for job in jobs for res in run(job)]
 
     records = []
     operators = [] if keep_operators else None
     dropped = 0
     pair_id = 0
     for res in results:
-        if res[0] == "dropped":
+        if res is None:
             dropped += 1
             continue
-        _, kind, t, d_r, d_f, ph, d_fin, flags, ops = res
+        kind, t, d_r, d_f, ph, d_fin, flags, ops = res
         records.append(
             StabilityRecord(pair_id, kind, t, d_r, d_f, ph, d_fin, flags)
         )

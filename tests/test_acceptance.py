@@ -69,15 +69,15 @@ def test_criterion_1_scaling_identities():
     worst = 0.0
     for n_sub in (4, 8):
         mesh = build_mesh(n_sub, PartitionSpec(2, 1), FULL_BOTTOM)
-        cb = cd.current_basis(mesh)
-        eb = el.displacement_basis(mesh)
+        cp = cd.NDProblem(mesh)
+        ep = el.DNProblem(mesh)
         pc = sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 1, SEED)[0]
         pe = sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 1, SEED)[0]
-        base_c = cd.nd_matrix(mesh, pc, cb).matrix
-        base_e = el.dn_matrix(mesh, pe, eb).matrix
+        base_c = cd.nd_matrix(cp, pc).matrix
+        base_e = el.dn_matrix(ep, pe).matrix
         for t in (0.5, 2.0, 10.0):
-            scaled_c = cd.nd_matrix(mesh, cd.ConductivityParams(t * pc.cells), cb).matrix
-            scaled_e = el.dn_matrix(mesh, el.ElasticityParams(t * pe.cells), eb).matrix
+            scaled_c = cd.nd_matrix(cp, cd.ConductivityParams(t * pc.cells)).matrix
+            scaled_e = el.dn_matrix(ep, el.ElasticityParams(t * pe.cells)).matrix
             worst = max(worst, rel_gap(scaled_c, base_c / t), rel_gap(scaled_e, t * base_e))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
@@ -86,17 +86,17 @@ def test_criterion_1_scaling_identities():
 
 
 def test_criterion_2_symmetry_and_psd(small_mesh):
-    cb = cd.current_basis(small_mesh)
-    eb = el.displacement_basis(small_mesh)
+    cp = cd.NDProblem(small_mesh)
+    ep = el.DNProblem(small_mesh)
     worst_sym = 0.0
     worst_ratio = 0.0
     draws = [
-        (sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 50, SEED), cd.nd_matrix, cb),
-        (sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 50, SEED), el.dn_matrix, eb),
+        (sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 50, SEED), cd.nd_matrix, cp),
+        (sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 50, SEED), el.dn_matrix, ep),
     ]
-    for params, forward, basis in draws:
+    for params, forward, problem in draws:
         for p in params:
-            m = forward(small_mesh, p, basis).matrix
+            m = forward(problem, p).matrix
             worst_sym = max(worst_sym, np.abs(m - m.T).max() / np.abs(m).max())
             worst_ratio = min(worst_ratio, eig_min(m) / spectral_norm(m))
     assert worst_sym <= 1e-12
@@ -108,8 +108,8 @@ def test_criterion_2_symmetry_and_psd(small_mesh):
 
 
 def test_criterion_3_derivative_checks(small_mesh):
-    cb = cd.current_basis(small_mesh)
-    eb = el.displacement_basis(small_mesh)
+    cp = cd.NDProblem(small_mesh)
+    ep = el.DNProblem(small_mesh)
     summaries = []
     for kind in ("conductivity", "elasticity"):
         spec = sl.CompactSetSpec(0.5, 2.0, 2, kind)
@@ -117,16 +117,16 @@ def test_criterion_3_derivative_checks(small_mesh):
         d = sl.sample_direction(spec, SEED)
         if kind == "conductivity":
             def forward(cells):
-                return cd.nd_matrix(small_mesh, cd.ConductivityParams(cells), cb).matrix
+                return cd.nd_matrix(cp, cd.ConductivityParams(cells)).matrix
 
-            deriv = cd.nd_derivative(small_mesh, p, d, cb)
-            radial_gap = rel_gap(cd.nd_derivative(small_mesh, p, p.cells, cb), -forward(p.cells))
+            deriv = cd.nd_derivative(cp, p, d)
+            radial_gap = rel_gap(cd.nd_derivative(cp, p, p.cells), -forward(p.cells))
         else:
             def forward(cells):
-                return el.dn_matrix(small_mesh, el.ElasticityParams(cells), eb).matrix
+                return el.dn_matrix(ep, el.ElasticityParams(cells)).matrix
 
-            deriv = el.dn_derivative(small_mesh, p, d, eb)
-            radial_gap = rel_gap(el.dn_derivative(small_mesh, p, p.cells, eb), forward(p.cells))
+            deriv = el.dn_derivative(ep, p, d)
+            radial_gap = rel_gap(el.dn_derivative(ep, p, p.cells), forward(p.cells))
         scale = np.abs(deriv).max()
         errs = []
         for h in (1e-3, 1e-4, 1e-5):
@@ -144,23 +144,23 @@ def test_criterion_3_derivative_checks(small_mesh):
 
 
 def test_criterion_4_faithfulness(small_mesh):
-    cb = cd.current_basis(small_mesh)
-    k = cb.coeffs.shape[0]
+    cp = cd.NDProblem(small_mesh)
+    k = cp.basis.coeffs.shape[0]
     w = probe_weights(k)
     bound_const = w.square_sum() ** 2
     spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
     ps = sl.sample_params(spec, 100, SEED, stream=1)
     qs = sl.sample_params(spec, 100, SEED, stream=2)
     for p, q in zip(ps, qs):
-        a = cd.nd_matrix(small_mesh, p, cb)
-        b = cd.nd_matrix(small_mesh, q, cb)
+        a = cd.nd_matrix(cp, p)
+        b = cd.nd_matrix(cp, q)
         dist = operator_distance(a, b)
         value = phi(a, b, w)
         assert dist > 0.0 and value > 0.0
         assert value <= bound_const * dist**2 * (1.0 + 1e-12)
     for p in ps[:10]:
-        a = cd.nd_matrix(small_mesh, p, cb)
-        b = cd.nd_matrix(small_mesh, p, cb)
+        a = cd.nd_matrix(cp, p)
+        b = cd.nd_matrix(cp, p)
         assert operator_distance(a, b) == 0.0
         assert phi(a, b, w) == 0.0
     print("criterion 4 PASS: phi=0 iff zero distance on 110 pairs, HS bound everywhere")

@@ -4,7 +4,7 @@ import pytest
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab.errors import BasisMismatch, CellCountMismatch, NotPositiveDefinite
-from holderlab.numerics import eig_min, factor_spd, spectral_norm
+from holderlab.numerics import eig_min, spectral_norm
 from holderlab.operators import (
     DataOperator,
     gram_inv_sqrt,
@@ -60,22 +60,30 @@ def test_current_basis_gram_spd():
     assert eig_min(basis.gram) > 0
 
 
+def full_stiffness(m, cells):
+    """Dense P1 stiffness over all nodes, from the stiffness form."""
+    form = cd.stiffness_form(m, np.arange(m.n_nodes))
+    k = np.zeros((m.n_nodes, m.n_nodes))
+    k[form.rows, form.cols] = k[form.cols, form.rows] = form.values(cells)
+    return k
+
+
 def test_stiffness_identity_kernel():
     m = unit_mesh(4)
-    k = cd.stiffness_block(m, np.array([[1.0, 1.0, 0.0]]))
+    k = full_stiffness(m, np.array([[1.0, 1.0, 0.0]]))
     assert np.abs(k @ np.ones(m.n_nodes)).max() == 0.0
 
 
 def test_stiffness_linear_in_coefficient():
     m = unit_mesh(4)
-    k1 = cd.stiffness_block(m, np.array([[1.0, 1.0, 0.0]])).toarray()
-    k2 = cd.stiffness_block(m, np.array([[2.0, 2.0, 0.0]])).toarray()
+    k1 = full_stiffness(m, np.array([[1.0, 1.0, 0.0]]))
+    k2 = full_stiffness(m, np.array([[2.0, 2.0, 0.0]]))
     assert np.array_equal(k2, 2.0 * k1)
 
 
 def test_stiffness_anisotropic_energy():
     m = unit_mesh(4)
-    k = cd.stiffness_block(m, np.array([[1.0, 4.0, 0.0]]))
+    k = full_stiffness(m, np.array([[1.0, 4.0, 0.0]]))
     ux = m.nodes[:, 0]
     uy = m.nodes[:, 1]
     assert abs(ux @ k @ ux - 1.0) < 1e-13
@@ -83,31 +91,25 @@ def test_stiffness_anisotropic_energy():
 
 
 def test_stiffness_cell_count_mismatch():
-    m = unit_mesh(4, cols=2)
+    problem = cd.NDProblem(unit_mesh(4, cols=2))
     with pytest.raises(CellCountMismatch):
-        cd.stiffness_block(m, np.array([[1.0, 1.0, 0.0]]))
-
-
-def grounded_free(m):
-    ground = cd.ground_node(m, mx.patch_nodes(m))
-    return np.delete(np.arange(m.n_nodes), ground)
+        cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]]))
+    with pytest.raises(CellCountMismatch):
+        cd.nd_derivative(problem, random_params(2, seed=1), np.zeros((3, 3)))
 
 
 def test_grounded_stiffness_spd_and_row_sums():
     m = unit_mesh(4, cols=2)
-    k = cd.stiffness_block(m, random_params(2, seed=1).cells)
-    dense = k.toarray()
+    dense = full_stiffness(m, random_params(2, seed=1).cells)
     assert np.abs(dense.sum(axis=1)).max() <= 1e-14 * np.abs(dense).max()
-    free = grounded_free(m)
+    free = np.delete(np.arange(m.n_nodes), cd.NDProblem(m).ground)
     assert eig_min(dense[np.ix_(free, free)]) > 0
 
 
 def test_indefinite_cell_fails_factorization():
-    m = unit_mesh(4)
-    k = cd.stiffness_block(m, np.array([[1.0, 1.0, 2.0]]))
-    free = grounded_free(m)
+    problem = cd.NDProblem(unit_mesh(4))
     with pytest.raises(NotPositiveDefinite):
-        factor_spd(k[free][:, free])
+        problem.solutions(np.array([[1.0, 1.0, 2.0]]))
 
 
 def test_ground_node_off_patch():
@@ -120,41 +122,43 @@ def test_ground_node_off_patch():
 
 def test_nd_matrix_ground_independent(monkeypatch):
     m = unit_mesh(8, cols=2)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
     p = random_params(2, seed=16)
-    base = cd.nd_matrix(m, p, basis).matrix
-    default = cd.ground_node(m, basis.nodes)
+    base = cd.nd_matrix(problem, p).matrix
     # the far corner of the square and the middle of the opposite side
     for ground in (m.n_nodes - 1, m.n_nodes - 5):
-        assert ground != default and ground not in basis.nodes
+        assert ground != problem.ground and ground not in problem.basis.nodes
         monkeypatch.setattr(cd, "ground_node", lambda mesh, patch, g=ground: g)
-        alt = cd.nd_matrix(m, p, basis).matrix
-        assert np.abs(alt - base).max() <= 1e-12 * np.abs(base).max()
+        alt = cd.NDProblem(m)
+        assert alt.ground == ground
+        alt_matrix = cd.nd_matrix(alt, p).matrix
+        assert np.abs(alt_matrix - base).max() <= 1e-12 * np.abs(base).max()
 
 
 def test_nd_scaling():
     m = unit_mesh(8, cols=2)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
     p = random_params(2, seed=3)
-    base = cd.nd_matrix(m, p, basis).matrix
+    base = cd.nd_matrix(problem, p).matrix
     for t in (0.5, 2.0, 10.0):
-        mt = cd.nd_matrix(m, cd.ConductivityParams(t * p.cells), basis).matrix
+        mt = cd.nd_matrix(problem, cd.ConductivityParams(t * p.cells)).matrix
         assert np.abs(mt - base / t).max() <= 1e-12 * np.abs(base / t).max()
 
 
 def test_nd_symmetric_psd():
     m = unit_mesh(8, cols=2)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
     for seed in range(5):
-        mat = cd.nd_matrix(m, random_params(2, seed=seed), basis).matrix
+        mat = cd.nd_matrix(problem, random_params(2, seed=seed)).matrix
         assert np.array_equal(mat, mat.T)
         assert eig_min(mat) >= -1e-10 * spectral_norm(mat)
 
 
 def test_nd_quadratic_form_positive():
     m = unit_mesh(8)
-    basis = cd.current_basis(m)
-    mat = cd.nd_matrix(m, random_params(1, seed=4), basis).matrix
+    problem = cd.NDProblem(m)
+    basis = problem.basis
+    mat = cd.nd_matrix(problem, random_params(1, seed=4)).matrix
     rng = np.random.default_rng(5)
     for _ in range(10):
         psi = rng.standard_normal(basis.k)
@@ -163,62 +167,60 @@ def test_nd_quadratic_form_positive():
 
 def test_nd_isotropic_recovery():
     m = unit_mesh(8)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
     a = 3.7
-    mi = cd.nd_matrix(m, cd.ConductivityParams([[1.0, 1.0, 0.0]]), basis).matrix
-    ma = cd.nd_matrix(m, cd.ConductivityParams([[a, a, 0.0]]), basis).matrix
+    mi = cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]])).matrix
+    ma = cd.nd_matrix(problem, cd.ConductivityParams([[a, a, 0.0]])).matrix
     ratio = mi[0, 0] / ma[0, 0]
     assert abs(ratio - a) <= 1e-12 * a
 
 
 def test_nd_derivative_radial():
     m = unit_mesh(8, cols=2)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
     p = random_params(2, seed=6)
-    mat = cd.nd_matrix(m, p, basis).matrix
-    d = cd.nd_derivative(m, p, p.cells, basis)
+    mat = cd.nd_matrix(problem, p).matrix
+    d = cd.nd_derivative(problem, p, p.cells)
     assert np.abs(d + mat).max() <= 1e-10 * np.abs(mat).max()
 
 
 def test_nd_derivative_zero_direction():
     m = unit_mesh(4)
-    basis = cd.current_basis(m)
-    d = cd.nd_derivative(m, random_params(1, seed=7), np.zeros((1, 3)), basis)
+    problem = cd.NDProblem(m)
+    d = cd.nd_derivative(problem, random_params(1, seed=7), np.zeros((1, 3)))
     assert np.all(d == 0.0)
 
 
 def test_nd_derivative_linear():
     m = unit_mesh(4, cols=2)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
     p = random_params(2, seed=8)
     rng = np.random.default_rng(9)
     d1 = rng.standard_normal((2, 3))
     d2 = rng.standard_normal((2, 3))
-    lhs = cd.nd_derivative(m, p, 2.0 * d1 - 0.5 * d2, basis)
-    rhs = 2.0 * cd.nd_derivative(m, p, d1, basis) - 0.5 * cd.nd_derivative(
-        m, p, d2, basis
-    )
+    lhs = cd.nd_derivative(problem, p, 2.0 * d1 - 0.5 * d2)
+    rhs = 2.0 * cd.nd_derivative(problem, p, d1) - 0.5 * cd.nd_derivative(problem, p, d2)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1e-30)
 
 
-def fd_errors(m, basis, p, dp, steps):
-    d = cd.nd_derivative(m, p, dp, basis)
+def fd_errors(problem, p, dp, steps):
+    d = cd.nd_derivative(problem, p, dp)
     scale = np.abs(d).max()
     errs = []
     for h in steps:
-        mp = cd.nd_matrix(m, cd.ConductivityParams(p.cells + h * dp), basis).matrix
-        mm = cd.nd_matrix(m, cd.ConductivityParams(p.cells - h * dp), basis).matrix
+        mp = cd.nd_matrix(problem, cd.ConductivityParams(p.cells + h * dp)).matrix
+        mm = cd.nd_matrix(problem, cd.ConductivityParams(p.cells - h * dp)).matrix
         errs.append(np.abs((mp - mm) / (2 * h) - d).max() / scale)
     return errs
 
 
 def test_nd_derivative_finite_difference():
     m = unit_mesh(8, cols=2)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
     p = random_params(2, seed=10)
     dp = np.random.default_rng(11).standard_normal((2, 3))
     dp /= np.sqrt((cd.cell_matrices(dp) ** 2).sum())
-    errs = fd_errors(m, basis, p, dp, [1e-3, 1e-4, 1e-5])
+    errs = fd_errors(problem, p, dp, [1e-3, 1e-4, 1e-5])
     assert errs[1] <= 1e-5
     # quadratic convergence where truncation dominates, then the
     # difference quotient bottoms out on solver noise
@@ -229,14 +231,15 @@ def test_nd_derivative_finite_difference():
 
 def test_loewner_monotonicity():
     m = unit_mesh(8, cols=2)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
+    basis = problem.basis
     rng = np.random.default_rng(12)
     for trial in range(5):
         b = random_params(2, seed=100 + trial, lo=1.0, hi=2.0)
         bump = random_params(2, seed=200 + trial, lo=0.1, hi=0.5)
         a = cd.ConductivityParams(b.cells + bump.cells)  # a dominates b
-        ma = cd.nd_matrix(m, a, basis).matrix
-        mb = cd.nd_matrix(m, b, basis).matrix
+        ma = cd.nd_matrix(problem, a).matrix
+        mb = cd.nd_matrix(problem, b).matrix
         for _ in range(20):
             psi = rng.standard_normal(basis.k)
             qa = psi @ ma @ psi
@@ -246,9 +249,10 @@ def test_loewner_monotonicity():
 
 def test_operator_distance_basics():
     m = unit_mesh(8)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
+    basis = problem.basis
     p = random_params(1, seed=13)
-    a = cd.nd_matrix(m, p, basis)
+    a = cd.nd_matrix(problem, p)
     assert operator_distance(a, a) == 0.0
     shifted = DataOperator(a.matrix + basis.gram, basis.gram, a.kind)
     assert abs(operator_distance(a, shifted) - 1.0) <= 1e-12
@@ -256,10 +260,11 @@ def test_operator_distance_basics():
 
 def test_operator_distance_scaling():
     m = unit_mesh(8)
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
+    basis = problem.basis
     p = random_params(1, seed=14)
-    a = cd.nd_matrix(m, p, basis)
-    b = cd.nd_matrix(m, cd.ConductivityParams(2.0 * p.cells), basis)
+    a = cd.nd_matrix(problem, p)
+    b = cd.nd_matrix(problem, cd.ConductivityParams(2.0 * p.cells))
     w = gram_inv_sqrt(basis.gram)
     half_norm = 0.5 * spectral_norm(w @ a.matrix @ w)
     assert abs(operator_distance(a, b) - half_norm) <= 1e-12 * half_norm
@@ -267,8 +272,8 @@ def test_operator_distance_scaling():
 
 def test_operator_distance_kind_mismatch():
     m = unit_mesh(8)
-    basis = cd.current_basis(m)
-    a = cd.nd_matrix(m, random_params(1, seed=15), basis)
+    problem = cd.NDProblem(m)
+    a = cd.nd_matrix(problem, random_params(1, seed=15))
     other = DataOperator(a.matrix.copy(), a.gram.copy(), "elasticity_dn")
     with pytest.raises(BasisMismatch):
         operator_distance(a, other)

@@ -67,71 +67,90 @@ def test_displacement_basis_too_small():
         el.displacement_basis(unit_mesh(4, t0=0.0, t1=0.3))
 
 
+def full_stiffness(m, cells):
+    """Dense vector P1 stiffness over all 2*n_nodes dofs, from the
+    stiffness form."""
+    n = 2 * m.n_nodes
+    form = el.stiffness_form(m, np.arange(n))
+    k = np.zeros((n, n))
+    k[form.rows, form.cols] = k[form.cols, form.rows] = form.values(cells)
+    return k
+
+
 def test_stiffness_linearity():
     m = unit_mesh(4)
     p = random_mandel(1, seed=0)
-    k1 = el.full_vector_stiffness(m, p.cells).toarray()
-    k3 = el.full_vector_stiffness(m, 3.0 * p.cells).toarray()
+    k1 = full_stiffness(m, p.cells)
+    k3 = full_stiffness(m, 3.0 * p.cells)
     assert np.allclose(k3, 3.0 * k1, rtol=1e-15, atol=0)
 
 
 def test_stiffness_constant_strain_energy():
     m = unit_mesh(4)
-    k = el.full_vector_stiffness(m, el.isotropic_tensor(0.0, 1.0))
+    k = full_stiffness(m, [el.isotropic_tensor(0.0, 1.0)])
     u = np.zeros(2 * m.n_nodes)
     u[0::2] = m.nodes[:, 0]
     assert abs(u @ k @ u - 2.0) < 1e-13
 
 
 def test_stiffness_cell_count():
-    m = unit_mesh(4, cols=2)
+    problem = el.DNProblem(unit_mesh(4, cols=2))
     with pytest.raises(CellCountMismatch):
-        el.full_vector_stiffness(m, random_mandel(1, seed=1).cells)
+        el.dn_matrix(problem, random_mandel(1, seed=1))
+    with pytest.raises(CellCountMismatch):
+        el.dn_derivative(problem, random_mandel(2, seed=1), np.zeros((2, 3)))
 
 
 def test_reduced_stiffness_positive_definite():
     for n in (2, 4):
         m = unit_mesh(n)
-        k = el.full_vector_stiffness(m, random_mandel(1, seed=n).cells)
+        k = full_stiffness(m, random_mandel(1, seed=n).cells)
         idx = el.interior_dofs(m)
-        assert eig_min(k[np.ix_(idx, idx)].toarray()) > 0
+        assert eig_min(k[np.ix_(idx, idx)]) > 0
+
+
+def test_indefinite_cell_fails_factorization():
+    problem = el.DNProblem(unit_mesh(4))
+    with pytest.raises(NotPositiveDefinite):
+        problem.solutions(np.diag([1.0, 1.0, -1.0])[None])
 
 
 def test_dn_scaling():
     m = unit_mesh(8, cols=2)
-    basis = el.displacement_basis(m)
+    problem = el.DNProblem(m)
     p = random_mandel(2, seed=2)
-    base = el.dn_matrix(m, p, basis).matrix
+    base = el.dn_matrix(problem, p).matrix
     for t in (0.5, 2.0):
-        mt = el.dn_matrix(m, el.ElasticityParams(t * p.cells), basis).matrix
+        mt = el.dn_matrix(problem, el.ElasticityParams(t * p.cells)).matrix
         assert np.abs(mt - t * base).max() <= 1e-12 * np.abs(t * base).max()
 
 
 def test_dn_isotropic_doubling():
     m = unit_mesh(8)
-    basis = el.displacement_basis(m)
+    problem = el.DNProblem(m)
     ma = el.dn_matrix(
-        m, el.ElasticityParams(np.array([el.isotropic_tensor(0.0, 1.0)])), basis
+        problem, el.ElasticityParams(np.array([el.isotropic_tensor(0.0, 1.0)]))
     ).matrix
     mb = el.dn_matrix(
-        m, el.ElasticityParams(np.array([el.isotropic_tensor(0.0, 2.0)])), basis
+        problem, el.ElasticityParams(np.array([el.isotropic_tensor(0.0, 2.0)]))
     ).matrix
     assert np.abs(mb - 2.0 * ma).max() <= 1e-12 * np.abs(mb).max()
 
 
 def test_dn_symmetric_psd():
     m = unit_mesh(8, cols=2)
-    basis = el.displacement_basis(m)
+    problem = el.DNProblem(m)
     for seed in range(5):
-        mat = el.dn_matrix(m, random_mandel(2, seed=seed), basis).matrix
+        mat = el.dn_matrix(problem, random_mandel(2, seed=seed)).matrix
         assert np.array_equal(mat, mat.T)
         assert eig_min(mat) >= -1e-10 * spectral_norm(mat)
 
 
 def test_dn_quadratic_form_nonnegative():
     m = unit_mesh(8)
-    basis = el.displacement_basis(m)
-    mat = el.dn_matrix(m, random_mandel(1, seed=7), basis).matrix
+    problem = el.DNProblem(m)
+    basis = problem.basis
+    mat = el.dn_matrix(problem, random_mandel(1, seed=7)).matrix
     rng = np.random.default_rng(8)
     for _ in range(10):
         f = rng.standard_normal(basis.k)
@@ -139,45 +158,53 @@ def test_dn_quadratic_form_nonnegative():
 
 
 def test_dn_lift_independence():
+    """The map's zero-extension Schur complement equals the energy of
+    the lifted-and-corrected solution for any interior lift."""
     m = unit_mesh(8, cols=2)
-    basis = el.displacement_basis(m)
+    problem = el.DNProblem(m)
+    basis = problem.basis
     p = random_mandel(2, seed=9)
-    base = el.dn_matrix(m, p, basis).matrix
+    base = el.dn_matrix(problem, p).matrix
+    k = full_stiffness(m, p.cells)
     idx = el.interior_dofs(m)
     lift = np.random.default_rng(10).standard_normal((idx.size, basis.k))
-    alt = el.dn_matrix(m, p, basis, lift=lift).matrix
+    e = np.zeros((k.shape[0], basis.k))
+    e[2 * basis.entries[:, 0] + basis.entries[:, 1], np.arange(basis.k)] = 1.0
+    e[idx] = lift
+    e[idx] -= np.linalg.solve(k[np.ix_(idx, idx)], (k @ e)[idx])
+    alt = e.T @ k @ e
     assert np.abs(alt - base).max() <= 1e-12 * np.abs(base).max()
 
 
 def test_dn_derivative_radial():
     m = unit_mesh(8, cols=2)
-    basis = el.displacement_basis(m)
+    problem = el.DNProblem(m)
     p = random_mandel(2, seed=11)
-    mat = el.dn_matrix(m, p, basis).matrix
-    d = el.dn_derivative(m, p, p.cells, basis)
+    mat = el.dn_matrix(problem, p).matrix
+    d = el.dn_derivative(problem, p, p.cells)
     assert np.abs(d - mat).max() <= 1e-10 * np.abs(mat).max()
 
 
 def test_dn_derivative_zero():
     m = unit_mesh(4)
-    basis = el.displacement_basis(m)
-    d = el.dn_derivative(m, random_mandel(1, seed=12), np.zeros((1, 3, 3)), basis)
+    problem = el.DNProblem(m)
+    d = el.dn_derivative(problem, random_mandel(1, seed=12), np.zeros((1, 3, 3)))
     assert np.all(d == 0.0)
 
 
 def test_dn_derivative_finite_difference():
     m = unit_mesh(8, cols=2)
-    basis = el.displacement_basis(m)
+    problem = el.DNProblem(m)
     p = random_mandel(2, seed=13)
     dp = np.random.default_rng(14).standard_normal((2, 3, 3))
     dp = 0.5 * (dp + dp.transpose(0, 2, 1))
     dp /= np.linalg.norm(dp)
-    d = el.dn_derivative(m, p, dp, basis)
+    d = el.dn_derivative(problem, p, dp)
     scale = np.abs(d).max()
     errs = []
     for h in (1e-3, 1e-4, 1e-5):
-        mp = el.dn_matrix(m, el.ElasticityParams(p.cells + h * dp), basis).matrix
-        mm = el.dn_matrix(m, el.ElasticityParams(p.cells - h * dp), basis).matrix
+        mp = el.dn_matrix(problem, el.ElasticityParams(p.cells + h * dp)).matrix
+        mm = el.dn_matrix(problem, el.ElasticityParams(p.cells - h * dp)).matrix
         errs.append(np.abs((mp - mm) / (2 * h) - d).max() / scale)
     assert errs[1] <= 1e-5
     slope = np.log10(errs[0] / errs[1])

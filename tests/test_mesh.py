@@ -141,3 +141,46 @@ def test_mesh_text_roundtrip():
     last = lines[-1].split()
     assert len(last) == 4
     assert float(first[0]) == m.nodes[0, 0]
+
+
+def loop_reference(n_sub, cols, rows):
+    """mesh_to_text and boundary edges of the structured mesh, built
+    one square and one edge at a time."""
+    m = n_sub + 1
+
+    def idx(i, j):
+        return j * m + i
+
+    lines = []
+    for j in range(m):
+        for i in range(m):
+            lines.append("%s %s" % (repr(i / n_sub), repr(j / n_sub)))
+    for j in range(n_sub):
+        for i in range(n_sub):
+            label = (j * rows // n_sub) * cols + i * cols // n_sub + 1
+            bl, br = idx(i, j), idx(i + 1, j)
+            tl, tr = idx(i, j + 1), idx(i + 1, j + 1)
+            lines.append("%d %d %d %d" % (bl, br, tr, label))
+            lines.append("%d %d %d %d" % (bl, tr, tl, label))
+    edges = []
+    for i in range(n_sub):  # bottom, left to right
+        edges.append((idx(i, 0), idx(i + 1, 0)))
+    for j in range(n_sub):  # right, upward
+        edges.append((idx(n_sub, j), idx(n_sub, j + 1)))
+    for i in range(n_sub):  # top, right to left
+        edges.append((idx(n_sub - i, n_sub), idx(n_sub - i - 1, n_sub)))
+    for j in range(n_sub):  # left, downward
+        edges.append((idx(0, n_sub - j), idx(0, n_sub - j - 1)))
+    return "\n".join(lines) + "\n", np.array(edges, dtype=np.intp)
+
+
+def test_build_mesh_matches_loop_reference():
+    for n_sub in (1, 2, 3, 8, 16):
+        grids = [(c, r) for c in (1, 2, 4) for r in (1, 2, 4) if n_sub % c == 0 and n_sub % r == 0]
+        for cols, rows in grids:
+            text, edges = loop_reference(n_sub, cols, rows)
+            for side in mx.SIDES:
+                m = unit_mesh(n_sub, cols, rows, side=side, t0=0.25, t1=1.0)
+                assert mx.mesh_to_text(m) == text
+                assert m.triangles.dtype == m.boundary_edges.dtype == np.intp
+                assert m.boundary_edges.tobytes() == edges.tobytes()

@@ -36,6 +36,16 @@ def banded_spd(n, bandwidth, seed):
     return scipy.sparse.csr_matrix(m)
 
 
+def band_of(m):
+    """LAPACK upper band storage of a symmetric sparse or dense
+    matrix; only its upper triangle is read."""
+    upper = scipy.sparse.triu(scipy.sparse.csr_matrix(m), format="coo")
+    u = int((upper.col - upper.row).max(initial=0))
+    band = np.zeros((u + 1, m.shape[0]))
+    band[u + upper.row - upper.col, upper.col] = upper.data
+    return band
+
+
 def upper_from_band(band):
     """Dense U from LAPACK upper band storage."""
     u, n = band.shape[0] - 1, band.shape[1]
@@ -47,13 +57,13 @@ def upper_from_band(band):
 
 
 def test_factor_diagonal():
-    f = nx.factor_spd(scipy.sparse.diags([4.0, 9.0]).tocsr())
+    f = nx.factor_spd(band_of(scipy.sparse.diags([4.0, 9.0]).tocsr()))
     assert np.array_equal(f.band, [[2.0, 3.0]])
     assert np.array_equal(nx.solve(f, np.array([8.0, 27.0])), [2.0, 3.0])
 
 
 def test_factor_identity():
-    f = nx.factor_spd(scipy.sparse.identity(5, format="csr"))
+    f = nx.factor_spd(band_of(scipy.sparse.identity(5, format="csr")))
     assert np.array_equal(f.band, np.ones((1, 5)))
     b = np.arange(10.0).reshape(5, 2)
     assert np.array_equal(nx.solve(f, b), b)
@@ -61,28 +71,28 @@ def test_factor_identity():
 
 def test_factor_rejects_indefinite():
     with pytest.raises(NotPositiveDefinite):
-        nx.factor_spd(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        nx.factor_spd(band_of(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
 
 def test_solve_identity():
-    f = nx.factor_spd(np.eye(3))
+    f = nx.factor_spd(band_of(np.eye(3)))
     assert np.allclose(nx.solve(f, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_solve_diagonal():
-    f = nx.factor_spd(np.diag([2.0, 4.0]))
+    f = nx.factor_spd(band_of(np.diag([2.0, 4.0])))
     assert np.allclose(nx.solve(f, np.array([2.0, 4.0])), [1.0, 1.0])
 
 
 def test_solve_consistency():
     m = random_spd(5, seed=11)
     b = m @ np.ones(5)
-    x = nx.solve(nx.factor_spd(m), b)
+    x = nx.solve(nx.factor_spd(band_of(m)), b)
     assert np.allclose(x, np.ones(5), atol=1e-12)
 
 
 def test_solve_dimension_mismatch():
-    f = nx.factor_spd(np.eye(3))
+    f = nx.factor_spd(band_of(np.eye(3)))
     with pytest.raises(DimensionMismatch):
         nx.solve(f, np.ones(4))
 
@@ -91,7 +101,7 @@ def test_factor_solve_residual_random():
     for seed in range(10):
         n = 20 + 3 * seed
         m = random_spd(n, seed=seed)
-        f = nx.factor_spd(m)
+        f = nx.factor_spd(band_of(m))
         b = np.random.default_rng(1000 + seed).standard_normal(n)
         x = nx.solve(f, b)
         assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -99,7 +109,7 @@ def test_factor_solve_residual_random():
 
 def test_factor_reproduces_input():
     m = banded_spd(17, bandwidth=3, seed=3)
-    f = nx.factor_spd(m)
+    f = nx.factor_spd(band_of(m))
     assert f.band.shape == (4, 17)
     u = upper_from_band(f.band)
     dense = m.toarray()
@@ -110,16 +120,23 @@ def test_factor_reproduces_input():
 
 
 def test_factor_reads_upper_triangle_only():
-    m = banded_spd(9, bandwidth=2, seed=6)
-    lower_noise = scipy.sparse.tril(scipy.sparse.random(9, 9, density=0.5, random_state=7), -1)
-    a = nx.factor_spd(m)
-    b = nx.factor_spd(scipy.sparse.triu(m) + lower_noise)
-    assert np.array_equal(a.band, b.band)
+    """Band storage holds only the upper triangle; the unused top-left
+    corner (entries above row 0) is never read."""
+    band = band_of(banded_spd(9, bandwidth=2, seed=6))
+    u, n = band.shape[0] - 1, band.shape[1]
+    corner = np.arange(u + 1)[:, None] < u - np.arange(n)[None, :]
+    noisy = band.copy()
+    noisy[corner] = np.random.default_rng(7).uniform(-9.0, 9.0, corner.sum())
+    a = nx.factor_spd(band)
+    b = nx.factor_spd(noisy)
+    assert np.array_equal(a.band[~corner], b.band[~corner])
 
 
 def test_factor_rejects_non_square():
-    with pytest.raises(DimensionMismatch):
-        nx.factor_spd(scipy.sparse.csr_matrix((3, 4)))
+    """Band storage of an n x n matrix has 1 to n rows of n columns."""
+    for shape in ((5, 4), (0, 4), (4,)):
+        with pytest.raises(DimensionMismatch):
+            nx.factor_spd(np.ones(shape))
 
 
 def test_spectral_norm_examples():
@@ -195,7 +212,7 @@ def grounded_solve(k, b, ground):
     """Solve k u = b with u[ground] = 0 through the reduced system."""
     free = np.delete(np.arange(k.shape[0]), ground)
     u = np.zeros_like(b)
-    u[free] = nx.solve(nx.factor_spd(k[free][:, free]), b[free])
+    u[free] = nx.solve(nx.factor_spd(band_of(k[free][:, free])), b[free])
     return u
 
 
@@ -236,11 +253,11 @@ def test_constrained_rejects_zero_row():
     k = scipy.sparse.block_diag([pair, pair], format="csr")
     free = np.array([1, 2, 3])
     with pytest.raises(NotPositiveDefinite):
-        nx.factor_spd(k[free][:, free])
+        nx.factor_spd(band_of(k[free][:, free]))
 
 
 def test_constrained_rejects_indefinite():
     k = neumann_like(10, seed=1) - 5.0 * scipy.sparse.identity(10)
     free = np.arange(1, 10)
     with pytest.raises(NotPositiveDefinite):
-        nx.factor_spd(k.tocsr()[free][:, free])
+        nx.factor_spd(band_of(k.tocsr()[free][:, free]))

@@ -100,12 +100,12 @@ def test_matrix_element_symmetry_and_range():
 
 def test_matrix_element_conductivity_scaling():
     m = mx.build_mesh(4, mx.PartitionSpec(1, 1), mx.PatchSpec("bottom", 0.0, 1.0))
-    basis = cd.current_basis(m)
+    problem = cd.NDProblem(m)
     p = cd.ConductivityParams([[1.3, 1.1, 0.2]])
-    a = cd.nd_matrix(m, p, basis)
-    b = cd.nd_matrix(m, cd.ConductivityParams(2.0 * p.cells), basis)
-    for i in range(basis.k):
-        for j in range(basis.k):
+    a = cd.nd_matrix(problem, p)
+    b = cd.nd_matrix(problem, cd.ConductivityParams(2.0 * p.cells))
+    for i in range(problem.basis.k):
+        for j in range(problem.basis.k):
             lhs = sc.matrix_element(b, i, j)
             rhs = 0.5 * sc.matrix_element(a, i, j)
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1e-30)

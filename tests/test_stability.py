@@ -6,7 +6,7 @@ import pytest
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab import stability as sl
-from holderlab.errors import InsufficientSpread
+from holderlab.errors import InsufficientSpread, NotPositiveDefinite
 from holderlab.numerics import eig_min, spectral_norm
 from holderlab.operators import gram_inv_sqrt, operator_distance
 
@@ -118,20 +118,55 @@ def test_sweep_thread_count_invariance():
         assert ra.phi == rb.phi
 
 
+def test_sweep_solves_each_ray_base_once(monkeypatch):
+    """P random pairs and R rays of S steps take 2P + R(S+1) forward
+    solves: each ray solves its base point once for all its steps."""
+    calls = []
+    real = cd.nd_matrix
+
+    def counted(problem, p):
+        calls.append(1)
+        return real(problem, p)
+
+    monkeypatch.setattr(cd, "nd_matrix", counted)
+    for threads in (1, 3):
+        calls.clear()
+        res = small_sweep(threads=threads)
+        assert len(res.records) == 10 + 3 * 4
+        assert len(calls) == 2 * 10 + 3 * (4 + 1)
+
+
+def test_sweep_failed_ray_base_drops_every_step(monkeypatch):
+    """A failed base solve drops each record of its ray, counted one
+    by one; the other rays and the pairs are unaffected."""
+    spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
+    base = sl.sample_cells(spec, 3, 42, sl._STREAM_RAY_BASE)[1]
+    real = cd.nd_matrix
+
+    def failing(problem, p):
+        if np.array_equal(p.cells, base):
+            raise NotPositiveDefinite("injected")
+        return real(problem, p)
+
+    monkeypatch.setattr(cd, "nd_matrix", failing)
+    res = small_sweep()
+    assert res.dropped == 4
+    assert len(res.records) == 10 + 2 * 4
+    assert [r.pair_id for r in res.records] == list(range(18))
+
+
 def test_one_cell_ray_matches_scaling_oracle():
     """Along the identity ray the map scales exactly as 1/a, so both
     distances have closed forms and the log ratio tends to 1."""
     m = bottom_mesh(8)
-    basis = cd.current_basis(m)
-    base = cd.nd_matrix(m, cd.ConductivityParams([[1.0, 1.0, 0.0]]), basis)
-    w = gram_inv_sqrt(basis.gram)
+    problem = cd.NDProblem(m)
+    base = cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]]))
+    w = gram_inv_sqrt(problem.basis.gram)
     norm_base = spectral_norm(w @ base.matrix @ w)
     ratios = []
     for t in (1e-1, 1e-3, 1e-5):
         s = t / math.sqrt(2.0)  # unit-Frobenius identity direction
-        stepped = cd.nd_matrix(
-            m, cd.ConductivityParams([[1.0 + s, 1.0 + s, 0.0]]), basis
-        )
+        stepped = cd.nd_matrix(problem, cd.ConductivityParams([[1.0 + s, 1.0 + s, 0.0]]))
         d_f = operator_distance(base, stepped)
         expected = s / (1.0 + s) * norm_base
         # relative agreement down to the absolute solver-noise floor
