@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import namedtuple
 
 # One BLAS thread per sweep worker: --threads sets the parallelism, and
 # OpenBLAS reads these variables once, when numpy and scipy load their
@@ -30,35 +31,100 @@ from . import stability as sl
 from .errors import ConfigError, HolderLabError
 from .scalarization import all_candidate_pairs, greedy_select
 
-_DEFAULTS = {
-    "recovered_cells": None,  # all cells
-    "probe_k": None,  # basis dimension
-    "compact_set": {"lambda_lo": 0.5, "lambda_hi": 2.0},
-    "sweep": {
-        "n_random_pairs": 200,
-        "n_rays": 20,
-        "n_ray_steps": 20,
-        "t_min": 1e-6,
-        "t_max": 1e-1,
+REQUIRED = object()  # the default of a field the config must give
+
+Field = namedtuple("Field", "default parse")
+
+
+def _check(ok, message):
+    """A parser passing on values v with ok(v) and raising ValueError(message)
+    on others. JSON gives exact types, so `type(v) is int` rejects bools."""
+
+    def parse(v):
+        if not ok(v):
+            raise ValueError(message)
+        return v
+
+    return parse
+
+
+def _integer(lo):
+    return _check(lambda v: type(v) is int and v >= lo, "must be an integer >= %d" % lo)
+
+
+def _number(lo, hi=math.inf, closed=False):
+    """A finite number in (lo, hi], or in [lo, hi] when closed, as a float."""
+    bounds = "%s%g, %g%s" % ("[" if closed else "(", lo, hi, ")" if hi == math.inf else "]")
+    inside = _check(
+        lambda v: type(v) in (int, float)
+        and abs(v) <= sys.float_info.max
+        and (lo <= v if closed else lo < v)
+        and v <= hi,
+        "must be a finite number in " + bounds,
+    )
+    return lambda v: float(inside(v))
+
+
+def _choice(options):
+    return _check(lambda v: v in options, "must be one of %s" % (options,))
+
+
+def _list_of(item):
+    nonempty = _check(lambda v: type(v) is list and v != [], "must be a nonempty list")
+    return lambda v: [item(x) for x in nonempty(v)]
+
+
+def _or_null(parse):
+    return lambda v: None if v is None else parse(v)
+
+
+_path = _check(lambda v: type(v) is str and v != "", "must be a nonempty path string")
+
+
+# Every config field with its default and its parser; a nested table is
+# a section. The parsers check one field each; normalize_config checks
+# the relations between fields.
+FIELDS = {
+    "problem": Field(REQUIRED, _choice(sl.KINDS)),
+    "seed": Field(REQUIRED, _integer(0)),
+    "mesh": {
+        "n_sub": Field(REQUIRED, _integer(1)),
+        "grid_cols": Field(1, _integer(1)),
+        "grid_rows": Field(1, _integer(1)),
+        "side": Field("bottom", _choice(mx.SIDES)),
+        "t0": Field(0.0, _number(0.0, 1.0, closed=True)),
+        "t1": Field(1.0, _number(0.0, 1.0, closed=True)),
     },
-    "select": {"target_ratio": 0.5, "max_size": None},  # k*(k+1)/2
-    "fit": {"n_bins": 8, "slack": 0.1},
-    "counterexample": {"t_lo": 0.05, "t_hi": 0.5, "n_points": 11, "tol": 1e-14},
-    "derivcheck": {"steps": [1e-3, 1e-4, 1e-5]},
-    "output_dir": ".",
+    "compact_set": {
+        "lambda_lo": Field(0.5, _number(0.0)),
+        "lambda_hi": Field(2.0, _number(0.0)),
+    },
+    "recovered_cells": Field(None, _or_null(_list_of(_integer(1)))),  # all cells
+    "sweep": {
+        "n_random_pairs": Field(200, _integer(0)),
+        "n_rays": Field(20, _integer(0)),
+        "n_ray_steps": Field(20, _integer(0)),
+        "t_min": Field(1e-6, _number(0.0)),
+        "t_max": Field(1e-1, _number(0.0)),
+    },
+    "probe_k": Field(None, _or_null(_integer(1))),  # basis dimension
+    "select": {
+        "target_ratio": Field(0.5, _number(0.0, 1.0)),
+        "max_size": Field(None, _or_null(_integer(1))),  # k*(k+1)/2
+    },
+    "fit": {
+        "n_bins": Field(8, _integer(2)),
+        "slack": Field(0.1, _number(0.0, closed=True)),
+    },
+    "counterexample": {
+        "t_lo": Field(0.05, _number(0.0, 1.0)),
+        "t_hi": Field(0.5, _number(0.0, 1.0)),
+        "n_points": Field(11, _integer(3)),
+        "tol": Field(1e-14, _number(0.0)),
+    },
+    "derivcheck": {"steps": Field([1e-3, 1e-4, 1e-5], _list_of(_number(0.0)))},
+    "output_dir": Field(".", _path),
 }
-
-
-def _require(cfg, field, types, where):
-    if field not in cfg:
-        raise ConfigError("missing required field", field="%s%s" % (where, field))
-    value = cfg[field]
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(
-            "field has wrong type (%s)" % type(value).__name__,
-            field="%s%s" % (where, field),
-        )
-    return value
 
 
 def load_config(path):
@@ -78,144 +144,50 @@ def load_config(path):
     return raw
 
 
+def _parse_section(raw, table, prefix=""):
+    """Defaults filled in and each field parsed; failures name the field."""
+    if not isinstance(raw, dict):
+        raise ConfigError("must be an object", field=prefix[:-1] or None)
+    for key in raw:
+        if key not in table:
+            raise ConfigError("unknown field", field=prefix + key)
+    out = {}
+    for name, spec in table.items():
+        if isinstance(spec, dict):
+            out[name] = _parse_section(raw.get(name, {}), spec, prefix + name + ".")
+        elif name not in raw and spec.default is REQUIRED:
+            raise ConfigError("missing required field", field=prefix + name)
+        else:
+            try:
+                out[name] = spec.parse(raw.get(name, spec.default))
+            except ValueError as exc:
+                raise ConfigError(str(exc), field=prefix + name) from None
+    return out
+
+
 def normalize_config(raw):
     """Fill defaults and validate; returns the effective config."""
-    cfg = {}
-    problem = _require(raw, "problem", str, "")
-    if problem not in sl.KINDS:
-        raise ConfigError("problem must be one of %s" % (sl.KINDS,), field="problem")
-    cfg["problem"] = problem
-    cfg["seed"] = _require(raw, "seed", int, "")
-
-    mesh_raw = _require(raw, "mesh", dict, "")
-    n_sub = _require(mesh_raw, "n_sub", int, "mesh.")
-    cols = mesh_raw.get("grid_cols", 1)
-    rows = mesh_raw.get("grid_rows", 1)
-    for name, v in (("grid_cols", cols), ("grid_rows", rows)):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ConfigError("must be a positive integer", field="mesh." + name)
-    if n_sub < 1 or n_sub % cols or n_sub % rows:
-        raise ConfigError(
-            "n_sub must be positive and divisible by the partition grid",
-            field="mesh.n_sub",
-        )
-    side = mesh_raw.get("side", "bottom")
-    if side not in mx.SIDES:
-        raise ConfigError("side must be one of %s" % (mx.SIDES,), field="mesh.side")
-    t0 = float(mesh_raw.get("t0", 0.0))
-    t1 = float(mesh_raw.get("t1", 1.0))
-    if not (0.0 <= t0 < t1 <= 1.0):
-        raise ConfigError("need 0 <= t0 < t1 <= 1", field="mesh.t0")
-    cfg["mesh"] = {
-        "n_sub": n_sub,
-        "grid_cols": cols,
-        "grid_rows": rows,
-        "side": side,
-        "t0": t0,
-        "t1": t1,
-    }
-    n_cells = cols * rows
-
-    cs = dict(_DEFAULTS["compact_set"])
-    cs.update(raw.get("compact_set", {}))
-    lo, hi = float(cs["lambda_lo"]), float(cs["lambda_hi"])
-    if not (0.0 < lo < hi):
-        raise ConfigError("need 0 < lambda_lo < lambda_hi", field="compact_set.lambda_lo")
-    cfg["compact_set"] = {"lambda_lo": lo, "lambda_hi": hi}
-
-    cells = raw.get("recovered_cells")
+    cfg = _parse_section(raw, FIELDS)
+    mesh = cfg["mesh"]
+    if mesh["n_sub"] % mesh["grid_cols"] or mesh["n_sub"] % mesh["grid_rows"]:
+        raise ConfigError("not divisible by the cell grid", field="mesh.n_sub")
+    for section, lo, hi in (
+        ("mesh", "t0", "t1"),
+        ("compact_set", "lambda_lo", "lambda_hi"),
+        ("sweep", "t_min", "t_max"),
+        ("counterexample", "t_lo", "t_hi"),
+    ):
+        if not cfg[section][lo] < cfg[section][hi]:
+            raise ConfigError("need %s < %s" % (lo, hi), field="%s.%s" % (section, lo))
+    n_cells = mesh["grid_cols"] * mesh["grid_rows"]
+    cells = cfg["recovered_cells"]
     if cells is None:
         cells = list(range(1, n_cells + 1))
-    if (
-        not isinstance(cells, list)
-        or not cells
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in cells)
-    ):
-        raise ConfigError("must be a nonempty list of integers", field="recovered_cells")
-    if len(set(cells)) != len(cells):
-        raise ConfigError("duplicate cell index", field="recovered_cells")
-    if min(cells) < 1 or max(cells) > n_cells:
+    if len(set(cells)) != len(cells) or max(cells) > n_cells:
         raise ConfigError(
-            "cell index outside 1..%d" % n_cells, field="recovered_cells"
+            "need distinct cell labels in 1..%d" % n_cells, field="recovered_cells"
         )
     cfg["recovered_cells"] = sorted(cells)
-
-    sw = dict(_DEFAULTS["sweep"])
-    sw.update(raw.get("sweep", {}))
-    for name in ("n_random_pairs", "n_rays", "n_ray_steps"):
-        v = sw[name]
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise ConfigError("must be a nonnegative integer", field="sweep." + name)
-    t_min, t_max = float(sw["t_min"]), float(sw["t_max"])
-    if not (0.0 < t_min < t_max):
-        raise ConfigError("need 0 < t_min < t_max", field="sweep.t_min")
-    cfg["sweep"] = {
-        "n_random_pairs": sw["n_random_pairs"],
-        "n_rays": sw["n_rays"],
-        "n_ray_steps": sw["n_ray_steps"],
-        "t_min": t_min,
-        "t_max": t_max,
-    }
-
-    probe_k = raw.get("probe_k", _DEFAULTS["probe_k"])
-    if probe_k is not None and (
-        not isinstance(probe_k, int) or isinstance(probe_k, bool) or probe_k < 1
-    ):
-        raise ConfigError("must be null or a positive integer", field="probe_k")
-    cfg["probe_k"] = probe_k
-
-    se = dict(_DEFAULTS["select"])
-    se.update(raw.get("select", {}))
-    ratio = float(se["target_ratio"])
-    if not (0.0 < ratio <= 1.0):
-        raise ConfigError("must lie in (0, 1]", field="select.target_ratio")
-    max_size = se["max_size"]
-    if max_size is not None and (
-        not isinstance(max_size, int) or isinstance(max_size, bool) or max_size < 1
-    ):
-        raise ConfigError("must be null or a positive integer", field="select.max_size")
-    cfg["select"] = {"target_ratio": ratio, "max_size": max_size}
-
-    ft = dict(_DEFAULTS["fit"])
-    ft.update(raw.get("fit", {}))
-    n_bins = ft["n_bins"]
-    if not isinstance(n_bins, int) or isinstance(n_bins, bool) or n_bins < 2:
-        raise ConfigError("must be an integer >= 2", field="fit.n_bins")
-    slack = float(ft["slack"])
-    if slack < 0:
-        raise ConfigError("must be nonnegative", field="fit.slack")
-    cfg["fit"] = {"n_bins": n_bins, "slack": slack}
-
-    ce = dict(_DEFAULTS["counterexample"])
-    ce.update(raw.get("counterexample", {}))
-    t_lo, t_hi = float(ce["t_lo"]), float(ce["t_hi"])
-    n_points = ce["n_points"]
-    if not (0.0 < t_lo < t_hi <= 1.0):
-        raise ConfigError("need 0 < t_lo < t_hi <= 1", field="counterexample.t_lo")
-    if not isinstance(n_points, int) or isinstance(n_points, bool) or n_points < 3:
-        raise ConfigError("must be an integer >= 3", field="counterexample.n_points")
-    cfg["counterexample"] = {
-        "t_lo": t_lo,
-        "t_hi": t_hi,
-        "n_points": n_points,
-        "tol": float(ce["tol"]),
-    }
-
-    dc = dict(_DEFAULTS["derivcheck"])
-    dc.update(raw.get("derivcheck", {}))
-    steps = dc["steps"]
-    if not isinstance(steps, list) or not steps or any(float(h) <= 0 for h in steps):
-        raise ConfigError("must be a list of positive steps", field="derivcheck.steps")
-    cfg["derivcheck"] = {"steps": [float(h) for h in steps]}
-
-    out = raw.get("output_dir", _DEFAULTS["output_dir"])
-    if not isinstance(out, str):
-        raise ConfigError("must be a path string", field="output_dir")
-    cfg["output_dir"] = out
-
-    for key in raw:
-        if key not in cfg:
-            raise ConfigError("unknown field", field=key)
     return cfg
 
 
@@ -257,11 +229,6 @@ def build_spec_from(cfg):
     )
 
 
-def _ray_steps(cfg):
-    s = cfg["sweep"]
-    return np.geomspace(s["t_min"], s["t_max"], s["n_ray_steps"])
-
-
 def _out_path(cfg, name):
     os.makedirs(cfg["output_dir"], exist_ok=True)
     return os.path.join(cfg["output_dir"], name)
@@ -278,19 +245,8 @@ def records_csv(result, head):
     buf.write("# dropped %d\n" % result.dropped)
     buf.write("pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n")
     for r in result.records:
-        buf.write(
-            "%d,%s,%s,%s,%s,%s,%s,%s\n"
-            % (
-                r.pair_id,
-                r.kind,
-                _fmt(r.t),
-                _fmt(r.delta_R),
-                _fmt(r.delta_F),
-                _fmt(r.phi),
-                _fmt(r.delta_finite),
-                ";".join(r.flags),
-            )
-        )
+        row = (r.pair_id, r.kind, r.t, r.delta_R, r.delta_F, r.phi, r.delta_finite)
+        buf.write(",".join(map(_fmt, row)) + "," + ";".join(r.flags) + "\n")
     return buf.getvalue()
 
 
@@ -311,11 +267,9 @@ def parse_records_csv(path):
             parts = line[1:].split()
             if parts[:1] == ["dropped"] and len(parts) == 2:
                 dropped = int(parts[1])
-            for tok in parts:
-                if tok.startswith("config="):
-                    head["config"] = tok[len("config="):]
-                if tok.startswith("seed="):
-                    head["seed"] = tok[len("seed="):]
+            for key, eq, value in (tok.partition("=") for tok in parts):
+                if eq and key in head:
+                    head[key] = value
             continue
         rows.append(line)
     if not rows:
@@ -418,16 +372,14 @@ def cmd_derivcheck(cfg, args):
 
 
 def _run_sweep(cfg, threads, keep_operators=False):
-    mesh = build_mesh_from(cfg)
-    spec = build_spec_from(cfg)
-    rq = sl.RecoveredQuantity(tuple(cfg["recovered_cells"]))
+    s = cfg["sweep"]
     return sl.sweep(
-        mesh,
-        spec,
-        rq,
-        cfg["sweep"]["n_random_pairs"],
-        cfg["sweep"]["n_rays"],
-        _ray_steps(cfg),
+        build_mesh_from(cfg),
+        build_spec_from(cfg),
+        sl.RecoveredQuantity(tuple(cfg["recovered_cells"])),
+        s["n_random_pairs"],
+        s["n_rays"],
+        np.geomspace(s["t_min"], s["t_max"], s["n_ray_steps"]),
         cfg["seed"],
         probe_k=cfg["probe_k"],
         threads=threads,
@@ -447,14 +399,10 @@ def cmd_sweep(cfg, args):
     return 0
 
 
-def cmd_fit(cfg_path_unused, args):
+def cmd_fit(args):
     records, head_tokens, dropped = parse_records_csv(args.records)
     fit = sl.fit_holder(records, n_bins=args.bins, slack=args.slack)
-    head = "# holderlab %s config=%s seed=%s" % (
-        __version__,
-        head_tokens["config"],
-        head_tokens["seed"],
-    )
+    head = header_line(head_tokens["config"], head_tokens["seed"])
     out = args.out or os.path.join(os.path.dirname(args.records) or ".", "fit.json")
     _write(out, fit_json(fit, dropped, head))
     print(
@@ -540,6 +488,13 @@ def cmd_validate(cfg, args):
     return 0
 
 
+def _thread_count(text):
+    try:
+        return _integer(1)(int(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="holderlab",
@@ -547,49 +502,43 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_config(name, help_text, threads=False):
+    def command(name, handler, help_text, threads=False):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="path to a JSON experiment config")
+        p.set_defaults(
+            run=lambda args: handler(normalize_config(load_config(args.config)), args)
+        )
         if threads:
             p.add_argument(
-                "--threads", type=int, default=1, help="parallel solves for sweeps"
+                "--threads", type=_thread_count, default=1, help="parallel solves for sweeps"
             )
-        return p
 
-    with_config("mesh", "write the mesh as a plain-text node/element file")
-    with_config("forward", "evaluate the forward map at the first sampled point")
-    with_config("derivcheck", "finite-difference check of the derivative")
-    with_config("sweep", "run a stability sweep and write records CSV", threads=True)
-    with_config("select", "greedy finite-measurement selection", threads=True)
-    with_config("counterexample", "flat vs analytic scalar map tables")
-    with_config("validate", "echo the normalized effective config")
+    command("mesh", cmd_mesh, "write the mesh as a plain-text node/element file")
+    command("forward", cmd_forward, "evaluate the forward map at the first sampled point")
+    command("derivcheck", cmd_derivcheck, "finite-difference check of the derivative")
+    command("sweep", cmd_sweep, "run a stability sweep and write records CSV", threads=True)
+    command("select", cmd_select, "greedy finite-measurement selection", threads=True)
+    command("counterexample", cmd_counterexample, "flat vs analytic scalar map tables")
+    command("validate", cmd_validate, "echo the normalized effective config")
 
+    fit = FIELDS["fit"]
     fit_p = sub.add_parser("fit", help="fit a Holder envelope to a records CSV")
+    fit_p.set_defaults(run=cmd_fit)
     fit_p.add_argument("records", help="records CSV from the sweep subcommand")
-    fit_p.add_argument("--bins", type=int, default=8, help="number of log bins")
-    fit_p.add_argument("--slack", type=float, default=0.1, help="envelope slack, log units")
+    fit_p.add_argument(
+        "--bins", type=int, default=fit["n_bins"].default, help="number of log bins"
+    )
+    fit_p.add_argument(
+        "--slack", type=float, default=fit["slack"].default, help="envelope slack, log units"
+    )
     fit_p.add_argument("--out", default=None, help="output JSON path")
     return parser
-
-
-_COMMANDS = {
-    "mesh": cmd_mesh,
-    "forward": cmd_forward,
-    "derivcheck": cmd_derivcheck,
-    "sweep": cmd_sweep,
-    "select": cmd_select,
-    "counterexample": cmd_counterexample,
-    "validate": cmd_validate,
-}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "fit":
-            return cmd_fit(None, args)
-        cfg = normalize_config(load_config(args.config))
-        return _COMMANDS[args.command](cfg, args)
+        return args.run(args)
     except ConfigError as exc:
         loc = " (field %s)" % exc.field if exc.field else ""
         print("config error%s: %s" % (loc, exc), file=sys.stderr)

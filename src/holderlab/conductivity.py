@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import operators
-from .errors import EmptyPatch
+from .errors import EmptyPatch, NotPositiveDefinite
 from .mesh import boundary_hat_integrals, boundary_mass_matrix, p1_gradients, patch_nodes
 from .numerics import CellStiffness, factor_spd, scatter, solve, symmetrize
 
@@ -39,7 +39,7 @@ class ConductivityParams:
         a11, a22, a12 = self.cells.T
         det = a11 * a22 - a12 * a12
         if np.any(a11 <= 0) or np.any(det <= 0):
-            raise ValueError("every cell matrix must be positive definite")
+            raise NotPositiveDefinite("every cell matrix must be positive definite")
 
     @property
     def n_cells(self):

@@ -46,7 +46,7 @@ class ElasticityParams:
             if not np.array_equal(c, c.T):
                 raise ValueError("cell tensors must be symmetric")
             if eig_min(c) <= 0:
-                raise ValueError("every cell tensor must be positive definite")
+                raise NotPositiveDefinite("every cell tensor must be positive definite")
 
     @property
     def n_cells(self):

@@ -3,11 +3,12 @@ flat-vs-analytic counterexample study.
 
 A sweep samples parameter pairs from a compact ellipticity class,
 evaluates the forward map on both, and records the recovered-quantity
-distance, the operator distance, the scalarization value, and
-optionally a finite-measurement distance. It builds one forward
-problem for the mesh and solves each ray's base point once for all
-the ray's steps. The envelope fit estimates (theta, C) so that every
-record lies below log delta_R <= theta * log delta_F + log C + slack.
+distance, the operator distance and the scalarization value;
+add_finite_distances fills a finite-measurement distance from the
+kept operator pairs. A sweep builds one forward problem for the mesh
+and solves each ray's base point once for all the ray's steps. The
+envelope fit estimates (theta, C) so that every record lies below
+log delta_R <= theta * log delta_F + log C + slack.
 """
 
 import math
@@ -199,7 +200,6 @@ def sweep(
     ray_steps,
     seed,
     probe_k=None,
-    fm=None,
     threads=1,
     keep_operators=False,
 ):
@@ -238,11 +238,10 @@ def sweep(
         d_r = _cell_frobenius(spec, cells_p, cells_q, rq.cell_subset)
         d_f = operator_distance(op_p, op_q)
         ph = phi(op_p, op_q, weights)
-        d_fin = finite_distance(fm, op_p, op_q) if fm is not None else None
         flags = ()
         if d_f == 0.0 and d_r > 0.0:
             flags = ("injectivity_violation",)
-        return (kind, t, d_r, d_f, ph, d_fin, flags, (op_p, op_q))
+        return (kind, t, d_r, d_f, ph, flags, (op_p, op_q))
 
     def run(job):
         kind, cells_p, steps = job
@@ -266,10 +265,8 @@ def sweep(
         if res is None:
             dropped += 1
             continue
-        kind, t, d_r, d_f, ph, d_fin, flags, ops = res
-        records.append(
-            StabilityRecord(pair_id, kind, t, d_r, d_f, ph, d_fin, flags)
-        )
+        kind, t, d_r, d_f, ph, flags, ops = res
+        records.append(StabilityRecord(pair_id, kind, t, d_r, d_f, ph, flags=flags))
         if keep_operators:
             operators.append(ops)
         pair_id += 1

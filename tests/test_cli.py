@@ -1,19 +1,29 @@
 """End-to-end checks of the command line front end."""
 
 import json
+import math
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from holderlab import __version__
+from holderlab import mesh as mx
+from holderlab import stability as sl
 from holderlab.cli import (
+    FIELDS,
     config_hash,
+    header_line,
     main,
     normalize_config,
     parse_records_csv,
+    records_csv,
 )
 from holderlab.errors import ConfigError
 
@@ -44,23 +54,46 @@ def test_normalize_fills_defaults():
     assert cfg["mesh"]["side"] == "bottom"
 
 
+# (patch over BASE, the field the rejection names)
+BAD_FIELDS = [
+    ({"problem": "heat"}, "problem"),
+    ({"seed": "7"}, "seed"),
+    ({"mesh": {"n_sub": 7, "grid_cols": 2}}, "mesh.n_sub"),
+    ({"mesh": {"n_sub": 8, "side": "inside"}}, "mesh.side"),
+    ({"recovered_cells": [0]}, "recovered_cells"),
+    ({"recovered_cells": [1, 1]}, "recovered_cells"),
+    ({"compact_set": {"lambda_lo": 2.0, "lambda_hi": 0.5}}, "compact_set.lambda_lo"),
+    ({"select": {"target_ratio": 0.0}}, "select.target_ratio"),
+    ({"typo_section": {}}, "typo_section"),
+    ({"sweep": {"n_random_pair": 5}}, "sweep.n_random_pair"),
+    ({"mesh": {"n_sub": 8, "sid": "top"}}, "mesh.sid"),
+    ({"compact_set": {"lambda_lo": "abc"}}, "compact_set.lambda_lo"),
+    ({"compact_set": [1, 2]}, "compact_set"),
+    ({"sweep": {"t_min": None}}, "sweep.t_min"),
+    ({"derivcheck": {"steps": ["x"]}}, "derivcheck.steps"),
+    ({"seed": -1}, "seed"),
+    ({"fit": {"slack": True}}, "fit.slack"),
+    ({"fit": {"slack": "0.1"}}, "fit.slack"),
+    ({"fit": {"slack": float("nan")}}, "fit.slack"),
+    ({"counterexample": {"tol": -1}}, "counterexample.tol"),
+    ({"sweep": {"t_max": float("inf")}}, "sweep.t_max"),
+]
+
+
 def test_normalize_rejects_bad_fields():
-    for patch, field in [
-        ({"problem": "heat"}, "problem"),
-        ({"seed": "7"}, "seed"),
-        ({"mesh": {"n_sub": 7, "grid_cols": 2}}, "mesh.n_sub"),
-        ({"mesh": {"n_sub": 8, "side": "inside"}}, "mesh.side"),
-        ({"recovered_cells": [0]}, "recovered_cells"),
-        ({"recovered_cells": [1, 1]}, "recovered_cells"),
-        ({"compact_set": {"lambda_lo": 2.0, "lambda_hi": 0.5}}, "compact_set.lambda_lo"),
-        ({"select": {"target_ratio": 0.0}}, "select.target_ratio"),
-        ({"typo_section": {}}, "typo_section"),
-    ]:
+    for patch, field in BAD_FIELDS:
         raw = json.loads(json.dumps(BASE))
         raw.update(patch)
         with pytest.raises(ConfigError) as err:
             normalize_config(raw)
         assert err.value.field == field
+
+
+@pytest.mark.parametrize("patch, field", BAD_FIELDS)
+def test_bad_config_exits_2_naming_the_field(tmp_path, capsys, patch, field):
+    path = write_config(tmp_path, patch)
+    assert main(["validate", str(path)]) == 2
+    assert "(field %s)" % field in capsys.readouterr().err
 
 
 def test_missing_seed_is_rejected():
@@ -215,3 +248,146 @@ def test_cli_pins_blas_threads_unless_set():
 
     assert child_sees({}) == ["1", "1"]
     assert child_sees({"OPENBLAS_NUM_THREADS": "2"}) == ["2", "1"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    path = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", str(path), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
+def table_fields(table=FIELDS, prefix=""):
+    """(dotted name, Field) for every field of the config table."""
+    for name, spec in table.items():
+        if isinstance(spec, dict):
+            yield from table_fields(spec, prefix + name + ".")
+        else:
+            yield prefix + name, spec
+
+
+def test_readme_config_surface_names_every_field():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("Full config surface", 1)[1].split("```")[1]
+    named = [ln.split()[0] for ln in block.splitlines() if ln and not ln[0].isspace()]
+    assert sorted(named) == sorted(name for name, _ in table_fields())
+
+
+@st.composite
+def valid_configs(draw):
+    cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    raw = {
+        "problem": draw(st.sampled_from(sl.KINDS)),
+        "seed": draw(st.integers(0, 2**64)),
+        "mesh": {
+            "n_sub": cols * rows * draw(st.integers(1, 4)),
+            "grid_cols": cols,
+            "grid_rows": rows,
+        },
+    }
+    cells = st.permutations(range(1, cols * rows + 1)).flatmap(
+        lambda p: st.integers(1, len(p)).map(lambda k: list(p[:k]))
+    )
+    # each range keeps clear of the other end's default, so every draw
+    # is a valid config
+    optional = {
+        ("mesh", "side"): st.sampled_from(mx.SIDES),
+        ("mesh", "t0"): st.floats(0.0, 0.4) | st.just(0),
+        ("mesh", "t1"): st.floats(0.5, 1.0) | st.just(1),
+        ("compact_set", "lambda_lo"): st.floats(1e-3, 0.5),
+        ("compact_set", "lambda_hi"): st.floats(2.0, 10.0) | st.integers(2, 10),
+        ("sweep", "n_rays"): st.integers(0, 50),
+        ("sweep", "t_min"): st.floats(1e-12, 1e-6),
+        ("sweep", "t_max"): st.floats(0.1, 1.0) | st.just(1),
+        ("select", "target_ratio"): st.floats(1e-3, 1.0),
+        ("select", "max_size"): st.none() | st.integers(1, 100),
+        ("fit", "n_bins"): st.integers(2, 20),
+        ("fit", "slack"): st.floats(0.0, 1.0) | st.just(0),
+        ("counterexample", "t_hi"): st.floats(0.5, 1.0),
+        ("counterexample", "tol"): st.floats(1e-16, 1e-8),
+        ("derivcheck", "steps"): st.lists(
+            st.floats(1e-8, 1e-2) | st.integers(1, 3), min_size=1, max_size=4
+        ),
+        (None, "recovered_cells"): st.none() | cells,
+        (None, "probe_k"): st.none() | st.integers(1, 20),
+        (None, "output_dir"): st.sampled_from([".", "out", "a/b"]),
+    }
+    for (section, name), values in optional.items():
+        if draw(st.booleans()):
+            target = raw if section is None else raw.setdefault(section, {})
+            target[name] = draw(values)
+    return raw
+
+
+@settings(max_examples=50, deadline=None)
+@given(valid_configs())
+def test_normalize_is_idempotent_and_hash_stable(raw):
+    cfg = normalize_config(raw)
+    again = normalize_config(json.loads(json.dumps(cfg)))
+    assert again == cfg
+    assert config_hash(again) == config_hash(cfg)
+    assert normalize_config(raw) == cfg
+
+
+CHOICES = {"problem": sl.KINDS, "mesh.side": mx.SIDES}
+
+
+def accepts(name, value):
+    """Whether a field takes one of the values drawn as wrong-typed: null
+    for the nullable fields, strings for the path and the choices."""
+    if value is None:
+        return dict(table_fields())[name].default is None
+    return (name == "output_dir" and value != "") or value in CHOICES.get(name, ())
+
+
+wrong_values = st.one_of(
+    st.text(max_size=8),
+    st.booleans(),
+    st.lists(st.text(max_size=3) | st.booleans() | st.none(), max_size=3),
+    st.none(),
+    st.just(math.nan),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(name for name, _ in table_fields())), wrong_values)
+def test_wrong_typed_field_is_rejected_by_name(name, value):
+    assume(not accepts(name, value))
+    raw = json.loads(json.dumps(BASE))
+    section, _, key = name.rpartition(".")
+    (raw.setdefault(section, {}) if section else raw)[key] = value
+    with pytest.raises(ConfigError) as err:
+        normalize_config(raw)
+    assert err.value.field == name
+
+
+records = st.lists(
+    st.builds(
+        sl.StabilityRecord,
+        pair_id=st.integers(0, 10**9),
+        kind=st.sampled_from(["random_random", "near_diagonal"]),
+        t=st.none() | st.floats(allow_nan=False),
+        delta_R=st.floats(allow_nan=False),
+        delta_F=st.floats(allow_nan=False),
+        phi=st.floats(allow_nan=False),
+        delta_finite=st.none() | st.floats(allow_nan=False),
+        flags=st.lists(st.sampled_from(["injectivity_violation", "other"])).map(tuple),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(records, st.integers(0, 1000))
+def test_records_csv_roundtrip_is_exact(recs, dropped):
+    head = header_line("0123456789ab", 17)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "records.csv")
+        with open(path, "w") as f:
+            f.write(records_csv(sl.SweepResult(recs, dropped), head))
+        got, tokens, got_dropped = parse_records_csv(path)
+    assert got == recs
+    assert tokens == {"config": "0123456789ab", "seed": "17"}
+    assert got_dropped == dropped

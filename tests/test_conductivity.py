@@ -32,7 +32,7 @@ def random_params(n_cells, seed, lo=0.5, hi=2.0):
 
 
 def test_params_reject_indefinite():
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPositiveDefinite):
         cd.ConductivityParams(np.array([[1.0, 1.0, 2.0]]))
 
 

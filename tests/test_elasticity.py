@@ -44,7 +44,7 @@ def test_params_validation():
     bad[0] = [[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     with pytest.raises(ValueError):
         el.ElasticityParams(bad)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotPositiveDefinite):
         el.ElasticityParams(np.array([-np.eye(3)]))
 
 

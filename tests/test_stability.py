@@ -118,6 +118,24 @@ def test_sweep_thread_count_invariance():
         assert ra.phi == rb.phi
 
 
+@pytest.mark.parametrize("kind", sl.KINDS)
+def test_sweep_drops_ray_steps_outside_the_cone(kind):
+    """Long rays from a wide class leave the SPD cone; those steps are
+    dropped and counted, and the sweep still finishes the same on any
+    thread count."""
+    spec = sl.CompactSetSpec(0.1, 2.0, 2, kind)
+    rq = sl.RecoveredQuantity((1, 2))
+    steps = np.geomspace(1e-6, 0.9, 20)
+    runs = [
+        sl.sweep(bottom_mesh(8, cols=2), spec, rq, 200, 20, steps, 1729, threads=t)
+        for t in (1, 3)
+    ]
+    for res in runs:
+        assert res.dropped > 0
+        assert len(res.records) + res.dropped == 200 + 20 * 20
+    assert runs[0].records == runs[1].records
+
+
 def test_sweep_solves_each_ray_base_once(monkeypatch):
     """P random pairs and R rays of S steps take 2P + R(S+1) forward
     solves: each ray solves its base point once for all its steps."""
