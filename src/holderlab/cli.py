@@ -371,7 +371,7 @@ def cmd_derivcheck(cfg, args):
     return 0
 
 
-def _run_sweep(cfg, threads, keep_operators=False):
+def _run_sweep(cfg, threads):
     s = cfg["sweep"]
     return sl.sweep(
         build_mesh_from(cfg),
@@ -383,7 +383,6 @@ def _run_sweep(cfg, threads, keep_operators=False):
         cfg["seed"],
         probe_k=cfg["probe_k"],
         threads=threads,
-        keep_operators=keep_operators,
     )
 
 
@@ -413,20 +412,22 @@ def cmd_fit(args):
 
 
 def cmd_select(cfg, args):
-    result = _run_sweep(cfg, args.threads, keep_operators=True)
-    pairs = [
-        ops
-        for ops, rec in zip(result.operators, result.records)
+    result = _run_sweep(cfg, args.threads)
+    kept = [
+        (d, rec.delta_F)
+        for d, rec in zip(result.differences, result.records)
         if rec.delta_F > 0.0
     ]
-    if not pairs:
+    if not kept:
         raise HolderLabError("no sample pair with positive operator distance")
-    k = pairs[0][0].dim
+    diffs, dists = zip(*kept)
+    k = diffs[0].shape[0]
     max_size = cfg["select"]["max_size"]
     if max_size is None:
         max_size = k * (k + 1) // 2
     sel = greedy_select(
-        pairs,
+        diffs,
+        dists,
         all_candidate_pairs(k),
         cfg["select"]["target_ratio"],
         max_size,
@@ -488,11 +489,22 @@ def cmd_validate(cfg, args):
     return 0
 
 
-def _thread_count(text):
-    try:
-        return _integer(1)(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError("must be an integer >= 1, got %r" % text)
+def _flag(field, convert):
+    """argparse keywords for a flag parsed like a config field: the
+    field's default, and a type under which a bad value exits 2 naming
+    the flag."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = text  # the field rejects a string with its own message
+        try:
+            return field.parse(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError("%s, got %r" % (exc, text))
+
+    return {"type": parse, "default": field.default}
 
 
 def build_parser():
@@ -509,9 +521,8 @@ def build_parser():
             run=lambda args: handler(normalize_config(load_config(args.config)), args)
         )
         if threads:
-            p.add_argument(
-                "--threads", type=_thread_count, default=1, help="parallel solves for sweeps"
-            )
+            workers = _flag(Field(1, _integer(1)), int)
+            p.add_argument("--threads", help="parallel solves for sweeps", **workers)
 
     command("mesh", cmd_mesh, "write the mesh as a plain-text node/element file")
     command("forward", cmd_forward, "evaluate the forward map at the first sampled point")
@@ -525,12 +536,8 @@ def build_parser():
     fit_p = sub.add_parser("fit", help="fit a Holder envelope to a records CSV")
     fit_p.set_defaults(run=cmd_fit)
     fit_p.add_argument("records", help="records CSV from the sweep subcommand")
-    fit_p.add_argument(
-        "--bins", type=int, default=fit["n_bins"].default, help="number of log bins"
-    )
-    fit_p.add_argument(
-        "--slack", type=float, default=fit["slack"].default, help="envelope slack, log units"
-    )
+    fit_p.add_argument("--bins", help="number of log bins", **_flag(fit["n_bins"], int))
+    fit_p.add_argument("--slack", help="envelope slack, log units", **_flag(fit["slack"], float))
     fit_p.add_argument("--out", default=None, help="output JSON path")
     return parser
 

@@ -1,12 +1,15 @@
 """Local Neumann-to-Dirichlet map for piecewise constant anisotropic
 conductivity on the unit square.
 
-The map sends a zero-mean boundary current supported on the patch to
-the trace of the resulting potential; its matrix in the current basis
-is assembled by solving one Neumann problem per basis current. The
-potential space is H1 modulo constants, realized by grounding one node
-off the patch: the basis currents have zero mean, so the patch pairing
-of a potential does not see the constant the ground fixes.
+The map sends a boundary current to the trace of the resulting
+potential; its matrix in the current basis is assembled by solving one
+Neumann problem per basis current. A basis current is the difference of
+two adjacent patch-node hat functions, each scaled by its integral over
+the whole boundary, so it has zero mean over the whole boundary, not
+over the patch; the end nodes' hats reach one edge past the patch (see
+CurrentBasis). The potential space is H1 modulo constants, realized by
+grounding one node off the patch: the currents have zero mean, so their
+pairing with a potential does not see the constant the ground fixes.
 
 NDProblem holds everything about one mesh that does not depend on the
 conductivity: the current basis, its whitening, the ground node, the
@@ -67,9 +70,9 @@ def cell_matrices(cells):
 
 @dataclass
 class CurrentBasis:
-    """Zero-mean currents on the patch: differences of adjacent
-    normalized hat functions. coeffs[i] expresses basis current i in
-    the patch hat functions."""
+    """Currents in the patch hat functions (coeffs[i] is current i).
+    The loads pair them over the whole boundary, where the end nodes'
+    hats reach one edge past the patch; gram sums over patch edges."""
 
     nodes: np.ndarray   # patch node indices, arclength order
     coeffs: np.ndarray  # (k, k+1)

@@ -115,8 +115,10 @@ class CellStiffness:
         n = int(active.max()) + 1
         slots, slot = np.unique(r[t, a, b] * n + c[t, a, b], return_inverse=True)
         self.rows, self.cols = np.divmod(slots, n)
-        stack = np.zeros((self.n_cells, n_comp, slots.size))
-        np.add.at(stack, (labels[t] - 1, slice(None), slot), elem[t, :, a, b])
+        # one sum per (cell, component, slot), flattened in that order
+        flat = ((labels[t, None] - 1) * n_comp + np.arange(n_comp)) * slots.size + slot[:, None]
+        size = self.n_cells * n_comp * slots.size
+        stack = np.bincount(flat.ravel(), elem[t, :, a, b].ravel(), minlength=size)
         self.stack = stack.reshape(-1, slots.size)
         # a diagonal entry appears once in the upper triangle, an
         # off-diagonal one stands for two entries of K

@@ -4,7 +4,9 @@ A DataOperator is the matrix of a forward map in a fixed boundary
 basis together with the Gram matrix of that basis. Distances between
 operators are measured in the Gram-whitened spectral norm, the declared
 stand-in for the continuum operator norm on a fixed discretization.
-Every operator carries the whitening G^{-1/2} of its basis.
+Every operator carries the whitening G^{-1/2} of its basis;
+whitened_difference is the one place that checks two operators share a
+basis, and the distance and the scalarization read its output.
 """
 
 from dataclasses import dataclass
@@ -31,13 +33,6 @@ class DataOperator:
         return self.matrix.shape[0]
 
 
-def check_compatible(a, b):
-    if a.kind != b.kind:
-        raise BasisMismatch("operator kinds differ: %s vs %s" % (a.kind, b.kind))
-    if a.matrix.shape != b.matrix.shape or not np.array_equal(a.gram, b.gram):
-        raise BasisMismatch("operators do not share a basis Gram")
-
-
 def gram_inv_sqrt(gram):
     """Symmetric inverse square root of an SPD Gram matrix."""
     w, q = np.linalg.eigh(symmetrize(gram))
@@ -47,13 +42,16 @@ def gram_inv_sqrt(gram):
 
 
 def whitened_difference(a, b):
-    """G^{-1/2} (M_a - M_b) G^{-1/2}, the difference expressed in the
-    Gram-orthonormalized basis."""
-    check_compatible(a, b)
-    w = a.whitener
-    return symmetrize(w @ (a.matrix - b.matrix) @ w)
+    """The difference M_a - M_b and the same difference in the
+    Gram-orthonormalized basis, G^{-1/2} (M_a - M_b) G^{-1/2}."""
+    if a.kind != b.kind:
+        raise BasisMismatch("operator kinds differ: %s vs %s" % (a.kind, b.kind))
+    if a.matrix.shape != b.matrix.shape or not np.array_equal(a.gram, b.gram):
+        raise BasisMismatch("operators do not share a basis Gram")
+    raw = a.matrix - b.matrix
+    return raw, symmetrize(a.whitener @ raw @ a.whitener)
 
 
-def operator_distance(a, b):
-    """Proxy operator norm of the difference of two data operators."""
-    return spectral_norm(whitened_difference(a, b))
+def operator_distance(d):
+    """Proxy operator norm of a whitened operator difference."""
+    return spectral_norm(d)

@@ -1,13 +1,15 @@
 """Hilbert-Schmidt scalarization of operator differences and finite
 scalar measurements.
 
-The scalarization compresses the whitened operator difference through
-diagonal probe weights 2^-j in the Gram-orthonormalized basis and takes
-the squared Hilbert-Schmidt norm: a single scalar that vanishes exactly
-when the truncated difference does. Finite measurements sample raw
-matrix entries; a greedy selector builds a small entry set whose
+The scalarization and the distances read operator differences, not
+operator pairs. The scalarization compresses the whitened difference
+(from operators.whitened_difference) through diagonal probe weights 2^-j in
+the Gram-orthonormalized basis and takes the squared Hilbert-Schmidt
+norm: a single scalar that vanishes exactly when the truncated
+difference does. Finite measurements sample entries of the raw
+difference M_p - M_q; a greedy selector builds a small entry set whose
 Euclidean distance stays uniformly comparable to the operator distance
-over a sample of pairs.
+over a sample of differences.
 """
 
 from dataclasses import dataclass
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisMismatch, DegenerateSample, IndexOutOfRange
-from .operators import check_compatible, operator_distance, whitened_difference
 
 
 @dataclass(frozen=True)
@@ -35,16 +36,14 @@ def probe_weights(k):
     return ProbeWeights(k, 0.5 ** np.arange(1, k + 1))
 
 
-def phi(a, b, w):
+def phi(d, w):
     """Squared Hilbert-Schmidt norm of the weighted, whitened operator
-    difference truncated to the first w.k orthonormal directions."""
-    check_compatible(a, b)
-    if w.k > a.dim:
+    difference d truncated to the first w.k orthonormal directions."""
+    if w.k > d.shape[0]:
         raise BasisMismatch(
-            "truncation order %d exceeds basis dimension %d" % (w.k, a.dim)
+            "truncation order %d exceeds basis dimension %d" % (w.k, d.shape[0])
         )
-    d = whitened_difference(a, b)[: w.k, : w.k]
-    wd = (w.weights[:, None] * w.weights[None, :]) * d
+    wd = (w.weights[:, None] * w.weights[None, :]) * d[: w.k, : w.k]
     return float(np.sum(wd * wd))
 
 
@@ -84,16 +83,17 @@ class FiniteMap:
                     "pair (%d, %d) outside dimension %d" % (i, j, self.dim)
                 )
 
-    def evaluate(self, a):
-        if a.dim != self.dim:
-            raise BasisMismatch("operator dimension differs from measurement map")
-        return np.array([a.matrix[i, j] for i, j in self.mset.pairs])
+    def evaluate(self, m):
+        """The measured entries of a k x k matrix, in set order."""
+        if m.shape[0] != self.dim:
+            raise BasisMismatch("matrix dimension differs from measurement map")
+        return np.array([m[i, j] for i, j in self.mset.pairs])
 
 
-def finite_distance(fm, a, b):
-    """Euclidean distance of the finite measurement vectors."""
-    check_compatible(a, b)
-    return float(np.linalg.norm(fm.evaluate(a) - fm.evaluate(b)))
+def finite_distance(fm, d):
+    """Euclidean norm of the measured entries of a raw operator
+    difference d = M_p - M_q."""
+    return float(np.linalg.norm(fm.evaluate(d)))
 
 
 @dataclass
@@ -109,36 +109,30 @@ def all_candidate_pairs(dim):
     return [(i, j) for i in range(dim) for j in range(i, dim)]
 
 
-def greedy_select(samples, candidates, target_ratio, max_size):
+def greedy_select(diffs, dists, candidates, target_ratio, max_size):
     """Grow a measurement set greedily until the worst-case ratio
     finite_distance/operator_distance over the samples reaches
-    target_ratio.
+    target_ratio. Sample s is the raw difference diffs[s] with the
+    operator distance dists[s] (a record's delta_F).
 
     Each step adds the candidate maximizing the minimum ratio, ties
     broken by lowest candidate index. If max_size is hit first the set
     is still returned with reached=False.
     """
-    if not samples:
-        raise ValueError("need at least one sample pair")
+    if len(diffs) == 0:
+        raise ValueError("need at least one sample difference")
     if not (0.0 < target_ratio <= 1.0):
         raise ValueError("target_ratio must lie in (0, 1]")
-    dists = []
-    diffs = []
-    for a, b in samples:
-        dist = operator_distance(a, b)
-        if dist == 0.0:
-            raise DegenerateSample("sample pair with zero operator distance")
-        dists.append(dist)
-        diffs.append(a.matrix - b.matrix)
-    dists = np.array(dists)
+    dists = np.asarray(dists, dtype=float)
+    if np.any(dists == 0.0):
+        raise DegenerateSample("sample pair with zero operator distance")
     if not candidates:
         return SelectionResult(MeasurementSet(()), 0.0, False)
     # squared entry differences per sample and candidate
-    cand = np.array(
-        [[d[i, j] ** 2 for (i, j) in candidates] for d in diffs]
-    )
+    rows, cols = np.array(candidates).T
+    cand = np.asarray(diffs)[:, rows, cols] ** 2
     n_cand = len(candidates)
-    ssq = np.zeros(len(samples))
+    ssq = np.zeros(len(diffs))
     chosen = []
     taken = np.zeros(n_cand, dtype=bool)
     ratio = 0.0

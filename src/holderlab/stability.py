@@ -2,11 +2,13 @@
 flat-vs-analytic counterexample study.
 
 A sweep samples parameter pairs from a compact ellipticity class,
-evaluates the forward map on both, and records the recovered-quantity
-distance, the operator distance and the scalarization value;
-add_finite_distances fills a finite-measurement distance from the
-kept operator pairs. A sweep builds one forward problem for the mesh
-and solves each ray's base point once for all the ray's steps. The
+evaluates the forward map on both, and forms the operator difference
+M_p - M_q once per record: whitened once, it gives the operator
+distance delta_F and the scalarization value phi, and the raw
+difference is kept in the result, where add_finite_distances and the
+greedy selection read it. A record also holds the recovered-quantity
+distance delta_R. A sweep builds one forward problem for the mesh and
+solves each ray's base point once for all the ray's steps. The
 envelope fit estimates (theta, C) so that every record lies below
 log delta_R <= theta * log delta_F + log C + slack.
 """
@@ -21,7 +23,7 @@ from . import conductivity as cd
 from . import elasticity as el
 from .errors import HolderLabError, InsufficientSpread
 from .numerics import adaptive_quadrature, flat_integrand, symmetrize
-from .operators import operator_distance
+from .operators import operator_distance, whitened_difference
 from .scalarization import finite_distance, phi, probe_weights
 
 KINDS = ("conductivity", "elasticity")
@@ -86,7 +88,7 @@ class StabilityRecord:
 class SweepResult:
     records: list
     dropped: int
-    operators: list | None = None  # (op_p, op_q) per record when kept
+    differences: list  # raw M_p - M_q per record, in record order
 
 
 @dataclass
@@ -201,15 +203,16 @@ def sweep(
     seed,
     probe_k=None,
     threads=1,
-    keep_operators=False,
 ):
-    """Stability records for random pairs and near-diagonal rays.
+    """Stability records for random pairs and near-diagonal rays, with
+    the raw operator difference M_p - M_q of every record.
 
     Rays fix a base point p and a unit direction dp per ray and walk
-    q = p + t*dp along the given steps. Records are ordered by pair id
-    regardless of the thread count; a record whose solve fails is
-    dropped and counted, and a failed base solve drops all its ray's
-    records.
+    q = p + t*dp along the given steps. Each record whitens its
+    difference once; delta_F and phi both read the whitened one.
+    Records are ordered by pair id regardless of the thread count; a
+    record whose solve fails is dropped and counted, and a failed base
+    solve drops all its ray's records.
     """
     if max(rq.cell_subset) > spec.n_cells:
         raise ValueError("recovered cell label outside the partition")
@@ -236,12 +239,12 @@ def sweep(
         except HolderLabError:
             return None
         d_r = _cell_frobenius(spec, cells_p, cells_q, rq.cell_subset)
-        d_f = operator_distance(op_p, op_q)
-        ph = phi(op_p, op_q, weights)
+        raw, d = whitened_difference(op_p, op_q)
+        d_f = operator_distance(d)
         flags = ()
         if d_f == 0.0 and d_r > 0.0:
             flags = ("injectivity_violation",)
-        return (kind, t, d_r, d_f, ph, flags, (op_p, op_q))
+        return (kind, t, d_r, d_f, phi(d, weights), flags, raw)
 
     def run(job):
         kind, cells_p, steps = job
@@ -257,32 +260,21 @@ def sweep(
     else:
         results = [res for job in jobs for res in run(job)]
 
-    records = []
-    operators = [] if keep_operators else None
-    dropped = 0
-    pair_id = 0
-    for res in results:
-        if res is None:
-            dropped += 1
-            continue
-        kind, t, d_r, d_f, ph, flags, ops = res
-        records.append(StabilityRecord(pair_id, kind, t, d_r, d_f, ph, flags=flags))
-        if keep_operators:
-            operators.append(ops)
-        pair_id += 1
-    return SweepResult(records, dropped, operators)
+    kept = [res for res in results if res is not None]
+    records = [
+        StabilityRecord(i, kind, t, d_r, d_f, ph, flags=flags)
+        for i, (kind, t, d_r, d_f, ph, flags, _) in enumerate(kept)
+    ]
+    return SweepResult(records, len(results) - len(kept), [res[-1] for res in kept])
 
 
 def add_finite_distances(result, fm):
-    """Copy of the sweep records with delta_finite filled from the
-    retained operator pairs."""
-    if result.operators is None:
-        raise ValueError("sweep was run without keep_operators")
-    records = [
-        replace(rec, delta_finite=finite_distance(fm, a, b))
-        for rec, (a, b) in zip(result.records, result.operators)
-    ]
-    return SweepResult(records, result.dropped, result.operators)
+    """Copy of the sweep result with delta_finite filled from the
+    records' raw differences."""
+    return replace(result, records=[
+        replace(rec, delta_finite=finite_distance(fm, d))
+        for rec, d in zip(result.records, result.differences)
+    ])
 
 
 def fit_holder(records, n_bins=8, slack=0.1):

@@ -18,7 +18,7 @@ from holderlab import stability as sl
 from holderlab.cli import main
 from holderlab.mesh import PartitionSpec, PatchSpec, build_mesh
 from holderlab.numerics import eig_min, spectral_norm
-from holderlab.operators import operator_distance
+from holderlab.operators import operator_distance, whitened_difference
 from holderlab.scalarization import (
     FiniteMap,
     all_candidate_pairs,
@@ -58,7 +58,6 @@ def conductivity_sweep():
         20,
         sl.default_ray_steps(20),
         SEED,
-        keep_operators=True,
     )
     elapsed = time.perf_counter() - start
     return result, elapsed
@@ -154,15 +153,17 @@ def test_criterion_4_faithfulness(small_mesh):
     for p, q in zip(ps, qs):
         a = cd.nd_matrix(cp, p)
         b = cd.nd_matrix(cp, q)
-        dist = operator_distance(a, b)
-        value = phi(a, b, w)
+        _, d = whitened_difference(a, b)
+        dist = operator_distance(d)
+        value = phi(d, w)
         assert dist > 0.0 and value > 0.0
         assert value <= bound_const * dist**2 * (1.0 + 1e-12)
     for p in ps[:10]:
         a = cd.nd_matrix(cp, p)
         b = cd.nd_matrix(cp, p)
-        assert operator_distance(a, b) == 0.0
-        assert phi(a, b, w) == 0.0
+        _, d = whitened_difference(a, b)
+        assert operator_distance(d) == 0.0
+        assert phi(d, w) == 0.0
     print("criterion 4 PASS: phi=0 iff zero distance on 110 pairs, HS bound everywhere")
 
 
@@ -220,10 +221,11 @@ def test_criterion_7_conductivity_sweep(conductivity_sweep):
 def test_criterion_8_finite_measurements(conductivity_sweep):
     result, _ = conductivity_sweep
     theta_full = sl.fit_holder(result.records).theta
-    pairs = [ops for ops, rec in zip(result.operators, result.records) if rec.delta_F > 0.0]
-    k = pairs[0][0].dim
+    kept = [(d, r.delta_F) for d, r in zip(result.differences, result.records) if r.delta_F > 0.0]
+    diffs, dists = zip(*kept)
+    k = diffs[0].shape[0]
     cap = k * (k + 1) // 2
-    selection = greedy_select(pairs, all_candidate_pairs(k), 0.5, cap)
+    selection = greedy_select(diffs, dists, all_candidate_pairs(k), 0.5, cap)
     assert selection.reached
     assert len(selection.mset) <= cap
     fm = FiniteMap(selection.mset, k)

@@ -259,6 +259,20 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--bins", "1"), ("--bins", "0"), ("--slack", "-1"), ("--slack", "nan"), ("--slack", "inf")],
+)
+def test_bad_fit_flags_exit_2(tmp_path, capsys, flag, value):
+    path = write_config(tmp_path)
+    assert main(["sweep", str(path)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", str(tmp_path / "out" / "records.csv"), flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fit.json").exists()
+
+
 def table_fields(table=FIELDS, prefix=""):
     """(dotted name, Field) for every field of the config table."""
     for name, spec in table.items():
@@ -386,7 +400,7 @@ def test_records_csv_roundtrip_is_exact(recs, dropped):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "records.csv")
         with open(path, "w") as f:
-            f.write(records_csv(sl.SweepResult(recs, dropped), head))
+            f.write(records_csv(sl.SweepResult(recs, dropped, []), head))
         got, tokens, got_dropped = parse_records_csv(path)
     assert got == recs
     assert tokens == {"config": "0123456789ab", "seed": "17"}

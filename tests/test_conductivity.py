@@ -9,6 +9,7 @@ from holderlab.operators import (
     DataOperator,
     gram_inv_sqrt,
     operator_distance,
+    whitened_difference,
 )
 
 
@@ -253,9 +254,9 @@ def test_operator_distance_basics():
     basis = problem.basis
     p = random_params(1, seed=13)
     a = cd.nd_matrix(problem, p)
-    assert operator_distance(a, a) == 0.0
+    assert operator_distance(whitened_difference(a, a)[1]) == 0.0
     shifted = DataOperator(a.matrix + basis.gram, basis.gram, a.kind)
-    assert abs(operator_distance(a, shifted) - 1.0) <= 1e-12
+    assert abs(operator_distance(whitened_difference(a, shifted)[1]) - 1.0) <= 1e-12
 
 
 def test_operator_distance_scaling():
@@ -267,7 +268,7 @@ def test_operator_distance_scaling():
     b = cd.nd_matrix(problem, cd.ConductivityParams(2.0 * p.cells))
     w = gram_inv_sqrt(basis.gram)
     half_norm = 0.5 * spectral_norm(w @ a.matrix @ w)
-    assert abs(operator_distance(a, b) - half_norm) <= 1e-12 * half_norm
+    assert abs(operator_distance(whitened_difference(a, b)[1]) - half_norm) <= 1e-12 * half_norm
 
 
 def test_operator_distance_kind_mismatch():
@@ -276,4 +277,4 @@ def test_operator_distance_kind_mismatch():
     a = cd.nd_matrix(problem, random_params(1, seed=15))
     other = DataOperator(a.matrix.copy(), a.gram.copy(), "elasticity_dn")
     with pytest.raises(BasisMismatch):
-        operator_distance(a, other)
+        whitened_difference(a, other)

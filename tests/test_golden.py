@@ -1,12 +1,13 @@
-"""Golden check: small pinned sweeps of both problems against committed
-records, so a refactor of the solver stack can show it changes no
-number beyond rounding.
+"""Golden check: small pinned sweeps and selections of both problems
+against committed outputs, so a refactor of the solver stack can show
+it changes no number beyond rounding.
 
-Each tests/golden/<problem>/ holds the config and the records.csv it
-produced. Regenerate (only when outputs change on purpose) from the
-repository root with
+Each tests/golden/<problem>/ holds the config and the records.csv and
+selection.csv it produced. Regenerate (only when outputs change on
+purpose) from the repository root with
 
     PYTHONPATH=src python -m holderlab.cli sweep tests/golden/<problem>/config.json
+    PYTHONPATH=src python -m holderlab.cli select tests/golden/<problem>/config.json
 """
 
 import json
@@ -22,6 +23,9 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # operators, whose rounding error grows like 1/t.
 RAY_TOL_T = 3e-11
 PAIR_TOL = 1e-10
+# Relative tolerance of a selection's achieved ratio, the benchmark's
+# tolerance on summary numbers.
+SUMMARY_TOL = 2e-8
 
 
 def read_records(path):
@@ -37,14 +41,18 @@ def rel_err(got, want):
     return abs(got - want) / abs(want) if want else abs(got)
 
 
-@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
-def test_sweep_matches_golden_records(problem, tmp_path):
-    folder = GOLDEN / problem
+def write_config(folder, tmp_path):
     cfg = json.loads((folder / "config.json").read_text())
     cfg["output_dir"] = str(tmp_path)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["sweep", str(cfg_path)]) == 0
+    return cfg_path
+
+
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_sweep_matches_golden_records(problem, tmp_path):
+    folder = GOLDEN / problem
+    assert main(["sweep", str(write_config(folder, tmp_path))]) == 0
 
     want_comments, want_header, want = read_records(folder / "records.csv")
     got_comments, got_header, got = read_records(tmp_path / "records.csv")
@@ -61,3 +69,18 @@ def test_sweep_matches_golden_records(problem, tmp_path):
             assert err <= tol, (w["pair_id"], field, err, tol)
             worst = max(worst, err / tol)
     print("%s golden: %d records, worst shift %.1e of tolerance" % (problem, len(got), worst))
+
+
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_select_matches_golden_selection(problem, tmp_path):
+    folder = GOLDEN / problem
+    assert main(["select", str(write_config(folder, tmp_path))]) == 0
+
+    want = (folder / "selection.csv").read_text().splitlines()
+    got = (tmp_path / "selection.csv").read_text().splitlines()
+    assert got[0] == want[0]  # version, config hash, seed
+    # "# achieved_ratio <r> reached <bool> size <m>": all but <r> exactly
+    summary, want_summary = got[1].split(), want[1].split()
+    assert summary[:2] + summary[3:] == want_summary[:2] + want_summary[3:]
+    assert rel_err(summary[2], want_summary[2]) <= SUMMARY_TOL
+    assert got[2:] == want[2:]  # column header and the chosen pairs, in order

@@ -10,7 +10,7 @@ from holderlab import mesh as mx
 from holderlab import scalarization as sc
 from holderlab.errors import BasisMismatch, DegenerateSample, IndexOutOfRange
 from holderlab.numerics import symmetrize
-from holderlab.operators import DataOperator, operator_distance
+from holderlab.operators import DataOperator, operator_distance, whitened_difference
 
 
 def sym_operator(mat, gram=None, kind="conductivity_nd"):
@@ -25,6 +25,18 @@ def random_pair(dim, seed):
     a = sym_operator(rng.standard_normal((dim, dim)))
     b = sym_operator(rng.standard_normal((dim, dim)))
     return a, b
+
+
+def white(a, b):
+    return whitened_difference(a, b)[1]
+
+
+def samples_of(pairs):
+    """Raw differences and operator distances of operator pairs, the
+    samples greedy_select reads."""
+    return [a.matrix - b.matrix for a, b in pairs], [
+        operator_distance(white(a, b)) for a, b in pairs
+    ]
 
 
 def test_probe_weights_values():
@@ -45,13 +57,13 @@ def test_probe_weights_limit():
 
 def test_phi_zero_on_equal():
     a, _ = random_pair(5, seed=0)
-    assert sc.phi(a, a, sc.probe_weights(5)) == 0.0
+    assert sc.phi(white(a, a), sc.probe_weights(5)) == 0.0
 
 
 def test_phi_symmetric():
     a, b = random_pair(5, seed=1)
     w = sc.probe_weights(5)
-    assert sc.phi(a, b, w) == sc.phi(b, a, w)
+    assert sc.phi(white(a, b), w) == sc.phi(white(b, a), w)
 
 
 def test_phi_hs_bound():
@@ -59,16 +71,16 @@ def test_phi_hs_bound():
         a, b = random_pair(6, seed=seed)
         for k in (2, 4, 6):
             w = sc.probe_weights(k)
-            bound = w.square_sum() ** 2 * operator_distance(a, b) ** 2
-            assert sc.phi(a, b, w) <= bound * (1 + 1e-12)
+            bound = w.square_sum() ** 2 * operator_distance(white(a, b)) ** 2
+            assert sc.phi(white(a, b), w) <= bound * (1 + 1e-12)
 
 
 def test_phi_norm_sandwich():
     for seed in range(10):
         a, b = random_pair(4, seed=100 + seed)
         w = sc.probe_weights(4)
-        root = np.sqrt(sc.phi(a, b, w))
-        dist = operator_distance(a, b)
+        root = np.sqrt(sc.phi(white(a, b), w))
+        dist = operator_distance(white(a, b))
         lo = float(np.min(w.weights) ** 2)
         assert lo * dist * (1 - 1e-12) <= root <= w.square_sum() * dist * (1 + 1e-12)
 
@@ -76,17 +88,17 @@ def test_phi_norm_sandwich():
 def test_phi_faithful_at_full_truncation():
     a, b = random_pair(5, seed=2)
     w = sc.probe_weights(5)
-    assert sc.phi(a, b, w) > 0
-    assert operator_distance(a, b) > 0
+    assert sc.phi(white(a, b), w) > 0
+    assert operator_distance(white(a, b)) > 0
     same = sym_operator(a.matrix.copy())
-    assert sc.phi(a, same, w) == 0.0
-    assert operator_distance(a, same) == 0.0
+    assert sc.phi(white(a, same), w) == 0.0
+    assert operator_distance(white(a, same)) == 0.0
 
 
 def test_phi_truncation_bound_check():
     a, b = random_pair(3, seed=3)
     with pytest.raises(BasisMismatch):
-        sc.phi(a, b, sc.probe_weights(4))
+        sc.phi(white(a, b), sc.probe_weights(4))
 
 
 def test_matrix_element_symmetry_and_range():
@@ -116,15 +128,15 @@ def test_finite_distance_full_grid_is_frobenius():
     grid = [(i, j) for i in range(4) for j in range(4)]
     fm = sc.FiniteMap(sc.MeasurementSet(tuple(grid)), 4)
     assert abs(
-        sc.finite_distance(fm, a, b) - np.linalg.norm(a.matrix - b.matrix)
+        sc.finite_distance(fm, a.matrix - b.matrix) - np.linalg.norm(a.matrix - b.matrix)
     ) <= 1e-14
-    assert sc.finite_distance(fm, a, a) == 0.0
+    assert sc.finite_distance(fm, a.matrix - a.matrix) == 0.0
 
 
 def test_finite_distance_singleton():
     a, b = random_pair(4, seed=6)
     fm = sc.FiniteMap(sc.MeasurementSet(((1, 1),)), 4)
-    assert sc.finite_distance(fm, a, b) == abs(a.matrix[1, 1] - b.matrix[1, 1])
+    assert sc.finite_distance(fm, a.matrix - b.matrix) == abs(a.matrix[1, 1] - b.matrix[1, 1])
 
 
 def test_measurement_set_validation():
@@ -141,7 +153,7 @@ def test_greedy_single_separating_entry():
     a = sym_operator(base)
     b = sym_operator(bumped)
     res = sc.greedy_select(
-        [(a, b)], sc.all_candidate_pairs(3), target_ratio=0.5, max_size=6
+        *samples_of([(a, b)]), sc.all_candidate_pairs(3), target_ratio=0.5, max_size=6
     )
     assert res.reached
     assert res.mset.pairs == ((1, 1),)
@@ -149,7 +161,7 @@ def test_greedy_single_separating_entry():
 
 def test_greedy_empty_candidates():
     a, b = random_pair(3, seed=7)
-    res = sc.greedy_select([(a, b)], [], target_ratio=0.5, max_size=4)
+    res = sc.greedy_select(*samples_of([(a, b)]), [], target_ratio=0.5, max_size=4)
     assert not res.reached
     assert len(res.mset) == 0
     assert res.achieved_ratio == 0.0
@@ -158,7 +170,7 @@ def test_greedy_empty_candidates():
 def test_greedy_degenerate_sample():
     a, _ = random_pair(3, seed=8)
     with pytest.raises(DegenerateSample):
-        sc.greedy_select([(a, a)], sc.all_candidate_pairs(3), 0.5, 4)
+        sc.greedy_select(*samples_of([(a, a)]), sc.all_candidate_pairs(3), 0.5, 4)
 
 
 def test_greedy_monotone_in_size():
@@ -166,7 +178,7 @@ def test_greedy_monotone_in_size():
     cands = sc.all_candidate_pairs(4)
     prev = 0.0
     for size in range(1, len(cands) + 1):
-        res = sc.greedy_select(samples, cands, target_ratio=1.0, max_size=size)
+        res = sc.greedy_select(*samples_of(samples), cands, target_ratio=1.0, max_size=size)
         assert res.achieved_ratio >= prev - 1e-15
         prev = res.achieved_ratio
 
@@ -177,7 +189,7 @@ def test_greedy_against_brute_force_3x3():
     best single candidate found by enumeration."""
     samples = [random_pair(3, seed=20 + s) for s in range(4)]
     cands = sc.all_candidate_pairs(3)
-    dists = [operator_distance(a, b) for a, b in samples]
+    dists = [operator_distance(white(a, b)) for a, b in samples]
     diffs = [a.matrix - b.matrix for a, b in samples]
 
     def ratio(subset):
@@ -190,15 +202,15 @@ def test_greedy_against_brute_force_3x3():
     assert ratio(cands) >= 1.0 / np.sqrt(2.0) - 1e-12
 
     best_single = max((ratio([c]) for c in cands))
-    res1 = sc.greedy_select(samples, cands, target_ratio=1.0, max_size=1)
+    res1 = sc.greedy_select(*samples_of(samples), cands, target_ratio=1.0, max_size=1)
     assert abs(res1.achieved_ratio - best_single) <= 1e-12
 
-    res_all = sc.greedy_select(samples, cands, target_ratio=1.0, max_size=len(cands))
+    res_all = sc.greedy_select(*samples_of(samples), cands, target_ratio=1.0, max_size=len(cands))
     assert abs(res_all.achieved_ratio - ratio(cands)) <= 1e-12
 
     # greedy at every size stays within the best achievable ratio
     for size in (2, 3, 4):
-        res = sc.greedy_select(samples, cands, target_ratio=1.0, max_size=size)
+        res = sc.greedy_select(*samples_of(samples), cands, target_ratio=1.0, max_size=size)
         best = max(
             ratio(list(subset)) for subset in itertools.combinations(cands, size)
         )

@@ -8,7 +8,7 @@ from holderlab import mesh as mx
 from holderlab import stability as sl
 from holderlab.errors import InsufficientSpread, NotPositiveDefinite
 from holderlab.numerics import eig_min, spectral_norm
-from holderlab.operators import gram_inv_sqrt, operator_distance
+from holderlab.operators import gram_inv_sqrt, operator_distance, whitened_difference
 
 
 def bottom_mesh(n_sub, cols=1, rows=1):
@@ -73,7 +73,7 @@ def test_sampling_degenerate_interval():
         assert np.allclose(p.cells[0], np.eye(3), atol=1e-12)
 
 
-def small_sweep(keep=False, threads=1, seed=42):
+def small_sweep(threads=1, seed=42):
     spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
     m = bottom_mesh(8, cols=2)
     rq = sl.RecoveredQuantity((1, 2))
@@ -85,7 +85,6 @@ def small_sweep(keep=False, threads=1, seed=42):
         n_rays=3,
         ray_steps=sl.default_ray_steps(4),
         seed=seed,
-        keep_operators=keep,
         threads=threads,
     )
 
@@ -185,7 +184,7 @@ def test_one_cell_ray_matches_scaling_oracle():
     for t in (1e-1, 1e-3, 1e-5):
         s = t / math.sqrt(2.0)  # unit-Frobenius identity direction
         stepped = cd.nd_matrix(problem, cd.ConductivityParams([[1.0 + s, 1.0 + s, 0.0]]))
-        d_f = operator_distance(base, stepped)
+        d_f = operator_distance(whitened_difference(base, stepped)[1])
         expected = s / (1.0 + s) * norm_base
         # relative agreement down to the absolute solver-noise floor
         assert abs(d_f - expected) <= 1e-12 * expected + 1e-14
@@ -294,25 +293,49 @@ def test_injectivity_probe_one_cell_sweep():
     assert sl.injectivity_probe(res.records, 1e-8) == []
 
 
-def test_add_finite_distances_requires_operators():
-    res = small_sweep(keep=False)
-    from holderlab.scalarization import FiniteMap, MeasurementSet
-
-    fm = FiniteMap(MeasurementSet(((0, 0),)), 8)
-    with pytest.raises(ValueError):
-        sl.add_finite_distances(res, fm)
-
-
 def test_add_finite_distances_fills_column():
-    res = small_sweep(keep=True)
+    res = small_sweep()
     from holderlab.scalarization import FiniteMap, MeasurementSet
 
-    k = res.operators[0][0].dim
+    k = res.differences[0].shape[0]
     fm = FiniteMap(MeasurementSet(tuple((i, i) for i in range(k))), k)
     filled = sl.add_finite_distances(res, fm)
-    for rec, (a, b) in zip(filled.records, filled.operators):
-        expected = float(np.linalg.norm(np.diag(a.matrix - b.matrix)))
+    for rec, d in zip(filled.records, filled.differences):
+        expected = float(np.linalg.norm(np.diag(d)))
         assert abs(rec.delta_finite - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_sweep_whitens_each_record_once(monkeypatch, threads):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)  # list.append is atomic across pool threads
+        return whitened_difference(a, b)
+
+    monkeypatch.setattr(sl, "whitened_difference", counted)
+    res = small_sweep(threads=threads)
+    assert len(calls) == len(res.records) == len(res.differences)
+
+
+def test_sweep_differences_are_raw_operator_differences():
+    """differences[i] is M_p - M_q of record i, for a random pair and
+    for a ray step alike."""
+    spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
+    problem = cd.NDProblem(bottom_mesh(8, cols=2))
+    res = small_sweep()
+    ps = sl.sample_cells(spec, 10, 42, sl._STREAM_RANDOM_P)
+    qs = sl.sample_cells(spec, 10, 42, sl._STREAM_RANDOM_Q)
+    for i in (0, 9):
+        want = problem.forward(ps[i]).matrix - problem.forward(qs[i]).matrix
+        assert np.array_equal(res.differences[i], want)
+    base = sl.sample_cells(spec, 1, 42, sl._STREAM_RAY_BASE)[0]
+    t = float(sl.default_ray_steps(4)[0])
+    stepped = base + t * sl.sample_direction(spec, 42, index=0)
+    want = problem.forward(base).matrix - problem.forward(stepped).matrix
+    first_ray = next(i for i, r in enumerate(res.records) if r.kind == "near_diagonal")
+    assert res.records[first_ray].t == t
+    assert np.array_equal(res.differences[first_ray], want)
 
 
 def test_elasticity_sweep_runs():
