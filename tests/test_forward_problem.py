@@ -150,3 +150,67 @@ def test_forward_matches_reference_solve(kind):
         k_ib = k[np.ix_(idx, bd)]
         want = k[np.ix_(bd, bd)] - k_ib.T @ np.linalg.solve(k[np.ix_(idx, idx)], k_ib)
     assert rel_err(got, want) <= 1e-12
+
+
+
+# The mesh is invariant under the symmetries of the square that keep the
+# direction of its diagonals, (x, y) -> J (x, y) + shift; each maps the
+# bottom side onto another side. When the image runs against that
+# side's counterclockwise traversal (reverse), a bottom patch [t0, t1]
+# lands on [1 - t1, 1 - t0] and the image basis is the bottom one read
+# backwards: for elasticity the basis interleaves (node, component), so
+# reversing it also swaps x and y. A coefficient maps as J A J.T, a
+# Mandel tensor as Q C Q.T, and a sign that J puts on a datum appears on
+# both sides of the map's bilinear form.
+SIDE_MAPS = {
+    "left": (np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2), True),
+    "top": (-np.eye(2), np.ones(2), False),
+    "right": (np.array([[0.0, -1.0], [-1.0, 0.0]]), np.ones(2), True),
+}
+
+
+def mandel_map(j):
+    """Q with mandel(J E J.T) = Q mandel(E) for symmetric 2x2 E."""
+    cols = []
+    for m in np.eye(3):
+        e = j @ np.array([[m[0], m[2] / ROOT2], [m[2] / ROOT2, m[1]]]) @ j.T
+        cols.append((e[0, 0], e[1, 1], ROOT2 * e[0, 1]))
+    return np.array(cols).T
+
+
+def image_cells(kind, cells, j, shift):
+    """Cells of the mapped medium on the 2x2 partition: the cell at
+    T(c) takes the mapped tensor of the cell at centre c."""
+    centres = np.array([(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)])
+    target = centres @ j.T + shift
+    label = 2 * (target[:, 1] > 0.5) + (target[:, 0] > 0.5)
+    out = np.empty_like(cells)
+    if kind == "conductivity":
+        mats = j @ cd.cell_matrices(cells) @ j.T
+        out[label] = np.column_stack([mats[:, 0, 0], mats[:, 1, 1], mats[:, 0, 1]])
+    else:
+        q = mandel_map(j)
+        out[label] = q @ cells @ q.T
+    return out
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75), (0.0, 0.5)])
+@pytest.mark.parametrize("side", sorted(SIDE_MAPS))
+@pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
+def test_forward_is_invariant_under_mesh_symmetries(kind, side, interval):
+    """The map on any side equals the bottom one under the symmetry
+    that carries the bottom side there."""
+    j, shift, reverse = SIDE_MAPS[side]
+    t0, t1 = interval
+    image = (1.0 - t1, 1.0 - t0) if reverse else interval
+    part = mx.PartitionSpec(2, 2)
+    build = cd.NDProblem if kind == "conductivity" else el.DNProblem
+    bottom = build(mx.build_mesh(8, part, mx.PatchSpec("bottom", t0, t1)))
+    mapped = build(mx.build_mesh(8, part, mx.PatchSpec(side, *image)))
+    points = conductivity_points() if kind == "conductivity" else elasticity_points()
+    cells = points[0]
+    want = bottom.forward(cells).matrix
+    if reverse:
+        want = want[::-1, ::-1]
+    got = mapped.forward(image_cells(kind, cells, j, shift)).matrix
+    assert rel_err(got, want) <= 1e-14
