@@ -14,7 +14,13 @@ pairing with a potential does not see the constant the ground fixes.
 NDProblem holds everything about one mesh that does not depend on the
 conductivity: the current basis, its whitening, the ground node, the
 patch loads and the stiffness as a linear map of the cell components.
-nd_matrix and nd_derivative evaluate it with one banded factorization.
+The free nodes are numbered patch side last (mesh.patch_last_order),
+so the loads L vanish above a short trailing block of rows. With the
+banded factorization K = U.T @ U, the map is M = L.T K^-1 L = W.T @ W
+for W = U^-T L, which vanishes above that block too: nd_matrix pays one
+factorization and one triangular solve over the trailing rows.
+nd_derivative pairs the full potentials, so it alone runs the full
+back-substitution.
 """
 
 from dataclasses import dataclass
@@ -23,8 +29,22 @@ import numpy as np
 
 from . import operators
 from .errors import EmptyPatch, NotPositiveDefinite
-from .mesh import boundary_hat_integrals, boundary_mass_matrix, p1_gradients, patch_nodes
-from .numerics import CellStiffness, factor_spd, scatter, solve, symmetrize
+from .mesh import (
+    boundary_hat_integrals,
+    boundary_mass_matrix,
+    p1_gradients,
+    patch_last_order,
+    patch_nodes,
+)
+from .numerics import (
+    CellStiffness,
+    factor_spd,
+    pad_above,
+    scatter,
+    solve,
+    symmetrize,
+    trailing_solve,
+)
 
 KIND = "conductivity_nd"
 
@@ -132,28 +152,36 @@ def stiffness_form(mesh, active):
 class NDProblem:
     """The grounded Neumann problem of one mesh, built once.
 
-    form is the P1 stiffness over the free (ungrounded) nodes, linear
-    in the (N, 3) cell components; loads (n_free, k) pairs every basis
-    current with every free nodal trace.
+    dofs[i] is the node of free dof i, in patch-last order without the
+    ground node; form is the P1 stiffness over the free dofs, linear in
+    the (N, 3) cell components. The loads pair every basis current
+    with every free nodal trace; they vanish above free dof first, so
+    only their rows first: are kept, as loads (n_free - first, k).
     """
 
     def __init__(self, mesh):
         self.basis = current_basis(mesh)
         self.whitener = operators.gram_inv_sqrt(self.basis.gram)
         self.ground = ground_node(mesh, self.basis.nodes)
-        free = np.delete(np.arange(mesh.n_nodes), self.ground)
+        order = patch_last_order(mesh)
+        self.dofs = order[order != self.ground]
         active = np.full(mesh.n_nodes, -1)
-        active[free] = np.arange(free.size)
+        active[self.dofs] = np.arange(self.dofs.size)
         self.form = stiffness_form(mesh, active)
-        self.band = self.form.band_layout(slice(None), free.size)
-        self.loads = _patch_loads(mesh, self.basis)[free]
+        self.band = self.form.band_layout(slice(None), self.dofs.size)
+        loads = _patch_loads(mesh, self.basis)[self.dofs]
+        self.first = int(np.flatnonzero(loads.any(axis=1))[0])
+        self.loads = loads[self.first:]
+
+    def factor(self, cells):
+        """Banded Cholesky factor of the grounded stiffness."""
+        return factor_spd(scatter(self.form.values(cells), self.band))
 
     def solutions(self, cells):
-        """Grounded potentials on the free nodes, one column per basis
+        """Grounded potentials on the free dofs, one column per basis
         current. They differ from the zero-mean ones by a constant per
         column, which neither the loads nor any stiffness sees."""
-        band = scatter(self.form.values(cells), self.band)
-        return solve(factor_spd(band), self.loads)
+        return solve(self.factor(cells), pad_above(self.loads, self.first))
 
     def forward(self, cells):
         return nd_matrix(self, ConductivityParams(cells))
@@ -165,10 +193,10 @@ class NDProblem:
 def nd_matrix(problem, p):
     """Matrix of the local Neumann-to-Dirichlet map in the current
     basis: M[i][j] = pairing of current j with the trace of the
-    potential driven by current i."""
-    u = problem.solutions(p.cells)
-    m = symmetrize(problem.loads.T @ u)
-    return operators.DataOperator(m, problem.basis.gram, KIND, problem.whitener)
+    potential driven by current i, computed as W.T @ W from the
+    trailing rows of W = U^-T L, which is exactly symmetric."""
+    w = trailing_solve(problem.factor(p.cells), problem.loads)
+    return operators.DataOperator(w.T @ w, problem.basis.gram, KIND, problem.whitener)
 
 
 def nd_derivative(problem, p, dp):

@@ -11,8 +11,15 @@ lifted-and-corrected solution.
 
 DNProblem holds everything about one mesh that does not depend on the
 stiffness tensors: the displacement basis, its whitening and the vector
-stiffness as a linear map of the nine Mandel entries per cell. dn_matrix
-and dn_derivative evaluate it with one banded factorization.
+stiffness as a linear map of the nine Mandel entries per cell. The
+interior dofs are numbered patch side last (mesh.patch_last_order), so
+the interior loads L = K[idx, bd] of the basis data vanish above a short
+trailing block of rows. With the banded factorization
+K[idx, idx] = U.T @ U, the map is M = K[bd, bd] - W.T @ W for
+W = U^-T L, which vanishes above that block too: dn_matrix pays one
+factorization and one triangular solve over the trailing rows.
+dn_derivative pairs the full solutions, so it alone runs the full
+back-substitution.
 """
 
 from dataclasses import dataclass
@@ -21,8 +28,24 @@ import numpy as np
 
 from . import operators
 from .errors import NotPositiveDefinite, PatchTooSmall
-from .mesh import boundary_mass_matrix, boundary_node_set, p1_gradients, patch_nodes
-from .numerics import CellStiffness, eig_min, factor_spd, layout, scatter, solve, symmetrize
+from .mesh import (
+    boundary_mass_matrix,
+    boundary_node_set,
+    p1_gradients,
+    patch_last_order,
+    patch_nodes,
+)
+from .numerics import (
+    CellStiffness,
+    eig_min,
+    factor_spd,
+    layout,
+    pad_above,
+    scatter,
+    solve,
+    symmetrize,
+    trailing_solve,
+)
 
 KIND = "elasticity_dn"
 
@@ -42,11 +65,10 @@ class ElasticityParams:
             self.cells = self.cells[None]
         if self.cells.shape[1:] != (3, 3):
             raise ValueError("cells must be an (N, 3, 3) array")
-        for c in self.cells:
-            if not np.array_equal(c, c.T):
-                raise ValueError("cell tensors must be symmetric")
-            if eig_min(c) <= 0:
-                raise NotPositiveDefinite("every cell tensor must be positive definite")
+        if not np.array_equal(self.cells, self.cells.transpose(0, 2, 1)):
+            raise ValueError("cell tensors must be symmetric")
+        if np.linalg.eigvalsh(self.cells)[:, 0].min() <= 0:
+            raise NotPositiveDefinite("every cell tensor must be positive definite")
 
     @property
     def n_cells(self):
@@ -137,8 +159,11 @@ def _strain_operators(mesh):
 
 
 def interior_dofs(mesh):
-    inner = np.setdiff1d(np.arange(mesh.n_nodes), boundary_node_set(mesh))
-    return np.sort(np.concatenate([2 * inner, 2 * inner + 1]))
+    """Dofs of the interior nodes in patch-last node order, x before y
+    at each node."""
+    order = patch_last_order(mesh)
+    inner = order[~np.isin(order, boundary_node_set(mesh))]
+    return np.column_stack([2 * inner, 2 * inner + 1]).ravel()
 
 
 def stiffness_form(mesh, active):
@@ -155,10 +180,12 @@ def stiffness_form(mesh, active):
 class DNProblem:
     """The localized Dirichlet problem of one mesh, built once.
 
-    The active dofs are the interior dofs followed by the basis dofs;
-    form is the vector P1 stiffness over them, linear in the (N, 3, 3)
-    Mandel cells. band, load and energy place its values into the
-    interior block K[idx, idx] (band storage), K[idx, bd] and
+    dofs lists the active dofs, the interior dofs idx in patch-last
+    order followed by the basis dofs bd; form is the vector P1
+    stiffness over them, linear in the (N, 3, 3) Mandel cells. The
+    interior loads K[idx, bd] vanish above interior dof first. band,
+    load and energy place the slot values into the interior block
+    K[idx, idx] (band storage), the rows first: of K[idx, bd] and
     K[bd, bd].
     """
 
@@ -167,17 +194,18 @@ class DNProblem:
         self.whitener = operators.gram_inv_sqrt(self.basis.gram)
         idx = interior_dofs(mesh)
         bd = 2 * self.basis.entries[:, 0] + self.basis.entries[:, 1]
+        self.dofs = np.concatenate([idx, bd])
         n, k = idx.size, self.basis.k
         active = np.full(2 * mesh.n_nodes, -1)
-        active[idx] = np.arange(n)
-        active[bd] = n + np.arange(k)
+        active[self.dofs] = np.arange(n + k)
         self.form = stiffness_form(mesh, active)
         r, c = self.form.rows, self.form.cols
         inner = np.flatnonzero(c < n)
         cross = np.flatnonzero((r < n) & (c >= n))
         outer = np.flatnonzero(r >= n)
+        self.first = int(r[cross].min())
         self.band = self.form.band_layout(inner, n)
-        self.load = layout(cross, r[cross], c[cross] - n, (n, k))
+        self.load = layout(cross, r[cross] - self.first, c[cross] - n, (n - self.first, k))
         self.energy = layout(
             np.concatenate([outer, outer]),
             np.concatenate([r[outer], c[outer]]) - n,
@@ -185,13 +213,18 @@ class DNProblem:
             (k, k),
         )
 
-    def solutions(self, cells):
-        """Stiffness slot values, the interior loads K[idx, bd] of the
-        zero-extended basis data and the interior corrections that
-        make each datum's extension discrete-harmonic."""
+    def factor(self, cells):
+        """Stiffness slot values, the banded Cholesky factor of the
+        interior block and the trailing rows of the interior loads
+        K[idx, bd] of the zero-extended basis data."""
         values = self.form.values(cells)
-        loads = scatter(values, self.load)
-        return values, loads, solve(factor_spd(scatter(values, self.band)), loads)
+        return values, factor_spd(scatter(values, self.band)), scatter(values, self.load)
+
+    def solutions(self, cells):
+        """Interior corrections that make each basis datum's zero
+        extension discrete-harmonic, one column per datum."""
+        _, f, tail = self.factor(cells)
+        return solve(f, pad_above(tail, self.first))
 
     def forward(self, cells):
         return dn_matrix(self, ElasticityParams(cells))
@@ -202,17 +235,18 @@ class DNProblem:
 
 def dn_matrix(problem, p):
     """Matrix of the localized Dirichlet-to-Neumann map: datum energy
-    minus the correction energy recovered through the interior
-    solve."""
-    values, loads, corr = problem.solutions(p.cells)
-    m = scatter(values, problem.energy) - loads.T @ corr
-    return operators.DataOperator(symmetrize(m), problem.basis.gram, KIND, problem.whitener)
+    minus the correction energy W.T @ W, from the trailing rows of
+    W = U^-T K[idx, bd]; both terms are exactly symmetric."""
+    values, f, tail = problem.factor(p.cells)
+    w = trailing_solve(f, tail)
+    m = scatter(values, problem.energy) - w.T @ w
+    return operators.DataOperator(m, problem.basis.gram, KIND, problem.whitener)
 
 
 def dn_derivative(problem, p, dp):
     """Directional derivative of the map at p in direction dp: the
     dp-energy pairing of the full solutions, which are the basis data
     minus their interior corrections."""
-    _, _, corr = problem.solutions(p.cells)
+    corr = problem.solutions(p.cells)
     u = np.vstack([-corr, np.eye(problem.basis.k)])
     return problem.form.pairing(problem.form.values(dp), u)

@@ -174,6 +174,21 @@ def boundary_hat_integrals(mesh):
     return w
 
 
+def patch_last_order(mesh):
+    """Node indices farthest from the patch side first, ties broken
+    along that side in counterclockwise order, so the patch side's
+    nodes come last. Mesh neighbours stay at most n_sub + 2 positions
+    apart, so a stiffness numbered in this order keeps its narrow band."""
+    x, y = mesh.nodes.T
+    depth, along = {
+        "bottom": (y, x),
+        "right": (1.0 - x, y),
+        "top": (1.0 - y, 1.0 - x),
+        "left": (x, 1.0 - y),
+    }[mesh.patch.side]
+    return np.lexsort((along, -depth))
+
+
 def boundary_node_set(mesh):
     return np.unique(mesh.boundary_edges)
 

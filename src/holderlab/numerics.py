@@ -7,7 +7,13 @@ matrix is linear in the cell components of its coefficient, so
 CellStiffness stores it once per mesh as one row of slot values per
 component on a fixed sparsity pattern; a call is a small matmul and a
 scatter into LAPACK band storage, which is narrow under the mesh's
-row-major numbering and factored with pbtrf/pbtrs. Small dense
+patch-last numbering (mesh.patch_last_order), and factored with pbtrf
+as K = U.T @ U. A forward map needs only the quadratic form
+L.T K^-1 L = W.T @ W of loads L that vanish above their last rows:
+W = U^-T L vanishes there too, so trailing_solve computes it with one
+triangular band solve (tbtrs) over the trailing rows. solve runs the
+full back-substitution (pbtrs) for callers that need the solutions
+themselves, from the loads pad_above rebuilds. Small dense
 symmetric eigenproblems go through LAPACK's symmetric solver.
 """
 
@@ -88,6 +94,36 @@ def solve(f, b):
             "right-hand side has %d rows, factor is %d" % (b.shape[0], f.n)
         )
     return scipy.linalg.cho_solve_banded((f.band, False), b, check_finite=False)
+
+
+def trailing_solve(f, tail):
+    """W = U^-T b for f's factor U (K = U.T @ U) and the column block b
+    that is zero above its last len(tail) rows and equals tail there.
+
+    W is zero above those rows too, so only its trailing rows are
+    returned, and b.T @ K^-1 @ b = W.T @ W. One triangular band solve
+    (LAPACK tbtrs) on the trailing block of U computes them; rows
+    above it are never touched.
+    """
+    tail = np.asarray(tail, dtype=float)
+    if tail.ndim != 2 or not 1 <= tail.shape[0] <= f.n:
+        raise DimensionMismatch(
+            "trailing block of shape %s for a factor of %d rows" % (tail.shape, f.n)
+        )
+    first = f.n - tail.shape[0]
+    w, info = scipy.linalg.lapack.dtbtrs(f.band[:, first:], tail, trans="T")
+    if info > 0:
+        raise NotPositiveDefinite("factor has a zero pivot in row %d" % (first + info - 1))
+    if info < 0:
+        raise DimensionMismatch("LAPACK tbtrs rejected argument %d" % -info)
+    return w
+
+
+def pad_above(tail, first):
+    """The column block that is zero in its first rows and equals tail
+    below them: the full loads behind a trailing block."""
+    tail = np.asarray(tail, dtype=float)
+    return np.vstack([np.zeros((first, tail.shape[1])), tail])
 
 
 class CellStiffness:

@@ -46,6 +46,13 @@ def test_params_validation():
         el.ElasticityParams(bad)
     with pytest.raises(NotPositiveDefinite):
         el.ElasticityParams(np.array([-np.eye(3)]))
+    # asymmetry is named before definiteness, in whichever cell it sits
+    with pytest.raises(ValueError):
+        el.ElasticityParams(-bad)
+    with pytest.raises(ValueError):
+        el.ElasticityParams(np.concatenate([-np.eye(3)[None], bad]))
+    with pytest.raises(NotPositiveDefinite):
+        el.ElasticityParams(np.stack([np.eye(3), np.diag([1.0, 0.0, 1.0])]))
 
 
 def test_displacement_basis_dimensions():

@@ -20,8 +20,8 @@ ROOT2 = np.sqrt(2.0)
 TOL = 1e-13
 
 
-def mesh_2x2():
-    return mx.build_mesh(4, mx.PartitionSpec(2, 2), mx.PatchSpec("bottom", 0.0, 1.0))
+def mesh_2x2(side="bottom", t0=0.0, t1=1.0):
+    return mx.build_mesh(4, mx.PartitionSpec(2, 2), mx.PatchSpec(side, t0, t1))
 
 
 def reference_gradients(xy):
@@ -101,7 +101,7 @@ def elasticity_points():
 def test_conductivity_assembly_matches_reference():
     m = mesh_2x2()
     problem = cd.NDProblem(m)
-    free = np.delete(np.arange(m.n_nodes), problem.ground)
+    free = problem.dofs
     n = free.size
     for cells in conductivity_points():
         want = reference_conductivity(m, cells)[np.ix_(free, free)]
@@ -113,44 +113,51 @@ def test_conductivity_assembly_matches_reference():
 def test_elasticity_assembly_matches_reference():
     m = mesh_2x2()
     problem = el.DNProblem(m)
-    idx = el.interior_dofs(m)
-    bd = 2 * problem.basis.entries[:, 0] + problem.basis.entries[:, 1]
-    order = np.concatenate([idx, bd])
+    order = problem.dofs
+    n = order.size - problem.basis.k
+    idx, bd = order[:n], order[n:]
     for cells in elasticity_points():
         want = reference_elasticity(m, cells)
         values = problem.form.values(cells)
         assert rel_err(from_slots(problem.form, values, order.size), want[np.ix_(order, order)]) <= TOL
+        # the load layout holds the rows first: of K[idx, bd]; the
+        # rows above them vanish
+        first = problem.first
+        assert not want[np.ix_(idx[:first], bd)].any()
         blocks = (
             (from_band(scatter(values, problem.band)), want[np.ix_(idx, idx)]),
-            (scatter(values, problem.load), want[np.ix_(idx, bd)]),
+            (scatter(values, problem.load), want[np.ix_(idx[first:], bd)]),
             (scatter(values, problem.energy), want[np.ix_(bd, bd)]),
         )
         for got, block in blocks:
             assert rel_err(got, block) <= TOL
 
 
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75)], ids=["full", "half"])
+@pytest.mark.parametrize("side", mx.SIDES)
 @pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
-def test_forward_matches_reference_solve(kind):
+def test_forward_matches_reference_solve(kind, side, interval):
     """The whole map against a dense solve of the reference system."""
-    m = mesh_2x2()
+    m = mesh_2x2(side, *interval)
     if kind == "conductivity":
         problem = cd.NDProblem(m)
         cells = conductivity_points()[0]
         got = cd.nd_matrix(problem, cd.ConductivityParams(cells)).matrix
-        free = np.delete(np.arange(m.n_nodes), problem.ground)
+        free = problem.dofs
         k = reference_conductivity(m, cells)[np.ix_(free, free)]
-        want = problem.loads.T @ np.linalg.solve(k, problem.loads)
+        # all rows of the loads: the problem keeps only those from first on
+        loads = cd._patch_loads(m, problem.basis)[free]
+        want = loads.T @ np.linalg.solve(k, loads)
     else:
         problem = el.DNProblem(m)
         cells = elasticity_points()[0]
         got = el.dn_matrix(problem, el.ElasticityParams(cells)).matrix
-        idx = el.interior_dofs(m)
-        bd = 2 * problem.basis.entries[:, 0] + problem.basis.entries[:, 1]
+        n = problem.dofs.size - problem.basis.k
+        idx, bd = problem.dofs[:n], problem.dofs[n:]
         k = reference_elasticity(m, cells)
         k_ib = k[np.ix_(idx, bd)]
         want = k[np.ix_(bd, bd)] - k_ib.T @ np.linalg.solve(k[np.ix_(idx, idx)], k_ib)
     assert rel_err(got, want) <= 1e-12
-
 
 
 # The mesh is invariant under the symmetries of the square that keep the
@@ -194,7 +201,9 @@ def image_cells(kind, cells, j, shift):
     return out
 
 
-@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75), (0.0, 0.5)])
+@pytest.mark.parametrize(
+    "interval", [(0.0, 1.0), (0.25, 0.75), (0.0, 0.5)], ids=["full", "half", "start"]
+)
 @pytest.mark.parametrize("side", sorted(SIDE_MAPS))
 @pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
 def test_forward_is_invariant_under_mesh_symmetries(kind, side, interval):
@@ -207,10 +216,40 @@ def test_forward_is_invariant_under_mesh_symmetries(kind, side, interval):
     build = cd.NDProblem if kind == "conductivity" else el.DNProblem
     bottom = build(mx.build_mesh(8, part, mx.PatchSpec("bottom", t0, t1)))
     mapped = build(mx.build_mesh(8, part, mx.PatchSpec(side, *image)))
-    points = conductivity_points() if kind == "conductivity" else elasticity_points()
-    cells = points[0]
+    cells = (conductivity_points() if kind == "conductivity" else elasticity_points())[0]
     want = bottom.forward(cells).matrix
     if reverse:
         want = want[::-1, ::-1]
     got = mapped.forward(image_cells(kind, cells, j, shift)).matrix
     assert rel_err(got, want) <= 1e-14
+
+
+@pytest.mark.parametrize("side", mx.SIDES)
+@pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
+def test_patch_last_band_and_trailing_block(kind, side):
+    """Under the patch-last numbering the band stays within n_sub + 2
+    nodes of the diagonal, and the nonzero loads fit in the last two
+    node rows, which is all that a forward solves over."""
+    n_sub = 8
+    m = mx.build_mesh(n_sub, mx.PartitionSpec(2, 2), mx.PatchSpec(side, 0.0, 1.0))
+    if kind == "conductivity":
+        problem, per_node = cd.NDProblem(m), 1
+    else:
+        problem, per_node = el.DNProblem(m), 2
+    _, _, (band_rows, n) = problem.band
+    trailing = n - problem.first
+    assert band_rows - 1 <= per_node * (n_sub + 2)
+    assert trailing <= per_node * 2 * (n_sub + 1)
+
+
+@pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
+def test_forward_skips_backsolve_and_derivative_runs_one(kind, backsolves):
+    """A forward map takes the trailing triangular solve only; the
+    derivative needs the full solutions, from one back-substitution."""
+    m = mesh_2x2()
+    problem = cd.NDProblem(m) if kind == "conductivity" else el.DNProblem(m)
+    cells, direction = conductivity_points() if kind == "conductivity" else elasticity_points()
+    problem.forward(cells)
+    assert backsolves == []
+    problem.derivative(cells, direction)
+    assert len(backsolves) == 1

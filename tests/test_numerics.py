@@ -139,6 +139,39 @@ def test_factor_rejects_non_square():
             nx.factor_spd(np.ones(shape))
 
 
+def test_trailing_solve_matches_dense_triangular_solve():
+    """Loads zero above their last 8 rows: W = U^-T b is zero there
+    too, its trailing rows match a dense triangular solve, W.T @ W is
+    the quadratic form b.T K^-1 b, and pad_above rebuilds b."""
+    m = banded_spd(30, bandwidth=4, seed=8)
+    f = nx.factor_spd(band_of(m))
+    u = upper_from_band(f.band)
+    b = np.zeros((30, 5))
+    b[22:] = np.random.default_rng(9).standard_normal((8, 5))
+    full = np.linalg.solve(u.T, b)
+    assert not full[:22].any()
+    w = nx.trailing_solve(f, b[22:])
+    assert w.shape == (8, 5)
+    assert np.abs(w - full[22:]).max() <= 1e-13 * np.abs(full).max()
+    form = b.T @ np.linalg.solve(m.toarray(), b)
+    assert np.abs(w.T @ w - form).max() <= 1e-13 * np.abs(form).max()
+    assert np.array_equal(nx.pad_above(b[22:], 22), b)
+
+
+def test_trailing_solve_rejects_bad_blocks():
+    f = nx.factor_spd(band_of(np.eye(3)))
+    for tail in (np.ones(2), np.ones((4, 2)), np.ones((0, 2))):
+        with pytest.raises(DimensionMismatch):
+            nx.trailing_solve(f, tail)
+
+
+def test_trailing_solve_names_a_singular_factor():
+    f = nx.factor_spd(band_of(banded_spd(10, bandwidth=2, seed=10)))
+    f.band[-1, 8] = 0.0  # diagonal entry of row 8
+    with pytest.raises(NotPositiveDefinite):
+        nx.trailing_solve(f, np.ones((4, 1)))
+
+
 def test_spectral_norm_examples():
     assert nx.spectral_norm(np.diag([1.0, -3.0, 2.0])) == 3.0
     assert nx.spectral_norm(np.zeros((4, 4))) == 0.0

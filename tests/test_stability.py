@@ -153,6 +153,17 @@ def test_sweep_solves_each_ray_base_once(monkeypatch):
         assert len(calls) == 2 * 10 + 3 * (4 + 1)
 
 
+def test_sweep_runs_no_backsolve(backsolves):
+    """Every forward of a sweep solves only over the trailing rows of
+    the patch-last system: no full back-substitution (pbtrs) runs."""
+    res = small_sweep(threads=1)
+    assert len(res.records) == 10 + 3 * 4
+    spec = sl.CompactSetSpec(0.5, 2.0, 2, "elasticity")
+    res = sl.sweep(bottom_mesh(4, cols=2), spec, sl.RecoveredQuantity((1,)), 3, 1, [1e-3, 1e-2], 42)
+    assert len(res.records) == 3 + 2
+    assert backsolves == []
+
+
 def test_sweep_failed_ray_base_drops_every_step(monkeypatch):
     """A failed base solve drops each record of its ray, counted one
     by one; the other rays and the pairs are unaffected."""
