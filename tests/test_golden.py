@@ -1,13 +1,16 @@
-"""Golden check: small pinned sweeps and selections of both problems
-against committed outputs, so a refactor of the solver stack can show
-it changes no number beyond rounding.
+"""Golden check: small pinned sweeps, selections, forward maps and
+derivative checks of both problems against committed outputs, so a
+refactor of the solver stack can show it changes no number beyond
+rounding.
 
-Each tests/golden/<problem>/ holds the config and the records.csv and
-selection.csv it produced. Regenerate (only when outputs change on
-purpose) from the repository root with
+Each tests/golden/<problem>/ holds the config and the records.csv,
+selection.csv, operator.csv and derivcheck.csv it produced. Regenerate
+(only when outputs change on purpose) from the repository root with
 
     PYTHONPATH=src python -m holderlab.cli sweep tests/golden/<problem>/config.json
     PYTHONPATH=src python -m holderlab.cli select tests/golden/<problem>/config.json
+    PYTHONPATH=src python -m holderlab.cli forward tests/golden/<problem>/config.json
+    PYTHONPATH=src python -m holderlab.cli derivcheck tests/golden/<problem>/config.json
 """
 
 import json
@@ -26,6 +29,13 @@ PAIR_TOL = 1e-10
 # Relative tolerance of a selection's achieved ratio, the benchmark's
 # tolerance on summary numbers.
 SUMMARY_TOL = 2e-8
+# Tolerance of a forward-map entry, relative to the largest entry.
+OPERATOR_TOL = 1e-13
+# Rounding of the forward map relative to the derivative's scale: a
+# difference quotient with step h amplifies it by 1/h, so a derivcheck
+# error may move by DERIV_ROUND / h, and the radial identity error,
+# which subtracts no nearby maps, by DERIV_ROUND.
+DERIV_ROUND = 1e-14
 
 
 def read_records(path):
@@ -84,3 +94,41 @@ def test_select_matches_golden_selection(problem, tmp_path):
     assert summary[:2] + summary[3:] == want_summary[:2] + want_summary[3:]
     assert rel_err(summary[2], want_summary[2]) <= SUMMARY_TOL
     assert got[2:] == want[2:]  # column header and the chosen pairs, in order
+
+
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_forward_matches_golden_operator(problem, tmp_path):
+    folder = GOLDEN / problem
+    assert main(["forward", str(write_config(folder, tmp_path))]) == 0
+
+    want = (folder / "operator.csv").read_text().splitlines()
+    got = (tmp_path / "operator.csv").read_text().splitlines()
+    assert got[:2] == want[:2]  # version, config hash, seed; kind and dim
+    assert len(got) == len(want)
+    m_want = [[float(v) for v in row.split(",")] for row in want[2:]]
+    m_got = [[float(v) for v in row.split(",")] for row in got[2:]]
+    scale = max(abs(v) for row in m_want for v in row)
+    for i, (g_row, w_row) in enumerate(zip(m_got, m_want)):
+        assert len(g_row) == len(w_row), i
+        for j, (g, w) in enumerate(zip(g_row, w_row)):
+            assert abs(g - w) <= OPERATOR_TOL * scale, (i, j, g, w)
+
+
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_derivcheck_matches_golden_errors(problem, tmp_path):
+    folder = GOLDEN / problem
+    assert main(["derivcheck", str(write_config(folder, tmp_path))]) == 0
+
+    want = (folder / "derivcheck.csv").read_text().splitlines()
+    got = (tmp_path / "derivcheck.csv").read_text().splitlines()
+    assert got[:2] == want[:2]  # version, config hash, seed; column header
+    assert len(got) == len(want)
+    for g, w in zip(got[2:-1], want[2:-1]):
+        (g_h, g_err), (w_h, w_err) = g.split(","), w.split(",")
+        assert g_h == w_h
+        assert abs(float(g_err) - float(w_err)) <= DERIV_ROUND / float(w_h), (w_h, g_err, w_err)
+    # "# radial_identity_rel_err <e>"
+    g_label, g_err = got[-1].rsplit(" ", 1)
+    w_label, w_err = want[-1].rsplit(" ", 1)
+    assert g_label == w_label
+    assert abs(float(g_err) - float(w_err)) <= DERIV_ROUND, (g_err, w_err)
