@@ -335,14 +335,14 @@ def _forward_problem(cfg):
 
 def cmd_forward(cfg, args):
     problem, _, cells = _forward_problem(cfg)
-    op = problem.forward(cells)
+    m = problem.forward(cells)
     head = header_line(config_hash(cfg), cfg["seed"])
-    buf = [head, "# kind %s dim %d" % (op.kind, op.dim)]
-    for row in op.matrix:
+    buf = [head, "# kind %s dim %d" % (problem.kind, m.shape[0])]
+    for row in m:
         buf.append(",".join(repr(float(v)) for v in row))
     path = _out_path(cfg, "operator.csv")
     _write(path, "\n".join(buf) + "\n")
-    print("forward: %s operator, dim %d -> %s" % (op.kind, op.dim, path))
+    print("forward: %s operator, dim %d -> %s" % (problem.kind, m.shape[0], path))
     return 0
 
 
@@ -355,13 +355,13 @@ def cmd_derivcheck(cfg, args):
     lines = [head, "h,rel_err"]
     errs = []
     for h in cfg["derivcheck"]["steps"]:
-        plus = problem.forward(cells + h * direction).matrix
-        minus = problem.forward(cells - h * direction).matrix
+        plus = problem.forward(cells + h * direction)
+        minus = problem.forward(cells - h * direction)
         err = float(np.abs((plus - minus) / (2.0 * h) - deriv).max() / scale)
         errs.append(err)
         lines.append("%s,%s" % (repr(float(h)), repr(err)))
     radial = problem.derivative(cells, cells)
-    base = problem.forward(cells).matrix
+    base = problem.forward(cells)
     sign = -1.0 if cfg["problem"] == "conductivity" else 1.0
     radial_err = float(np.abs(radial - sign * base).max() / np.abs(base).max())
     lines.append("# radial_identity_rel_err %s" % repr(radial_err))

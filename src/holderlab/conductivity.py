@@ -14,6 +14,8 @@ pairing with a potential does not see the constant the ground fixes.
 NDProblem holds everything about one mesh that does not depend on the
 conductivity: the current basis, its whitening, the ground node, the
 patch loads and the stiffness as a linear map of the cell components.
+Its forward map is the plain, exactly symmetric matrix in the current
+basis; the problem, not the matrix, carries the kind and the whitener.
 The free nodes are numbered patch side last (mesh.patch_last_order),
 so the loads L vanish above a short trailing block of rows. With the
 banded factorization K = U.T @ U, the map is M = L.T K^-1 L = W.T @ W
@@ -63,10 +65,6 @@ class ConductivityParams:
         det = a11 * a22 - a12 * a12
         if np.any(a11 <= 0) or np.any(det <= 0):
             raise NotPositiveDefinite("every cell matrix must be positive definite")
-
-    @property
-    def n_cells(self):
-        return self.cells.shape[0]
 
     def matrices(self):
         return cell_matrices(self.cells)
@@ -159,6 +157,8 @@ class NDProblem:
     only their rows first: are kept, as loads (n_free - first, k).
     """
 
+    kind = KIND
+
     def __init__(self, mesh):
         self.basis = current_basis(mesh)
         self.whitener = operators.gram_inv_sqrt(self.basis.gram)
@@ -196,7 +196,7 @@ def nd_matrix(problem, p):
     potential driven by current i, computed as W.T @ W from the
     trailing rows of W = U^-T L, which is exactly symmetric."""
     w = trailing_solve(problem.factor(p.cells), problem.loads)
-    return operators.DataOperator(w.T @ w, problem.basis.gram, KIND, problem.whitener)
+    return w.T @ w
 
 
 def nd_derivative(problem, p, dp):

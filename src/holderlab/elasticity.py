@@ -11,10 +11,12 @@ lifted-and-corrected solution.
 
 DNProblem holds everything about one mesh that does not depend on the
 stiffness tensors: the displacement basis, its whitening and the vector
-stiffness as a linear map of the nine Mandel entries per cell. The
-interior dofs are numbered patch side last (mesh.patch_last_order), so
-the interior loads L = K[idx, bd] of the basis data vanish above a short
-trailing block of rows. With the banded factorization
+stiffness as a linear map of the nine Mandel entries per cell. Its
+forward map is the plain, exactly symmetric matrix in the displacement
+basis; the problem, not the matrix, carries the kind and the whitener.
+The interior dofs are numbered patch side last (mesh.patch_last_order),
+so the interior loads L = K[idx, bd] of the basis data vanish above a
+short trailing block of rows. With the banded factorization
 K[idx, idx] = U.T @ U, the map is M = K[bd, bd] - W.T @ W for
 W = U^-T L, which vanishes above that block too: dn_matrix pays one
 factorization and one triangular solve over the trailing rows.
@@ -69,10 +71,6 @@ class ElasticityParams:
             raise ValueError("cell tensors must be symmetric")
         if np.linalg.eigvalsh(self.cells)[:, 0].min() <= 0:
             raise NotPositiveDefinite("every cell tensor must be positive definite")
-
-    @property
-    def n_cells(self):
-        return self.cells.shape[0]
 
 
 def isotropic_tensor(lambda_lame, mu):
@@ -189,6 +187,8 @@ class DNProblem:
     K[bd, bd].
     """
 
+    kind = KIND
+
     def __init__(self, mesh):
         self.basis = displacement_basis(mesh)
         self.whitener = operators.gram_inv_sqrt(self.basis.gram)
@@ -239,8 +239,7 @@ def dn_matrix(problem, p):
     W = U^-T K[idx, bd]; both terms are exactly symmetric."""
     values, f, tail = problem.factor(p.cells)
     w = trailing_solve(f, tail)
-    m = scatter(values, problem.energy) - w.T @ w
-    return operators.DataOperator(m, problem.basis.gram, KIND, problem.whitener)
+    return scatter(values, problem.energy) - w.T @ w
 
 
 def dn_derivative(problem, p, dp):

@@ -58,22 +58,15 @@ def eig_min(m):
     return float(w[0])
 
 
-class BandFactor:
-    """Upper Cholesky factor U (U.T @ U = A) of a banded SPD matrix, in
-    LAPACK's upper band storage: band[u + i - j, j] = U[i, j]."""
-
-    def __init__(self, band):
-        self.band = band
-        self.n = band.shape[1]
-
-
 def factor_spd(band):
     """Banded Cholesky factorization (LAPACK pbtrf) of a symmetric
     positive definite matrix given in upper band storage,
     band[u + i - j, j] = A[i, j] for i <= j; the unused top-left corner
-    is never read. Raises NotPositiveDefinite on a non-positive pivot,
-    which for assembled systems signals a coefficient outside the
-    ellipticity cone or a singular (ungrounded) system.
+    is never read. Returns the upper factor U (U.T @ U = A) in the same
+    storage, band[u + i - j, j] = U[i, j]. Raises NotPositiveDefinite on
+    a non-positive pivot, which for assembled systems signals a
+    coefficient outside the ellipticity cone or a singular (ungrounded)
+    system.
     """
     band = np.asarray(band, dtype=float)
     if band.ndim != 2 or not 1 <= band.shape[0] <= band.shape[1]:
@@ -81,24 +74,25 @@ def factor_spd(band):
             "band storage must have 1 to n rows for n columns, got %s" % (band.shape,)
         )
     try:
-        return BandFactor(scipy.linalg.cholesky_banded(band, check_finite=False))
+        return scipy.linalg.cholesky_banded(band, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from exc
 
 
 def solve(f, b):
-    """Solve f's matrix against b (vector or column block)."""
+    """Solve against b (vector or column block) the matrix whose banded
+    factor factor_spd returned as f."""
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != f.n:
-        raise DimensionMismatch(
-            "right-hand side has %d rows, factor is %d" % (b.shape[0], f.n)
-        )
-    return scipy.linalg.cho_solve_banded((f.band, False), b, check_finite=False)
+    n = f.shape[1]
+    if b.shape[0] != n:
+        raise DimensionMismatch("right-hand side has %d rows, factor is %d" % (b.shape[0], n))
+    return scipy.linalg.cho_solve_banded((f, False), b, check_finite=False)
 
 
 def trailing_solve(f, tail):
-    """W = U^-T b for f's factor U (K = U.T @ U) and the column block b
-    that is zero above its last len(tail) rows and equals tail there.
+    """W = U^-T b for the banded factor f of U (K = U.T @ U) and the
+    column block b that is zero above its last len(tail) rows and
+    equals tail there.
 
     W is zero above those rows too, so only its trailing rows are
     returned, and b.T @ K^-1 @ b = W.T @ W. One triangular band solve
@@ -106,12 +100,13 @@ def trailing_solve(f, tail):
     above it are never touched.
     """
     tail = np.asarray(tail, dtype=float)
-    if tail.ndim != 2 or not 1 <= tail.shape[0] <= f.n:
+    n = f.shape[1]
+    if tail.ndim != 2 or not 1 <= tail.shape[0] <= n:
         raise DimensionMismatch(
-            "trailing block of shape %s for a factor of %d rows" % (tail.shape, f.n)
+            "trailing block of shape %s for a factor of %d rows" % (tail.shape, n)
         )
-    first = f.n - tail.shape[0]
-    w, info = scipy.linalg.lapack.dtbtrs(f.band[:, first:], tail, trans="T")
+    first = n - tail.shape[0]
+    w, info = scipy.linalg.lapack.dtbtrs(f[:, first:], tail, trans="T")
     if info > 0:
         raise NotPositiveDefinite("factor has a zero pivot in row %d" % (first + info - 1))
     if info < 0:

@@ -1,36 +1,18 @@
-"""Discretized boundary data operators and the proxy operator norm.
+"""Whitening of forward-map differences and the proxy operator norm.
 
-A DataOperator is the matrix of a forward map in a fixed boundary
-basis together with the Gram matrix of that basis. Distances between
-operators are measured in the Gram-whitened spectral norm, the declared
-stand-in for the continuum operator norm on a fixed discretization.
-Every operator carries the whitening G^{-1/2} of its basis;
-whitened_difference is the one place that checks two operators share a
-basis, and the distance and the scalarization read its output.
+A forward map is a plain symmetric matrix in its problem's fixed
+boundary basis; the problem holds the whitening G^{-1/2} of that basis's
+Gram matrix G. Distances between operators are measured in the
+Gram-whitened spectral norm, the declared stand-in for the continuum
+operator norm on a fixed discretization: whiten maps a raw difference
+M_p - M_q into the Gram-orthonormalized basis, and the distance and the
+scalarization read its output.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BasisMismatch
 from .numerics import spectral_norm, symmetrize
-
-
-@dataclass
-class DataOperator:
-    matrix: np.ndarray
-    gram: np.ndarray
-    kind: str  # "conductivity_nd" or "elasticity_dn"
-    whitener: np.ndarray = None  # G^{-1/2}, from gram unless given
-
-    def __post_init__(self):
-        if self.whitener is None:
-            self.whitener = gram_inv_sqrt(self.gram)
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
 
 
 def gram_inv_sqrt(gram):
@@ -41,15 +23,10 @@ def gram_inv_sqrt(gram):
     return symmetrize((q / np.sqrt(w)) @ q.T)
 
 
-def whitened_difference(a, b):
-    """The difference M_a - M_b and the same difference in the
-    Gram-orthonormalized basis, G^{-1/2} (M_a - M_b) G^{-1/2}."""
-    if a.kind != b.kind:
-        raise BasisMismatch("operator kinds differ: %s vs %s" % (a.kind, b.kind))
-    if a.matrix.shape != b.matrix.shape or not np.array_equal(a.gram, b.gram):
-        raise BasisMismatch("operators do not share a basis Gram")
-    raw = a.matrix - b.matrix
-    return raw, symmetrize(a.whitener @ raw @ a.whitener)
+def whiten(whitener, raw):
+    """A raw operator difference in the Gram-orthonormalized basis,
+    G^{-1/2} raw G^{-1/2}, exactly symmetric."""
+    return symmetrize(whitener @ raw @ whitener)
 
 
 def operator_distance(d):

@@ -1,10 +1,10 @@
 """Hilbert-Schmidt scalarization of operator differences and finite
 scalar measurements.
 
-The scalarization and the distances read operator differences, not
-operator pairs. The scalarization compresses the whitened difference
-(from operators.whitened_difference) through diagonal probe weights 2^-j in
-the Gram-orthonormalized basis and takes the squared Hilbert-Schmidt
+The scalarization and the distances read operator differences, plain
+matrices, not operator pairs. The scalarization compresses the whitened
+difference (from operators.whiten) through diagonal probe weights 2^-j
+in the Gram-orthonormalized basis and takes the squared Hilbert-Schmidt
 norm: a single scalar that vanishes exactly when the truncated
 difference does. Finite measurements sample entries of the raw
 difference M_p - M_q; a greedy selector builds a small entry set whose
@@ -45,14 +45,6 @@ def phi(d, w):
         )
     wd = (w.weights[:, None] * w.weights[None, :]) * d[: w.k, : w.k]
     return float(np.sum(wd * wd))
-
-
-def matrix_element(a, i, j):
-    """Single scalar measurement: the (i, j) duality pairing of the
-    operator against basis elements i and j."""
-    if not (0 <= i < a.dim and 0 <= j < a.dim):
-        raise IndexOutOfRange("indices (%d, %d) outside dimension %d" % (i, j, a.dim))
-    return float(a.matrix[i, j])
 
 
 @dataclass(frozen=True)

@@ -3,14 +3,15 @@ flat-vs-analytic counterexample study.
 
 A sweep samples parameter pairs from a compact ellipticity class,
 evaluates the forward map on both, and forms the operator difference
-M_p - M_q once per record: whitened once, it gives the operator
-distance delta_F and the scalarization value phi, and the raw
-difference is kept in the result, where add_finite_distances and the
-greedy selection read it. A record also holds the recovered-quantity
-distance delta_R. A sweep builds one forward problem for the mesh and
-solves each ray's base point once for all the ray's steps. The
-envelope fit estimates (theta, C) so that every record lies below
-log delta_R <= theta * log delta_F + log C + slack.
+M_p - M_q once per record: whitened once with the forward problem's
+whitener, it gives the operator distance delta_F and the scalarization
+value phi, and the raw difference is kept in the result, where
+add_finite_distances and the greedy selection read it. A record also
+holds the recovered-quantity distance delta_R. A sweep builds one
+forward problem for the mesh and solves each ray's base point once for
+all the ray's steps. The envelope fit estimates (theta, C) so that
+every record lies below log delta_R <= theta * log delta_F + log C +
+slack.
 """
 
 import math
@@ -23,7 +24,7 @@ from . import conductivity as cd
 from . import elasticity as el
 from .errors import HolderLabError, InsufficientSpread
 from .numerics import adaptive_quadrature, flat_integrand, symmetrize
-from .operators import operator_distance, whitened_difference
+from .operators import operator_distance, whiten
 from .scalarization import finite_distance, phi, probe_weights
 
 KINDS = ("conductivity", "elasticity")
@@ -151,14 +152,10 @@ def sample_params(spec, count, seed, stream=0):
 
 
 def sample_direction(spec, seed, index=0):
-    """Unit-Frobenius perturbation direction, counter-seeded like the
-    ray directions of a sweep."""
-    return _direction(_rng(seed, _STREAM_RAY_DIR, index), spec)
-
-
-def _direction(rng, spec):
     """Random symmetric per-cell direction with unit global Frobenius
-    norm over the whole tuple."""
+    norm over the whole tuple, counter-seeded: ray `index` of a sweep
+    walks along it."""
+    rng = _rng(seed, _STREAM_RAY_DIR, index)
     if spec.kind == "conductivity":
         d = rng.standard_normal((spec.n_cells, 3))
         norm = math.sqrt(float(np.sum(d[:, 0] ** 2 + d[:, 1] ** 2 + 2.0 * d[:, 2] ** 2)))
@@ -209,7 +206,8 @@ def sweep(
 
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Each record whitens its
-    difference once; delta_F and phi both read the whitened one.
+    difference once with the problem's whitener; delta_F and phi both
+    read the whitened one.
     Records are ordered by pair id regardless of the thread count; a
     record whose solve fails is dropped and counted, and a failed base
     solve drops all its ray's records.
@@ -224,7 +222,7 @@ def sweep(
     ps = sample_cells(spec, n_random_pairs, seed, _STREAM_RANDOM_P)
     qs = sample_cells(spec, n_random_pairs, seed, _STREAM_RANDOM_Q)
     bases = sample_cells(spec, n_rays, seed, _STREAM_RAY_BASE)
-    dirs = [_direction(_rng(seed, _STREAM_RAY_DIR, i), spec) for i in range(n_rays)]
+    dirs = [sample_direction(spec, seed, i) for i in range(n_rays)]
 
     # one job per random pair and one per ray, which solves its base
     # point once for all its steps
@@ -233,13 +231,13 @@ def sweep(
         steps = [(float(t), bases[r] + t * dirs[r]) for t in ray_steps]
         jobs.append(("near_diagonal", bases[r], steps))
 
-    def record(kind, t, cells_p, op_p, cells_q):
+    def record(kind, t, cells_p, m_p, cells_q):
         try:
-            op_q = problem.forward(cells_q)
+            raw = m_p - problem.forward(cells_q)
         except HolderLabError:
             return None
         d_r = _cell_frobenius(spec, cells_p, cells_q, rq.cell_subset)
-        raw, d = whitened_difference(op_p, op_q)
+        d = whiten(problem.whitener, raw)
         d_f = operator_distance(d)
         flags = ()
         if d_f == 0.0 and d_r > 0.0:
@@ -249,10 +247,10 @@ def sweep(
     def run(job):
         kind, cells_p, steps = job
         try:
-            op_p = problem.forward(cells_p)
+            m_p = problem.forward(cells_p)
         except HolderLabError:
             return [None] * len(steps)
-        return [record(kind, t, cells_p, op_p, cells_q) for t, cells_q in steps]
+        return [record(kind, t, cells_p, m_p, cells_q) for t, cells_q in steps]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -284,13 +282,16 @@ def fit_holder(records, n_bins=8, slack=0.1):
     log delta_R anchors a least-squares line whose slope is theta
     (capped at 1, pre-cap value kept); the intercept is then lifted
     minimally so every record sits within `slack` log units of the
-    envelope.
+    envelope. Records that all have delta_R = 0 give the constant-R
+    fit; no records at all raise InsufficientSpread.
     """
     if n_bins < 2:
         raise ValueError("need at least two bins")
     if slack < 0:
         raise ValueError("slack must be nonnegative")
     records = list(records)
+    if not records:
+        raise InsufficientSpread("no records to fit")
     if all(r.delta_R == 0.0 for r in records):
         return HolderFit(
             theta=1.0,

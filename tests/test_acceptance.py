@@ -18,7 +18,7 @@ from holderlab import stability as sl
 from holderlab.cli import main
 from holderlab.mesh import PartitionSpec, PatchSpec, build_mesh
 from holderlab.numerics import eig_min, spectral_norm
-from holderlab.operators import operator_distance, whitened_difference
+from holderlab.operators import operator_distance, whiten
 from holderlab.scalarization import (
     FiniteMap,
     all_candidate_pairs,
@@ -72,11 +72,11 @@ def test_criterion_1_scaling_identities():
         ep = el.DNProblem(mesh)
         pc = sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 1, SEED)[0]
         pe = sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 1, SEED)[0]
-        base_c = cd.nd_matrix(cp, pc).matrix
-        base_e = el.dn_matrix(ep, pe).matrix
+        base_c = cd.nd_matrix(cp, pc)
+        base_e = el.dn_matrix(ep, pe)
         for t in (0.5, 2.0, 10.0):
-            scaled_c = cd.nd_matrix(cp, cd.ConductivityParams(t * pc.cells)).matrix
-            scaled_e = el.dn_matrix(ep, el.ElasticityParams(t * pe.cells)).matrix
+            scaled_c = cd.nd_matrix(cp, cd.ConductivityParams(t * pc.cells))
+            scaled_e = el.dn_matrix(ep, el.ElasticityParams(t * pe.cells))
             worst = max(worst, rel_gap(scaled_c, base_c / t), rel_gap(scaled_e, t * base_e))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
@@ -95,7 +95,7 @@ def test_criterion_2_symmetry_and_psd(small_mesh):
     ]
     for params, forward, problem in draws:
         for p in params:
-            m = forward(problem, p).matrix
+            m = forward(problem, p)
             worst_sym = max(worst_sym, np.abs(m - m.T).max() / np.abs(m).max())
             worst_ratio = min(worst_ratio, eig_min(m) / spectral_norm(m))
     assert worst_sym <= 1e-12
@@ -116,13 +116,13 @@ def test_criterion_3_derivative_checks(small_mesh):
         d = sl.sample_direction(spec, SEED)
         if kind == "conductivity":
             def forward(cells):
-                return cd.nd_matrix(cp, cd.ConductivityParams(cells)).matrix
+                return cd.nd_matrix(cp, cd.ConductivityParams(cells))
 
             deriv = cd.nd_derivative(cp, p, d)
             radial_gap = rel_gap(cd.nd_derivative(cp, p, p.cells), -forward(p.cells))
         else:
             def forward(cells):
-                return el.dn_matrix(ep, el.ElasticityParams(cells)).matrix
+                return el.dn_matrix(ep, el.ElasticityParams(cells))
 
             deriv = el.dn_derivative(ep, p, d)
             radial_gap = rel_gap(el.dn_derivative(ep, p, p.cells), forward(p.cells))
@@ -153,7 +153,7 @@ def test_criterion_4_faithfulness(small_mesh):
     for p, q in zip(ps, qs):
         a = cd.nd_matrix(cp, p)
         b = cd.nd_matrix(cp, q)
-        _, d = whitened_difference(a, b)
+        d = whiten(cp.whitener, a - b)
         dist = operator_distance(d)
         value = phi(d, w)
         assert dist > 0.0 and value > 0.0
@@ -161,7 +161,7 @@ def test_criterion_4_faithfulness(small_mesh):
     for p in ps[:10]:
         a = cd.nd_matrix(cp, p)
         b = cd.nd_matrix(cp, p)
-        _, d = whitened_difference(a, b)
+        d = whiten(cp.whitener, a - b)
         assert operator_distance(d) == 0.0
         assert phi(d, w) == 0.0
     print("criterion 4 PASS: phi=0 iff zero distance on 110 pairs, HS bound everywhere")

@@ -185,6 +185,20 @@ def test_fit_on_exact_power_law(tmp_path):
     assert body["dropped"] == 0
 
 
+def test_fit_on_header_only_records_exits_1(tmp_path, capsys):
+    """A records file whose every record was dropped has a header and no
+    data rows; fitting it fails with a named error and writes nothing."""
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(
+        "# holderlab 0.1.0 config=abc seed=7\n# dropped 3\n"
+        "pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n"
+    )
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(csv_path), "--out", str(out)]) == 1
+    assert "InsufficientSpread" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_report_carries_sweep_header(tmp_path):
     path = write_config(tmp_path)
     assert main(["sweep", str(path)]) == 0

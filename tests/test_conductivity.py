@@ -3,14 +3,9 @@ import pytest
 
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
-from holderlab.errors import BasisMismatch, CellCountMismatch, NotPositiveDefinite
+from holderlab.errors import CellCountMismatch, NotPositiveDefinite
 from holderlab.numerics import eig_min, spectral_norm
-from holderlab.operators import (
-    DataOperator,
-    gram_inv_sqrt,
-    operator_distance,
-    whitened_difference,
-)
+from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
 
 
 def unit_mesh(n_sub, cols=1, rows=1):
@@ -125,14 +120,14 @@ def test_nd_matrix_ground_independent(monkeypatch):
     m = unit_mesh(8, cols=2)
     problem = cd.NDProblem(m)
     p = random_params(2, seed=16)
-    base = cd.nd_matrix(problem, p).matrix
+    base = cd.nd_matrix(problem, p)
     # the far corner of the square and the middle of the opposite side
     for ground in (m.n_nodes - 1, m.n_nodes - 5):
         assert ground != problem.ground and ground not in problem.basis.nodes
         monkeypatch.setattr(cd, "ground_node", lambda mesh, patch, g=ground: g)
         alt = cd.NDProblem(m)
         assert alt.ground == ground
-        alt_matrix = cd.nd_matrix(alt, p).matrix
+        alt_matrix = cd.nd_matrix(alt, p)
         assert np.abs(alt_matrix - base).max() <= 1e-12 * np.abs(base).max()
 
 
@@ -140,9 +135,9 @@ def test_nd_scaling():
     m = unit_mesh(8, cols=2)
     problem = cd.NDProblem(m)
     p = random_params(2, seed=3)
-    base = cd.nd_matrix(problem, p).matrix
+    base = cd.nd_matrix(problem, p)
     for t in (0.5, 2.0, 10.0):
-        mt = cd.nd_matrix(problem, cd.ConductivityParams(t * p.cells)).matrix
+        mt = cd.nd_matrix(problem, cd.ConductivityParams(t * p.cells))
         assert np.abs(mt - base / t).max() <= 1e-12 * np.abs(base / t).max()
 
 
@@ -150,7 +145,7 @@ def test_nd_symmetric_psd():
     m = unit_mesh(8, cols=2)
     problem = cd.NDProblem(m)
     for seed in range(5):
-        mat = cd.nd_matrix(problem, random_params(2, seed=seed)).matrix
+        mat = cd.nd_matrix(problem, random_params(2, seed=seed))
         assert np.array_equal(mat, mat.T)
         assert eig_min(mat) >= -1e-10 * spectral_norm(mat)
 
@@ -159,7 +154,7 @@ def test_nd_quadratic_form_positive():
     m = unit_mesh(8)
     problem = cd.NDProblem(m)
     basis = problem.basis
-    mat = cd.nd_matrix(problem, random_params(1, seed=4)).matrix
+    mat = cd.nd_matrix(problem, random_params(1, seed=4))
     rng = np.random.default_rng(5)
     for _ in range(10):
         psi = rng.standard_normal(basis.k)
@@ -170,8 +165,8 @@ def test_nd_isotropic_recovery():
     m = unit_mesh(8)
     problem = cd.NDProblem(m)
     a = 3.7
-    mi = cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]])).matrix
-    ma = cd.nd_matrix(problem, cd.ConductivityParams([[a, a, 0.0]])).matrix
+    mi = cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]]))
+    ma = cd.nd_matrix(problem, cd.ConductivityParams([[a, a, 0.0]]))
     ratio = mi[0, 0] / ma[0, 0]
     assert abs(ratio - a) <= 1e-12 * a
 
@@ -180,7 +175,7 @@ def test_nd_derivative_radial():
     m = unit_mesh(8, cols=2)
     problem = cd.NDProblem(m)
     p = random_params(2, seed=6)
-    mat = cd.nd_matrix(problem, p).matrix
+    mat = cd.nd_matrix(problem, p)
     d = cd.nd_derivative(problem, p, p.cells)
     assert np.abs(d + mat).max() <= 1e-10 * np.abs(mat).max()
 
@@ -209,8 +204,8 @@ def fd_errors(problem, p, dp, steps):
     scale = np.abs(d).max()
     errs = []
     for h in steps:
-        mp = cd.nd_matrix(problem, cd.ConductivityParams(p.cells + h * dp)).matrix
-        mm = cd.nd_matrix(problem, cd.ConductivityParams(p.cells - h * dp)).matrix
+        mp = cd.nd_matrix(problem, cd.ConductivityParams(p.cells + h * dp))
+        mm = cd.nd_matrix(problem, cd.ConductivityParams(p.cells - h * dp))
         errs.append(np.abs((mp - mm) / (2 * h) - d).max() / scale)
     return errs
 
@@ -239,8 +234,8 @@ def test_loewner_monotonicity():
         b = random_params(2, seed=100 + trial, lo=1.0, hi=2.0)
         bump = random_params(2, seed=200 + trial, lo=0.1, hi=0.5)
         a = cd.ConductivityParams(b.cells + bump.cells)  # a dominates b
-        ma = cd.nd_matrix(problem, a).matrix
-        mb = cd.nd_matrix(problem, b).matrix
+        ma = cd.nd_matrix(problem, a)
+        mb = cd.nd_matrix(problem, b)
         for _ in range(20):
             psi = rng.standard_normal(basis.k)
             qa = psi @ ma @ psi
@@ -254,9 +249,9 @@ def test_operator_distance_basics():
     basis = problem.basis
     p = random_params(1, seed=13)
     a = cd.nd_matrix(problem, p)
-    assert operator_distance(whitened_difference(a, a)[1]) == 0.0
-    shifted = DataOperator(a.matrix + basis.gram, basis.gram, a.kind)
-    assert abs(operator_distance(whitened_difference(a, shifted)[1]) - 1.0) <= 1e-12
+    assert operator_distance(whiten(problem.whitener, a - a)) == 0.0
+    shifted = a + basis.gram
+    assert abs(operator_distance(whiten(problem.whitener, a - shifted)) - 1.0) <= 1e-12
 
 
 def test_operator_distance_scaling():
@@ -267,14 +262,5 @@ def test_operator_distance_scaling():
     a = cd.nd_matrix(problem, p)
     b = cd.nd_matrix(problem, cd.ConductivityParams(2.0 * p.cells))
     w = gram_inv_sqrt(basis.gram)
-    half_norm = 0.5 * spectral_norm(w @ a.matrix @ w)
-    assert abs(operator_distance(whitened_difference(a, b)[1]) - half_norm) <= 1e-12 * half_norm
-
-
-def test_operator_distance_kind_mismatch():
-    m = unit_mesh(8)
-    problem = cd.NDProblem(m)
-    a = cd.nd_matrix(problem, random_params(1, seed=15))
-    other = DataOperator(a.matrix.copy(), a.gram.copy(), "elasticity_dn")
-    with pytest.raises(BasisMismatch):
-        whitened_difference(a, other)
+    half_norm = 0.5 * spectral_norm(w @ a @ w)
+    assert abs(operator_distance(whiten(problem.whitener, a - b)) - half_norm) <= 1e-12 * half_norm

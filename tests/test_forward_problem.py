@@ -142,7 +142,7 @@ def test_forward_matches_reference_solve(kind, side, interval):
     if kind == "conductivity":
         problem = cd.NDProblem(m)
         cells = conductivity_points()[0]
-        got = cd.nd_matrix(problem, cd.ConductivityParams(cells)).matrix
+        got = cd.nd_matrix(problem, cd.ConductivityParams(cells))
         free = problem.dofs
         k = reference_conductivity(m, cells)[np.ix_(free, free)]
         # all rows of the loads: the problem keeps only those from first on
@@ -151,7 +151,7 @@ def test_forward_matches_reference_solve(kind, side, interval):
     else:
         problem = el.DNProblem(m)
         cells = elasticity_points()[0]
-        got = el.dn_matrix(problem, el.ElasticityParams(cells)).matrix
+        got = el.dn_matrix(problem, el.ElasticityParams(cells))
         n = problem.dofs.size - problem.basis.k
         idx, bd = problem.dofs[:n], problem.dofs[n:]
         k = reference_elasticity(m, cells)
@@ -217,10 +217,10 @@ def test_forward_is_invariant_under_mesh_symmetries(kind, side, interval):
     bottom = build(mx.build_mesh(8, part, mx.PatchSpec("bottom", t0, t1)))
     mapped = build(mx.build_mesh(8, part, mx.PatchSpec(side, *image)))
     cells = (conductivity_points() if kind == "conductivity" else elasticity_points())[0]
-    want = bottom.forward(cells).matrix
+    want = bottom.forward(cells)
     if reverse:
         want = want[::-1, ::-1]
-    got = mapped.forward(image_cells(kind, cells, j, shift)).matrix
+    got = mapped.forward(image_cells(kind, cells, j, shift))
     assert rel_err(got, want) <= 1e-14
 
 

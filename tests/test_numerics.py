@@ -58,13 +58,13 @@ def upper_from_band(band):
 
 def test_factor_diagonal():
     f = nx.factor_spd(band_of(scipy.sparse.diags([4.0, 9.0]).tocsr()))
-    assert np.array_equal(f.band, [[2.0, 3.0]])
+    assert np.array_equal(f, [[2.0, 3.0]])
     assert np.array_equal(nx.solve(f, np.array([8.0, 27.0])), [2.0, 3.0])
 
 
 def test_factor_identity():
     f = nx.factor_spd(band_of(scipy.sparse.identity(5, format="csr")))
-    assert np.array_equal(f.band, np.ones((1, 5)))
+    assert np.array_equal(f, np.ones((1, 5)))
     b = np.arange(10.0).reshape(5, 2)
     assert np.array_equal(nx.solve(f, b), b)
 
@@ -110,8 +110,8 @@ def test_factor_solve_residual_random():
 def test_factor_reproduces_input():
     m = banded_spd(17, bandwidth=3, seed=3)
     f = nx.factor_spd(band_of(m))
-    assert f.band.shape == (4, 17)
-    u = upper_from_band(f.band)
+    assert f.shape == (4, 17)
+    u = upper_from_band(f)
     dense = m.toarray()
     assert np.linalg.norm(u.T @ u - dense) <= 1e-12 * np.linalg.norm(dense)
     b = np.random.default_rng(4).standard_normal((17, 3))
@@ -129,7 +129,7 @@ def test_factor_reads_upper_triangle_only():
     noisy[corner] = np.random.default_rng(7).uniform(-9.0, 9.0, corner.sum())
     a = nx.factor_spd(band)
     b = nx.factor_spd(noisy)
-    assert np.array_equal(a.band[~corner], b.band[~corner])
+    assert np.array_equal(a[~corner], b[~corner])
 
 
 def test_factor_rejects_non_square():
@@ -145,7 +145,7 @@ def test_trailing_solve_matches_dense_triangular_solve():
     the quadratic form b.T K^-1 b, and pad_above rebuilds b."""
     m = banded_spd(30, bandwidth=4, seed=8)
     f = nx.factor_spd(band_of(m))
-    u = upper_from_band(f.band)
+    u = upper_from_band(f)
     b = np.zeros((30, 5))
     b[22:] = np.random.default_rng(9).standard_normal((8, 5))
     full = np.linalg.solve(u.T, b)
@@ -167,7 +167,7 @@ def test_trailing_solve_rejects_bad_blocks():
 
 def test_trailing_solve_names_a_singular_factor():
     f = nx.factor_spd(band_of(banded_spd(10, bandwidth=2, seed=10)))
-    f.band[-1, 8] = 0.0  # diagonal entry of row 8
+    f[-1, 8] = 0.0  # diagonal entry of row 8
     with pytest.raises(NotPositiveDefinite):
         nx.trailing_solve(f, np.ones((4, 1)))
 

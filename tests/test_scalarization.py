@@ -10,14 +10,11 @@ from holderlab import mesh as mx
 from holderlab import scalarization as sc
 from holderlab.errors import BasisMismatch, DegenerateSample, IndexOutOfRange
 from holderlab.numerics import symmetrize
-from holderlab.operators import DataOperator, operator_distance, whitened_difference
+from holderlab.operators import operator_distance, whiten
 
 
-def sym_operator(mat, gram=None, kind="conductivity_nd"):
-    mat = symmetrize(np.asarray(mat, dtype=float))
-    if gram is None:
-        gram = np.eye(mat.shape[0])
-    return DataOperator(mat, gram, kind)
+def sym_operator(mat):
+    return symmetrize(np.asarray(mat, dtype=float))
 
 
 def random_pair(dim, seed):
@@ -28,13 +25,14 @@ def random_pair(dim, seed):
 
 
 def white(a, b):
-    return whitened_difference(a, b)[1]
+    """The difference a - b whitened in an identity-Gram basis."""
+    return whiten(np.eye(a.shape[0]), a - b)
 
 
 def samples_of(pairs):
     """Raw differences and operator distances of operator pairs, the
     samples greedy_select reads."""
-    return [a.matrix - b.matrix for a, b in pairs], [
+    return [a - b for a, b in pairs], [
         operator_distance(white(a, b)) for a, b in pairs
     ]
 
@@ -90,7 +88,7 @@ def test_phi_faithful_at_full_truncation():
     w = sc.probe_weights(5)
     assert sc.phi(white(a, b), w) > 0
     assert operator_distance(white(a, b)) > 0
-    same = sym_operator(a.matrix.copy())
+    same = sym_operator(a.copy())
     assert sc.phi(white(a, same), w) == 0.0
     assert operator_distance(white(a, same)) == 0.0
 
@@ -101,16 +99,9 @@ def test_phi_truncation_bound_check():
         sc.phi(white(a, b), sc.probe_weights(4))
 
 
-def test_matrix_element_symmetry_and_range():
-    a, _ = random_pair(4, seed=4)
-    assert sc.matrix_element(a, 1, 2) == sc.matrix_element(a, 2, 1)
-    zero = sym_operator(np.zeros((4, 4)))
-    assert sc.matrix_element(zero, 0, 3) == 0.0
-    with pytest.raises(IndexOutOfRange):
-        sc.matrix_element(a, 0, 4)
-
-
 def test_matrix_element_conductivity_scaling():
+    """Doubling the conductivity halves every ND matrix entry, each to
+    relative accuracy."""
     m = mx.build_mesh(4, mx.PartitionSpec(1, 1), mx.PatchSpec("bottom", 0.0, 1.0))
     problem = cd.NDProblem(m)
     p = cd.ConductivityParams([[1.3, 1.1, 0.2]])
@@ -118,8 +109,8 @@ def test_matrix_element_conductivity_scaling():
     b = cd.nd_matrix(problem, cd.ConductivityParams(2.0 * p.cells))
     for i in range(problem.basis.k):
         for j in range(problem.basis.k):
-            lhs = sc.matrix_element(b, i, j)
-            rhs = 0.5 * sc.matrix_element(a, i, j)
+            lhs = b[i, j]
+            rhs = 0.5 * a[i, j]
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1e-30)
 
 
@@ -128,15 +119,15 @@ def test_finite_distance_full_grid_is_frobenius():
     grid = [(i, j) for i in range(4) for j in range(4)]
     fm = sc.FiniteMap(sc.MeasurementSet(tuple(grid)), 4)
     assert abs(
-        sc.finite_distance(fm, a.matrix - b.matrix) - np.linalg.norm(a.matrix - b.matrix)
+        sc.finite_distance(fm, a - b) - np.linalg.norm(a - b)
     ) <= 1e-14
-    assert sc.finite_distance(fm, a.matrix - a.matrix) == 0.0
+    assert sc.finite_distance(fm, a - a) == 0.0
 
 
 def test_finite_distance_singleton():
     a, b = random_pair(4, seed=6)
     fm = sc.FiniteMap(sc.MeasurementSet(((1, 1),)), 4)
-    assert sc.finite_distance(fm, a.matrix - b.matrix) == abs(a.matrix[1, 1] - b.matrix[1, 1])
+    assert sc.finite_distance(fm, a - b) == abs(a[1, 1] - b[1, 1])
 
 
 def test_measurement_set_validation():
@@ -190,7 +181,7 @@ def test_greedy_against_brute_force_3x3():
     samples = [random_pair(3, seed=20 + s) for s in range(4)]
     cands = sc.all_candidate_pairs(3)
     dists = [operator_distance(white(a, b)) for a, b in samples]
-    diffs = [a.matrix - b.matrix for a, b in samples]
+    diffs = [a - b for a, b in samples]
 
     def ratio(subset):
         vals = []

@@ -8,7 +8,7 @@ from holderlab import mesh as mx
 from holderlab import stability as sl
 from holderlab.errors import InsufficientSpread, NotPositiveDefinite
 from holderlab.numerics import eig_min, spectral_norm
-from holderlab.operators import gram_inv_sqrt, operator_distance, whitened_difference
+from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
 
 
 def bottom_mesh(n_sub, cols=1, rows=1):
@@ -190,12 +190,12 @@ def test_one_cell_ray_matches_scaling_oracle():
     problem = cd.NDProblem(m)
     base = cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]]))
     w = gram_inv_sqrt(problem.basis.gram)
-    norm_base = spectral_norm(w @ base.matrix @ w)
+    norm_base = spectral_norm(w @ base @ w)
     ratios = []
     for t in (1e-1, 1e-3, 1e-5):
         s = t / math.sqrt(2.0)  # unit-Frobenius identity direction
         stepped = cd.nd_matrix(problem, cd.ConductivityParams([[1.0 + s, 1.0 + s, 0.0]]))
-        d_f = operator_distance(whitened_difference(base, stepped)[1])
+        d_f = operator_distance(whiten(problem.whitener, base - stepped))
         expected = s / (1.0 + s) * norm_base
         # relative agreement down to the absolute solver-noise floor
         assert abs(d_f - expected) <= 1e-12 * expected + 1e-14
@@ -247,6 +247,13 @@ def test_fit_insufficient_spread():
     d_f = np.full(50, 1e-3)
     with pytest.raises(InsufficientSpread):
         sl.fit_holder(synthetic_records(d_f, d_f**0.5))
+
+
+def test_fit_no_records_raises():
+    """No records is not a constant recovered quantity: only a nonempty
+    set whose delta_R all vanish gets the constant-R fit."""
+    with pytest.raises(InsufficientSpread):
+        sl.fit_holder([])
 
 
 def test_fit_constant_r_flagged():
@@ -320,11 +327,11 @@ def test_add_finite_distances_fills_column():
 def test_sweep_whitens_each_record_once(monkeypatch, threads):
     calls = []
 
-    def counted(a, b):
+    def counted(whitener, raw):
         calls.append(1)  # list.append is atomic across pool threads
-        return whitened_difference(a, b)
+        return whiten(whitener, raw)
 
-    monkeypatch.setattr(sl, "whitened_difference", counted)
+    monkeypatch.setattr(sl, "whiten", counted)
     res = small_sweep(threads=threads)
     assert len(calls) == len(res.records) == len(res.differences)
 
@@ -338,12 +345,12 @@ def test_sweep_differences_are_raw_operator_differences():
     ps = sl.sample_cells(spec, 10, 42, sl._STREAM_RANDOM_P)
     qs = sl.sample_cells(spec, 10, 42, sl._STREAM_RANDOM_Q)
     for i in (0, 9):
-        want = problem.forward(ps[i]).matrix - problem.forward(qs[i]).matrix
+        want = problem.forward(ps[i]) - problem.forward(qs[i])
         assert np.array_equal(res.differences[i], want)
     base = sl.sample_cells(spec, 1, 42, sl._STREAM_RAY_BASE)[0]
     t = float(sl.default_ray_steps(4)[0])
     stepped = base + t * sl.sample_direction(spec, 42, index=0)
-    want = problem.forward(base).matrix - problem.forward(stepped).matrix
+    want = problem.forward(base) - problem.forward(stepped)
     first_ray = next(i for i, r in enumerate(res.records) if r.kind == "near_diagonal")
     assert res.records[first_ray].t == t
     assert np.array_equal(res.differences[first_ray], want)
