@@ -273,7 +273,7 @@ def parse_records_csv(path):
             continue
         rows.append(line)
     if not rows:
-        raise ConfigError("records file %s has no data rows" % path)
+        return [], head, dropped  # nothing to fit; fit_holder says so
     reader = csv.DictReader(io.StringIO("\n".join(rows)))
     needed = {"pair_id", "kind", "delta_R", "delta_F"}
     if not needed.issubset(reader.fieldnames or ()):
@@ -522,7 +522,7 @@ def build_parser():
         )
         if threads:
             workers = _flag(Field(1, _integer(1)), int)
-            p.add_argument("--threads", help="parallel solves for sweeps", **workers)
+            p.add_argument("--threads", help="worker processes for sweeps", **workers)
 
     command("mesh", cmd_mesh, "write the mesh as a plain-text node/element file")
     command("forward", cmd_forward, "evaluate the forward map at the first sampled point")

@@ -120,21 +120,22 @@ def greedy_select(diffs, dists, candidates, target_ratio, max_size):
         raise DegenerateSample("sample pair with zero operator distance")
     if not candidates:
         return SelectionResult(MeasurementSet(()), 0.0, False)
-    # squared entry differences per sample and candidate
+    # squared entry differences per sample and remaining candidate; a
+    # pick's column is dropped, and `remaining` keeps the candidate
+    # indices ascending, so argmax still breaks ties by lowest index
     rows, cols = np.array(candidates).T
     cand = np.asarray(diffs)[:, rows, cols] ** 2
-    n_cand = len(candidates)
+    remaining = np.arange(len(candidates))
     ssq = np.zeros(len(diffs))
     chosen = []
-    taken = np.zeros(n_cand, dtype=bool)
     ratio = 0.0
-    while len(chosen) < min(max_size, n_cand):
+    while len(chosen) < min(max_size, len(candidates)):
         scores = np.min(np.sqrt(ssq[:, None] + cand) / dists[:, None], axis=0)
-        scores[taken] = -np.inf
         pick = int(np.argmax(scores))
-        taken[pick] = True
-        chosen.append(candidates[pick])
+        chosen.append(candidates[remaining[pick]])
         ssq += cand[:, pick]
+        cand = np.delete(cand, pick, axis=1)
+        remaining = np.delete(remaining, pick)
         ratio = float(np.min(np.sqrt(ssq) / dists))
         if ratio >= target_ratio:
             return SelectionResult(MeasurementSet(tuple(chosen)), ratio, True)

@@ -9,13 +9,23 @@ value phi, and the raw difference is kept in the result, where
 add_finite_distances and the greedy selection read it. A record also
 holds the recovered-quantity distance delta_R. A sweep builds one
 forward problem for the mesh and solves each ray's base point once for
-all the ray's steps. The envelope fit estimates (theta, C) so that
-every record lies below log delta_R <= theta * log delta_F + log C +
-slack.
+all the ray's steps.
+
+A sweep job is a random pair or a whole ray, named by its index: the
+job samples its own points from (seed, stream, index). With more than
+one worker, the sweep forks worker processes that inherit the built
+problem, hands each a contiguous chunk of jobs balanced by forward
+count, and merges the records in job order, so the output does not
+depend on the worker count. Each worker should run one BLAS thread, as
+the command line arranges; otherwise the workers' BLAS thread pools
+oversubscribe the CPUs.
+
+The envelope fit estimates (theta, C) so that every record lies below
+log delta_R <= theta * log delta_F + log C + slack.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,9 +33,9 @@ import numpy as np
 from . import conductivity as cd
 from . import elasticity as el
 from .errors import HolderLabError, InsufficientSpread
-from .numerics import adaptive_quadrature, flat_integrand, symmetrize
+from .numerics import adaptive_quadrature, flat_integrand
 from .operators import operator_distance, whiten
-from .scalarization import finite_distance, phi, probe_weights
+from .scalarization import ProbeWeights, finite_distance, phi, probe_weights
 
 KINDS = ("conductivity", "elasticity")
 
@@ -128,21 +138,30 @@ def _conductivity_cells(rng, spec):
 
 
 def _elasticity_cells(rng, spec):
-    cells = np.empty((spec.n_cells, 3, 3))
+    # the draws keep the per-cell order; the rotations and products run
+    # stacked, which gives the per-cell results bit for bit
+    e = np.empty((spec.n_cells, 3))
+    g = np.empty((spec.n_cells, 3, 3))
     for j in range(spec.n_cells):
-        e = rng.uniform(spec.lambda_lo, spec.lambda_hi, 3)
-        g = rng.standard_normal((3, 3))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))
-        cells[j] = symmetrize(q @ np.diag(e) @ q.T)
-    return cells
+        e[j] = rng.uniform(spec.lambda_lo, spec.lambda_hi, 3)
+        g[j] = rng.standard_normal((3, 3))
+    q, r = np.linalg.qr(g)
+    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+    a = (q * e[:, None, :]) @ q.transpose(0, 2, 1)
+    return 0.5 * (a + a.transpose(0, 2, 1))
+
+
+def sample_point(spec, seed, stream, index):
+    """Raw cell array of parameter point `index` of a stream; it depends
+    only on (seed, stream, index)."""
+    draw = _conductivity_cells if spec.kind == "conductivity" else _elasticity_cells
+    return draw(_rng(seed, stream, index), spec)
 
 
 def sample_cells(spec, count, seed, stream=0):
     """Raw cell arrays for `count` parameter points; point i depends
     only on (seed, stream, i)."""
-    draw = _conductivity_cells if spec.kind == "conductivity" else _elasticity_cells
-    return [draw(_rng(seed, stream, i), spec) for i in range(count)]
+    return [sample_point(spec, seed, stream, i) for i in range(count)]
 
 
 def sample_params(spec, count, seed, stream=0):
@@ -190,6 +209,111 @@ def default_ray_steps(n):
     return np.geomspace(1e-6, 1e-1, n)
 
 
+@dataclass(frozen=True)
+class _SweepJobs:
+    """The jobs of one sweep and all they read. Job i < n_pairs is random
+    pair i; job n_pairs + r is ray r, which solves its base point once
+    for all its steps. A job samples its own points from (seed, stream,
+    index), so its index is all a worker needs."""
+
+    problem: object
+    spec: CompactSetSpec
+    rq: RecoveredQuantity
+    n_pairs: int
+    ray_steps: np.ndarray
+    seed: int
+    weights: ProbeWeights
+
+    def cost(self, index):
+        """Forward solves of job `index`."""
+        return 2 if index < self.n_pairs else 1 + len(self.ray_steps)
+
+    def run(self, lo, hi):
+        """Record tuples of jobs lo..hi-1 in order, None for a dropped
+        record."""
+        return [res for i in range(lo, hi) for res in self._job(i)]
+
+    def _job(self, i):
+        spec, seed = self.spec, self.seed
+        if i < self.n_pairs:
+            kind = "random_random"
+            cells_p = sample_point(spec, seed, _STREAM_RANDOM_P, i)
+            steps = [(None, sample_point(spec, seed, _STREAM_RANDOM_Q, i))]
+        else:
+            kind = "near_diagonal"
+            r = i - self.n_pairs
+            cells_p = sample_point(spec, seed, _STREAM_RAY_BASE, r)
+            dp = sample_direction(spec, seed, r)
+            steps = [(float(t), cells_p + t * dp) for t in self.ray_steps]
+        try:
+            m_p = self.problem.forward(cells_p)
+        except HolderLabError:
+            return [None] * len(steps)
+        return [self._record(kind, t, cells_p, m_p, cells_q) for t, cells_q in steps]
+
+    def _record(self, kind, t, cells_p, m_p, cells_q):
+        try:
+            raw = m_p - self.problem.forward(cells_q)
+        except HolderLabError:
+            return None
+        d_r = _cell_frobenius(self.spec, cells_p, cells_q, self.rq.cell_subset)
+        d = whiten(self.problem.whitener, raw)
+        d_f = operator_distance(d)
+        flags = ()
+        if d_f == 0.0 and d_r > 0.0:
+            flags = ("injectivity_violation",)
+        return (kind, t, d_r, d_f, phi(d, self.weights), flags, raw)
+
+
+def _worker_count(threads, n_jobs):
+    """Processes a sweep of n_jobs jobs runs on: at most `threads`, the
+    CPUs this process may use, and n_jobs. One means in-process."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        cpus = os.cpu_count() or 1
+    return max(1, min(threads, cpus, n_jobs))
+
+
+def _chunks(costs, n):
+    """n contiguous (lo, hi) job ranges of near-equal total cost."""
+    cum = np.cumsum(costs)
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n) / n, side="right")
+    bounds = [0, *map(int, cuts), len(costs)]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+
+
+_worker_jobs = None  # the sweep's jobs inside a worker process
+
+
+def _install_jobs(jobs):
+    global _worker_jobs
+    _worker_jobs = jobs
+
+
+def _run_chunk(lo, hi):
+    return _worker_jobs.run(lo, hi)
+
+
+def _run_on_workers(jobs, n_jobs, workers):
+    """jobs.run(0, n_jobs) on `workers` processes, one contiguous chunk
+    of jobs each, merged in job order."""
+    # Imported here: they cost the commands that never sweep ~17 ms.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, so the workers inherit the built problem and the loaded
+    # numpy and scipy instead of importing and building them again; the
+    # executor forks every worker before it starts its own thread.
+    context = multiprocessing.get_context("fork")
+    chunks = _chunks([jobs.cost(i) for i in range(n_jobs)], workers)
+    with ProcessPoolExecutor(
+        workers, mp_context=context, initializer=_install_jobs, initargs=(jobs,)
+    ) as pool:
+        futures = [pool.submit(_run_chunk, lo, hi) for lo, hi in chunks]
+        return [res for f in futures for res in f.result()]
+
+
 def sweep(
     mesh,
     spec,
@@ -208,55 +332,30 @@ def sweep(
     q = p + t*dp along the given steps. Each record whitens its
     difference once with the problem's whitener; delta_F and phi both
     read the whitened one.
-    Records are ordered by pair id regardless of the thread count; a
-    record whose solve fails is dropped and counted, and a failed base
-    solve drops all its ray's records.
+    `threads` > 1 runs the jobs on up to that many worker processes.
+    Records are ordered by pair id regardless of that count; a record
+    whose solve fails is dropped and counted, and a failed base solve
+    drops all its ray's records.
     """
     if max(rq.cell_subset) > spec.n_cells:
         raise ValueError("recovered cell label outside the partition")
-    ray_steps = np.asarray(ray_steps, dtype=float)
     problem = forward_problem(mesh, spec.kind)
     k = problem.basis.k if probe_k is None else probe_k
-    weights = probe_weights(k)
-
-    ps = sample_cells(spec, n_random_pairs, seed, _STREAM_RANDOM_P)
-    qs = sample_cells(spec, n_random_pairs, seed, _STREAM_RANDOM_Q)
-    bases = sample_cells(spec, n_rays, seed, _STREAM_RAY_BASE)
-    dirs = [sample_direction(spec, seed, i) for i in range(n_rays)]
-
-    # one job per random pair and one per ray, which solves its base
-    # point once for all its steps
-    jobs = [("random_random", ps[i], [(None, qs[i])]) for i in range(n_random_pairs)]
-    for r in range(n_rays):
-        steps = [(float(t), bases[r] + t * dirs[r]) for t in ray_steps]
-        jobs.append(("near_diagonal", bases[r], steps))
-
-    def record(kind, t, cells_p, m_p, cells_q):
-        try:
-            raw = m_p - problem.forward(cells_q)
-        except HolderLabError:
-            return None
-        d_r = _cell_frobenius(spec, cells_p, cells_q, rq.cell_subset)
-        d = whiten(problem.whitener, raw)
-        d_f = operator_distance(d)
-        flags = ()
-        if d_f == 0.0 and d_r > 0.0:
-            flags = ("injectivity_violation",)
-        return (kind, t, d_r, d_f, phi(d, weights), flags, raw)
-
-    def run(job):
-        kind, cells_p, steps = job
-        try:
-            m_p = problem.forward(cells_p)
-        except HolderLabError:
-            return [None] * len(steps)
-        return [record(kind, t, cells_p, m_p, cells_q) for t, cells_q in steps]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = [res for out in pool.map(run, jobs) for res in out]
+    jobs = _SweepJobs(
+        problem,
+        spec,
+        rq,
+        n_random_pairs,
+        np.asarray(ray_steps, dtype=float),
+        seed,
+        probe_weights(k),
+    )
+    n_jobs = n_random_pairs + n_rays
+    workers = _worker_count(threads, n_jobs)
+    if workers > 1:
+        results = _run_on_workers(jobs, n_jobs, workers)
     else:
-        results = [res for job in jobs for res in run(job)]
+        results = jobs.run(0, n_jobs)
 
     kept = [res for res in results if res is not None]
     records = [

@@ -1,3 +1,11 @@
+import os
+
+# The command line's BLAS setting, one thread per process, made before
+# numpy loads: otherwise every forked sweep worker runs its own BLAS
+# thread pool, and the workers oversubscribe the CPUs.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 import pytest
 import scipy.linalg
 

@@ -148,12 +148,19 @@ def test_mesh_output_has_header(tmp_path):
 
 
 def test_sweep_is_thread_count_invariant(tmp_path):
-    path = write_config(tmp_path)
-    assert main(["sweep", str(path), "--threads", "1"]) == 0
-    one = (tmp_path / "out" / "records.csv").read_bytes()
-    assert main(["sweep", str(path), "--threads", "3"]) == 0
-    three = (tmp_path / "out" / "records.csv").read_bytes()
-    assert one == three
+    """records.csv and selection.csv are the same bytes whether the
+    sweep runs in-process or on two or three worker processes."""
+    for problem in sl.KINDS:
+        path = write_config(tmp_path, {"problem": problem})
+        outputs = set()
+        for threads in ("1", "2", "3"):
+            assert main(["sweep", str(path), "--threads", threads]) == 0
+            assert main(["select", str(path), "--threads", threads]) == 0
+            outputs.add(tuple(
+                (tmp_path / "out" / name).read_bytes()
+                for name in ("records.csv", "selection.csv")
+            ))
+        assert len(outputs) == 1, problem
 
 
 def test_sweep_records_roundtrip(tmp_path):
@@ -193,6 +200,20 @@ def test_fit_on_header_only_records_exits_1(tmp_path, capsys):
         "# holderlab 0.1.0 config=abc seed=7\n# dropped 3\n"
         "pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n"
     )
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(csv_path), "--out", str(out)]) == 1
+    assert "InsufficientSpread" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["", "# holderlab 0.1.0 config=abc seed=7\n# dropped 3\n"], ids=["empty", "comments"]
+)
+def test_fit_on_records_without_column_header_exits_1(tmp_path, capsys, text):
+    """An empty or comment-only records file has no data rows either:
+    the same named error as a header-only one, not a config error."""
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(text)
     out = tmp_path / "fit.json"
     assert main(["fit", str(csv_path), "--out", str(out)]) == 1
     assert "InsufficientSpread" in capsys.readouterr().err
@@ -262,6 +283,24 @@ def test_cli_pins_blas_threads_unless_set():
 
     assert child_sees({}) == ["1", "1"]
     assert child_sees({"OPENBLAS_NUM_THREADS": "2"}) == ["2", "1"]
+
+
+def test_mesh_and_fit_load_no_process_pool(tmp_path):
+    """Only a sweep on worker processes imports multiprocessing; a fresh
+    process running mesh and fit never loads it."""
+    path = write_config(tmp_path)
+    records = tmp_path / "records.csv"
+    rows = ["pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags"]
+    rows += ["%d,random_random,,%r,%r,0.0,," % (i, 2.0 * df, df) for i, df in enumerate([1e-6, 1e-3, 1e-1])]
+    records.write_text("\n".join(rows) + "\n")
+    code = (
+        "import sys; from holderlab.cli import main; "
+        "assert main(['mesh', %r]) == 0; assert main(['fit', %r]) == 0; "
+        "print([m for m in sys.modules if m.startswith('multiprocessing')])"
+    ) % (str(path), str(records))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -206,3 +207,49 @@ def test_greedy_against_brute_force_3x3():
             ratio(list(subset)) for subset in itertools.combinations(cands, size)
         )
         assert res.achieved_ratio <= best + 1e-12
+
+
+def reference_greedy(diffs, dists, candidates, target_ratio, max_size):
+    """greedy_select as plain loops: every step scores each candidate not
+    yet taken and keeps the first best, so ties go to the lowest index.
+    The arithmetic is greedy_select's, operation for operation."""
+    ssq = [0.0] * len(diffs)
+    chosen, ratio = [], 0.0
+    while len(chosen) < min(max_size, len(candidates)):
+        best, best_score = None, -math.inf
+        for i, j in candidates:
+            if (i, j) in chosen:
+                continue
+            score = min(
+                math.sqrt(ssq[s] + d[i, j] * d[i, j]) / dists[s] for s, d in enumerate(diffs)
+            )
+            if score > best_score:
+                best, best_score = (i, j), score
+        chosen.append(best)
+        i, j = best
+        ssq = [ssq[s] + d[i, j] * d[i, j] for s, d in enumerate(diffs)]
+        ratio = min(math.sqrt(ssq[s]) / dists[s] for s in range(len(diffs)))
+        if ratio >= target_ratio:
+            return chosen, ratio, True
+    return chosen, ratio, False
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_greedy_matches_reference_with_exact_ties(seed):
+    """Small integer entries and duplicated entries plant exact ties in
+    every step's scores; the picks, their order and the ratio match the
+    reference bit for bit."""
+    rng = np.random.default_rng(seed)
+    dim, n = 6, 5
+    diffs = rng.integers(-2, 3, (n, dim, dim)).astype(float)
+    diffs[:, 4, 5] = diffs[:, 0, 1]
+    diffs[:, 2, 3] = diffs[:, 0, 1]
+    diffs[:, 1, 1] = diffs[:, 3, 3]
+    diffs = np.array([symmetrize(d) for d in diffs])
+    diffs[:, 0, 0] += 1.0  # no all-zero sample
+    dists = np.array([np.abs(d).sum() for d in diffs])
+    cands = sc.all_candidate_pairs(dim)
+    for target, max_size in ((1.0, len(cands)), (0.3, len(cands)), (1.0, 4)):
+        got = sc.greedy_select(list(diffs), dists, cands, target, max_size)
+        want = reference_greedy(list(diffs), dists, cands, target, max_size)
+        assert (list(got.mset.pairs), got.achieved_ratio, got.reached) == want

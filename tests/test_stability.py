@@ -1,4 +1,7 @@
+import json
 import math
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab import stability as sl
 from holderlab.errors import InsufficientSpread, NotPositiveDefinite
-from holderlab.numerics import eig_min, spectral_norm
+from holderlab.numerics import eig_min, spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
 
 
@@ -73,6 +76,28 @@ def test_sampling_degenerate_interval():
         assert np.allclose(p.cells[0], np.eye(3), atol=1e-12)
 
 
+def per_cell_elasticity(rng, spec):
+    """Elasticity cells drawn and rotated one cell at a time."""
+    cells = np.empty((spec.n_cells, 3, 3))
+    for j in range(spec.n_cells):
+        e = rng.uniform(spec.lambda_lo, spec.lambda_hi, 3)
+        g = rng.standard_normal((3, 3))
+        q, r = np.linalg.qr(g)
+        q = q * np.sign(np.diag(r))
+        cells[j] = symmetrize(q @ np.diag(e) @ q.T)
+    return cells
+
+
+@pytest.mark.parametrize("n_cells", [1, 2, 4])
+def test_elasticity_sampling_matches_per_cell_loop(n_cells):
+    """The stacked rotations give the per-cell loop's cells bit for bit."""
+    spec = sl.CompactSetSpec(0.5, 2.0, n_cells, "elasticity")
+    for seed in range(100):
+        for stream in (1, 3):
+            want = per_cell_elasticity(sl._rng(seed, stream, 7), spec)
+            assert np.array_equal(sl.sample_point(spec, seed, stream, 7), want)
+
+
 def small_sweep(threads=1, seed=42):
     spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
     m = bottom_mesh(8, cols=2)
@@ -135,22 +160,136 @@ def test_sweep_drops_ray_steps_outside_the_cone(kind):
     assert runs[0].records == runs[1].records
 
 
+def shared_counter():
+    """A call counter that worker processes forked after its creation
+    update in shared memory, and a wrapper counting calls of a function."""
+    count = multiprocessing.get_context("fork").Value("i", 0)
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            with count.get_lock():
+                count.value += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    return count, counting
+
+
+def child_pids():
+    """Live or unreaped child processes of this process."""
+    pids = set()
+    for task in os.listdir("/proc/self/task"):
+        with open("/proc/self/task/%s/children" % task) as f:
+            pids.update(f.read().split())
+    return pids
+
+
 def test_sweep_solves_each_ray_base_once(monkeypatch):
     """P random pairs and R rays of S steps take 2P + R(S+1) forward
-    solves: each ray solves its base point once for all its steps."""
-    calls = []
-    real = cd.nd_matrix
-
-    def counted(problem, p):
-        calls.append(1)
-        return real(problem, p)
-
-    monkeypatch.setattr(cd, "nd_matrix", counted)
+    solves: each ray solves its base point once for all its steps, in
+    process or on worker processes."""
+    count, counting = shared_counter()
+    monkeypatch.setattr(cd, "nd_matrix", counting(cd.nd_matrix))
     for threads in (1, 3):
-        calls.clear()
+        count.value = 0
         res = small_sweep(threads=threads)
         assert len(res.records) == 10 + 3 * 4
-        assert len(calls) == 2 * 10 + 3 * (4 + 1)
+        assert count.value == 2 * 10 + 3 * (4 + 1)
+
+
+def test_worker_count_is_capped(monkeypatch):
+    """A sweep runs on no more processes than it asks for, than the CPUs
+    it may use, or than it has jobs; one means in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    assert sl._worker_count(3, 100) == 3
+    assert sl._worker_count(3, 2) == 2
+    assert sl._worker_count(1, 100) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert sl._worker_count(3, 100) == 2
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {5})
+    assert sl._worker_count(3, 100) == 1
+
+
+def test_single_job_sweep_stays_in_process(monkeypatch):
+    """One job at --threads 3 forks no worker: its solves run here."""
+    pids = []
+    real = cd.nd_matrix
+
+    def recorded(problem, p):
+        pids.append(os.getpid())
+        return real(problem, p)
+
+    monkeypatch.setattr(cd, "nd_matrix", recorded)
+    spec = sl.CompactSetSpec(0.5, 2.0, 1, "conductivity")
+    res = sl.sweep(bottom_mesh(4), spec, sl.RecoveredQuantity((1,)), 1, 0, [], 3, threads=3)
+    assert len(res.records) == 1
+    assert pids == [os.getpid()] * 2
+
+
+def test_chunks_balance_forwards():
+    """Contiguous chunks cover every job once, in order, and split the
+    forward count evenly when the jobs allow it."""
+    costs = [2] * 100 + [11] * 10
+    chunks = sl._chunks(costs, 2)
+    assert chunks == [(0, 77), (77, 110)]
+    assert [sum(costs[lo:hi]) for lo, hi in chunks] == [154, 156]
+    assert sl._chunks([5], 1) == [(0, 1)]
+    for n in (1, 2, 3):
+        chunks = sl._chunks(costs, n)
+        assert len(chunks) == n
+        assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(110))
+
+
+def inject_failure(monkeypatch, spec, seed):
+    """Make the forward of the last ray's base point raise an error
+    that is not a HolderLabError."""
+    base = sl.sample_point(spec, seed, sl._STREAM_RAY_BASE, 2)
+    real = cd.nd_matrix
+
+    def failing(problem, p):
+        if np.array_equal(p.cells, base):
+            raise FloatingPointError("injected")
+        return real(problem, p)
+
+    monkeypatch.setattr(cd, "nd_matrix", failing)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_sweep_job_error_reaches_caller(monkeypatch, threads):
+    """An error that is not a HolderLabError is no dropped record: it
+    reaches the caller with its type, from a worker process too."""
+    inject_failure(monkeypatch, sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 42)
+    with pytest.raises(FloatingPointError, match="injected"):
+        small_sweep(threads=threads)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists children from /proc")
+@pytest.mark.parametrize("command", ["sweep", "select"])
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "raises"])
+def test_no_worker_outlives_the_command(tmp_path, monkeypatch, command, fail):
+    """Every worker process has exited and been reaped when sweep or
+    select returns, whether it succeeds or raises."""
+    from holderlab.cli import main
+
+    config = {
+        "problem": "conductivity",
+        "seed": 42,
+        "mesh": {"n_sub": 8, "grid_cols": 2},
+        "sweep": {"n_random_pairs": 10, "n_rays": 3, "n_ray_steps": 4},
+        "output_dir": str(tmp_path),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    if fail:
+        inject_failure(monkeypatch, sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 42)
+    before = child_pids()
+    if fail:
+        with pytest.raises(FloatingPointError):
+            main([command, str(path), "--threads", "2"])
+    else:
+        assert main([command, str(path), "--threads", "2"]) == 0
+    assert child_pids() == before
 
 
 def test_sweep_runs_no_backsolve(backsolves):
@@ -325,15 +464,10 @@ def test_add_finite_distances_fills_column():
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_sweep_whitens_each_record_once(monkeypatch, threads):
-    calls = []
-
-    def counted(whitener, raw):
-        calls.append(1)  # list.append is atomic across pool threads
-        return whiten(whitener, raw)
-
-    monkeypatch.setattr(sl, "whiten", counted)
+    count, counting = shared_counter()
+    monkeypatch.setattr(sl, "whiten", counting(whiten))
     res = small_sweep(threads=threads)
-    assert len(calls) == len(res.records) == len(res.differences)
+    assert count.value == len(res.records) == len(res.differences)
 
 
 def test_sweep_differences_are_raw_operator_differences():
