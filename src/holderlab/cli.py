@@ -230,13 +230,22 @@ def build_spec_from(cfg):
 
 
 def _out_path(cfg, name):
-    os.makedirs(cfg["output_dir"], exist_ok=True)
+    try:
+        os.makedirs(cfg["output_dir"], exist_ok=True)
+    except OSError as exc:
+        msg = "cannot create %s: %s" % (cfg["output_dir"], exc.strerror)
+        raise ConfigError(msg, "output_dir") from None
     return os.path.join(cfg["output_dir"], name)
 
 
-def _write(path, text):
-    with open(path, "w", newline="\n") as f:
-        f.write(text)
+def _write(path, text, field="output_dir"):
+    """Write text to path; an unwritable path is a config error naming
+    `field`, the setting that chose it."""
+    try:
+        with open(path, "w", newline="\n") as f:
+            f.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc.strerror), field) from None
 
 
 def records_csv(result, head):
@@ -257,24 +266,32 @@ def parse_records_csv(path):
             lines = f.read().splitlines()
     except OSError as exc:
         raise ConfigError("cannot read records file %s: %s" % (path, exc))
+    def malformed(lineno, exc):
+        return ConfigError("records file %s line %d: %s" % (path, lineno, exc))
+
     head = {"config": "-", "seed": "-"}
     dropped = 0
-    rows = []
-    for line in lines:
+    rows, linenos = [], []
+    for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["dropped"] and len(parts) == 2:
-                dropped = int(parts[1])
+                try:
+                    dropped = int(parts[1])
+                except ValueError as exc:
+                    raise malformed(lineno, exc) from None
             for key, eq, value in (tok.partition("=") for tok in parts):
                 if eq and key in head:
                     head[key] = value
             continue
         rows.append(line)
+        linenos.append(lineno)
     if not rows:
         return [], head, dropped  # nothing to fit; fit_holder says so
-    reader = csv.DictReader(io.StringIO("\n".join(rows)))
+    # a field that a short row lacks reads as empty, which fails below
+    reader = csv.DictReader(io.StringIO("\n".join(rows)), restval="")
     needed = {"pair_id", "kind", "delta_R", "delta_F"}
     if not needed.issubset(reader.fieldnames or ()):
         raise ConfigError(
@@ -282,20 +299,23 @@ def parse_records_csv(path):
         )
     records = []
     for row in reader:
-        records.append(
-            sl.StabilityRecord(
-                pair_id=int(row["pair_id"]),
-                kind=row["kind"],
-                t=float(row["t"]) if row.get("t") else None,
-                delta_R=float(row["delta_R"]),
-                delta_F=float(row["delta_F"]),
-                phi=float(row.get("phi") or 0.0),
-                delta_finite=(
-                    float(row["delta_finite"]) if row.get("delta_finite") else None
-                ),
-                flags=tuple(f for f in (row.get("flags") or "").split(";") if f),
+        try:
+            records.append(
+                sl.StabilityRecord(
+                    pair_id=int(row["pair_id"]),
+                    kind=row["kind"],
+                    t=float(row["t"]) if row.get("t") else None,
+                    delta_R=float(row["delta_R"]),
+                    delta_F=float(row["delta_F"]),
+                    phi=float(row.get("phi") or 0.0),
+                    delta_finite=(
+                        float(row["delta_finite"]) if row.get("delta_finite") else None
+                    ),
+                    flags=tuple(f for f in (row.get("flags") or "").split(";") if f),
+                )
             )
-        )
+        except ValueError as exc:
+            raise malformed(linenos[reader.line_num - 1], exc) from None
     return records, head, dropped
 
 
@@ -330,7 +350,7 @@ def _forward_problem(cfg):
     """The forward problem, the spec and the first sampled point."""
     spec = build_spec_from(cfg)
     cells = sl.sample_cells(spec, 1, cfg["seed"], stream=1)[0]
-    return sl.forward_problem(build_mesh_from(cfg), spec.kind), spec, cells
+    return sl.PROBLEMS[spec.kind](build_mesh_from(cfg)), spec, cells
 
 
 def cmd_forward(cfg, args):
@@ -362,8 +382,7 @@ def cmd_derivcheck(cfg, args):
         lines.append("%s,%s" % (repr(float(h)), repr(err)))
     radial = problem.derivative(cells, cells)
     base = problem.forward(cells)
-    sign = -1.0 if cfg["problem"] == "conductivity" else 1.0
-    radial_err = float(np.abs(radial - sign * base).max() / np.abs(base).max())
+    radial_err = float(np.abs(radial - problem.degree * base).max() / np.abs(base).max())
     lines.append("# radial_identity_rel_err %s" % repr(radial_err))
     path = _out_path(cfg, "derivcheck.csv")
     _write(path, "\n".join(lines) + "\n")
@@ -403,7 +422,7 @@ def cmd_fit(args):
     fit = sl.fit_holder(records, n_bins=args.bins, slack=args.slack)
     head = header_line(head_tokens["config"], head_tokens["seed"])
     out = args.out or os.path.join(os.path.dirname(args.records) or ".", "fit.json")
-    _write(out, fit_json(fit, dropped, head))
+    _write(out, fit_json(fit, dropped, head), field="--out")
     print(
         "fit: theta=%s theta_precap=%s records_used=%d -> %s"
         % (fit.theta, fit.theta_precap, fit.records_used, out)

@@ -11,20 +11,24 @@ CurrentBasis). The potential space is H1 modulo constants, realized by
 grounding one node off the patch: the currents have zero mean, so their
 pairing with a potential does not see the constant the ground fixes.
 
-NDProblem holds everything about one mesh that does not depend on the
-conductivity: the current basis, its whitening, the ground node, the
-patch loads and the stiffness as a linear map of the cell components.
-Its forward map is the plain, exactly symmetric matrix in the current
-basis; the problem, not the matrix, carries the kind and the whitener.
+NDProblem is this problem's one object. It owns the parameter space,
+per-cell SPD 2x2 conductivities stored as rows (a11, a22, a12), and
+all about one mesh that does not depend on the conductivity: the
+current basis, its whitening, the ground node, the patch loads and the
+stiffness as a linear map of the cell components. forward(cells) and
+derivative(cells, dp) check the cells and return plain, exactly
+symmetric matrices in the current basis; the problem, not the matrix,
+carries the kind, the degree and the whitener.
 The free nodes are numbered patch side last (mesh.patch_last_order),
 so the loads L vanish above a short trailing block of rows. With the
 banded factorization K = U.T @ U, the map is M = L.T K^-1 L = W.T @ W
-for W = U^-T L, which vanishes above that block too: nd_matrix pays one
+for W = U^-T L, which vanishes above that block too: forward pays one
 factorization and one triangular solve over the trailing rows.
-nd_derivative pairs the full potentials, so it alone runs the full
+derivative pairs the full potentials, so it alone runs the full
 back-substitution.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,28 +55,17 @@ from .numerics import (
 KIND = "conductivity_nd"
 
 
-@dataclass
-class ConductivityParams:
-    """Per-cell 2x2 SPD matrices stored as rows (a11, a22, a12)."""
-
-    cells: np.ndarray
-
-    def __post_init__(self):
-        self.cells = np.atleast_2d(np.asarray(self.cells, dtype=float))
-        if self.cells.shape[1] != 3:
-            raise ValueError("cells must be an (N, 3) array of (a11, a22, a12)")
-        a11, a22, a12 = self.cells.T
-        det = a11 * a22 - a12 * a12
-        if np.any(a11 <= 0) or np.any(det <= 0):
-            raise NotPositiveDefinite("every cell matrix must be positive definite")
-
-    def matrices(self):
-        return cell_matrices(self.cells)
-
-    @classmethod
-    def from_matrices(cls, mats):
-        mats = np.asarray(mats, dtype=float)
-        return cls(np.column_stack([mats[:, 0, 0], mats[:, 1, 1], mats[:, 0, 1]]))
+def check_cells(cells):
+    """The cells as an (N, 3) float array of rows (a11, a22, a12), each
+    a positive definite 2x2 matrix."""
+    cells = np.atleast_2d(np.asarray(cells, dtype=float))
+    if cells.shape[1] != 3:
+        raise ValueError("cells must be an (N, 3) array of (a11, a22, a12)")
+    a11, a22, a12 = cells.T
+    det = a11 * a22 - a12 * a12
+    if np.any(a11 <= 0) or np.any(det <= 0):
+        raise NotPositiveDefinite("every cell matrix must be positive definite")
+    return cells
 
 
 def cell_matrices(cells):
@@ -148,7 +141,8 @@ def stiffness_form(mesh, active):
 
 
 class NDProblem:
-    """The grounded Neumann problem of one mesh, built once.
+    """The grounded Neumann problem of one mesh, built once, and the
+    parameter space of its conductivities.
 
     dofs[i] is the node of free dof i, in patch-last order without the
     ground node; form is the P1 stiffness over the free dofs, linear in
@@ -158,6 +152,8 @@ class NDProblem:
     """
 
     kind = KIND
+    degree = -1  # F(t p) = t^-1 F(p)
+    cell_matrices = staticmethod(cell_matrices)
 
     def __init__(self, mesh):
         self.basis = current_basis(mesh)
@@ -173,9 +169,32 @@ class NDProblem:
         self.first = int(np.flatnonzero(loads.any(axis=1))[0])
         self.loads = loads[self.first:]
 
+    @staticmethod
+    def sample_cells(rng, lo, hi, n_cells):
+        """n_cells rows whose matrices have eigenvalues drawn uniformly
+        in [lo, hi] and a uniform rotation angle, drawn cell by cell."""
+        cells = np.empty((n_cells, 3))
+        for j in range(n_cells):
+            e = rng.uniform(lo, hi, 2)
+            th = rng.uniform(0.0, np.pi)
+            c, s = math.cos(th), math.sin(th)
+            rot = np.array([[c, -s], [s, c]])
+            a = rot @ np.diag(e) @ rot.T
+            cells[j] = (a[0, 0], a[1, 1], 0.5 * (a[0, 1] + a[1, 0]))
+        return cells
+
+    @staticmethod
+    def sample_direction(rng, n_cells):
+        """Gaussian symmetric rows with unit Frobenius norm of their
+        matrices over the whole tuple."""
+        d = rng.standard_normal((n_cells, 3))
+        norm = math.sqrt(float(np.sum(d[:, 0] ** 2 + d[:, 1] ** 2 + 2.0 * d[:, 2] ** 2)))
+        return d / norm
+
     def factor(self, cells):
-        """Banded Cholesky factor of the grounded stiffness."""
-        return factor_spd(scatter(self.form.values(cells), self.band))
+        """Banded Cholesky factor of the grounded stiffness; the cells
+        are checked first."""
+        return factor_spd(scatter(self.form.values(check_cells(cells)), self.band))
 
     def solutions(self, cells):
         """Grounded potentials on the free dofs, one column per basis
@@ -184,27 +203,23 @@ class NDProblem:
         return solve(self.factor(cells), pad_above(self.loads, self.first))
 
     def forward(self, cells):
-        return nd_matrix(self, ConductivityParams(cells))
+        return nd_matrix(self, cells)
 
     def derivative(self, cells, dp):
-        return nd_derivative(self, ConductivityParams(cells), dp)
+        """Directional derivative of the map at cells in direction dp,
+        as a matrix in the current basis. dp is an (N, 3) array of
+        symmetric per-cell components; it need not be positive definite.
+        """
+        u = self.solutions(cells)
+        return -self.form.pairing(self.form.values(dp), u)
 
 
-def nd_matrix(problem, p):
+def nd_matrix(problem, cells):
     """Matrix of the local Neumann-to-Dirichlet map in the current
     basis: M[i][j] = pairing of current j with the trace of the
     potential driven by current i, computed as W.T @ W from the
-    trailing rows of W = U^-T L, which is exactly symmetric."""
-    w = trailing_solve(problem.factor(p.cells), problem.loads)
+    trailing rows of W = U^-T L, which is exactly symmetric.
+    NDProblem.forward calls it; it is a module function only so that
+    tracing and forward-counting code can wrap it here."""
+    w = trailing_solve(problem.factor(cells), problem.loads)
     return w.T @ w
-
-
-def nd_derivative(problem, p, dp):
-    """Directional derivative of the map at p in direction dp, as a
-    matrix in the current basis.
-
-    dp is an (N, 3) array of symmetric per-cell components; it need not
-    be positive definite.
-    """
-    u = problem.solutions(p.cells)
-    return -problem.form.pairing(problem.form.values(dp), u)

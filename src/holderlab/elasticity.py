@@ -9,18 +9,20 @@ resulting traction; its matrix is the Schur complement of the interior
 block of the vector P1 stiffness, equivalently the energy of the
 lifted-and-corrected solution.
 
-DNProblem holds everything about one mesh that does not depend on the
-stiffness tensors: the displacement basis, its whitening and the vector
-stiffness as a linear map of the nine Mandel entries per cell. Its
-forward map is the plain, exactly symmetric matrix in the displacement
-basis; the problem, not the matrix, carries the kind and the whitener.
+DNProblem is this problem's one object. It owns the parameter space,
+per-cell SPD 3x3 Mandel tensors, and all about one mesh that does not
+depend on them: the displacement basis, its whitening and the vector
+stiffness as a linear map of the nine Mandel entries per cell.
+forward(cells) and derivative(cells, dp) check the cells and return
+plain, exactly symmetric matrices in the displacement basis; the
+problem, not the matrix, carries the kind, the degree and the whitener.
 The interior dofs are numbered patch side last (mesh.patch_last_order),
 so the interior loads L = K[idx, bd] of the basis data vanish above a
 short trailing block of rows. With the banded factorization
 K[idx, idx] = U.T @ U, the map is M = K[bd, bd] - W.T @ W for
-W = U^-T L, which vanishes above that block too: dn_matrix pays one
+W = U^-T L, which vanishes above that block too: forward pays one
 factorization and one triangular solve over the trailing rows.
-dn_derivative pairs the full solutions, so it alone runs the full
+derivative pairs the full solutions, so it alone runs the full
 back-substitution.
 """
 
@@ -54,23 +56,20 @@ KIND = "elasticity_dn"
 ROOT2 = np.sqrt(2.0)
 
 
-@dataclass
-class ElasticityParams:
-    """Per-cell 3x3 SPD Mandel matrices; positive definiteness is
-    exactly the strong-convexity bound with constant eig_min."""
-
-    cells: np.ndarray
-
-    def __post_init__(self):
-        self.cells = np.asarray(self.cells, dtype=float)
-        if self.cells.ndim == 2:
-            self.cells = self.cells[None]
-        if self.cells.shape[1:] != (3, 3):
-            raise ValueError("cells must be an (N, 3, 3) array")
-        if not np.array_equal(self.cells, self.cells.transpose(0, 2, 1)):
-            raise ValueError("cell tensors must be symmetric")
-        if np.linalg.eigvalsh(self.cells)[:, 0].min() <= 0:
-            raise NotPositiveDefinite("every cell tensor must be positive definite")
+def check_cells(cells):
+    """The cells as an (N, 3, 3) float array of symmetric Mandel
+    matrices, each positive definite, which is exactly the
+    strong-convexity bound with constant eig_min."""
+    cells = np.asarray(cells, dtype=float)
+    if cells.ndim == 2:
+        cells = cells[None]
+    if cells.shape[1:] != (3, 3):
+        raise ValueError("cells must be an (N, 3, 3) array")
+    if not np.array_equal(cells, cells.transpose(0, 2, 1)):
+        raise ValueError("cell tensors must be symmetric")
+    if np.linalg.eigvalsh(cells)[:, 0].min() <= 0:
+        raise NotPositiveDefinite("every cell tensor must be positive definite")
+    return cells
 
 
 def isotropic_tensor(lambda_lame, mu):
@@ -85,36 +84,6 @@ def isotropic_tensor(lambda_lame, mu):
     if mu <= 0 or lambda_lame + mu <= 0 or eig_min(m) <= 0:
         raise NotPositiveDefinite("isotropic tensor outside the elliptic range")
     return m
-
-
-def mandel_to_tensor(m):
-    """3x3 Mandel matrix to the 4-index plane tensor C[i,j,k,l]."""
-    m = np.asarray(m, dtype=float)
-    pairs = [(0, 0), (1, 1), (0, 1)]
-    scale = np.array([1.0, 1.0, ROOT2])
-    c = np.zeros((2, 2, 2, 2))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            v = m[a, b] / (scale[a] * scale[b])
-            c[i, j, k, l] = c[j, i, k, l] = c[i, j, l, k] = c[j, i, l, k] = v
-    return c
-
-
-def tensor_to_mandel(c):
-    """Inverse of mandel_to_tensor."""
-    c = np.asarray(c, dtype=float)
-    pairs = [(0, 0), (1, 1), (0, 1)]
-    scale = np.array([1.0, 1.0, ROOT2])
-    m = np.empty((3, 3))
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            m[a, b] = c[i, j, k, l] * scale[a] * scale[b]
-    return m
-
-
-def strain_to_mandel(e):
-    e = np.asarray(e, dtype=float)
-    return np.array([e[0, 0], e[1, 1], ROOT2 * e[0, 1]])
 
 
 @dataclass
@@ -176,7 +145,8 @@ def stiffness_form(mesh, active):
 
 
 class DNProblem:
-    """The localized Dirichlet problem of one mesh, built once.
+    """The localized Dirichlet problem of one mesh, built once, and the
+    parameter space of its stiffness tensors.
 
     dofs lists the active dofs, the interior dofs idx in patch-last
     order followed by the basis dofs bd; form is the vector P1
@@ -188,6 +158,7 @@ class DNProblem:
     """
 
     kind = KIND
+    degree = 1  # F(t p) = t F(p)
 
     def __init__(self, mesh):
         self.basis = displacement_basis(mesh)
@@ -213,11 +184,41 @@ class DNProblem:
             (k, k),
         )
 
+    @staticmethod
+    def sample_cells(rng, lo, hi, n_cells):
+        """n_cells tensors with eigenvalues drawn uniformly in [lo, hi]
+        and eigenvectors from the QR of a Gaussian matrix."""
+        # the draws keep the per-cell order; the rotations and products
+        # run stacked, which gives the per-cell results bit for bit
+        e = np.empty((n_cells, 3))
+        g = np.empty((n_cells, 3, 3))
+        for j in range(n_cells):
+            e[j] = rng.uniform(lo, hi, 3)
+            g[j] = rng.standard_normal((3, 3))
+        q, r = np.linalg.qr(g)
+        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        a = (q * e[:, None, :]) @ q.transpose(0, 2, 1)
+        return 0.5 * (a + a.transpose(0, 2, 1))
+
+    @staticmethod
+    def sample_direction(rng, n_cells):
+        """Gaussian symmetric tensors with unit Frobenius norm over the
+        whole tuple."""
+        d = rng.standard_normal((n_cells, 3, 3))
+        d = 0.5 * (d + d.transpose(0, 2, 1))
+        return d / float(np.linalg.norm(d))
+
+    @staticmethod
+    def cell_matrices(cells):
+        """The cells are their own Mandel matrices."""
+        return np.asarray(cells, dtype=float)
+
     def factor(self, cells):
         """Stiffness slot values, the banded Cholesky factor of the
         interior block and the trailing rows of the interior loads
-        K[idx, bd] of the zero-extended basis data."""
-        values = self.form.values(cells)
+        K[idx, bd] of the zero-extended basis data; the cells are
+        checked first."""
+        values = self.form.values(check_cells(cells))
         return values, factor_spd(scatter(values, self.band)), scatter(values, self.load)
 
     def solutions(self, cells):
@@ -227,25 +228,23 @@ class DNProblem:
         return solve(f, pad_above(tail, self.first))
 
     def forward(self, cells):
-        return dn_matrix(self, ElasticityParams(cells))
+        return dn_matrix(self, cells)
 
     def derivative(self, cells, dp):
-        return dn_derivative(self, ElasticityParams(cells), dp)
+        """Directional derivative of the map at cells in direction dp:
+        the dp-energy pairing of the full solutions, which are the basis
+        data minus their interior corrections."""
+        corr = self.solutions(cells)
+        u = np.vstack([-corr, np.eye(self.basis.k)])
+        return self.form.pairing(self.form.values(dp), u)
 
 
-def dn_matrix(problem, p):
+def dn_matrix(problem, cells):
     """Matrix of the localized Dirichlet-to-Neumann map: datum energy
     minus the correction energy W.T @ W, from the trailing rows of
-    W = U^-T K[idx, bd]; both terms are exactly symmetric."""
-    values, f, tail = problem.factor(p.cells)
+    W = U^-T K[idx, bd]; both terms are exactly symmetric.
+    DNProblem.forward calls it; it is a module function only so that
+    tracing and forward-counting code can wrap it here."""
+    values, f, tail = problem.factor(cells)
     w = trailing_solve(f, tail)
     return scatter(values, problem.energy) - w.T @ w
-
-
-def dn_derivative(problem, p, dp):
-    """Directional derivative of the map at p in direction dp: the
-    dp-energy pairing of the full solutions, which are the basis data
-    minus their interior corrections."""
-    corr = problem.solutions(p.cells)
-    u = np.vstack([-corr, np.eye(problem.basis.k)])
-    return problem.form.pairing(problem.form.values(dp), u)

@@ -51,7 +51,8 @@ class IndexOutOfRange(HolderLabError):
 
 
 class DegenerateSample(HolderLabError):
-    """A sample pair has operator distance zero, so no ratio exists."""
+    """A sample pair has a zero or infinite distance, so it has no finite
+    ratio or logarithm."""
 
 
 class InsufficientSpread(HolderLabError):

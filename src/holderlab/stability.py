@@ -1,6 +1,11 @@
 """Stability sweeps, empirical Holder envelope fitting, and the
 flat-vs-analytic counterexample study.
 
+PROBLEMS maps each kind to its forward-problem class, which owns the
+kind's parameter space: sampling cells and directions, the cell
+matrices delta_R measures, and the map itself. This module branches on
+no kind; it looks the class up and calls it.
+
 A sweep samples parameter pairs from a compact ellipticity class,
 evaluates the forward map on both, and forms the operator difference
 M_p - M_q once per record: whitened once with the forward problem's
@@ -32,12 +37,15 @@ import numpy as np
 
 from . import conductivity as cd
 from . import elasticity as el
-from .errors import HolderLabError, InsufficientSpread
+from .errors import DegenerateSample, HolderLabError, InsufficientSpread
 from .numerics import adaptive_quadrature, flat_integrand
 from .operators import operator_distance, whiten
 from .scalarization import ProbeWeights, finite_distance, phi, probe_weights
 
-KINDS = ("conductivity", "elasticity")
+# the forward-problem class of each kind; it owns the kind's parameter
+# space as well as its map
+PROBLEMS = {"conductivity": cd.NDProblem, "elasticity": el.DNProblem}
+KINDS = tuple(PROBLEMS)
 
 # rng stream tags so every sampled object is a pure function of
 # (seed, stream, index)
@@ -125,37 +133,11 @@ def _rng(seed, stream, index):
     return np.random.default_rng([int(seed), int(stream), int(index)])
 
 
-def _conductivity_cells(rng, spec):
-    cells = np.empty((spec.n_cells, 3))
-    for j in range(spec.n_cells):
-        e = rng.uniform(spec.lambda_lo, spec.lambda_hi, 2)
-        th = rng.uniform(0.0, np.pi)
-        c, s = math.cos(th), math.sin(th)
-        rot = np.array([[c, -s], [s, c]])
-        a = rot @ np.diag(e) @ rot.T
-        cells[j] = (a[0, 0], a[1, 1], 0.5 * (a[0, 1] + a[1, 0]))
-    return cells
-
-
-def _elasticity_cells(rng, spec):
-    # the draws keep the per-cell order; the rotations and products run
-    # stacked, which gives the per-cell results bit for bit
-    e = np.empty((spec.n_cells, 3))
-    g = np.empty((spec.n_cells, 3, 3))
-    for j in range(spec.n_cells):
-        e[j] = rng.uniform(spec.lambda_lo, spec.lambda_hi, 3)
-        g[j] = rng.standard_normal((3, 3))
-    q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-    a = (q * e[:, None, :]) @ q.transpose(0, 2, 1)
-    return 0.5 * (a + a.transpose(0, 2, 1))
-
-
 def sample_point(spec, seed, stream, index):
     """Raw cell array of parameter point `index` of a stream; it depends
     only on (seed, stream, index)."""
-    draw = _conductivity_cells if spec.kind == "conductivity" else _elasticity_cells
-    return draw(_rng(seed, stream, index), spec)
+    rng = _rng(seed, stream, index)
+    return PROBLEMS[spec.kind].sample_cells(rng, spec.lambda_lo, spec.lambda_hi, spec.n_cells)
 
 
 def sample_cells(spec, count, seed, stream=0):
@@ -164,43 +146,20 @@ def sample_cells(spec, count, seed, stream=0):
     return [sample_point(spec, seed, stream, i) for i in range(count)]
 
 
-def sample_params(spec, count, seed, stream=0):
-    """Parameter points inside the compact class, counter-seeded."""
-    wrap = cd.ConductivityParams if spec.kind == "conductivity" else el.ElasticityParams
-    return [wrap(c) for c in sample_cells(spec, count, seed, stream)]
-
-
 def sample_direction(spec, seed, index=0):
     """Random symmetric per-cell direction with unit global Frobenius
     norm over the whole tuple, counter-seeded: ray `index` of a sweep
     walks along it."""
     rng = _rng(seed, _STREAM_RAY_DIR, index)
-    if spec.kind == "conductivity":
-        d = rng.standard_normal((spec.n_cells, 3))
-        norm = math.sqrt(float(np.sum(d[:, 0] ** 2 + d[:, 1] ** 2 + 2.0 * d[:, 2] ** 2)))
-    else:
-        d = rng.standard_normal((spec.n_cells, 3, 3))
-        d = 0.5 * (d + d.transpose(0, 2, 1))
-        norm = float(np.linalg.norm(d))
-    return d / norm
+    return PROBLEMS[spec.kind].sample_direction(rng, spec.n_cells)
 
 
-def _cell_frobenius(spec, cells_a, cells_b, subset):
+def _cell_frobenius(problem, cells_a, cells_b, subset):
     """Max Frobenius distance between cell matrices over the subset of
     1-based cell labels."""
     idx = np.array(subset, dtype=int) - 1
-    if spec.kind == "conductivity":
-        diff = cd.cell_matrices(cells_a)[idx] - cd.cell_matrices(cells_b)[idx]
-    else:
-        diff = np.asarray(cells_a)[idx] - np.asarray(cells_b)[idx]
+    diff = problem.cell_matrices(cells_a)[idx] - problem.cell_matrices(cells_b)[idx]
     return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2)))))
-
-
-def forward_problem(mesh, kind):
-    """The forward problem of the given kind, built once per mesh."""
-    if kind == "conductivity":
-        return cd.NDProblem(mesh)
-    return el.DNProblem(mesh)
 
 
 def default_ray_steps(n):
@@ -256,7 +215,7 @@ class _SweepJobs:
             raw = m_p - self.problem.forward(cells_q)
         except HolderLabError:
             return None
-        d_r = _cell_frobenius(self.spec, cells_p, cells_q, self.rq.cell_subset)
+        d_r = _cell_frobenius(self.problem, cells_p, cells_q, self.rq.cell_subset)
         d = whiten(self.problem.whitener, raw)
         d_f = operator_distance(d)
         flags = ()
@@ -339,7 +298,7 @@ def sweep(
     """
     if max(rq.cell_subset) > spec.n_cells:
         raise ValueError("recovered cell label outside the partition")
-    problem = forward_problem(mesh, spec.kind)
+    problem = PROBLEMS[spec.kind](mesh)
     k = problem.basis.k if probe_k is None else probe_k
     jobs = _SweepJobs(
         problem,
@@ -382,7 +341,8 @@ def fit_holder(records, n_bins=8, slack=0.1):
     (capped at 1, pre-cap value kept); the intercept is then lifted
     minimally so every record sits within `slack` log units of the
     envelope. Records that all have delta_R = 0 give the constant-R
-    fit; no records at all raise InsufficientSpread.
+    fit; no records at all raise InsufficientSpread, and a record with
+    an infinite distance raises DegenerateSample.
     """
     if n_bins < 2:
         raise ValueError("need at least two bins")
@@ -403,6 +363,9 @@ def fit_holder(records, n_bins=8, slack=0.1):
             constant_R=True,
         )
     usable = [r for r in records if r.delta_F > 0.0 and r.delta_R > 0.0]
+    for r in usable:
+        if math.isinf(r.delta_F) or math.isinf(r.delta_R):
+            raise DegenerateSample("record %d has an infinite distance" % r.pair_id)
     if len(usable) < 2:
         raise InsufficientSpread("need at least two records with positive distances")
     x = np.log(np.array([r.delta_F for r in usable]))

@@ -70,13 +70,13 @@ def test_criterion_1_scaling_identities():
         mesh = build_mesh(n_sub, PartitionSpec(2, 1), FULL_BOTTOM)
         cp = cd.NDProblem(mesh)
         ep = el.DNProblem(mesh)
-        pc = sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 1, SEED)[0]
-        pe = sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 1, SEED)[0]
-        base_c = cd.nd_matrix(cp, pc)
-        base_e = el.dn_matrix(ep, pe)
+        pc = sl.sample_cells(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 1, SEED)[0]
+        pe = sl.sample_cells(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 1, SEED)[0]
+        base_c = cp.forward(pc)
+        base_e = ep.forward(pe)
         for t in (0.5, 2.0, 10.0):
-            scaled_c = cd.nd_matrix(cp, cd.ConductivityParams(t * pc.cells))
-            scaled_e = el.dn_matrix(ep, el.ElasticityParams(t * pe.cells))
+            scaled_c = cp.forward(t * pc)
+            scaled_e = ep.forward(t * pe)
             worst = max(worst, rel_gap(scaled_c, base_c / t), rel_gap(scaled_e, t * base_e))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-12
@@ -90,12 +90,12 @@ def test_criterion_2_symmetry_and_psd(small_mesh):
     worst_sym = 0.0
     worst_ratio = 0.0
     draws = [
-        (sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 50, SEED), cd.nd_matrix, cp),
-        (sl.sample_params(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 50, SEED), el.dn_matrix, ep),
+        (sl.sample_cells(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 50, SEED), cp),
+        (sl.sample_cells(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 50, SEED), ep),
     ]
-    for params, forward, problem in draws:
+    for params, problem in draws:
         for p in params:
-            m = forward(problem, p)
+            m = problem.forward(p)
             worst_sym = max(worst_sym, np.abs(m - m.T).max() / np.abs(m).max())
             worst_ratio = min(worst_ratio, eig_min(m) / spectral_norm(m))
     assert worst_sym <= 1e-12
@@ -112,24 +112,20 @@ def test_criterion_3_derivative_checks(small_mesh):
     summaries = []
     for kind in ("conductivity", "elasticity"):
         spec = sl.CompactSetSpec(0.5, 2.0, 2, kind)
-        p = sl.sample_params(spec, 1, SEED)[0]
+        p = sl.sample_cells(spec, 1, SEED)[0]
         d = sl.sample_direction(spec, SEED)
         if kind == "conductivity":
-            def forward(cells):
-                return cd.nd_matrix(cp, cd.ConductivityParams(cells))
-
-            deriv = cd.nd_derivative(cp, p, d)
-            radial_gap = rel_gap(cd.nd_derivative(cp, p, p.cells), -forward(p.cells))
+            forward = cp.forward
+            deriv = cp.derivative(p, d)
+            radial_gap = rel_gap(cp.derivative(p, p), -forward(p))
         else:
-            def forward(cells):
-                return el.dn_matrix(ep, el.ElasticityParams(cells))
-
-            deriv = el.dn_derivative(ep, p, d)
-            radial_gap = rel_gap(el.dn_derivative(ep, p, p.cells), forward(p.cells))
+            forward = ep.forward
+            deriv = ep.derivative(p, d)
+            radial_gap = rel_gap(ep.derivative(p, p), forward(p))
         scale = np.abs(deriv).max()
         errs = []
         for h in (1e-3, 1e-4, 1e-5):
-            fd = (forward(p.cells + h * d) - forward(p.cells - h * d)) / (2.0 * h)
+            fd = (forward(p + h * d) - forward(p - h * d)) / (2.0 * h)
             errs.append(float(np.abs(fd - deriv).max() / scale))
         # second-order convergence observed on the truncation-dominated
         # steps; the smallest step only has to keep improving
@@ -148,19 +144,19 @@ def test_criterion_4_faithfulness(small_mesh):
     w = probe_weights(k)
     bound_const = w.square_sum() ** 2
     spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
-    ps = sl.sample_params(spec, 100, SEED, stream=1)
-    qs = sl.sample_params(spec, 100, SEED, stream=2)
+    ps = sl.sample_cells(spec, 100, SEED, stream=1)
+    qs = sl.sample_cells(spec, 100, SEED, stream=2)
     for p, q in zip(ps, qs):
-        a = cd.nd_matrix(cp, p)
-        b = cd.nd_matrix(cp, q)
+        a = cp.forward(p)
+        b = cp.forward(q)
         d = whiten(cp.whitener, a - b)
         dist = operator_distance(d)
         value = phi(d, w)
         assert dist > 0.0 and value > 0.0
         assert value <= bound_const * dist**2 * (1.0 + 1e-12)
     for p in ps[:10]:
-        a = cd.nd_matrix(cp, p)
-        b = cd.nd_matrix(cp, p)
+        a = cp.forward(p)
+        b = cp.forward(p)
         d = whiten(cp.whitener, a - b)
         assert operator_distance(d) == 0.0
         assert phi(d, w) == 0.0

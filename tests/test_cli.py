@@ -176,14 +176,22 @@ def test_sweep_records_roundtrip(tmp_path):
     assert all(r.t is not None for r in rays)
 
 
+RECORDS_HEAD = "# holderlab 0.1.0 config=abc seed=7\n# dropped 0\n"
+COLUMNS = "pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n"
+GOOD_ROW = "1,random_random,,0.1,0.01,0.0,,\n"
+
+
+def power_law_records(n):
+    """Columns and n records with delta_R = sqrt(delta_F), which fit."""
+    rows = [COLUMNS.strip()]
+    for i, df in enumerate(np.geomspace(1e-6, 1e-1, n)):
+        rows.append("%d,random_random,,%r,%r,0.0,," % (i, float(np.sqrt(df)), float(df)))
+    return "\n".join(rows) + "\n"
+
+
 def test_fit_on_exact_power_law(tmp_path):
-    rows = ["pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags"]
-    for i, df in enumerate(np.geomspace(1e-6, 1e-1, 40)):
-        rows.append(
-            "%d,random_random,,%r,%r,0.0,," % (i, float(np.sqrt(df)), float(df))
-        )
     csv_path = tmp_path / "records.csv"
-    csv_path.write_text("\n".join(rows) + "\n")
+    csv_path.write_text(power_law_records(40))
     out = tmp_path / "fit.json"
     assert main(["fit", str(csv_path), "--out", str(out)]) == 0
     body = json.loads(out.read_text().split("\n", 1)[1])
@@ -218,6 +226,55 @@ def test_fit_on_records_without_column_header_exits_1(tmp_path, capsys, text):
     assert main(["fit", str(csv_path), "--out", str(out)]) == 1
     assert "InsufficientSpread" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "0,random_random,,abc,0.1,0.0,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + "\n" + "0,random_random,,0.1\n", 5),
+        ("# dropped x\n" + COLUMNS + GOOD_ROW, 1),
+    ],
+    ids=["non-numeric", "short-row", "dropped-count"],
+)
+def test_fit_on_malformed_records_exits_2_naming_the_line(tmp_path, capsys, text, line):
+    """A malformed records row is a config error naming the file and the
+    line, and no fit is written."""
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(text)
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(csv_path), "--out", str(out)]) == 2
+    assert "records file %s line %d:" % (csv_path, line) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_on_infinite_distance_exits_1_naming_the_record(tmp_path, capsys):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(power_law_records(10) + "10,random_random,,0.5,inf,0.0,,\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(csv_path), "--out", str(out)]) == 1
+    assert "DegenerateSample: record 10 " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_outputs_exit_2_naming_the_field(tmp_path, capsys):
+    """An output path under a regular file cannot be made: the config
+    error names output_dir, or --out for fit, and the path."""
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    path = write_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["output_dir"] = str(afile / "sub")
+    path.write_text(json.dumps(cfg))
+    assert main(["mesh", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "(field output_dir)" in err and str(afile / "sub") in err
+
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(power_law_records(10))
+    assert main(["fit", str(csv_path), "--out", str(afile / "fit.json")]) == 2
+    err = capsys.readouterr().err
+    assert "(field --out)" in err and str(afile / "fit.json") in err
 
 
 def test_fit_report_carries_sweep_header(tmp_path):
@@ -340,6 +397,20 @@ def test_readme_config_surface_names_every_field():
     block = readme.split("Full config surface", 1)[1].split("```")[1]
     named = [ln.split()[0] for ln in block.splitlines() if ln and not ln[0].isspace()]
     assert sorted(named) == sorted(name for name, _ in table_fields())
+
+
+def test_readme_library_example_runs():
+    """README's python block runs as written, so the documented library
+    API cannot drift from the code."""
+    root = pathlib.Path(__file__).parents[1]
+    readme = (root / "README.md").read_text()
+    code = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "1"
 
 
 @st.composite

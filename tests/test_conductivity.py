@@ -24,18 +24,25 @@ def random_params(n_cells, seed, lo=0.5, hi=2.0):
         rot = np.array([[c, -s], [s, c]])
         a = rot @ np.diag(e) @ rot.T
         cells.append([a[0, 0], a[1, 1], a[0, 1]])
-    return cd.ConductivityParams(np.array(cells))
+    return np.array(cells)
 
 
 def test_params_reject_indefinite():
     with pytest.raises(NotPositiveDefinite):
-        cd.ConductivityParams(np.array([[1.0, 1.0, 2.0]]))
+        cd.check_cells(np.array([[1.0, 1.0, 2.0]]))
+    with pytest.raises(ValueError):
+        cd.check_cells(np.ones((2, 2)))
+    problem = cd.NDProblem(unit_mesh(4))
+    for evaluate in (problem.forward, lambda c: problem.derivative(c, c)):
+        with pytest.raises(NotPositiveDefinite):
+            evaluate(np.array([[1.0, 1.0, 2.0]]))
 
 
 def test_params_matrix_roundtrip():
     p = random_params(3, seed=0)
-    q = cd.ConductivityParams.from_matrices(p.matrices())
-    assert np.array_equal(p.cells, q.cells)
+    mats = cd.NDProblem.cell_matrices(p)
+    assert np.array_equal(mats, mats.transpose(0, 2, 1))
+    assert np.array_equal(mats[:, [0, 1, 0], [0, 1, 1]], p)
 
 
 def test_current_basis_dimensions():
@@ -89,14 +96,14 @@ def test_stiffness_anisotropic_energy():
 def test_stiffness_cell_count_mismatch():
     problem = cd.NDProblem(unit_mesh(4, cols=2))
     with pytest.raises(CellCountMismatch):
-        cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]]))
+        problem.forward(np.array([[1.0, 1.0, 0.0]]))
     with pytest.raises(CellCountMismatch):
-        cd.nd_derivative(problem, random_params(2, seed=1), np.zeros((3, 3)))
+        problem.derivative(random_params(2, seed=1), np.zeros((3, 3)))
 
 
 def test_grounded_stiffness_spd_and_row_sums():
     m = unit_mesh(4, cols=2)
-    dense = full_stiffness(m, random_params(2, seed=1).cells)
+    dense = full_stiffness(m, random_params(2, seed=1))
     assert np.abs(dense.sum(axis=1)).max() <= 1e-14 * np.abs(dense).max()
     free = np.delete(np.arange(m.n_nodes), cd.NDProblem(m).ground)
     assert eig_min(dense[np.ix_(free, free)]) > 0
@@ -120,14 +127,14 @@ def test_nd_matrix_ground_independent(monkeypatch):
     m = unit_mesh(8, cols=2)
     problem = cd.NDProblem(m)
     p = random_params(2, seed=16)
-    base = cd.nd_matrix(problem, p)
+    base = problem.forward(p)
     # the far corner of the square and the middle of the opposite side
     for ground in (m.n_nodes - 1, m.n_nodes - 5):
         assert ground != problem.ground and ground not in problem.basis.nodes
         monkeypatch.setattr(cd, "ground_node", lambda mesh, patch, g=ground: g)
         alt = cd.NDProblem(m)
         assert alt.ground == ground
-        alt_matrix = cd.nd_matrix(alt, p)
+        alt_matrix = alt.forward(p)
         assert np.abs(alt_matrix - base).max() <= 1e-12 * np.abs(base).max()
 
 
@@ -135,9 +142,9 @@ def test_nd_scaling():
     m = unit_mesh(8, cols=2)
     problem = cd.NDProblem(m)
     p = random_params(2, seed=3)
-    base = cd.nd_matrix(problem, p)
+    base = problem.forward(p)
     for t in (0.5, 2.0, 10.0):
-        mt = cd.nd_matrix(problem, cd.ConductivityParams(t * p.cells))
+        mt = problem.forward(t * p)
         assert np.abs(mt - base / t).max() <= 1e-12 * np.abs(base / t).max()
 
 
@@ -145,7 +152,7 @@ def test_nd_symmetric_psd():
     m = unit_mesh(8, cols=2)
     problem = cd.NDProblem(m)
     for seed in range(5):
-        mat = cd.nd_matrix(problem, random_params(2, seed=seed))
+        mat = problem.forward(random_params(2, seed=seed))
         assert np.array_equal(mat, mat.T)
         assert eig_min(mat) >= -1e-10 * spectral_norm(mat)
 
@@ -154,7 +161,7 @@ def test_nd_quadratic_form_positive():
     m = unit_mesh(8)
     problem = cd.NDProblem(m)
     basis = problem.basis
-    mat = cd.nd_matrix(problem, random_params(1, seed=4))
+    mat = problem.forward(random_params(1, seed=4))
     rng = np.random.default_rng(5)
     for _ in range(10):
         psi = rng.standard_normal(basis.k)
@@ -165,8 +172,8 @@ def test_nd_isotropic_recovery():
     m = unit_mesh(8)
     problem = cd.NDProblem(m)
     a = 3.7
-    mi = cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]]))
-    ma = cd.nd_matrix(problem, cd.ConductivityParams([[a, a, 0.0]]))
+    mi = problem.forward(np.array([[1.0, 1.0, 0.0]]))
+    ma = problem.forward(np.array([[a, a, 0.0]]))
     ratio = mi[0, 0] / ma[0, 0]
     assert abs(ratio - a) <= 1e-12 * a
 
@@ -175,15 +182,15 @@ def test_nd_derivative_radial():
     m = unit_mesh(8, cols=2)
     problem = cd.NDProblem(m)
     p = random_params(2, seed=6)
-    mat = cd.nd_matrix(problem, p)
-    d = cd.nd_derivative(problem, p, p.cells)
+    mat = problem.forward(p)
+    d = problem.derivative(p, p)
     assert np.abs(d + mat).max() <= 1e-10 * np.abs(mat).max()
 
 
 def test_nd_derivative_zero_direction():
     m = unit_mesh(4)
     problem = cd.NDProblem(m)
-    d = cd.nd_derivative(problem, random_params(1, seed=7), np.zeros((1, 3)))
+    d = problem.derivative(random_params(1, seed=7), np.zeros((1, 3)))
     assert np.all(d == 0.0)
 
 
@@ -194,18 +201,18 @@ def test_nd_derivative_linear():
     rng = np.random.default_rng(9)
     d1 = rng.standard_normal((2, 3))
     d2 = rng.standard_normal((2, 3))
-    lhs = cd.nd_derivative(problem, p, 2.0 * d1 - 0.5 * d2)
-    rhs = 2.0 * cd.nd_derivative(problem, p, d1) - 0.5 * cd.nd_derivative(problem, p, d2)
+    lhs = problem.derivative(p, 2.0 * d1 - 0.5 * d2)
+    rhs = 2.0 * problem.derivative(p, d1) - 0.5 * problem.derivative(p, d2)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(rhs).max(), 1e-30)
 
 
 def fd_errors(problem, p, dp, steps):
-    d = cd.nd_derivative(problem, p, dp)
+    d = problem.derivative(p, dp)
     scale = np.abs(d).max()
     errs = []
     for h in steps:
-        mp = cd.nd_matrix(problem, cd.ConductivityParams(p.cells + h * dp))
-        mm = cd.nd_matrix(problem, cd.ConductivityParams(p.cells - h * dp))
+        mp = problem.forward(p + h * dp)
+        mm = problem.forward(p - h * dp)
         errs.append(np.abs((mp - mm) / (2 * h) - d).max() / scale)
     return errs
 
@@ -233,9 +240,9 @@ def test_loewner_monotonicity():
     for trial in range(5):
         b = random_params(2, seed=100 + trial, lo=1.0, hi=2.0)
         bump = random_params(2, seed=200 + trial, lo=0.1, hi=0.5)
-        a = cd.ConductivityParams(b.cells + bump.cells)  # a dominates b
-        ma = cd.nd_matrix(problem, a)
-        mb = cd.nd_matrix(problem, b)
+        a = b + bump  # a dominates b
+        ma = problem.forward(a)
+        mb = problem.forward(b)
         for _ in range(20):
             psi = rng.standard_normal(basis.k)
             qa = psi @ ma @ psi
@@ -248,7 +255,7 @@ def test_operator_distance_basics():
     problem = cd.NDProblem(m)
     basis = problem.basis
     p = random_params(1, seed=13)
-    a = cd.nd_matrix(problem, p)
+    a = problem.forward(p)
     assert operator_distance(whiten(problem.whitener, a - a)) == 0.0
     shifted = a + basis.gram
     assert abs(operator_distance(whiten(problem.whitener, a - shifted)) - 1.0) <= 1e-12
@@ -259,8 +266,8 @@ def test_operator_distance_scaling():
     problem = cd.NDProblem(m)
     basis = problem.basis
     p = random_params(1, seed=14)
-    a = cd.nd_matrix(problem, p)
-    b = cd.nd_matrix(problem, cd.ConductivityParams(2.0 * p.cells))
+    a = problem.forward(p)
+    b = problem.forward(2.0 * p)
     w = gram_inv_sqrt(basis.gram)
     half_norm = 0.5 * spectral_norm(w @ a @ w)
     assert abs(operator_distance(whiten(problem.whitener, a - b)) - half_norm) <= 1e-12 * half_norm

@@ -142,7 +142,7 @@ def test_forward_matches_reference_solve(kind, side, interval):
     if kind == "conductivity":
         problem = cd.NDProblem(m)
         cells = conductivity_points()[0]
-        got = cd.nd_matrix(problem, cd.ConductivityParams(cells))
+        got = problem.forward(cells)
         free = problem.dofs
         k = reference_conductivity(m, cells)[np.ix_(free, free)]
         # all rows of the loads: the problem keeps only those from first on
@@ -151,7 +151,7 @@ def test_forward_matches_reference_solve(kind, side, interval):
     else:
         problem = el.DNProblem(m)
         cells = elasticity_points()[0]
-        got = el.dn_matrix(problem, el.ElasticityParams(cells))
+        got = problem.forward(cells)
         n = problem.dofs.size - problem.basis.k
         idx, bd = problem.dofs[:n], problem.dofs[n:]
         k = reference_elasticity(m, cells)

@@ -105,9 +105,9 @@ def test_matrix_element_conductivity_scaling():
     relative accuracy."""
     m = mx.build_mesh(4, mx.PartitionSpec(1, 1), mx.PatchSpec("bottom", 0.0, 1.0))
     problem = cd.NDProblem(m)
-    p = cd.ConductivityParams([[1.3, 1.1, 0.2]])
-    a = cd.nd_matrix(problem, p)
-    b = cd.nd_matrix(problem, cd.ConductivityParams(2.0 * p.cells))
+    cells = np.array([[1.3, 1.1, 0.2]])
+    a = problem.forward(cells)
+    b = problem.forward(2.0 * cells)
     for i in range(problem.basis.k):
         for j in range(problem.basis.k):
             lhs = b[i, j]

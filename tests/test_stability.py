@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab import stability as sl
-from holderlab.errors import InsufficientSpread, NotPositiveDefinite
+from holderlab.errors import DegenerateSample, InsufficientSpread, NotPositiveDefinite
 from holderlab.numerics import eig_min, spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
 
@@ -45,35 +46,43 @@ def test_recovered_quantity_validation():
 
 def test_sampling_deterministic():
     spec = sl.CompactSetSpec(0.5, 2.0, 3, "conductivity")
-    a = sl.sample_params(spec, 4, seed=9)
-    b = sl.sample_params(spec, 4, seed=9)
+    a = sl.sample_cells(spec, 4, seed=9)
+    b = sl.sample_cells(spec, 4, seed=9)
     for p, q in zip(a, b):
-        assert np.array_equal(p.cells, q.cells)
+        assert np.array_equal(p, q)
     # sample i depends only on (seed, i), not on count
-    c = sl.sample_params(spec, 2, seed=9)
-    assert np.array_equal(a[0].cells, c[0].cells)
-    assert np.array_equal(a[1].cells, c[1].cells)
+    c = sl.sample_cells(spec, 2, seed=9)
+    assert np.array_equal(a[0], c[0])
+    assert np.array_equal(a[1], c[1])
 
 
 def test_sampling_eigenvalue_bounds():
-    for kind in ("conductivity", "elasticity"):
+    """Each kind's sampled cells are symmetric matrices with eigenvalues
+    in the class's interval, and its map has the degree its class
+    states: F(2 p) = 2^degree F(p)."""
+    for kind in sl.KINDS:
         spec = sl.CompactSetSpec(0.5, 2.0, 2, kind)
-        for p in sl.sample_params(spec, 10, seed=3):
-            mats = p.matrices() if kind == "conductivity" else p.cells
+        problem = sl.PROBLEMS[kind](bottom_mesh(4, cols=2))
+        for cells in sl.sample_cells(spec, 10, seed=3):
+            mats = problem.cell_matrices(cells)
+            assert np.array_equal(mats, mats.transpose(0, 2, 1))
             for m in mats:
                 w = np.linalg.eigvalsh(m)
                 assert w[0] >= 0.5 - 1e-12
                 assert w[-1] <= 2.0 + 1e-12
+            want = 2.0**problem.degree * problem.forward(cells)
+            got = problem.forward(2 * cells)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_sampling_degenerate_interval():
     spec = sl.CompactSetSpec(1.0, 1.0, 2, "conductivity")
-    for p in sl.sample_params(spec, 3, seed=1):
-        for m in p.matrices():
+    for cells in sl.sample_cells(spec, 3, seed=1):
+        for m in cd.cell_matrices(cells):
             assert np.allclose(m, np.eye(2), atol=1e-12)
     spec = sl.CompactSetSpec(1.0, 1.0, 1, "elasticity")
-    for p in sl.sample_params(spec, 3, seed=1):
-        assert np.allclose(p.cells[0], np.eye(3), atol=1e-12)
+    for cells in sl.sample_cells(spec, 3, seed=1):
+        assert np.allclose(cells[0], np.eye(3), atol=1e-12)
 
 
 def per_cell_elasticity(rng, spec):
@@ -216,9 +225,9 @@ def test_single_job_sweep_stays_in_process(monkeypatch):
     pids = []
     real = cd.nd_matrix
 
-    def recorded(problem, p):
+    def recorded(problem, cells):
         pids.append(os.getpid())
-        return real(problem, p)
+        return real(problem, cells)
 
     monkeypatch.setattr(cd, "nd_matrix", recorded)
     spec = sl.CompactSetSpec(0.5, 2.0, 1, "conductivity")
@@ -247,10 +256,10 @@ def inject_failure(monkeypatch, spec, seed):
     base = sl.sample_point(spec, seed, sl._STREAM_RAY_BASE, 2)
     real = cd.nd_matrix
 
-    def failing(problem, p):
-        if np.array_equal(p.cells, base):
+    def failing(problem, cells):
+        if np.array_equal(cells, base):
             raise FloatingPointError("injected")
-        return real(problem, p)
+        return real(problem, cells)
 
     monkeypatch.setattr(cd, "nd_matrix", failing)
 
@@ -310,10 +319,10 @@ def test_sweep_failed_ray_base_drops_every_step(monkeypatch):
     base = sl.sample_cells(spec, 3, 42, sl._STREAM_RAY_BASE)[1]
     real = cd.nd_matrix
 
-    def failing(problem, p):
-        if np.array_equal(p.cells, base):
+    def failing(problem, cells):
+        if np.array_equal(cells, base):
             raise NotPositiveDefinite("injected")
-        return real(problem, p)
+        return real(problem, cells)
 
     monkeypatch.setattr(cd, "nd_matrix", failing)
     res = small_sweep()
@@ -327,13 +336,13 @@ def test_one_cell_ray_matches_scaling_oracle():
     distances have closed forms and the log ratio tends to 1."""
     m = bottom_mesh(8)
     problem = cd.NDProblem(m)
-    base = cd.nd_matrix(problem, cd.ConductivityParams([[1.0, 1.0, 0.0]]))
+    base = problem.forward(np.array([[1.0, 1.0, 0.0]]))
     w = gram_inv_sqrt(problem.basis.gram)
     norm_base = spectral_norm(w @ base @ w)
     ratios = []
     for t in (1e-1, 1e-3, 1e-5):
         s = t / math.sqrt(2.0)  # unit-Frobenius identity direction
-        stepped = cd.nd_matrix(problem, cd.ConductivityParams([[1.0 + s, 1.0 + s, 0.0]]))
+        stepped = problem.forward(np.array([[1.0 + s, 1.0 + s, 0.0]]))
         d_f = operator_distance(whiten(problem.whitener, base - stepped))
         expected = s / (1.0 + s) * norm_base
         # relative agreement down to the absolute solver-noise floor
@@ -393,6 +402,17 @@ def test_fit_no_records_raises():
     set whose delta_R all vanish gets the constant-R fit."""
     with pytest.raises(InsufficientSpread):
         sl.fit_holder([])
+
+
+@pytest.mark.parametrize("column", ["delta_F", "delta_R"])
+def test_fit_infinite_distance_raises_naming_the_record(column):
+    """An infinite distance has no logarithm to fit: a named error
+    naming the record, not a failed least squares."""
+    d_f = 10.0 ** np.linspace(-6.0, -1.0, 30)
+    records = synthetic_records(d_f, d_f**0.5)
+    records[17] = replace(records[17], **{column: math.inf})
+    with pytest.raises(DegenerateSample, match="record 17 "):
+        sl.fit_holder(records)
 
 
 def test_fit_constant_r_flagged():
