@@ -24,8 +24,9 @@ so the loads L vanish above a short trailing block of rows. With the
 banded factorization K = U.T @ U, the map is M = L.T K^-1 L = W.T @ W
 for W = U^-T L, which vanishes above that block too: forward pays one
 factorization and one triangular solve over the trailing rows.
-derivative pairs the full potentials, so it alone runs the full
-back-substitution.
+derivative takes the same two steps and one more triangular solve,
+which back-substitutes W into the potentials K^-1 L over all free
+dofs, and pairs them through the stiffness of the direction.
 """
 
 import math
@@ -44,10 +45,9 @@ from .mesh import (
 )
 from .numerics import (
     CellStiffness,
+    back_solve,
     factor_spd,
-    pad_above,
     scatter,
-    solve,
     symmetrize,
     trailing_solve,
 )
@@ -196,12 +196,6 @@ class NDProblem:
         are checked first."""
         return factor_spd(scatter(self.form.values(check_cells(cells)), self.band))
 
-    def solutions(self, cells):
-        """Grounded potentials on the free dofs, one column per basis
-        current. They differ from the zero-mean ones by a constant per
-        column, which neither the loads nor any stiffness sees."""
-        return solve(self.factor(cells), pad_above(self.loads, self.first))
-
     def forward(self, cells):
         return nd_matrix(self, cells)
 
@@ -209,8 +203,12 @@ class NDProblem:
         """Directional derivative of the map at cells in direction dp,
         as a matrix in the current basis. dp is an (N, 3) array of
         symmetric per-cell components; it need not be positive definite.
+        The grounded potentials u = K^-1 L, one column per basis
+        current, differ from the zero-mean ones by a constant per
+        column, which no stiffness sees.
         """
-        u = self.solutions(cells)
+        f = self.factor(cells)
+        u = back_solve(f, trailing_solve(f, self.loads))
         return -self.form.pairing(self.form.values(dp), u)
 
 

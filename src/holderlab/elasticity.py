@@ -22,8 +22,10 @@ short trailing block of rows. With the banded factorization
 K[idx, idx] = U.T @ U, the map is M = K[bd, bd] - W.T @ W for
 W = U^-T L, which vanishes above that block too: forward pays one
 factorization and one triangular solve over the trailing rows.
-derivative pairs the full solutions, so it alone runs the full
-back-substitution.
+derivative takes the same two steps and one more triangular solve,
+which back-substitutes W into the interior corrections K[idx, idx]^-1 L
+over all interior dofs, and pairs the full solutions through the
+stiffness of the direction.
 """
 
 from dataclasses import dataclass
@@ -41,12 +43,10 @@ from .mesh import (
 )
 from .numerics import (
     CellStiffness,
-    eig_min,
+    back_solve,
     factor_spd,
     layout,
-    pad_above,
     scatter,
-    solve,
     symmetrize,
     trailing_solve,
 )
@@ -56,10 +56,9 @@ KIND = "elasticity_dn"
 ROOT2 = np.sqrt(2.0)
 
 
-def check_cells(cells):
-    """The cells as an (N, 3, 3) float array of symmetric Mandel
-    matrices, each positive definite, which is exactly the
-    strong-convexity bound with constant eig_min."""
+def check_symmetric(cells):
+    """The cells, or directions, as an (N, 3, 3) float array of
+    symmetric Mandel matrices."""
     cells = np.asarray(cells, dtype=float)
     if cells.ndim == 2:
         cells = cells[None]
@@ -67,23 +66,18 @@ def check_cells(cells):
         raise ValueError("cells must be an (N, 3, 3) array")
     if not np.array_equal(cells, cells.transpose(0, 2, 1)):
         raise ValueError("cell tensors must be symmetric")
-    if np.linalg.eigvalsh(cells)[:, 0].min() <= 0:
-        raise NotPositiveDefinite("every cell tensor must be positive definite")
     return cells
 
 
-def isotropic_tensor(lambda_lame, mu):
-    """Isotropic plane-strain tensor in Mandel form."""
-    m = np.array(
-        [
-            [lambda_lame + 2.0 * mu, lambda_lame, 0.0],
-            [lambda_lame, lambda_lame + 2.0 * mu, 0.0],
-            [0.0, 0.0, 2.0 * mu],
-        ]
-    )
-    if mu <= 0 or lambda_lame + mu <= 0 or eig_min(m) <= 0:
-        raise NotPositiveDefinite("isotropic tensor outside the elliptic range")
-    return m
+def check_cells(cells):
+    """The cells as an (N, 3, 3) float array of symmetric Mandel
+    matrices, each positive definite, which is exactly the
+    strong-convexity bound with each cell's smallest eigenvalue as
+    its constant."""
+    cells = check_symmetric(cells)
+    if np.linalg.eigvalsh(cells)[:, 0].min() <= 0:
+        raise NotPositiveDefinite("every cell tensor must be positive definite")
+    return cells
 
 
 @dataclass
@@ -221,22 +215,21 @@ class DNProblem:
         values = self.form.values(check_cells(cells))
         return values, factor_spd(scatter(values, self.band)), scatter(values, self.load)
 
-    def solutions(self, cells):
-        """Interior corrections that make each basis datum's zero
-        extension discrete-harmonic, one column per datum."""
-        _, f, tail = self.factor(cells)
-        return solve(f, pad_above(tail, self.first))
-
     def forward(self, cells):
         return dn_matrix(self, cells)
 
     def derivative(self, cells, dp):
         """Directional derivative of the map at cells in direction dp:
         the dp-energy pairing of the full solutions, which are the basis
-        data minus their interior corrections."""
-        corr = self.solutions(cells)
+        data minus the interior corrections that make each datum's zero
+        extension discrete-harmonic. dp must be symmetric, like the
+        cells, but need not be positive definite."""
+        _, f, tail = self.factor(cells)
+        values = self.form.values(dp)  # checks the count before the symmetry
+        check_symmetric(dp)
+        corr = back_solve(f, trailing_solve(f, tail))
         u = np.vstack([-corr, np.eye(self.basis.k)])
-        return self.form.pairing(self.form.values(dp), u)
+        return self.form.pairing(values, u)
 
 
 def dn_matrix(problem, cells):

@@ -8,13 +8,14 @@ CellStiffness stores it once per mesh as one row of slot values per
 component on a fixed sparsity pattern; a call is a small matmul and a
 scatter into LAPACK band storage, which is narrow under the mesh's
 patch-last numbering (mesh.patch_last_order), and factored with pbtrf
-as K = U.T @ U. A forward map needs only the quadratic form
-L.T K^-1 L = W.T @ W of loads L that vanish above their last rows:
-W = U^-T L vanishes there too, so trailing_solve computes it with one
-triangular band solve (tbtrs) over the trailing rows. solve runs the
-full back-substitution (pbtrs) for callers that need the solutions
-themselves, from the loads pad_above rebuilds. Small dense
-symmetric eigenproblems go through LAPACK's symmetric solver.
+as K = U.T @ U. Loads L of a forward problem vanish above their last
+rows, and so does W = U^-T L: trailing_solve computes its trailing rows
+with one triangular band solve (tbtrs) over them. A forward map needs
+only the quadratic form L.T K^-1 L = W.T @ W; a derivative needs the
+solutions K^-1 L = U^-1 [0; W], which back_solve computes from the
+same W with one more tbtrs over all rows. pbtrf and tbtrs are the only
+LAPACK routines called. Small dense symmetric eigenproblems go through
+LAPACK's symmetric solver.
 """
 
 import math
@@ -51,13 +52,6 @@ def spectral_norm(m):
     return float(np.max(np.abs(w)))
 
 
-def eig_min(m):
-    """Smallest eigenvalue of a symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    w = np.linalg.eigvalsh(symmetrize(m))
-    return float(w[0])
-
-
 def factor_spd(band):
     """Banded Cholesky factorization (LAPACK pbtrf) of a symmetric
     positive definite matrix given in upper band storage,
@@ -79,16 +73,6 @@ def factor_spd(band):
         raise NotPositiveDefinite(str(exc)) from exc
 
 
-def solve(f, b):
-    """Solve against b (vector or column block) the matrix whose banded
-    factor factor_spd returned as f."""
-    b = np.asarray(b, dtype=float)
-    n = f.shape[1]
-    if b.shape[0] != n:
-        raise DimensionMismatch("right-hand side has %d rows, factor is %d" % (b.shape[0], n))
-    return scipy.linalg.cho_solve_banded((f, False), b, check_finite=False)
-
-
 def trailing_solve(f, tail):
     """W = U^-T b for the banded factor f of U (K = U.T @ U) and the
     column block b that is zero above its last len(tail) rows and
@@ -99,26 +83,37 @@ def trailing_solve(f, tail):
     (LAPACK tbtrs) on the trailing block of U computes them; rows
     above it are never touched.
     """
-    tail = np.asarray(tail, dtype=float)
+    return _tbtrs(f, tail, "T")
+
+
+def back_solve(f, w):
+    """U^-1 [0; W] over all rows, for the banded factor f of U and the
+    trailing rows W that trailing_solve returned for a block b: the
+    solutions K^-1 b, from one triangular band solve (LAPACK tbtrs)
+    with U itself."""
+    return _tbtrs(f, w, "N")
+
+
+def _tbtrs(f, block, trans):
+    """LAPACK tbtrs with U.T ("T") or U ("N") for the column block that
+    is zero above its last len(block) rows and equals block there. With
+    U.T the solution vanishes above them too, so only the trailing
+    block of U is used and the trailing rows are returned."""
+    block = np.asarray(block, dtype=float)
     n = f.shape[1]
-    if tail.ndim != 2 or not 1 <= tail.shape[0] <= n:
+    if block.ndim != 2 or not 1 <= block.shape[0] <= n:
         raise DimensionMismatch(
-            "trailing block of shape %s for a factor of %d rows" % (tail.shape, n)
+            "trailing block of shape %s for a factor of %d rows" % (block.shape, n)
         )
-    first = n - tail.shape[0]
-    w, info = scipy.linalg.lapack.dtbtrs(f[:, first:], tail, trans="T")
+    first = n - block.shape[0]
+    if trans == "N":
+        block, first = np.vstack([np.zeros((first, block.shape[1])), block]), 0
+    x, info = scipy.linalg.lapack.dtbtrs(f[:, first:], block, trans=trans)
     if info > 0:
         raise NotPositiveDefinite("factor has a zero pivot in row %d" % (first + info - 1))
     if info < 0:
         raise DimensionMismatch("LAPACK tbtrs rejected argument %d" % -info)
-    return w
-
-
-def pad_above(tail, first):
-    """The column block that is zero in its first rows and equals tail
-    below them: the full loads behind a trailing block."""
-    tail = np.asarray(tail, dtype=float)
-    return np.vstack([np.zeros((first, tail.shape[1])), tail])
+    return x
 
 
 class CellStiffness:

@@ -342,7 +342,7 @@ def fit_holder(records, n_bins=8, slack=0.1):
     minimally so every record sits within `slack` log units of the
     envelope. Records that all have delta_R = 0 give the constant-R
     fit; no records at all raise InsufficientSpread, and a record with
-    an infinite distance raises DegenerateSample.
+    an infinite or NaN distance raises DegenerateSample.
     """
     if n_bins < 2:
         raise ValueError("need at least two bins")
@@ -351,6 +351,12 @@ def fit_holder(records, n_bins=8, slack=0.1):
     records = list(records)
     if not records:
         raise InsufficientSpread("no records to fit")
+    for r in records:
+        if not (math.isfinite(r.delta_F) and math.isfinite(r.delta_R)):
+            raise DegenerateSample(
+                "record %d has a distance that is not finite (delta_F=%r, delta_R=%r)"
+                % (r.pair_id, r.delta_F, r.delta_R)
+            )
     if all(r.delta_R == 0.0 for r in records):
         return HolderFit(
             theta=1.0,
@@ -363,9 +369,6 @@ def fit_holder(records, n_bins=8, slack=0.1):
             constant_R=True,
         )
     usable = [r for r in records if r.delta_F > 0.0 and r.delta_R > 0.0]
-    for r in usable:
-        if math.isinf(r.delta_F) or math.isinf(r.delta_R):
-            raise DegenerateSample("record %d has an infinite distance" % r.pair_id)
     if len(usable) < 2:
         raise InsufficientSpread("need at least two records with positive distances")
     x = np.log(np.array([r.delta_F for r in usable]))

@@ -7,19 +7,21 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import pytest
-import scipy.linalg
+
+from holderlab import conductivity, elasticity, numerics
 
 
 @pytest.fixture
 def backsolves(monkeypatch):
-    """One entry per call of LAPACK's full banded back-substitution
-    (pbtrs), which numerics looks up as an attribute of scipy.linalg."""
+    """One entry per full back-substitution (numerics.back_solve), at
+    the name under which each forward problem's module calls it."""
     calls = []
-    real = scipy.linalg.cho_solve_banded
+    real = numerics.back_solve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_solve_banded", counted)
+    for module in (conductivity, elasticity):
+        monkeypatch.setattr(module, "back_solve", counted)
     return calls

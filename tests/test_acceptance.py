@@ -17,7 +17,7 @@ from holderlab import elasticity as el
 from holderlab import stability as sl
 from holderlab.cli import main
 from holderlab.mesh import PartitionSpec, PatchSpec, build_mesh
-from holderlab.numerics import eig_min, spectral_norm
+from holderlab.numerics import spectral_norm
 from holderlab.operators import operator_distance, whiten
 from holderlab.scalarization import (
     FiniteMap,
@@ -26,6 +26,8 @@ from holderlab.scalarization import (
     phi,
     probe_weights,
 )
+
+from helpers import eig_min
 
 SEED = 1729
 FULL_BOTTOM = PatchSpec("bottom", 0.0, 1.0)

@@ -257,6 +257,15 @@ def test_fit_on_infinite_distance_exits_1_naming_the_record(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_on_nan_distance_exits_1_naming_the_record(tmp_path, capsys):
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(power_law_records(10) + "10,random_random,,nan,0.5,0.0,,\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(csv_path), "--out", str(out)]) == 1
+    assert "DegenerateSample: record 10 " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_outputs_exit_2_naming_the_field(tmp_path, capsys):
     """An output path under a regular file cannot be made: the config
     error names output_dir, or --out for fit, and the path."""

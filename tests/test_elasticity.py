@@ -4,7 +4,9 @@ import pytest
 from holderlab import elasticity as el
 from holderlab import mesh as mx
 from holderlab.errors import CellCountMismatch, NotPositiveDefinite, PatchTooSmall
-from holderlab.numerics import eig_min, spectral_norm, symmetrize
+from holderlab.numerics import spectral_norm, symmetrize
+
+from helpers import eig_min, isotropic_tensor
 
 
 def unit_mesh(n_sub, cols=1, rows=1, t0=0.0, t1=1.0):
@@ -26,17 +28,17 @@ def random_mandel(n_cells, seed, lo=0.5, hi=2.0):
 
 
 def test_isotropic_examples():
-    assert np.array_equal(el.isotropic_tensor(0.0, 1.0), 2.0 * np.eye(3))
-    m = el.isotropic_tensor(1.0, 1.0)
+    assert np.array_equal(isotropic_tensor(0.0, 1.0), 2.0 * np.eye(3))
+    m = isotropic_tensor(1.0, 1.0)
     assert np.array_equal(m, [[3.0, 1.0, 0.0], [1.0, 3.0, 0.0], [0.0, 0.0, 2.0]])
     assert np.allclose(np.linalg.eigvalsh(m), [2.0, 2.0, 4.0])
 
 
 def test_isotropic_rejects_nonelliptic():
     with pytest.raises(NotPositiveDefinite):
-        el.isotropic_tensor(-2.0, 1.0)
+        isotropic_tensor(-2.0, 1.0)
     with pytest.raises(NotPositiveDefinite):
-        el.isotropic_tensor(0.0, -1.0)
+        isotropic_tensor(0.0, -1.0)
 
 
 def test_params_validation():
@@ -101,7 +103,7 @@ def test_stiffness_linearity():
 
 def test_stiffness_constant_strain_energy():
     m = unit_mesh(4)
-    k = full_stiffness(m, [el.isotropic_tensor(0.0, 1.0)])
+    k = full_stiffness(m, [isotropic_tensor(0.0, 1.0)])
     u = np.zeros(2 * m.n_nodes)
     u[0::2] = m.nodes[:, 0]
     assert abs(u @ k @ u - 2.0) < 1e-13
@@ -126,7 +128,7 @@ def test_reduced_stiffness_positive_definite():
 def test_indefinite_cell_fails_factorization():
     problem = el.DNProblem(unit_mesh(4))
     with pytest.raises(NotPositiveDefinite):
-        problem.solutions(np.diag([1.0, 1.0, -1.0])[None])
+        problem.derivative(np.diag([1.0, 1.0, -1.0])[None], np.zeros((1, 3, 3)))
 
 
 def test_dn_scaling():
@@ -142,8 +144,8 @@ def test_dn_scaling():
 def test_dn_isotropic_doubling():
     m = unit_mesh(8)
     problem = el.DNProblem(m)
-    ma = problem.forward(np.array([el.isotropic_tensor(0.0, 1.0)]))
-    mb = problem.forward(np.array([el.isotropic_tensor(0.0, 2.0)]))
+    ma = problem.forward(np.array([isotropic_tensor(0.0, 1.0)]))
+    mb = problem.forward(np.array([isotropic_tensor(0.0, 2.0)]))
     assert np.abs(mb - 2.0 * ma).max() <= 1e-12 * np.abs(mb).max()
 
 
@@ -222,12 +224,30 @@ def test_dn_derivative_finite_difference():
     assert errs[2] < errs[1] < errs[0]
 
 
+def test_dn_derivative_rejects_non_symmetric_direction():
+    """The stiffness keeps only its upper triangle, so a non-symmetric
+    direction would be read as one of its triangles: it is refused like
+    non-symmetric cells, while its symmetric part, which is indefinite,
+    gives the derivative that finite differences see."""
+    problem = el.DNProblem(unit_mesh(8, cols=2))
+    p = random_mandel(2, seed=15)
+    dp = np.zeros((2, 3, 3))
+    dp[0, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        problem.derivative(p, dp)
+    sym = 0.5 * (dp + dp.transpose(0, 2, 1))
+    d = problem.derivative(p, sym)
+    h = 1e-4
+    fd = (problem.forward(p + h * sym) - problem.forward(p - h * sym)) / (2 * h)
+    assert np.abs(fd - d).max() <= 1e-6 * np.abs(d).max()
+
+
 def test_mandel_shear_identity():
     """A pure shear strain gam (e12 = gam) has the Mandel strain vector
     (0, 0, sqrt(2) gam); the isotropic tensor maps it to the shear
     stress 2 mu gam, stored as sqrt(2) sigma12."""
     mu = 1.3
-    c = el.isotropic_tensor(0.7, mu)
+    c = isotropic_tensor(0.7, mu)
     gam = 0.31
     sigm = c @ np.array([0.0, 0.0, np.sqrt(2.0) * gam])
     assert abs(sigm[2] / np.sqrt(2.0) - 2.0 * mu * gam) < 1e-14

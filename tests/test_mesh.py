@@ -3,7 +3,8 @@ import pytest
 
 from holderlab import mesh as mx
 from holderlab.errors import EmptyPatch, IncompatibleSubdivision
-from holderlab.numerics import eig_min
+
+from helpers import eig_min
 
 
 def unit_mesh(n_sub, cols=1, rows=1, side="bottom", t0=0.0, t1=1.0):

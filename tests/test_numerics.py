@@ -11,6 +11,8 @@ from holderlab.errors import (
     ToleranceNotReached,
 )
 
+from helpers import eig_min
+
 # Independent oracle for the flat-function integral: composite Simpson
 # with 1e6 and 2e6 intervals agrees with a 30-digit arbitrary-precision
 # evaluation on this value.
@@ -56,17 +58,26 @@ def upper_from_band(band):
     return out
 
 
+def full_solve(f, b):
+    """K^-1 b for a vector or column block b and the factor f of K, on
+    the solver path of the forward problems: trailing_solve over all
+    rows, then back_solve."""
+    b = np.asarray(b, dtype=float)
+    x = nx.back_solve(f, nx.trailing_solve(f, b.reshape(len(b), -1)))
+    return x.reshape(b.shape)
+
+
 def test_factor_diagonal():
     f = nx.factor_spd(band_of(scipy.sparse.diags([4.0, 9.0]).tocsr()))
     assert np.array_equal(f, [[2.0, 3.0]])
-    assert np.array_equal(nx.solve(f, np.array([8.0, 27.0])), [2.0, 3.0])
+    assert np.array_equal(full_solve(f, np.array([8.0, 27.0])), [2.0, 3.0])
 
 
 def test_factor_identity():
     f = nx.factor_spd(band_of(scipy.sparse.identity(5, format="csr")))
     assert np.array_equal(f, np.ones((1, 5)))
     b = np.arange(10.0).reshape(5, 2)
-    assert np.array_equal(nx.solve(f, b), b)
+    assert np.array_equal(full_solve(f, b), b)
 
 
 def test_factor_rejects_indefinite():
@@ -76,25 +87,25 @@ def test_factor_rejects_indefinite():
 
 def test_solve_identity():
     f = nx.factor_spd(band_of(np.eye(3)))
-    assert np.allclose(nx.solve(f, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
+    assert np.allclose(full_solve(f, np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
 
 
 def test_solve_diagonal():
     f = nx.factor_spd(band_of(np.diag([2.0, 4.0])))
-    assert np.allclose(nx.solve(f, np.array([2.0, 4.0])), [1.0, 1.0])
+    assert np.allclose(full_solve(f, np.array([2.0, 4.0])), [1.0, 1.0])
 
 
 def test_solve_consistency():
     m = random_spd(5, seed=11)
     b = m @ np.ones(5)
-    x = nx.solve(nx.factor_spd(band_of(m)), b)
+    x = full_solve(nx.factor_spd(band_of(m)), b)
     assert np.allclose(x, np.ones(5), atol=1e-12)
 
 
 def test_solve_dimension_mismatch():
     f = nx.factor_spd(band_of(np.eye(3)))
     with pytest.raises(DimensionMismatch):
-        nx.solve(f, np.ones(4))
+        full_solve(f, np.ones(4))
 
 
 def test_factor_solve_residual_random():
@@ -103,7 +114,7 @@ def test_factor_solve_residual_random():
         m = random_spd(n, seed=seed)
         f = nx.factor_spd(band_of(m))
         b = np.random.default_rng(1000 + seed).standard_normal(n)
-        x = nx.solve(f, b)
+        x = full_solve(f, b)
         assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -115,7 +126,7 @@ def test_factor_reproduces_input():
     dense = m.toarray()
     assert np.linalg.norm(u.T @ u - dense) <= 1e-12 * np.linalg.norm(dense)
     b = np.random.default_rng(4).standard_normal((17, 3))
-    x = nx.solve(f, b)
+    x = full_solve(f, b)
     assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
@@ -142,7 +153,7 @@ def test_factor_rejects_non_square():
 def test_trailing_solve_matches_dense_triangular_solve():
     """Loads zero above their last 8 rows: W = U^-T b is zero there
     too, its trailing rows match a dense triangular solve, W.T @ W is
-    the quadratic form b.T K^-1 b, and pad_above rebuilds b."""
+    the quadratic form b.T K^-1 b."""
     m = banded_spd(30, bandwidth=4, seed=8)
     f = nx.factor_spd(band_of(m))
     u = upper_from_band(f)
@@ -155,14 +166,36 @@ def test_trailing_solve_matches_dense_triangular_solve():
     assert np.abs(w - full[22:]).max() <= 1e-13 * np.abs(full).max()
     form = b.T @ np.linalg.solve(m.toarray(), b)
     assert np.abs(w.T @ w - form).max() <= 1e-13 * np.abs(form).max()
-    assert np.array_equal(nx.pad_above(b[22:], 22), b)
+
+
+@pytest.mark.parametrize("first", [22, 0])
+def test_back_solve_matches_dense_triangular_solve(first):
+    """back_solve is U^-1 applied to the block that is zero above row
+    first and W below it, over all rows; after trailing_solve it gives
+    K^-1 b."""
+    m = banded_spd(30, bandwidth=4, seed=12)
+    f = nx.factor_spd(band_of(m))
+    rng = np.random.default_rng(13)
+    w = rng.standard_normal((30 - first, 5))
+    padded = np.zeros((30, 5))
+    padded[first:] = w
+    want = np.linalg.solve(upper_from_band(f), padded)
+    x = nx.back_solve(f, w)
+    assert x.shape == (30, 5)
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
+    b = np.zeros((30, 5))
+    b[first:] = rng.standard_normal((30 - first, 5))
+    x = nx.back_solve(f, nx.trailing_solve(f, b[first:]))
+    want = np.linalg.solve(m.toarray(), b)
+    assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_trailing_solve_rejects_bad_blocks():
     f = nx.factor_spd(band_of(np.eye(3)))
     for tail in (np.ones(2), np.ones((4, 2)), np.ones((0, 2))):
-        with pytest.raises(DimensionMismatch):
-            nx.trailing_solve(f, tail)
+        for solve in (nx.trailing_solve, nx.back_solve):
+            with pytest.raises(DimensionMismatch):
+                solve(f, tail)
 
 
 def test_trailing_solve_names_a_singular_factor():
@@ -179,9 +212,9 @@ def test_spectral_norm_examples():
 
 
 def test_eig_min_examples():
-    assert nx.eig_min(np.diag([1.0, 3.0])) == 1.0
-    assert abs(nx.eig_min(np.eye(3)) - 1.0) < 1e-14
-    assert abs(nx.eig_min(np.array([[2.0, 1.0], [1.0, 2.0]])) - 1.0) < 1e-14
+    assert eig_min(np.diag([1.0, 3.0])) == 1.0
+    assert abs(eig_min(np.eye(3)) - 1.0) < 1e-14
+    assert abs(eig_min(np.array([[2.0, 1.0], [1.0, 2.0]])) - 1.0) < 1e-14
 
 
 def test_spectral_norm_dominates_rayleigh():
@@ -245,7 +278,7 @@ def grounded_solve(k, b, ground):
     """Solve k u = b with u[ground] = 0 through the reduced system."""
     free = np.delete(np.arange(k.shape[0]), ground)
     u = np.zeros_like(b)
-    u[free] = nx.solve(nx.factor_spd(band_of(k[free][:, free])), b[free])
+    u[free] = full_solve(nx.factor_spd(band_of(k[free][:, free])), b[free])
     return u
 
 

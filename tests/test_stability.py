@@ -11,8 +11,10 @@ from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab import stability as sl
 from holderlab.errors import DegenerateSample, InsufficientSpread, NotPositiveDefinite
-from holderlab.numerics import eig_min, spectral_norm, symmetrize
+from holderlab.numerics import spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
+
+from helpers import eig_min
 
 
 def bottom_mesh(n_sub, cols=1, rows=1):
@@ -303,7 +305,7 @@ def test_no_worker_outlives_the_command(tmp_path, monkeypatch, command, fail):
 
 def test_sweep_runs_no_backsolve(backsolves):
     """Every forward of a sweep solves only over the trailing rows of
-    the patch-last system: no full back-substitution (pbtrs) runs."""
+    the patch-last system: no full back-substitution (back_solve) runs."""
     res = small_sweep(threads=1)
     assert len(res.records) == 10 + 3 * 4
     spec = sl.CompactSetSpec(0.5, 2.0, 2, "elasticity")
@@ -411,6 +413,17 @@ def test_fit_infinite_distance_raises_naming_the_record(column):
     d_f = 10.0 ** np.linspace(-6.0, -1.0, 30)
     records = synthetic_records(d_f, d_f**0.5)
     records[17] = replace(records[17], **{column: math.inf})
+    with pytest.raises(DegenerateSample, match="record 17 "):
+        sl.fit_holder(records)
+
+
+@pytest.mark.parametrize("column", ["delta_F", "delta_R"])
+def test_fit_nan_distance_raises_naming_the_record(column):
+    """A NaN distance is not dropped in silence, which would leave the
+    fit and records_used as if the record did not exist."""
+    d_f = 10.0 ** np.linspace(-6.0, -1.0, 30)
+    records = synthetic_records(d_f, d_f**0.5)
+    records[17] = replace(records[17], **{column: math.nan})
     with pytest.raises(DegenerateSample, match="record 17 "):
         sl.fit_holder(records)
 
