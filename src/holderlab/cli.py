@@ -1,10 +1,14 @@
 """Configuration-driven command line for reproducible experiments.
 
 Configs are JSON with nested sections; every run is a pure function of
-(config, seed), and every output file starts with a comment line
-recording the tool version, the hash of the normalized config, and the
-seed. Exit codes: 0 success, 1 runtime numerical failure (the message
-names the originating error), 2 config validation failure.
+(config, seed). Every command but `validate` writes one file, and one
+function, `_emit`, writes them all: a comment line recording the tool
+version, the hash of the normalized config and the seed, then the
+command's body, in a file under output_dir (`fit` writes to --out), and
+then one stdout line ending `-> <path>`. Exit codes: 0 success, 1
+runtime numerical failure (the message names the originating error), 2
+config validation failure, an unwritable output path included (the
+message names output_dir, or --out for `fit`).
 """
 
 import argparse
@@ -238,7 +242,7 @@ def _out_path(cfg, name):
     return os.path.join(cfg["output_dir"], name)
 
 
-def _write(path, text, field="output_dir"):
+def _write(path, text, field):
     """Write text to path; an unwritable path is a config error naming
     `field`, the setting that chose it."""
     try:
@@ -248,9 +252,24 @@ def _write(path, text, field="output_dir"):
         raise ConfigError("cannot write %s: %s" % (path, exc.strerror), field) from None
 
 
-def records_csv(result, head):
+def _emit(cfg, name, body, summary, head=None, out=None):
+    """Write a command's output and report it: the header line naming the
+    run, then `body`, into `name` under output_dir; then the stdout line
+    `<summary> -> <path>`. Returns exit code 0. `fit`, which reads
+    records rather than a config, passes their header as `head` and its
+    path as `out`; an unwritable path is a config error naming --out."""
+    if out is None:
+        head = header_line(config_hash(cfg), cfg["seed"])
+        out, field = _out_path(cfg, name), "output_dir"
+    else:
+        field = "--out"
+    _write(out, head + "\n" + body, field)
+    print("%s -> %s" % (summary, out))
+    return 0
+
+
+def records_csv(result):
     buf = io.StringIO()
-    buf.write(head + "\n")
     buf.write("# dropped %d\n" % result.dropped)
     buf.write("pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n")
     for r in result.records:
@@ -319,7 +338,7 @@ def parse_records_csv(path):
     return records, head, dropped
 
 
-def fit_json(fit, dropped, head):
+def fit_json(fit, dropped):
     body = {
         "theta": fit.theta,
         "theta_precap": fit.theta_precap,
@@ -331,19 +350,15 @@ def fit_json(fit, dropped, head):
         "dropped": dropped,
         "constant_R": fit.constant_R,
     }
-    return head + "\n" + json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return json.dumps(body, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_mesh(cfg, args):
     mesh = build_mesh_from(cfg)
-    head = header_line(config_hash(cfg), cfg["seed"])
-    path = _out_path(cfg, "mesh.txt")
-    _write(path, head + "\n" + mx.mesh_to_text(mesh))
-    print(
-        "mesh: %d nodes, %d triangles, %d patch edges -> %s"
-        % (mesh.n_nodes, len(mesh.triangles), int(mesh.on_patch.sum()), path)
+    summary = "mesh: %d nodes, %d triangles, %d patch edges" % (
+        mesh.n_nodes, len(mesh.triangles), int(mesh.on_patch.sum())
     )
-    return 0
+    return _emit(cfg, "mesh.txt", mx.mesh_to_text(mesh), summary)
 
 
 def _forward_problem(cfg):
@@ -356,14 +371,11 @@ def _forward_problem(cfg):
 def cmd_forward(cfg, args):
     problem, _, cells = _forward_problem(cfg)
     m = problem.forward(cells)
-    head = header_line(config_hash(cfg), cfg["seed"])
-    buf = [head, "# kind %s dim %d" % (problem.kind, m.shape[0])]
+    lines = ["# kind %s dim %d" % (problem.kind, m.shape[0])]
     for row in m:
-        buf.append(",".join(repr(float(v)) for v in row))
-    path = _out_path(cfg, "operator.csv")
-    _write(path, "\n".join(buf) + "\n")
-    print("forward: %s operator, dim %d -> %s" % (problem.kind, m.shape[0], path))
-    return 0
+        lines.append(",".join(repr(float(v)) for v in row))
+    summary = "forward: %s operator, dim %d" % (problem.kind, m.shape[0])
+    return _emit(cfg, "operator.csv", "\n".join(lines) + "\n", summary)
 
 
 def cmd_derivcheck(cfg, args):
@@ -371,8 +383,7 @@ def cmd_derivcheck(cfg, args):
     direction = sl.sample_direction(spec, cfg["seed"], index=0)
     deriv = problem.derivative(cells, direction)
     scale = float(np.abs(deriv).max())
-    head = header_line(config_hash(cfg), cfg["seed"])
-    lines = [head, "h,rel_err"]
+    lines = ["h,rel_err"]
     errs = []
     for h in cfg["derivcheck"]["steps"]:
         plus = problem.forward(cells + h * direction)
@@ -384,10 +395,8 @@ def cmd_derivcheck(cfg, args):
     base = problem.forward(cells)
     radial_err = float(np.abs(radial - problem.degree * base).max() / np.abs(base).max())
     lines.append("# radial_identity_rel_err %s" % repr(radial_err))
-    path = _out_path(cfg, "derivcheck.csv")
-    _write(path, "\n".join(lines) + "\n")
-    print("derivcheck: rel errors %s, radial identity %g -> %s" % (errs, radial_err, path))
-    return 0
+    summary = "derivcheck: rel errors %s, radial identity %g" % (errs, radial_err)
+    return _emit(cfg, "derivcheck.csv", "\n".join(lines) + "\n", summary)
 
 
 def _run_sweep(cfg, threads):
@@ -407,14 +416,8 @@ def _run_sweep(cfg, threads):
 
 def cmd_sweep(cfg, args):
     result = _run_sweep(cfg, args.threads)
-    head = header_line(config_hash(cfg), cfg["seed"])
-    path = _out_path(cfg, "records.csv")
-    _write(path, records_csv(result, head))
-    print(
-        "sweep: %d records (%d dropped) -> %s"
-        % (len(result.records), result.dropped, path)
-    )
-    return 0
+    summary = "sweep: %d records (%d dropped)" % (len(result.records), result.dropped)
+    return _emit(cfg, "records.csv", records_csv(result), summary)
 
 
 def cmd_fit(args):
@@ -422,12 +425,10 @@ def cmd_fit(args):
     fit = sl.fit_holder(records, n_bins=args.bins, slack=args.slack)
     head = header_line(head_tokens["config"], head_tokens["seed"])
     out = args.out or os.path.join(os.path.dirname(args.records) or ".", "fit.json")
-    _write(out, fit_json(fit, dropped, head), field="--out")
-    print(
-        "fit: theta=%s theta_precap=%s records_used=%d -> %s"
-        % (fit.theta, fit.theta_precap, fit.records_used, out)
+    summary = "fit: theta=%s theta_precap=%s records_used=%d" % (
+        fit.theta, fit.theta_precap, fit.records_used
     )
-    return 0
+    return _emit(None, None, fit_json(fit, dropped), summary, head=head, out=out)
 
 
 def cmd_select(cfg, args):
@@ -451,28 +452,20 @@ def cmd_select(cfg, args):
         cfg["select"]["target_ratio"],
         max_size,
     )
-    head = header_line(config_hash(cfg), cfg["seed"])
     lines = [
-        head,
         "# achieved_ratio %s reached %s size %d"
         % (repr(sel.achieved_ratio), sel.reached, len(sel.mset)),
         "i,j",
     ]
     for i, j in sel.mset.pairs:
         lines.append("%d,%d" % (i, j))
-    path = _out_path(cfg, "selection.csv")
-    _write(path, "\n".join(lines) + "\n")
-    print(
-        "select: %d measurements, ratio %.4f, target %s %s -> %s"
-        % (
-            len(sel.mset),
-            sel.achieved_ratio,
-            cfg["select"]["target_ratio"],
-            "reached" if sel.reached else "NOT reached",
-            path,
-        )
+    summary = "select: %d measurements, ratio %.4f, target %s %s" % (
+        len(sel.mset),
+        sel.achieved_ratio,
+        cfg["select"]["target_ratio"],
+        "reached" if sel.reached else "NOT reached",
     )
-    return 0
+    return _emit(cfg, "selection.csv", "\n".join(lines) + "\n", summary)
 
 
 def cmd_counterexample(cfg, args):
@@ -482,25 +475,16 @@ def cmd_counterexample(cfg, args):
     ctl = sl.analytic_control(
         ts, tol=ce["tol"], n_bins=cfg["fit"]["n_bins"], slack=cfg["fit"]["slack"]
     )
-    head = header_line(config_hash(cfg), cfg["seed"])
-    lines = [head, "map,t,F,local_slope"]
+    lines = ["map,t,F,local_slope"]
     for s in flat:
         lines.append("flat,%s,%s,%s" % (repr(s.t), repr(s.F_t), repr(s.local_slope)))
     for s in ctl.samples:
         lines.append("cubic,%s,%s,%s" % (repr(s.t), repr(s.F_t), repr(s.local_slope)))
     lines.append("# cubic_fit_theta %s" % repr(ctl.fit.theta))
-    path = _out_path(cfg, "counterexample.csv")
-    _write(path, "\n".join(lines) + "\n")
-    print(
-        "counterexample: flat max slope %.1f, cubic max slope %.4f, cubic theta %.4f -> %s"
-        % (
-            max(s.local_slope for s in flat),
-            max(s.local_slope for s in ctl.samples),
-            ctl.fit.theta,
-            path,
-        )
+    summary = "counterexample: flat max slope %.1f, cubic max slope %.4f, cubic theta %.4f" % (
+        max(s.local_slope for s in flat), max(s.local_slope for s in ctl.samples), ctl.fit.theta
     )
-    return 0
+    return _emit(cfg, "counterexample.csv", "\n".join(lines) + "\n", summary)
 
 
 def cmd_validate(cfg, args):

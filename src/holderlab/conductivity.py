@@ -167,7 +167,7 @@ class NDProblem:
         self.band = self.form.band_layout(slice(None), self.dofs.size)
         loads = _patch_loads(mesh, self.basis)[self.dofs]
         self.first = int(np.flatnonzero(loads.any(axis=1))[0])
-        self.loads = loads[self.first:]
+        self.loads = loads[self.first:].copy()  # not a view holding every row
 
     @staticmethod
     def sample_cells(rng, lo, hi, n_cells):

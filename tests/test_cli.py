@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -145,6 +146,50 @@ def test_mesh_output_has_header(tmp_path):
     lines = (tmp_path / "out" / "mesh.txt").read_text().splitlines()
     assert lines[0].startswith("# holderlab %s config=" % __version__)
     assert "seed=7" in lines[0]
+
+
+# (command, the file it writes, its summary: the stdout line before " -> ")
+SUMMARIES = [
+    ("mesh", "mesh.txt", r"mesh: \d+ nodes, \d+ triangles, \d+ patch edges"),
+    ("forward", "operator.csv", r"forward: conductivity_nd operator, dim \d+"),
+    (
+        "derivcheck",
+        "derivcheck.csv",
+        r"derivcheck: rel errors \[\S+, \S+, \S+\], radial identity \S+",
+    ),
+    ("sweep", "records.csv", r"sweep: 16 records \(0 dropped\)"),
+    (
+        "select",
+        "selection.csv",
+        r"select: \d+ measurements, ratio \d\.\d{4}, target 0\.5 (reached|NOT reached)",
+    ),
+    (
+        "counterexample",
+        "counterexample.csv",
+        r"counterexample: flat max slope \d+\.\d, cubic max slope \d+\.\d{4},"
+        r" cubic theta \d\.\d{4}",
+    ),
+    ("fit", "fit.json", r"fit: theta=\S+ theta_precap=\S+ records_used=\d+"),
+]
+
+
+@pytest.mark.parametrize("command, name, summary", SUMMARIES, ids=[c[0] for c in SUMMARIES])
+def test_command_prints_summary_to_path_and_writes_header(tmp_path, capsys, command, name, summary):
+    """Each command that writes a file prints one stdout line, its
+    summary and then `-> <path>`, and the file opens with the header
+    line naming the run; fit names the run of the records it read."""
+    path = write_config(tmp_path)
+    written = tmp_path / "out" / name
+    if command == "fit":
+        assert main(["sweep", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["fit", str(tmp_path / "out" / "records.csv")]) == 0
+    else:
+        assert main([command, str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert re.fullmatch("%s -> %s\n" % (summary, re.escape(str(written))), stdout), stdout
+    cfg = normalize_config(json.loads(path.read_text()))
+    assert written.read_text().splitlines()[0] == header_line(config_hash(cfg), 7)
 
 
 def test_sweep_is_thread_count_invariant(tmp_path):
@@ -533,7 +578,7 @@ def test_records_csv_roundtrip_is_exact(recs, dropped):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "records.csv")
         with open(path, "w") as f:
-            f.write(records_csv(sl.SweepResult(recs, dropped, []), head))
+            f.write(head + "\n" + records_csv(sl.SweepResult(recs, dropped, [])))
         got, tokens, got_dropped = parse_records_csv(path)
     assert got == recs
     assert tokens == {"config": "0123456789ab", "seed": "17"}

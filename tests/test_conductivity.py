@@ -117,6 +117,14 @@ def test_indefinite_cell_fails_factorization():
         problem.derivative(np.array([[1.0, 1.0, 2.0]]), np.zeros((1, 3)))
 
 
+def test_nd_problem_keeps_only_the_trailing_loads():
+    """The problem owns the trailing rows of its loads: a view of them
+    would keep the whole (n_free, k) array alive."""
+    problem = cd.NDProblem(unit_mesh(16, cols=2, rows=2))
+    assert problem.loads.base is None
+    assert problem.loads.shape == (problem.dofs.size - problem.first, problem.basis.k)
+
+
 def test_ground_node_off_patch():
     for side in mx.SIDES:
         for t0, t1 in ((0.0, 1.0), (0.0, 0.25), (0.5, 1.0), (0.25, 0.75)):

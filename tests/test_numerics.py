@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from holderlab import numerics as nx
 from holderlab.errors import (
@@ -28,23 +27,21 @@ def random_spd(n, seed, shift=None):
 
 
 def banded_spd(n, bandwidth, seed):
-    """Sparse SPD matrix with the given number of superdiagonals."""
+    """Dense SPD matrix with the given number of superdiagonals."""
     rng = np.random.default_rng(seed)
-    offsets = range(-bandwidth, bandwidth + 1)
-    m = scipy.sparse.diags(
-        [rng.uniform(-1.0, 1.0, n - abs(k)) for k in offsets], list(offsets)
-    ).toarray()
-    m = nx.symmetrize(m) + (2 * bandwidth + 1) * np.eye(n)
-    return scipy.sparse.csr_matrix(m)
+    m = np.zeros((n, n))
+    for k in range(-bandwidth, bandwidth + 1):
+        m += np.diag(rng.uniform(-1.0, 1.0, n - abs(k)), k)
+    return nx.symmetrize(m) + (2 * bandwidth + 1) * np.eye(n)
 
 
 def band_of(m):
-    """LAPACK upper band storage of a symmetric sparse or dense
-    matrix; only its upper triangle is read."""
-    upper = scipy.sparse.triu(scipy.sparse.csr_matrix(m), format="coo")
-    u = int((upper.col - upper.row).max(initial=0))
+    """LAPACK upper band storage of a symmetric matrix; only its upper
+    triangle is read."""
+    row, col = np.nonzero(np.triu(m))
+    u = int((col - row).max(initial=0))
     band = np.zeros((u + 1, m.shape[0]))
-    band[u + upper.row - upper.col, upper.col] = upper.data
+    band[u + row - col, col] = m[row, col]
     return band
 
 
@@ -68,13 +65,13 @@ def full_solve(f, b):
 
 
 def test_factor_diagonal():
-    f = nx.factor_spd(band_of(scipy.sparse.diags([4.0, 9.0]).tocsr()))
+    f = nx.factor_spd(band_of(np.diag([4.0, 9.0])))
     assert np.array_equal(f, [[2.0, 3.0]])
     assert np.array_equal(full_solve(f, np.array([8.0, 27.0])), [2.0, 3.0])
 
 
 def test_factor_identity():
-    f = nx.factor_spd(band_of(scipy.sparse.identity(5, format="csr")))
+    f = nx.factor_spd(band_of(np.eye(5)))
     assert np.array_equal(f, np.ones((1, 5)))
     b = np.arange(10.0).reshape(5, 2)
     assert np.array_equal(full_solve(f, b), b)
@@ -123,11 +120,10 @@ def test_factor_reproduces_input():
     f = nx.factor_spd(band_of(m))
     assert f.shape == (4, 17)
     u = upper_from_band(f)
-    dense = m.toarray()
-    assert np.linalg.norm(u.T @ u - dense) <= 1e-12 * np.linalg.norm(dense)
+    assert np.linalg.norm(u.T @ u - m) <= 1e-12 * np.linalg.norm(m)
     b = np.random.default_rng(4).standard_normal((17, 3))
     x = full_solve(f, b)
-    assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_factor_reads_upper_triangle_only():
@@ -164,7 +160,7 @@ def test_trailing_solve_matches_dense_triangular_solve():
     w = nx.trailing_solve(f, b[22:])
     assert w.shape == (8, 5)
     assert np.abs(w - full[22:]).max() <= 1e-13 * np.abs(full).max()
-    form = b.T @ np.linalg.solve(m.toarray(), b)
+    form = b.T @ np.linalg.solve(m, b)
     assert np.abs(w.T @ w - form).max() <= 1e-13 * np.abs(form).max()
 
 
@@ -186,7 +182,7 @@ def test_back_solve_matches_dense_triangular_solve(first):
     b = np.zeros((30, 5))
     b[first:] = rng.standard_normal((30 - first, 5))
     x = nx.back_solve(f, nx.trailing_solve(f, b[first:]))
-    want = np.linalg.solve(m.toarray(), b)
+    want = np.linalg.solve(m, b)
     assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -257,7 +253,7 @@ def test_quadrature_depth_cap():
 
 
 def neumann_like(n, seed):
-    """Sparse PSD matrix whose kernel is exactly the constants: the
+    """Dense PSD matrix whose kernel is exactly the constants: the
     graph Laplacian of a weighted path with random chords of span at
     most 3, like a P1 stiffness matrix."""
     rng = np.random.default_rng(seed)
@@ -268,10 +264,10 @@ def neumann_like(n, seed):
         rows.append(keep)
         cols.append(keep + span)
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    w = -rng.uniform(0.5, 1.5, rows.size)
-    off = scipy.sparse.coo_matrix((w, (rows, cols)), shape=(n, n))
+    off = np.zeros((n, n))
+    off[rows, cols] = -rng.uniform(0.5, 1.5, rows.size)
     off = off + off.T
-    return (off - scipy.sparse.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
+    return off - np.diag(off.sum(axis=1))
 
 
 def grounded_solve(k, b, ground):
@@ -315,15 +311,15 @@ def test_constrained_rejects_zero_row():
     """A constraint that pins nothing is rejected: here a ground that
     leaves a second connected component floating, whose last pivot is
     exactly zero."""
-    pair = scipy.sparse.csr_matrix([[1.0, -1.0], [-1.0, 1.0]])
-    k = scipy.sparse.block_diag([pair, pair], format="csr")
+    pair = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    k = np.kron(np.eye(2), pair)  # two copies of pair on the diagonal
     free = np.array([1, 2, 3])
     with pytest.raises(NotPositiveDefinite):
         nx.factor_spd(band_of(k[free][:, free]))
 
 
 def test_constrained_rejects_indefinite():
-    k = neumann_like(10, seed=1) - 5.0 * scipy.sparse.identity(10)
+    k = neumann_like(10, seed=1) - 5.0 * np.eye(10)
     free = np.arange(1, 10)
     with pytest.raises(NotPositiveDefinite):
-        nx.factor_spd(band_of(k.tocsr()[free][:, free]))
+        nx.factor_spd(band_of(k[free][:, free]))

@@ -191,8 +191,11 @@ def child_pids():
     """Live or unreaped child processes of this process."""
     pids = set()
     for task in os.listdir("/proc/self/task"):
-        with open("/proc/self/task/%s/children" % task) as f:
-            pids.update(f.read().split())
+        try:
+            with open("/proc/self/task/%s/children" % task) as f:
+                pids.update(f.read().split())
+        except FileNotFoundError:
+            pass  # a thread, such as a pool's manager, ended after listdir
     return pids
 
 
