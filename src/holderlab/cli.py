@@ -1,14 +1,17 @@
 """Configuration-driven command line for reproducible experiments.
 
 Configs are JSON with nested sections; every run is a pure function of
-(config, seed). Every command but `validate` writes one file, and one
-function, `_emit`, writes them all: a comment line recording the tool
-version, the hash of the normalized config and the seed, then the
-command's body, in a file under output_dir (`fit` writes to --out), and
-then one stdout line ending `-> <path>`. Exit codes: 0 success, 1
-runtime numerical failure (the message names the originating error), 2
-config validation failure, an unwritable output path included (the
-message names output_dir, or --out for `fit`).
+(config, seed). The commands that solve read the cell count, sampling
+and basis from one forward problem, build_problem_from(cfg); compact_set
+gives only the ellipticity bounds. Every command but `validate` writes
+one file, and one function, `_emit`, writes them all: a comment line
+recording the tool version, the hash of the normalized config and the
+seed, then the command's body, in a file under output_dir (`fit` writes
+to --out), and then one stdout line ending `-> <path>`. Exit codes: 0
+success, 1 runtime numerical failure (the message names the originating
+error), 2 config validation failure, an unwritable output path (the
+message names output_dir, or --out for `fit`) or a probe_k above the
+basis dimension (found before any solve) included.
 """
 
 import argparse
@@ -89,7 +92,7 @@ _path = _check(lambda v: type(v) is str and v != "", "must be a nonempty path st
 # a section. The parsers check one field each; normalize_config checks
 # the relations between fields.
 FIELDS = {
-    "problem": Field(REQUIRED, _choice(sl.KINDS)),
+    "problem": Field(REQUIRED, _choice(tuple(sl.PROBLEMS))),
     "seed": Field(REQUIRED, _integer(0)),
     "mesh": {
         "n_sub": Field(REQUIRED, _integer(1)),
@@ -224,13 +227,13 @@ def build_mesh_from(cfg):
     )
 
 
+def build_problem_from(cfg):
+    """The forward problem of the config's kind on its mesh."""
+    return sl.PROBLEMS[cfg["problem"]](build_mesh_from(cfg))
+
+
 def build_spec_from(cfg):
-    return sl.CompactSetSpec(
-        cfg["compact_set"]["lambda_lo"],
-        cfg["compact_set"]["lambda_hi"],
-        cfg["mesh"]["grid_cols"] * cfg["mesh"]["grid_rows"],
-        cfg["problem"],
-    )
+    return sl.CompactSetSpec(cfg["compact_set"]["lambda_lo"], cfg["compact_set"]["lambda_hi"])
 
 
 def _out_path(cfg, name):
@@ -362,14 +365,13 @@ def cmd_mesh(cfg, args):
 
 
 def _forward_problem(cfg):
-    """The forward problem, the spec and the first sampled point."""
-    spec = build_spec_from(cfg)
-    cells = sl.sample_cells(spec, 1, cfg["seed"], stream=1)[0]
-    return sl.PROBLEMS[spec.kind](build_mesh_from(cfg)), spec, cells
+    """The forward problem and its first sampled point."""
+    problem = build_problem_from(cfg)
+    return problem, sl.sample_point(problem, build_spec_from(cfg), cfg["seed"], 1, 0)
 
 
 def cmd_forward(cfg, args):
-    problem, _, cells = _forward_problem(cfg)
+    problem, cells = _forward_problem(cfg)
     m = problem.forward(cells)
     lines = ["# kind %s dim %d" % (problem.kind, m.shape[0])]
     for row in m:
@@ -379,8 +381,8 @@ def cmd_forward(cfg, args):
 
 
 def cmd_derivcheck(cfg, args):
-    problem, spec, cells = _forward_problem(cfg)
-    direction = sl.sample_direction(spec, cfg["seed"], index=0)
+    problem, cells = _forward_problem(cfg)
+    direction = sl.sample_direction(problem, cfg["seed"], index=0)
     deriv = problem.derivative(cells, direction)
     scale = float(np.abs(deriv).max())
     lines = ["h,rel_err"]
@@ -400,9 +402,13 @@ def cmd_derivcheck(cfg, args):
 
 
 def _run_sweep(cfg, threads):
+    problem = build_problem_from(cfg)
+    k = problem.basis.k
+    if cfg["probe_k"] is not None and cfg["probe_k"] > k:
+        raise ConfigError("must be at most the basis dimension %d" % k, "probe_k")
     s = cfg["sweep"]
     return sl.sweep(
-        build_mesh_from(cfg),
+        problem,
         build_spec_from(cfg),
         sl.RecoveredQuantity(tuple(cfg["recovered_cells"])),
         s["n_random_pairs"],

@@ -57,10 +57,12 @@ KIND = "conductivity_nd"
 
 def check_cells(cells):
     """The cells as an (N, 3) float array of rows (a11, a22, a12), each
-    a positive definite 2x2 matrix."""
+    a finite, positive definite 2x2 matrix."""
     cells = np.atleast_2d(np.asarray(cells, dtype=float))
     if cells.shape[1] != 3:
         raise ValueError("cells must be an (N, 3) array of (a11, a22, a12)")
+    if not np.isfinite(cells).all():
+        raise NotPositiveDefinite("every cell matrix must be finite")
     a11, a22, a12 = cells.T
     det = a11 * a22 - a12 * a12
     if np.any(a11 <= 0) or np.any(det <= 0):
@@ -201,7 +203,7 @@ class NDProblem:
 
     def derivative(self, cells, dp):
         """Directional derivative of the map at cells in direction dp,
-        as a matrix in the current basis. dp is an (N, 3) array of
+        as a matrix in the current basis. dp is an (N, 3) array of finite
         symmetric per-cell components; it need not be positive definite.
         The grounded potentials u = K^-1 L, one column per basis
         current, differ from the zero-mean ones by a constant per

@@ -70,10 +70,13 @@ def check_symmetric(cells):
 
 
 def check_cells(cells):
-    """The cells as an (N, 3, 3) float array of symmetric Mandel
-    matrices, each positive definite, which is exactly the
+    """The cells as an (N, 3, 3) float array of finite, symmetric
+    Mandel matrices, each positive definite, which is exactly the
     strong-convexity bound with each cell's smallest eigenvalue as
     its constant."""
+    cells = np.asarray(cells, dtype=float)
+    if not np.isfinite(cells).all():
+        raise NotPositiveDefinite("every cell tensor must be finite")
     cells = check_symmetric(cells)
     if np.linalg.eigvalsh(cells)[:, 0].min() <= 0:
         raise NotPositiveDefinite("every cell tensor must be positive definite")
@@ -222,10 +225,10 @@ class DNProblem:
         """Directional derivative of the map at cells in direction dp:
         the dp-energy pairing of the full solutions, which are the basis
         data minus the interior corrections that make each datum's zero
-        extension discrete-harmonic. dp must be symmetric, like the
-        cells, but need not be positive definite."""
+        extension discrete-harmonic. dp must be finite and symmetric,
+        like the cells, but need not be positive definite."""
         _, f, tail = self.factor(cells)
-        values = self.form.values(dp)  # checks the count before the symmetry
+        values = self.form.values(dp)  # checks count and finiteness first
         check_symmetric(dp)
         corr = back_solve(f, trailing_solve(f, tail))
         u = np.vstack([-corr, np.eye(self.basis.k)])

@@ -151,12 +151,14 @@ class CellStiffness:
         self._weight = np.where(self.rows == self.cols, 0.5, 1.0)
 
     def values(self, cells):
-        """Slot values of K at the cell components, or directions."""
+        """Slot values of K at the finite cell components, or directions."""
         cells = np.asarray(cells, dtype=float)
         if len(cells) != self.n_cells or cells.size != self.stack.shape[0]:
             raise CellCountMismatch(
                 "cells of shape %s for a %d-cell partition" % (cells.shape, self.n_cells)
             )
+        if not np.isfinite(cells).all():
+            raise ValueError("cell components must be finite")
         return cells.reshape(-1) @ self.stack
 
     def pairing(self, values, u):

@@ -2,9 +2,11 @@
 flat-vs-analytic counterexample study.
 
 PROBLEMS maps each kind to its forward-problem class, which owns the
-kind's parameter space: sampling cells and directions, the cell
-matrices delta_R measures, and the map itself. This module branches on
-no kind; it looks the class up and calls it.
+kind's parameter space: sampling cells and directions, the cell count,
+the cell matrices delta_R measures, and the map itself. Sampling and
+sweeps take the built forward problem and read all of these from it;
+a CompactSetSpec adds only the ellipticity bounds. This module branches
+on no kind.
 
 A sweep samples parameter pairs from a compact ellipticity class,
 evaluates the forward map on both, and forms the operator difference
@@ -12,9 +14,8 @@ M_p - M_q once per record: whitened once with the forward problem's
 whitener, it gives the operator distance delta_F and the scalarization
 value phi, and the raw difference is kept in the result, where
 add_finite_distances and the greedy selection read it. A record also
-holds the recovered-quantity distance delta_R. A sweep builds one
-forward problem for the mesh and solves each ray's base point once for
-all the ray's steps.
+holds the recovered-quantity distance delta_R. A sweep solves each
+ray's base point once for all the ray's steps.
 
 A sweep job is a random pair or a whole ray, named by its index: the
 job samples its own points from (seed, stream, index). With more than
@@ -37,15 +38,12 @@ import numpy as np
 
 from . import conductivity as cd
 from . import elasticity as el
-from .errors import DegenerateSample, HolderLabError, InsufficientSpread
+from .errors import BasisMismatch, DegenerateSample, HolderLabError, InsufficientSpread
 from .numerics import adaptive_quadrature, flat_integrand
 from .operators import operator_distance, whiten
 from .scalarization import ProbeWeights, finite_distance, phi, probe_weights
 
-# the forward-problem class of each kind; it owns the kind's parameter
-# space as well as its map
 PROBLEMS = {"conductivity": cd.NDProblem, "elasticity": el.DNProblem}
-KINDS = tuple(PROBLEMS)
 
 # rng stream tags so every sampled object is a pure function of
 # (seed, stream, index)
@@ -58,20 +56,14 @@ _STREAM_RAY_DIR = 4
 @dataclass(frozen=True)
 class CompactSetSpec:
     """Ellipticity class: all cell matrices have eigenvalues in
-    [lambda_lo, lambda_hi]."""
+    [lambda_lo, lambda_hi]; the forward problem gives the cell count."""
 
     lambda_lo: float
     lambda_hi: float
-    n_cells: int
-    kind: str
 
     def __post_init__(self):
         if not (0.0 < self.lambda_lo <= self.lambda_hi):
             raise ValueError("need 0 < lambda_lo <= lambda_hi")
-        if self.kind not in KINDS:
-            raise ValueError("kind must be one of %s" % (KINDS,))
-        if self.n_cells < 1:
-            raise ValueError("need at least one cell")
 
 
 @dataclass(frozen=True)
@@ -133,25 +125,20 @@ def _rng(seed, stream, index):
     return np.random.default_rng([int(seed), int(stream), int(index)])
 
 
-def sample_point(spec, seed, stream, index):
-    """Raw cell array of parameter point `index` of a stream; it depends
-    only on (seed, stream, index)."""
+def sample_point(problem, spec, seed, stream, index):
+    """Raw cell array of parameter point `index` of a stream, one row
+    per cell of the problem's partition; it depends only on (seed,
+    stream, index)."""
     rng = _rng(seed, stream, index)
-    return PROBLEMS[spec.kind].sample_cells(rng, spec.lambda_lo, spec.lambda_hi, spec.n_cells)
+    return problem.sample_cells(rng, spec.lambda_lo, spec.lambda_hi, problem.form.n_cells)
 
 
-def sample_cells(spec, count, seed, stream=0):
-    """Raw cell arrays for `count` parameter points; point i depends
-    only on (seed, stream, i)."""
-    return [sample_point(spec, seed, stream, i) for i in range(count)]
-
-
-def sample_direction(spec, seed, index=0):
+def sample_direction(problem, seed, index=0):
     """Random symmetric per-cell direction with unit global Frobenius
     norm over the whole tuple, counter-seeded: ray `index` of a sweep
     walks along it."""
     rng = _rng(seed, _STREAM_RAY_DIR, index)
-    return PROBLEMS[spec.kind].sample_direction(rng, spec.n_cells)
+    return problem.sample_direction(rng, problem.form.n_cells)
 
 
 def _cell_frobenius(problem, cells_a, cells_b, subset):
@@ -193,19 +180,19 @@ class _SweepJobs:
         return [res for i in range(lo, hi) for res in self._job(i)]
 
     def _job(self, i):
-        spec, seed = self.spec, self.seed
+        problem, spec, seed = self.problem, self.spec, self.seed
         if i < self.n_pairs:
             kind = "random_random"
-            cells_p = sample_point(spec, seed, _STREAM_RANDOM_P, i)
-            steps = [(None, sample_point(spec, seed, _STREAM_RANDOM_Q, i))]
+            cells_p = sample_point(problem, spec, seed, _STREAM_RANDOM_P, i)
+            steps = [(None, sample_point(problem, spec, seed, _STREAM_RANDOM_Q, i))]
         else:
             kind = "near_diagonal"
             r = i - self.n_pairs
-            cells_p = sample_point(spec, seed, _STREAM_RAY_BASE, r)
-            dp = sample_direction(spec, seed, r)
+            cells_p = sample_point(problem, spec, seed, _STREAM_RAY_BASE, r)
+            dp = sample_direction(problem, seed, r)
             steps = [(float(t), cells_p + t * dp) for t in self.ray_steps]
         try:
-            m_p = self.problem.forward(cells_p)
+            m_p = problem.forward(cells_p)
         except HolderLabError:
             return [None] * len(steps)
         return [self._record(kind, t, cells_p, m_p, cells_q) for t, cells_q in steps]
@@ -273,19 +260,12 @@ def _run_on_workers(jobs, n_jobs, workers):
         return [res for f in futures for res in f.result()]
 
 
-def sweep(
-    mesh,
-    spec,
-    rq,
-    n_random_pairs,
-    n_rays,
-    ray_steps,
-    seed,
-    probe_k=None,
-    threads=1,
-):
-    """Stability records for random pairs and near-diagonal rays, with
-    the raw operator difference M_p - M_q of every record.
+def sweep(problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=None, threads=1):
+    """Stability records of a built forward problem for random pairs
+    and near-diagonal rays, with the raw operator difference M_p - M_q
+    of every record. A recovered cell label outside the problem's
+    partition is a ValueError, and a probe_k above its basis dimension
+    a BasisMismatch, both raised before any solve.
 
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Each record whitens its
@@ -296,19 +276,15 @@ def sweep(
     whose solve fails is dropped and counted, and a failed base solve
     drops all its ray's records.
     """
-    if max(rq.cell_subset) > spec.n_cells:
+    if max(rq.cell_subset) > problem.form.n_cells:
         raise ValueError("recovered cell label outside the partition")
-    problem = PROBLEMS[spec.kind](mesh)
     k = problem.basis.k if probe_k is None else probe_k
-    jobs = _SweepJobs(
-        problem,
-        spec,
-        rq,
-        n_random_pairs,
-        np.asarray(ray_steps, dtype=float),
-        seed,
-        probe_weights(k),
-    )
+    if k > problem.basis.k:
+        raise BasisMismatch(
+            "truncation order %d exceeds basis dimension %d" % (k, problem.basis.k)
+        )
+    steps = np.asarray(ray_steps, dtype=float)
+    jobs = _SweepJobs(problem, spec, rq, n_random_pairs, steps, seed, probe_weights(k))
     n_jobs = n_random_pairs + n_rays
     workers = _worker_count(threads, n_jobs)
     if workers > 1:

@@ -32,6 +32,12 @@ from helpers import eig_min
 SEED = 1729
 FULL_BOTTOM = PatchSpec("bottom", 0.0, 1.0)
 FLAT_TS = np.array([0.05, 0.07, 0.1, 0.14, 0.2, 0.28, 0.4])
+SPEC = sl.CompactSetSpec(0.5, 2.0)
+
+
+def points(problem, count, stream=0):
+    """The first `count` parameter points of a stream, seed SEED."""
+    return [sl.sample_point(problem, SPEC, SEED, stream, i) for i in range(count)]
 
 
 def rel_gap(got, want):
@@ -49,12 +55,11 @@ def conductivity_sweep():
     200 random pairs plus 20 rays of 20 steps. Shared by the sweep,
     finite-measurement, and timing checks."""
     mesh = build_mesh(16, PartitionSpec(2, 1), FULL_BOTTOM)
-    spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
     rq = sl.RecoveredQuantity((1, 2))
     start = time.perf_counter()
     result = sl.sweep(
-        mesh,
-        spec,
+        cd.NDProblem(mesh),
+        SPEC,
         rq,
         200,
         20,
@@ -72,8 +77,8 @@ def test_criterion_1_scaling_identities():
         mesh = build_mesh(n_sub, PartitionSpec(2, 1), FULL_BOTTOM)
         cp = cd.NDProblem(mesh)
         ep = el.DNProblem(mesh)
-        pc = sl.sample_cells(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 1, SEED)[0]
-        pe = sl.sample_cells(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 1, SEED)[0]
+        pc = points(cp, 1)[0]
+        pe = points(ep, 1)[0]
         base_c = cp.forward(pc)
         base_e = ep.forward(pe)
         for t in (0.5, 2.0, 10.0):
@@ -92,8 +97,8 @@ def test_criterion_2_symmetry_and_psd(small_mesh):
     worst_sym = 0.0
     worst_ratio = 0.0
     draws = [
-        (sl.sample_cells(sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 50, SEED), cp),
-        (sl.sample_cells(sl.CompactSetSpec(0.5, 2.0, 2, "elasticity"), 50, SEED), ep),
+        (points(cp, 50), cp),
+        (points(ep, 50), ep),
     ]
     for params, problem in draws:
         for p in params:
@@ -112,10 +117,9 @@ def test_criterion_3_derivative_checks(small_mesh):
     cp = cd.NDProblem(small_mesh)
     ep = el.DNProblem(small_mesh)
     summaries = []
-    for kind in ("conductivity", "elasticity"):
-        spec = sl.CompactSetSpec(0.5, 2.0, 2, kind)
-        p = sl.sample_cells(spec, 1, SEED)[0]
-        d = sl.sample_direction(spec, SEED)
+    for kind, problem in (("conductivity", cp), ("elasticity", ep)):
+        p = points(problem, 1)[0]
+        d = sl.sample_direction(problem, SEED)
         if kind == "conductivity":
             forward = cp.forward
             deriv = cp.derivative(p, d)
@@ -145,9 +149,8 @@ def test_criterion_4_faithfulness(small_mesh):
     k = cp.basis.coeffs.shape[0]
     w = probe_weights(k)
     bound_const = w.square_sum() ** 2
-    spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
-    ps = sl.sample_cells(spec, 100, SEED, stream=1)
-    qs = sl.sample_cells(spec, 100, SEED, stream=2)
+    ps = points(cp, 100, stream=1)
+    qs = points(cp, 100, stream=2)
     for p, q in zip(ps, qs):
         a = cp.forward(p)
         b = cp.forward(q)

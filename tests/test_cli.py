@@ -195,7 +195,7 @@ def test_command_prints_summary_to_path_and_writes_header(tmp_path, capsys, comm
 def test_sweep_is_thread_count_invariant(tmp_path):
     """records.csv and selection.csv are the same bytes whether the
     sweep runs in-process or on two or three worker processes."""
-    for problem in sl.KINDS:
+    for problem in sl.PROBLEMS:
         path = write_config(tmp_path, {"problem": problem})
         outputs = set()
         for threads in ("1", "2", "3"):
@@ -414,6 +414,25 @@ def test_mesh_and_fit_load_no_process_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize("command", ["sweep", "select"])
+def test_probe_k_above_basis_dimension_exits_2(tmp_path, capsys, monkeypatch, command):
+    """probe_k 40 on the 8-current basis of n_sub=8 is a config error
+    naming the field and the dimension, raised before any forward and
+    before any output is written."""
+    from holderlab import conductivity as cd
+
+    def no_forward(problem, cells):
+        raise AssertionError("a forward ran")
+
+    monkeypatch.setattr(cd, "nd_matrix", no_forward)
+    path = write_config(tmp_path, {"probe_k": 40})
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error (field probe_k): must be at most the basis dimension 8\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     path = write_config(tmp_path)
@@ -471,7 +490,7 @@ def test_readme_library_example_runs():
 def valid_configs(draw):
     cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     raw = {
-        "problem": draw(st.sampled_from(sl.KINDS)),
+        "problem": draw(st.sampled_from(tuple(sl.PROBLEMS))),
         "seed": draw(st.integers(0, 2**64)),
         "mesh": {
             "n_sub": cols * rows * draw(st.integers(1, 4)),
@@ -523,7 +542,7 @@ def test_normalize_is_idempotent_and_hash_stable(raw):
     assert normalize_config(raw) == cfg
 
 
-CHOICES = {"problem": sl.KINDS, "mesh.side": mx.SIDES}
+CHOICES = {"problem": tuple(sl.PROBLEMS), "mesh.side": mx.SIDES}
 
 
 def accepts(name, value):

@@ -14,6 +14,7 @@ import pytest
 from holderlab import conductivity as cd
 from holderlab import elasticity as el
 from holderlab import mesh as mx
+from holderlab.errors import NotPositiveDefinite
 from holderlab.numerics import scatter
 
 ROOT2 = np.sqrt(2.0)
@@ -253,3 +254,23 @@ def test_forward_skips_backsolve_and_derivative_runs_one(kind, backsolves):
     assert backsolves == []
     problem.derivative(cells, direction)
     assert len(backsolves) == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
+def test_non_finite_input_fails_with_a_name(kind, bad):
+    """A non-finite cell entry is NotPositiveDefinite for forward and
+    derivative, and a non-finite direction a ValueError, instead of a
+    NaN matrix or a complaint about symmetry."""
+    m = mesh_2x2()
+    problem = cd.NDProblem(m) if kind == "conductivity" else el.DNProblem(m)
+    cells, direction = conductivity_points() if kind == "conductivity" else elasticity_points()
+    broken_cells, broken_direction = cells.copy(), direction.copy()
+    broken_cells.flat[0] = bad
+    broken_direction.flat[0] = bad
+    with pytest.raises(NotPositiveDefinite, match="finite"):
+        problem.forward(broken_cells)
+    with pytest.raises(NotPositiveDefinite, match="finite"):
+        problem.derivative(broken_cells, direction)
+    with pytest.raises(ValueError, match="finite"):
+        problem.derivative(cells, broken_direction)

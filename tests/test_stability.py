@@ -10,7 +10,12 @@ import pytest
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab import stability as sl
-from holderlab.errors import DegenerateSample, InsufficientSpread, NotPositiveDefinite
+from holderlab.errors import (
+    BasisMismatch,
+    DegenerateSample,
+    InsufficientSpread,
+    NotPositiveDefinite,
+)
 from holderlab.numerics import spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
 
@@ -23,6 +28,19 @@ def bottom_mesh(n_sub, cols=1, rows=1):
     )
 
 
+SPEC = sl.CompactSetSpec(0.5, 2.0)
+
+
+def built(kind, n_sub=4, cols=1, rows=1):
+    """The forward problem of a kind on a bottom-patch mesh."""
+    return sl.PROBLEMS[kind](bottom_mesh(n_sub, cols, rows))
+
+
+def points(problem, spec, count, seed, stream=0):
+    """The first `count` parameter points of a stream."""
+    return [sl.sample_point(problem, spec, seed, stream, i) for i in range(count)]
+
+
 def synthetic_records(delta_f, delta_r):
     return [
         sl.StabilityRecord(i, "random_random", None, float(r), float(f), 0.0)
@@ -32,9 +50,9 @@ def synthetic_records(delta_f, delta_r):
 
 def test_compact_set_validation():
     with pytest.raises(ValueError):
-        sl.CompactSetSpec(2.0, 0.5, 1, "conductivity")
+        sl.CompactSetSpec(2.0, 0.5)
     with pytest.raises(ValueError):
-        sl.CompactSetSpec(0.5, 2.0, 1, "magnetism")
+        sl.CompactSetSpec(0.0, 2.0)
 
 
 def test_recovered_quantity_validation():
@@ -47,13 +65,13 @@ def test_recovered_quantity_validation():
 
 
 def test_sampling_deterministic():
-    spec = sl.CompactSetSpec(0.5, 2.0, 3, "conductivity")
-    a = sl.sample_cells(spec, 4, seed=9)
-    b = sl.sample_cells(spec, 4, seed=9)
+    problem = built("conductivity", n_sub=3, cols=3)
+    a = points(problem, SPEC, 4, seed=9)
+    b = points(problem, SPEC, 4, seed=9)
     for p, q in zip(a, b):
         assert np.array_equal(p, q)
     # sample i depends only on (seed, i), not on count
-    c = sl.sample_cells(spec, 2, seed=9)
+    c = points(problem, SPEC, 2, seed=9)
     assert np.array_equal(a[0], c[0])
     assert np.array_equal(a[1], c[1])
 
@@ -62,10 +80,9 @@ def test_sampling_eigenvalue_bounds():
     """Each kind's sampled cells are symmetric matrices with eigenvalues
     in the class's interval, and its map has the degree its class
     states: F(2 p) = 2^degree F(p)."""
-    for kind in sl.KINDS:
-        spec = sl.CompactSetSpec(0.5, 2.0, 2, kind)
-        problem = sl.PROBLEMS[kind](bottom_mesh(4, cols=2))
-        for cells in sl.sample_cells(spec, 10, seed=3):
+    for kind in sl.PROBLEMS:
+        problem = built(kind, cols=2)
+        for cells in points(problem, SPEC, 10, seed=3):
             mats = problem.cell_matrices(cells)
             assert np.array_equal(mats, mats.transpose(0, 2, 1))
             for m in mats:
@@ -78,19 +95,18 @@ def test_sampling_eigenvalue_bounds():
 
 
 def test_sampling_degenerate_interval():
-    spec = sl.CompactSetSpec(1.0, 1.0, 2, "conductivity")
-    for cells in sl.sample_cells(spec, 3, seed=1):
+    spec = sl.CompactSetSpec(1.0, 1.0)
+    for cells in points(built("conductivity", cols=2), spec, 3, seed=1):
         for m in cd.cell_matrices(cells):
             assert np.allclose(m, np.eye(2), atol=1e-12)
-    spec = sl.CompactSetSpec(1.0, 1.0, 1, "elasticity")
-    for cells in sl.sample_cells(spec, 3, seed=1):
+    for cells in points(built("elasticity"), spec, 3, seed=1):
         assert np.allclose(cells[0], np.eye(3), atol=1e-12)
 
 
-def per_cell_elasticity(rng, spec):
+def per_cell_elasticity(rng, spec, n_cells):
     """Elasticity cells drawn and rotated one cell at a time."""
-    cells = np.empty((spec.n_cells, 3, 3))
-    for j in range(spec.n_cells):
+    cells = np.empty((n_cells, 3, 3))
+    for j in range(n_cells):
         e = rng.uniform(spec.lambda_lo, spec.lambda_hi, 3)
         g = rng.standard_normal((3, 3))
         q, r = np.linalg.qr(g)
@@ -102,20 +118,18 @@ def per_cell_elasticity(rng, spec):
 @pytest.mark.parametrize("n_cells", [1, 2, 4])
 def test_elasticity_sampling_matches_per_cell_loop(n_cells):
     """The stacked rotations give the per-cell loop's cells bit for bit."""
-    spec = sl.CompactSetSpec(0.5, 2.0, n_cells, "elasticity")
+    problem = built("elasticity", cols=n_cells)
     for seed in range(100):
         for stream in (1, 3):
-            want = per_cell_elasticity(sl._rng(seed, stream, 7), spec)
-            assert np.array_equal(sl.sample_point(spec, seed, stream, 7), want)
+            want = per_cell_elasticity(sl._rng(seed, stream, 7), SPEC, n_cells)
+            assert np.array_equal(sl.sample_point(problem, SPEC, seed, stream, 7), want)
 
 
 def small_sweep(threads=1, seed=42):
-    spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
-    m = bottom_mesh(8, cols=2)
     rq = sl.RecoveredQuantity((1, 2))
     return sl.sweep(
-        m,
-        spec,
+        built("conductivity", n_sub=8, cols=2),
+        SPEC,
         rq,
         n_random_pairs=10,
         n_rays=3,
@@ -153,18 +167,16 @@ def test_sweep_thread_count_invariance():
         assert ra.phi == rb.phi
 
 
-@pytest.mark.parametrize("kind", sl.KINDS)
+@pytest.mark.parametrize("kind", tuple(sl.PROBLEMS))
 def test_sweep_drops_ray_steps_outside_the_cone(kind):
     """Long rays from a wide class leave the SPD cone; those steps are
     dropped and counted, and the sweep still finishes the same on any
     thread count."""
-    spec = sl.CompactSetSpec(0.1, 2.0, 2, kind)
+    spec = sl.CompactSetSpec(0.1, 2.0)
     rq = sl.RecoveredQuantity((1, 2))
     steps = np.geomspace(1e-6, 0.9, 20)
-    runs = [
-        sl.sweep(bottom_mesh(8, cols=2), spec, rq, 200, 20, steps, 1729, threads=t)
-        for t in (1, 3)
-    ]
+    problem = built(kind, n_sub=8, cols=2)
+    runs = [sl.sweep(problem, spec, rq, 200, 20, steps, 1729, threads=t) for t in (1, 3)]
     for res in runs:
         assert res.dropped > 0
         assert len(res.records) + res.dropped == 200 + 20 * 20
@@ -212,6 +224,55 @@ def test_sweep_solves_each_ray_base_once(monkeypatch):
         assert count.value == 2 * 10 + 3 * (4 + 1)
 
 
+def recorded_forwards(monkeypatch):
+    """The cell arrays of every conductivity forward from now on, in
+    this process."""
+    seen = []
+    real = cd.nd_matrix
+
+    def recorded(problem, cells):
+        seen.append(np.asarray(cells))
+        return real(problem, cells)
+
+    monkeypatch.setattr(cd, "nd_matrix", recorded)
+    return seen
+
+
+def test_sweep_rejects_recovered_cell_outside_partition(monkeypatch):
+    """A recovered cell label the problem's partition lacks is an error
+    before any forward runs."""
+    seen = recorded_forwards(monkeypatch)
+    rq = sl.RecoveredQuantity((1, 3))
+    with pytest.raises(ValueError, match="outside the partition"):
+        sl.sweep(built("conductivity", cols=2), SPEC, rq, 5, 1, [1e-3], 42)
+    assert seen == []
+
+
+def test_sweep_rejects_probe_k_above_basis_dimension(monkeypatch):
+    """A probe_k above the basis dimension is a BasisMismatch before
+    any forward runs, not after the first record's solves."""
+    seen = recorded_forwards(monkeypatch)
+    problem = built("conductivity", n_sub=8)
+    rq = sl.RecoveredQuantity((1,))
+    with pytest.raises(BasisMismatch, match="exceeds basis dimension 8"):
+        sl.sweep(problem, SPEC, rq, 5, 1, [1e-3], 42, probe_k=problem.basis.k + 1)
+    assert seen == []
+    assert len(sl.sweep(problem, SPEC, rq, 1, 0, [], 42, probe_k=problem.basis.k).records) == 1
+
+
+def test_sweep_samples_points_of_the_problem_shape(monkeypatch):
+    """On 2x2 cells every sampled point has one row per cell of the
+    problem's partition, and no record is dropped."""
+    seen = recorded_forwards(monkeypatch)
+    problem = built("conductivity", cols=2, rows=2)
+    rq = sl.RecoveredQuantity((1, 2, 3, 4))
+    res = sl.sweep(problem, SPEC, rq, 6, 1, sl.default_ray_steps(5), 42)
+    assert res.dropped == 0
+    assert len(res.records) == 6 + 5
+    assert len(seen) == 2 * 6 + 1 + 5
+    assert {cells.shape for cells in seen} == {(4, 3)}
+
+
 def test_worker_count_is_capped(monkeypatch):
     """A sweep runs on no more processes than it asks for, than the CPUs
     it may use, or than it has jobs; one means in-process."""
@@ -235,8 +296,7 @@ def test_single_job_sweep_stays_in_process(monkeypatch):
         return real(problem, cells)
 
     monkeypatch.setattr(cd, "nd_matrix", recorded)
-    spec = sl.CompactSetSpec(0.5, 2.0, 1, "conductivity")
-    res = sl.sweep(bottom_mesh(4), spec, sl.RecoveredQuantity((1,)), 1, 0, [], 3, threads=3)
+    res = sl.sweep(built("conductivity"), SPEC, sl.RecoveredQuantity((1,)), 1, 0, [], 3, threads=3)
     assert len(res.records) == 1
     assert pids == [os.getpid()] * 2
 
@@ -255,10 +315,11 @@ def test_chunks_balance_forwards():
         assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(110))
 
 
-def inject_failure(monkeypatch, spec, seed):
-    """Make the forward of the last ray's base point raise an error
-    that is not a HolderLabError."""
-    base = sl.sample_point(spec, seed, sl._STREAM_RAY_BASE, 2)
+def inject_failure(monkeypatch, seed):
+    """Make the forward of the last ray's base point of small_sweep
+    raise an error that is not a HolderLabError."""
+    problem = built("conductivity", cols=2)
+    base = sl.sample_point(problem, SPEC, seed, sl._STREAM_RAY_BASE, 2)
     real = cd.nd_matrix
 
     def failing(problem, cells):
@@ -273,7 +334,7 @@ def inject_failure(monkeypatch, spec, seed):
 def test_sweep_job_error_reaches_caller(monkeypatch, threads):
     """An error that is not a HolderLabError is no dropped record: it
     reaches the caller with its type, from a worker process too."""
-    inject_failure(monkeypatch, sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 42)
+    inject_failure(monkeypatch, 42)
     with pytest.raises(FloatingPointError, match="injected"):
         small_sweep(threads=threads)
 
@@ -296,7 +357,7 @@ def test_no_worker_outlives_the_command(tmp_path, monkeypatch, command, fail):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     if fail:
-        inject_failure(monkeypatch, sl.CompactSetSpec(0.5, 2.0, 2, "conductivity"), 42)
+        inject_failure(monkeypatch, 42)
     before = child_pids()
     if fail:
         with pytest.raises(FloatingPointError):
@@ -311,8 +372,8 @@ def test_sweep_runs_no_backsolve(backsolves):
     the patch-last system: no full back-substitution (back_solve) runs."""
     res = small_sweep(threads=1)
     assert len(res.records) == 10 + 3 * 4
-    spec = sl.CompactSetSpec(0.5, 2.0, 2, "elasticity")
-    res = sl.sweep(bottom_mesh(4, cols=2), spec, sl.RecoveredQuantity((1,)), 3, 1, [1e-3, 1e-2], 42)
+    problem = built("elasticity", cols=2)
+    res = sl.sweep(problem, SPEC, sl.RecoveredQuantity((1,)), 3, 1, [1e-3, 1e-2], 42)
     assert len(res.records) == 3 + 2
     assert backsolves == []
 
@@ -320,8 +381,7 @@ def test_sweep_runs_no_backsolve(backsolves):
 def test_sweep_failed_ray_base_drops_every_step(monkeypatch):
     """A failed base solve drops each record of its ray, counted one
     by one; the other rays and the pairs are unaffected."""
-    spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
-    base = sl.sample_cells(spec, 3, 42, sl._STREAM_RAY_BASE)[1]
+    base = sl.sample_point(built("conductivity", cols=2), SPEC, 42, sl._STREAM_RAY_BASE, 1)
     real = cd.nd_matrix
 
     def failing(problem, cells):
@@ -478,10 +538,8 @@ def test_injectivity_probe():
 
 
 def test_injectivity_probe_one_cell_sweep():
-    spec = sl.CompactSetSpec(0.5, 2.0, 1, "conductivity")
-    m = bottom_mesh(8)
     rq = sl.RecoveredQuantity((1,))
-    res = sl.sweep(m, spec, rq, 10, 2, sl.default_ray_steps(4), seed=5)
+    res = sl.sweep(built("conductivity", n_sub=8), SPEC, rq, 10, 2, sl.default_ray_steps(4), seed=5)
     assert res.dropped == 0
     assert sl.injectivity_probe(res.records, 1e-8) == []
 
@@ -509,17 +567,16 @@ def test_sweep_whitens_each_record_once(monkeypatch, threads):
 def test_sweep_differences_are_raw_operator_differences():
     """differences[i] is M_p - M_q of record i, for a random pair and
     for a ray step alike."""
-    spec = sl.CompactSetSpec(0.5, 2.0, 2, "conductivity")
     problem = cd.NDProblem(bottom_mesh(8, cols=2))
     res = small_sweep()
-    ps = sl.sample_cells(spec, 10, 42, sl._STREAM_RANDOM_P)
-    qs = sl.sample_cells(spec, 10, 42, sl._STREAM_RANDOM_Q)
+    ps = points(problem, SPEC, 10, 42, sl._STREAM_RANDOM_P)
+    qs = points(problem, SPEC, 10, 42, sl._STREAM_RANDOM_Q)
     for i in (0, 9):
         want = problem.forward(ps[i]) - problem.forward(qs[i])
         assert np.array_equal(res.differences[i], want)
-    base = sl.sample_cells(spec, 1, 42, sl._STREAM_RAY_BASE)[0]
+    base = sl.sample_point(problem, SPEC, 42, sl._STREAM_RAY_BASE, 0)
     t = float(sl.default_ray_steps(4)[0])
-    stepped = base + t * sl.sample_direction(spec, 42, index=0)
+    stepped = base + t * sl.sample_direction(problem, 42, index=0)
     want = problem.forward(base) - problem.forward(stepped)
     first_ray = next(i for i, r in enumerate(res.records) if r.kind == "near_diagonal")
     assert res.records[first_ray].t == t
@@ -527,10 +584,9 @@ def test_sweep_differences_are_raw_operator_differences():
 
 
 def test_elasticity_sweep_runs():
-    spec = sl.CompactSetSpec(0.5, 2.0, 2, "elasticity")
-    m = bottom_mesh(8, cols=2)
     rq = sl.RecoveredQuantity((1,))
-    res = sl.sweep(m, spec, rq, 4, 1, sl.default_ray_steps(3), seed=6)
+    problem = built("elasticity", n_sub=8, cols=2)
+    res = sl.sweep(problem, SPEC, rq, 4, 1, sl.default_ray_steps(3), seed=6)
     assert len(res.records) == 7
     assert res.dropped == 0
     for r in res.records:
