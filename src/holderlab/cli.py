@@ -3,15 +3,18 @@
 Configs are JSON with nested sections; every run is a pure function of
 (config, seed). The commands that solve read the cell count, sampling
 and basis from one forward problem, build_problem_from(cfg); compact_set
-gives only the ellipticity bounds. Every command but `validate` writes
-one file, and one function, `_emit`, writes them all: a comment line
+gives only the ellipticity bounds. `validate`, `sweep` and `select`
+also check the config against the built problem (_checked_problem).
+Every command but `validate`, which echoes the config, writes one
+file, and one function, `_emit`, writes them all: a comment line
 recording the tool version, the hash of the normalized config and the
 seed, then the command's body, in a file under output_dir (`fit` writes
 to --out), and then one stdout line ending `-> <path>`. Exit codes: 0
 success, 1 runtime numerical failure (the message names the originating
 error), 2 config validation failure, an unwritable output path (the
-message names output_dir, or --out for `fit`) or a probe_k above the
-basis dimension (found before any solve) included.
+message names output_dir, or --out for `fit`), a probe_k above the
+basis dimension (found before any solve) and a counterexample t_lo
+where F underflows to 0 included.
 """
 
 import argparse
@@ -35,7 +38,7 @@ import numpy as np
 from . import __version__
 from . import mesh as mx
 from . import stability as sl
-from .errors import ConfigError, HolderLabError
+from .errors import ConfigError, DegenerateSample, HolderLabError
 from .scalarization import all_candidate_pairs, greedy_select
 
 REQUIRED = object()  # the default of a field the config must give
@@ -401,14 +404,21 @@ def cmd_derivcheck(cfg, args):
     return _emit(cfg, "derivcheck.csv", "\n".join(lines) + "\n", summary)
 
 
-def _run_sweep(cfg, threads):
+def _checked_problem(cfg):
+    """The config's forward problem, after the checks that need it
+    built: probe_k at most its basis dimension. Building the problem
+    costs no solve."""
     problem = build_problem_from(cfg)
     k = problem.basis.k
     if cfg["probe_k"] is not None and cfg["probe_k"] > k:
         raise ConfigError("must be at most the basis dimension %d" % k, "probe_k")
+    return problem
+
+
+def _run_sweep(cfg, threads):
     s = cfg["sweep"]
     return sl.sweep(
-        problem,
+        _checked_problem(cfg),
         build_spec_from(cfg),
         sl.RecoveredQuantity(tuple(cfg["recovered_cells"])),
         s["n_random_pairs"],
@@ -477,7 +487,10 @@ def cmd_select(cfg, args):
 def cmd_counterexample(cfg, args):
     ce = cfg["counterexample"]
     ts = np.geomspace(ce["t_lo"], ce["t_hi"], ce["n_points"])
-    flat = sl.flat_counterexample(ts, tol=ce["tol"])
+    try:
+        flat = sl.flat_counterexample(ts, tol=ce["tol"])
+    except DegenerateSample as exc:
+        raise ConfigError(str(exc), "counterexample.t_lo") from None
     ctl = sl.analytic_control(
         ts, tol=ce["tol"], n_bins=cfg["fit"]["n_bins"], slack=cfg["fit"]["slack"]
     )
@@ -494,6 +507,7 @@ def cmd_counterexample(cfg, args):
 
 
 def cmd_validate(cfg, args):
+    _checked_problem(cfg)
     print(json.dumps(cfg, indent=2, sort_keys=True))
     return 0
 
@@ -539,7 +553,7 @@ def build_parser():
     command("sweep", cmd_sweep, "run a stability sweep and write records CSV", threads=True)
     command("select", cmd_select, "greedy finite-measurement selection", threads=True)
     command("counterexample", cmd_counterexample, "flat vs analytic scalar map tables")
-    command("validate", cmd_validate, "echo the normalized effective config")
+    command("validate", cmd_validate, "check the config and echo it normalized")
 
     fit = FIELDS["fit"]
     fit_p = sub.add_parser("fit", help="fit a Holder envelope to a records CSV")

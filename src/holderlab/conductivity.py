@@ -47,7 +47,6 @@ from .numerics import (
     CellStiffness,
     back_solve,
     factor_spd,
-    scatter,
     symmetrize,
     trailing_solve,
 )
@@ -166,7 +165,6 @@ class NDProblem:
         active = np.full(mesh.n_nodes, -1)
         active[self.dofs] = np.arange(self.dofs.size)
         self.form = stiffness_form(mesh, active)
-        self.band = self.form.band_layout(slice(None), self.dofs.size)
         loads = _patch_loads(mesh, self.basis)[self.dofs]
         self.first = int(np.flatnonzero(loads.any(axis=1))[0])
         self.loads = loads[self.first:].copy()  # not a view holding every row
@@ -196,7 +194,7 @@ class NDProblem:
     def factor(self, cells):
         """Banded Cholesky factor of the grounded stiffness; the cells
         are checked first."""
-        return factor_spd(scatter(self.form.values(check_cells(cells)), self.band))
+        return factor_spd(self.form.band(self.form.values(check_cells(cells))))
 
     def forward(self, cells):
         return nd_matrix(self, cells)

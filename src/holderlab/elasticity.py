@@ -16,16 +16,15 @@ stiffness as a linear map of the nine Mandel entries per cell.
 forward(cells) and derivative(cells, dp) check the cells and return
 plain, exactly symmetric matrices in the displacement basis; the
 problem, not the matrix, carries the kind, the degree and the whitener.
-The interior dofs are numbered patch side last (mesh.patch_last_order),
-so the interior loads L = K[idx, bd] of the basis data vanish above a
-short trailing block of rows. With the banded factorization
-K[idx, idx] = U.T @ U, the map is M = K[bd, bd] - W.T @ W for
-W = U^-T L, which vanishes above that block too: forward pays one
-factorization and one triangular solve over the trailing rows.
-derivative takes the same two steps and one more triangular solve,
-which back-substitutes W into the interior corrections K[idx, idx]^-1 L
-over all interior dofs, and pairs the full solutions through the
-stiffness of the direction.
+The stiffness over the interior dofs, numbered patch side last
+(mesh.patch_last_order), and then the basis dofs has a narrow band.
+With its banded factorization K = U.T @ U, the trailing k x k block C
+of U is all the map needs: the Schur complement of the interior block
+is M = C.T @ C, so forward pays one factorization and reads C off the
+factor. derivative takes the same factorization and one triangular
+solve, U^-1 [0; C], which gives the full solutions (the basis data
+minus their interior corrections) over all active dofs, and pairs them
+through the stiffness of the direction.
 """
 
 from dataclasses import dataclass
@@ -41,15 +40,7 @@ from .mesh import (
     patch_last_order,
     patch_nodes,
 )
-from .numerics import (
-    CellStiffness,
-    back_solve,
-    factor_spd,
-    layout,
-    scatter,
-    symmetrize,
-    trailing_solve,
-)
+from .numerics import CellStiffness, back_solve, factor_spd, symmetrize
 
 KIND = "elasticity_dn"
 
@@ -145,13 +136,12 @@ class DNProblem:
     """The localized Dirichlet problem of one mesh, built once, and the
     parameter space of its stiffness tensors.
 
-    dofs lists the active dofs, the interior dofs idx in patch-last
-    order followed by the basis dofs bd; form is the vector P1
-    stiffness over them, linear in the (N, 3, 3) Mandel cells. The
-    interior loads K[idx, bd] vanish above interior dof first. band,
-    load and energy place the slot values into the interior block
-    K[idx, idx] (band storage), the rows first: of K[idx, bd] and
-    K[bd, bd].
+    dofs lists the active dofs, the interior dofs in patch-last order
+    followed by the k basis dofs; form is the vector P1 stiffness over
+    them, linear in the (N, 3, 3) Mandel cells. Under K = U.T @ U the
+    trailing k x k block C of U gives the map as C.T @ C, the Schur
+    complement of the interior block; trailing reads C off the factor's
+    band storage.
     """
 
     kind = KIND
@@ -160,26 +150,19 @@ class DNProblem:
     def __init__(self, mesh):
         self.basis = displacement_basis(mesh)
         self.whitener = operators.gram_inv_sqrt(self.basis.gram)
-        idx = interior_dofs(mesh)
         bd = 2 * self.basis.entries[:, 0] + self.basis.entries[:, 1]
-        self.dofs = np.concatenate([idx, bd])
-        n, k = idx.size, self.basis.k
+        self.dofs = np.concatenate([interior_dofs(mesh), bd])
         active = np.full(2 * mesh.n_nodes, -1)
-        active[self.dofs] = np.arange(n + k)
+        active[self.dofs] = np.arange(self.dofs.size)
         self.form = stiffness_form(mesh, active)
-        r, c = self.form.rows, self.form.cols
-        inner = np.flatnonzero(c < n)
-        cross = np.flatnonzero((r < n) & (c >= n))
-        outer = np.flatnonzero(r >= n)
-        self.first = int(r[cross].min())
-        self.band = self.form.band_layout(inner, n)
-        self.load = layout(cross, r[cross] - self.first, c[cross] - n, (n - self.first, k))
-        self.energy = layout(
-            np.concatenate([outer, outer]),
-            np.concatenate([r[outer], c[outer]]) - n,
-            np.concatenate([c[outer], r[outer]]) - n,
-            (k, k),
-        )
+        # C[a, b] = U[n - k + a, n - k + b] for a <= b sits at
+        # band[u + a - b, n - k + b] if b - a <= u; the rest of C is zero
+        rows, n = self.form.band_shape
+        k = self.basis.k
+        a, b = np.triu_indices(k)
+        keep = b - a < rows
+        self._block = a[keep], b[keep]
+        self._in_band = rows - 1 + a[keep] - b[keep], n - k + b[keep]
 
     @staticmethod
     def sample_cells(rng, lo, hi, n_cells):
@@ -211,36 +194,36 @@ class DNProblem:
         return np.asarray(cells, dtype=float)
 
     def factor(self, cells):
-        """Stiffness slot values, the banded Cholesky factor of the
-        interior block and the trailing rows of the interior loads
-        K[idx, bd] of the zero-extended basis data; the cells are
-        checked first."""
-        values = self.form.values(check_cells(cells))
-        return values, factor_spd(scatter(values, self.band)), scatter(values, self.load)
+        """Banded Cholesky factor of the stiffness over all active dofs;
+        the cells are checked first."""
+        return factor_spd(self.form.band(self.form.values(check_cells(cells))))
+
+    def trailing(self, f):
+        """The trailing k x k block C of the factor f, upper triangular."""
+        c = np.zeros((self.basis.k, self.basis.k))
+        c[self._block] = f[self._in_band]
+        return c
 
     def forward(self, cells):
         return dn_matrix(self, cells)
 
     def derivative(self, cells, dp):
         """Directional derivative of the map at cells in direction dp:
-        the dp-energy pairing of the full solutions, which are the basis
-        data minus the interior corrections that make each datum's zero
-        extension discrete-harmonic. dp must be finite and symmetric,
-        like the cells, but need not be positive definite."""
-        _, f, tail = self.factor(cells)
+        the dp-energy pairing of the full solutions U^-1 [0; C], which
+        are the basis data minus the interior corrections that make each
+        datum's zero extension discrete-harmonic. dp must be finite and
+        symmetric, like the cells, but need not be positive definite."""
+        f = self.factor(cells)
         values = self.form.values(dp)  # checks count and finiteness first
         check_symmetric(dp)
-        corr = back_solve(f, trailing_solve(f, tail))
-        u = np.vstack([-corr, np.eye(self.basis.k)])
-        return self.form.pairing(values, u)
+        return self.form.pairing(values, back_solve(f, self.trailing(f)))
 
 
 def dn_matrix(problem, cells):
-    """Matrix of the localized Dirichlet-to-Neumann map: datum energy
-    minus the correction energy W.T @ W, from the trailing rows of
-    W = U^-T K[idx, bd]; both terms are exactly symmetric.
-    DNProblem.forward calls it; it is a module function only so that
-    tracing and forward-counting code can wrap it here."""
-    values, f, tail = problem.factor(cells)
-    w = trailing_solve(f, tail)
-    return scatter(values, problem.energy) - w.T @ w
+    """Matrix of the localized Dirichlet-to-Neumann map: the Schur
+    complement of the interior block, C.T @ C for the trailing block C
+    of the factor, which is exactly symmetric. DNProblem.forward calls
+    it; it is a module function only so that tracing and
+    forward-counting code can wrap it here."""
+    c = problem.trailing(problem.factor(cells))
+    return c.T @ c

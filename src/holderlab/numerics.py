@@ -5,16 +5,18 @@ All other modules funnel their linear solves and eigenvalue evaluations
 through this one. Matrices are 64-bit floats throughout. A stiffness
 matrix is linear in the cell components of its coefficient, so
 CellStiffness stores it once per mesh as one row of slot values per
-component on a fixed sparsity pattern; a call is a small matmul and a
-scatter into LAPACK band storage, which is narrow under the mesh's
-patch-last numbering (mesh.patch_last_order), and factored with pbtrf
-as K = U.T @ U. Loads L of a forward problem vanish above their last
-rows, and so does W = U^-T L: trailing_solve computes its trailing rows
-with one triangular band solve (tbtrs) over them. A forward map needs
-only the quadratic form L.T K^-1 L = W.T @ W; a derivative needs the
-solutions K^-1 L = U^-1 [0; W], which back_solve computes from the
-same W with one more tbtrs over all rows. pbtrf and tbtrs are the only
-LAPACK routines called. Small dense symmetric eigenproblems go through
+component on a fixed sparsity pattern, together with where each slot
+sits in LAPACK band storage; a call is a small matmul and one
+placement into that band, which is narrow under the mesh's patch-last
+numbering (mesh.patch_last_order), and factored with pbtrf as
+K = U.T @ U. A forward map is then W.T @ W for a block W that vanishes
+above its last rows: the elasticity map's W is the trailing block of U
+itself, and the conductivity map's is W = U^-T L for loads L that
+vanish above those rows too, which trailing_solve computes with one
+triangular band solve (tbtrs) over them. A derivative needs the
+solutions U^-1 [0; W], which back_solve computes from the same W with
+one more tbtrs over all rows. pbtrf and tbtrs are the only LAPACK
+routines called. Small dense symmetric eigenproblems go through
 LAPACK's symmetric solver.
 """
 
@@ -87,10 +89,10 @@ def trailing_solve(f, tail):
 
 
 def back_solve(f, w):
-    """U^-1 [0; W] over all rows, for the banded factor f of U and the
-    trailing rows W that trailing_solve returned for a block b: the
-    solutions K^-1 b, from one triangular band solve (LAPACK tbtrs)
-    with U itself."""
+    """U^-1 [0; W] over all rows, for the banded factor f of U and
+    trailing rows W, from one triangular band solve (LAPACK tbtrs) with
+    U itself. For the W that trailing_solve returned for a block b these
+    are the solutions K^-1 b."""
     return _tbtrs(f, w, "N")
 
 
@@ -120,7 +122,9 @@ class CellStiffness:
     """P1 stiffness K(c) = sum_t area_t ops_t.T A_t(c) ops_t over the
     active dofs, linear in the cell components c, on the fixed pattern
     of its upper triangle: slot s is K[rows[s], cols[s]], rows <= cols,
-    and values(c) = c.ravel() @ stack.
+    and values(c) = c.ravel() @ stack. band(values) is K in LAPACK
+    upper band storage of shape band_shape; where each slot lands there
+    is worked out once.
 
     ops (n_tri, m, d) maps a triangle's local dofs to its gradient or
     strain vector, comps (n_comp, m, m) is the coefficient matrix of
@@ -149,6 +153,10 @@ class CellStiffness:
         # a diagonal entry appears once in the upper triangle, an
         # off-diagonal one stands for two entries of K
         self._weight = np.where(self.rows == self.cols, 0.5, 1.0)
+        u = int((self.cols - self.rows).max())
+        self.band_shape = (u + 1, n)
+        place = (u + self.rows - self.cols, self.cols)
+        self._band_index = np.ravel_multi_index(place, self.band_shape)
 
     def values(self, cells):
         """Slot values of K at the finite cell components, or directions."""
@@ -167,26 +175,12 @@ class CellStiffness:
         half = u[self.rows].T @ ((self._weight * values)[:, None] * u[self.cols])
         return half + half.T
 
-    def band_layout(self, select, n):
-        """Index map into LAPACK upper band storage of the n x n matrix
-        formed by the selected slots, which lie in its upper triangle."""
-        r, c = self.rows[select], self.cols[select]
-        u = int((c - r).max())
-        return layout(select, u + r - c, c, (u + 1, n))
-
-
-def layout(select, rows, cols, shape):
-    """Index map that places the selected slot values at (rows, cols)
-    of a zero array of the given shape."""
-    return select, np.ravel_multi_index((rows, cols), shape), shape
-
-
-def scatter(values, index_map):
-    """Dense array holding slot values where an index map places them."""
-    select, flat, shape = index_map
-    out = np.zeros(shape)
-    out.reshape(-1)[flat] = values[select]
-    return out
+    def band(self, values):
+        """K for these slot values in LAPACK upper band storage, as
+        factor_spd takes it."""
+        out = np.zeros(self.band_shape)
+        out.reshape(-1)[self._band_index] = values
+        return out
 
 
 def adaptive_quadrature(f, a, b, tol, max_depth=50):

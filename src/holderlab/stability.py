@@ -404,11 +404,15 @@ def _log_slopes(ts, fs):
 def flat_counterexample(ts, tol=1e-14):
     """F(t) = integral of exp(-1/s^2) over [0, t] with local log-log
     slopes; the slopes blow up as t decreases, defeating any power-law
-    envelope."""
+    envelope. A t where F underflows to 0 has no logarithm: the
+    smallest one raises DegenerateSample."""
     ts = np.sort(np.asarray(ts, dtype=float))
     if ts[0] <= 0.0 or ts[-1] > 1.0:
         raise ValueError("sample points must lie in (0, 1]")
     fs = np.array([adaptive_quadrature(flat_integrand, 0.0, t, tol) for t in ts])
+    if not fs.all():
+        t = float(ts[fs == 0.0][0])
+        raise DegenerateSample("F(%r) underflows to 0, so it has no logarithm" % t)
     slopes = _log_slopes(ts, fs)
     return [FlatMapSample(float(t), float(f), float(s)) for t, f, s in zip(ts, fs, slopes)]
 

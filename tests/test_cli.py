@@ -360,6 +360,17 @@ def test_counterexample_table_has_both_maps(tmp_path):
     assert text.count("\ncubic,") == 5
 
 
+def test_counterexample_underflow_exits_2_naming_t_lo(tmp_path, capsys):
+    """At t_lo 0.02 the flat map's F underflows to 0: a config error
+    naming counterexample.t_lo, and no file with nan slopes."""
+    path = write_config(tmp_path, {"counterexample": {"t_lo": 0.02}})
+    assert main(["counterexample", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error (field counterexample.t_lo): F(0.02) underflows")
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_runs_as_script(tmp_path):
     path = write_config(tmp_path)
     proc = subprocess.run(
@@ -414,11 +425,12 @@ def test_mesh_and_fit_load_no_process_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("command", ["sweep", "select"])
+@pytest.mark.parametrize("command", ["sweep", "select", "validate"])
 def test_probe_k_above_basis_dimension_exits_2(tmp_path, capsys, monkeypatch, command):
     """probe_k 40 on the 8-current basis of n_sub=8 is a config error
     naming the field and the dimension, raised before any forward and
-    before any output is written."""
+    before any output is written; validate, which solves nothing,
+    rejects it too."""
     from holderlab import conductivity as cd
 
     def no_forward(problem, cells):

@@ -2,8 +2,8 @@
 reference assembly.
 
 Each problem keeps its stiffness as slot values linear in the cell
-components plus index maps into the blocks its solve uses. The
-reference below assembles the same matrices one triangle at a time from
+components plus an index map into the LAPACK band storage that its
+factorization takes. The reference below assembles the same matrices one triangle at a time from
 the vertex coordinates, with gradients from the inverse of the affine
 map, and shares no code with the package's assembly.
 """
@@ -15,7 +15,6 @@ from holderlab import conductivity as cd
 from holderlab import elasticity as el
 from holderlab import mesh as mx
 from holderlab.errors import NotPositiveDefinite
-from holderlab.numerics import scatter
 
 ROOT2 = np.sqrt(2.0)
 TOL = 1e-13
@@ -108,30 +107,18 @@ def test_conductivity_assembly_matches_reference():
         want = reference_conductivity(m, cells)[np.ix_(free, free)]
         values = problem.form.values(cells)
         assert rel_err(from_slots(problem.form, values, n), want) <= TOL
-        assert rel_err(from_band(scatter(values, problem.band)), want) <= TOL
+        assert rel_err(from_band(problem.form.band(values)), want) <= TOL
 
 
 def test_elasticity_assembly_matches_reference():
     m = mesh_2x2()
     problem = el.DNProblem(m)
     order = problem.dofs
-    n = order.size - problem.basis.k
-    idx, bd = order[:n], order[n:]
     for cells in elasticity_points():
-        want = reference_elasticity(m, cells)
+        want = reference_elasticity(m, cells)[np.ix_(order, order)]
         values = problem.form.values(cells)
-        assert rel_err(from_slots(problem.form, values, order.size), want[np.ix_(order, order)]) <= TOL
-        # the load layout holds the rows first: of K[idx, bd]; the
-        # rows above them vanish
-        first = problem.first
-        assert not want[np.ix_(idx[:first], bd)].any()
-        blocks = (
-            (from_band(scatter(values, problem.band)), want[np.ix_(idx, idx)]),
-            (scatter(values, problem.load), want[np.ix_(idx[first:], bd)]),
-            (scatter(values, problem.energy), want[np.ix_(bd, bd)]),
-        )
-        for got, block in blocks:
-            assert rel_err(got, block) <= TOL
+        assert rel_err(from_slots(problem.form, values, order.size), want) <= TOL
+        assert rel_err(from_band(problem.form.band(values)), want) <= TOL
 
 
 @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75)], ids=["full", "half"])
@@ -159,6 +146,33 @@ def test_forward_matches_reference_solve(kind, side, interval):
         k_ib = k[np.ix_(idx, bd)]
         want = k[np.ix_(bd, bd)] - k_ib.T @ np.linalg.solve(k[np.ix_(idx, idx)], k_ib)
     assert rel_err(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75)], ids=["full", "half"])
+@pytest.mark.parametrize("side", mx.SIDES)
+@pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
+def test_derivative_matches_reference_solve(kind, side, interval):
+    """The derivative against the dp-stiffness pairing of the
+    solutions from a dense solve of the reference system."""
+    m = mesh_2x2(side, *interval)
+    if kind == "conductivity":
+        problem = cd.NDProblem(m)
+        cells, direction = conductivity_points()
+        free = problem.dofs
+        k = reference_conductivity(m, cells)[np.ix_(free, free)]
+        loads = cd._patch_loads(m, problem.basis)[free]
+        u = np.linalg.solve(k, loads)
+        want = -u.T @ reference_conductivity(m, direction)[np.ix_(free, free)] @ u
+    else:
+        problem = el.DNProblem(m)
+        cells, direction = elasticity_points()
+        n = problem.dofs.size - problem.basis.k
+        idx, bd = problem.dofs[:n], problem.dofs[n:]
+        k = reference_elasticity(m, cells)
+        u = np.vstack([-np.linalg.solve(k[np.ix_(idx, idx)], k[np.ix_(idx, bd)]), np.eye(bd.size)])
+        dk = reference_elasticity(m, direction)[np.ix_(problem.dofs, problem.dofs)]
+        want = u.T @ dk @ u
+    assert rel_err(problem.derivative(cells, direction), want) <= 1e-13
 
 
 # The mesh is invariant under the symmetries of the square that keep the
@@ -229,16 +243,20 @@ def test_forward_is_invariant_under_mesh_symmetries(kind, side, interval):
 @pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
 def test_patch_last_band_and_trailing_block(kind, side):
     """Under the patch-last numbering the band stays within n_sub + 2
-    nodes of the diagonal, and the nonzero loads fit in the last two
-    node rows, which is all that a forward solves over."""
+    nodes of the diagonal, and the trailing block that a forward reads
+    (the nonzero rows of the conductivity loads, the elasticity basis
+    dofs) fits in the last two node rows."""
     n_sub = 8
     m = mx.build_mesh(n_sub, mx.PartitionSpec(2, 2), mx.PatchSpec(side, 0.0, 1.0))
     if kind == "conductivity":
         problem, per_node = cd.NDProblem(m), 1
     else:
         problem, per_node = el.DNProblem(m), 2
-    _, _, (band_rows, n) = problem.band
-    trailing = n - problem.first
+    band_rows = problem.form.band_shape[0]
+    if kind == "conductivity":
+        trailing = problem.loads.shape[0]
+    else:
+        trailing = problem.basis.k
     assert band_rows - 1 <= per_node * (n_sub + 2)
     assert trailing <= per_node * 2 * (n_sub + 1)
 

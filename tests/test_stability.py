@@ -513,6 +513,13 @@ def test_flat_counterexample_properties():
     assert at_tenth.local_slope >= 100.0
 
 
+def test_flat_counterexample_names_the_first_t_where_f_underflows():
+    """F underflows to 0 below t of about 0.0367; the smallest such t
+    is named before any logarithm is taken."""
+    with pytest.raises(DegenerateSample, match=r"F\(0\.02\) underflows to 0"):
+        sl.flat_counterexample([0.5, 0.03, 0.02, 0.1])
+
+
 def test_analytic_control_properties():
     ts = np.array([0.05, 0.1, 0.2, 0.5, 1.0])
     ctl = sl.analytic_control(ts)
