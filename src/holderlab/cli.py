@@ -14,7 +14,7 @@ success, 1 runtime numerical failure (the message names the originating
 error), 2 config validation failure, an unwritable output path (the
 message names output_dir, or --out for `fit`), a probe_k above the
 basis dimension (found before any solve) and a counterexample t_lo
-where F underflows to 0 included.
+where F underflows below the smallest normal float included.
 """
 
 import argparse
@@ -307,6 +307,8 @@ def parse_records_csv(path):
                     dropped = int(parts[1])
                 except ValueError as exc:
                     raise malformed(lineno, exc) from None
+                if dropped < 0:
+                    raise malformed(lineno, "negative dropped count %d" % dropped)
             for key, eq, value in (tok.partition("=") for tok in parts):
                 if eq and key in head:
                     head[key] = value

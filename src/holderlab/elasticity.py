@@ -9,30 +9,20 @@ resulting traction; its matrix is the Schur complement of the interior
 block of the vector P1 stiffness, equivalently the energy of the
 lifted-and-corrected solution.
 
-DNProblem is this problem's one object. It owns the parameter space,
-per-cell SPD 3x3 Mandel tensors, and all about one mesh that does not
-depend on them: the displacement basis, its whitening and the vector
-stiffness as a linear map of the nine Mandel entries per cell.
-forward(cells) and derivative(cells, dp) check the cells and return
-plain, exactly symmetric matrices in the displacement basis; the
-problem, not the matrix, carries the kind, the degree and the whitener.
-The stiffness over the interior dofs, numbered patch side last
-(mesh.patch_last_order), and then the basis dofs has a narrow band.
-With its banded factorization K = U.T @ U, the trailing k x k block C
-of U is all the map needs: the Schur complement of the interior block
-is M = C.T @ C, so forward pays one factorization and reads C off the
-factor. derivative takes the same factorization and one triangular
-solve, U^-1 [0; C], which gives the full solutions (the basis data
-minus their interior corrections) over all active dofs, and pairs them
-through the stiffness of the direction.
+DNProblem is this problem's operators.ForwardProblem; its cells are
+the Mandel tensors. The stiffness spans the interior dofs, numbered
+patch side last (mesh.patch_last_order), and then the basis dofs, and
+has a narrow band. W = C is the trailing k x k block of the factor U
+itself: the Schur complement of the interior block is C.T @ C, and
+U^-1 [0; C] are the basis data minus the interior corrections that
+make each datum's zero extension discrete-harmonic.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import operators
-from .errors import NotPositiveDefinite, PatchTooSmall
+from .errors import PatchTooSmall
 from .mesh import (
     boundary_mass_matrix,
     boundary_node_set,
@@ -40,38 +30,12 @@ from .mesh import (
     patch_last_order,
     patch_nodes,
 )
-from .numerics import CellStiffness, back_solve, factor_spd, symmetrize
+from .numerics import CellStiffness, symmetrize
+from .operators import ForwardProblem
 
 KIND = "elasticity_dn"
 
 ROOT2 = np.sqrt(2.0)
-
-
-def check_symmetric(cells):
-    """The cells, or directions, as an (N, 3, 3) float array of
-    symmetric Mandel matrices."""
-    cells = np.asarray(cells, dtype=float)
-    if cells.ndim == 2:
-        cells = cells[None]
-    if cells.shape[1:] != (3, 3):
-        raise ValueError("cells must be an (N, 3, 3) array")
-    if not np.array_equal(cells, cells.transpose(0, 2, 1)):
-        raise ValueError("cell tensors must be symmetric")
-    return cells
-
-
-def check_cells(cells):
-    """The cells as an (N, 3, 3) float array of finite, symmetric
-    Mandel matrices, each positive definite, which is exactly the
-    strong-convexity bound with each cell's smallest eigenvalue as
-    its constant."""
-    cells = np.asarray(cells, dtype=float)
-    if not np.isfinite(cells).all():
-        raise NotPositiveDefinite("every cell tensor must be finite")
-    cells = check_symmetric(cells)
-    if np.linalg.eigvalsh(cells)[:, 0].min() <= 0:
-        raise NotPositiveDefinite("every cell tensor must be positive definite")
-    return cells
 
 
 @dataclass
@@ -129,36 +93,32 @@ def stiffness_form(mesh, active):
     b, area = _strain_operators(mesh)
     dofs = np.repeat(2 * mesh.triangles, 2, axis=1)
     dofs[:, 1::2] += 1
-    return CellStiffness(b, np.eye(9).reshape(9, 3, 3), area, dofs, mesh.labels, active)
+    return CellStiffness(b, area, dofs, mesh.labels, active)
 
 
-class DNProblem:
-    """The localized Dirichlet problem of one mesh, built once, and the
-    parameter space of its stiffness tensors.
+class DNProblem(ForwardProblem):
+    """The localized Dirichlet problem of one mesh.
 
     dofs lists the active dofs, the interior dofs in patch-last order
     followed by the k basis dofs; form is the vector P1 stiffness over
-    them, linear in the (N, 3, 3) Mandel cells. Under K = U.T @ U the
-    trailing k x k block C of U gives the map as C.T @ C, the Schur
-    complement of the interior block; trailing reads C off the factor's
-    band storage.
+    them. trailing reads the trailing k x k block C of the factor off
+    its band storage.
     """
 
     kind = KIND
     degree = 1  # F(t p) = t F(p)
 
     def __init__(self, mesh):
-        self.basis = displacement_basis(mesh)
-        self.whitener = operators.gram_inv_sqrt(self.basis.gram)
-        bd = 2 * self.basis.entries[:, 0] + self.basis.entries[:, 1]
+        basis = displacement_basis(mesh)
+        bd = 2 * basis.entries[:, 0] + basis.entries[:, 1]
         self.dofs = np.concatenate([interior_dofs(mesh), bd])
         active = np.full(2 * mesh.n_nodes, -1)
         active[self.dofs] = np.arange(self.dofs.size)
-        self.form = stiffness_form(mesh, active)
+        super().__init__(basis, stiffness_form(mesh, active))
         # C[a, b] = U[n - k + a, n - k + b] for a <= b sits at
         # band[u + a - b, n - k + b] if b - a <= u; the rest of C is zero
         rows, n = self.form.band_shape
-        k = self.basis.k
+        k = basis.k
         a, b = np.triu_indices(k)
         keep = b - a < rows
         self._block = a[keep], b[keep]
@@ -188,16 +148,6 @@ class DNProblem:
         d = 0.5 * (d + d.transpose(0, 2, 1))
         return d / float(np.linalg.norm(d))
 
-    @staticmethod
-    def cell_matrices(cells):
-        """The cells are their own Mandel matrices."""
-        return np.asarray(cells, dtype=float)
-
-    def factor(self, cells):
-        """Banded Cholesky factor of the stiffness over all active dofs;
-        the cells are checked first."""
-        return factor_spd(self.form.band(self.form.values(check_cells(cells))))
-
     def trailing(self, f):
         """The trailing k x k block C of the factor f, upper triangular."""
         c = np.zeros((self.basis.k, self.basis.k))
@@ -207,23 +157,10 @@ class DNProblem:
     def forward(self, cells):
         return dn_matrix(self, cells)
 
-    def derivative(self, cells, dp):
-        """Directional derivative of the map at cells in direction dp:
-        the dp-energy pairing of the full solutions U^-1 [0; C], which
-        are the basis data minus the interior corrections that make each
-        datum's zero extension discrete-harmonic. dp must be finite and
-        symmetric, like the cells, but need not be positive definite."""
-        f = self.factor(cells)
-        values = self.form.values(dp)  # checks count and finiteness first
-        check_symmetric(dp)
-        return self.form.pairing(values, back_solve(f, self.trailing(f)))
-
 
 def dn_matrix(problem, cells):
     """Matrix of the localized Dirichlet-to-Neumann map: the Schur
-    complement of the interior block, C.T @ C for the trailing block C
-    of the factor, which is exactly symmetric. DNProblem.forward calls
-    it; it is a module function only so that tracing and
-    forward-counting code can wrap it here."""
-    c = problem.trailing(problem.factor(cells))
-    return c.T @ c
+    complement of the interior block. DNProblem.forward calls it; it is
+    a module function only so that tracing and forward-counting code
+    can wrap it here."""
+    return problem.matrix(cells)

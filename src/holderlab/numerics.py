@@ -3,21 +3,17 @@ quadrature.
 
 All other modules funnel their linear solves and eigenvalue evaluations
 through this one. Matrices are 64-bit floats throughout. A stiffness
-matrix is linear in the cell components of its coefficient, so
+matrix is linear in the entries of its symmetric cell matrices, so
 CellStiffness stores it once per mesh as one row of slot values per
-component on a fixed sparsity pattern, together with where each slot
-sits in LAPACK band storage; a call is a small matmul and one
+independent entry on a fixed sparsity pattern, together with where
+each slot sits in LAPACK band storage; a call is a small matmul and one
 placement into that band, which is narrow under the mesh's patch-last
 numbering (mesh.patch_last_order), and factored with pbtrf as
-K = U.T @ U. A forward map is then W.T @ W for a block W that vanishes
-above its last rows: the elasticity map's W is the trailing block of U
-itself, and the conductivity map's is W = U^-T L for loads L that
-vanish above those rows too, which trailing_solve computes with one
-triangular band solve (tbtrs) over them. A derivative needs the
-solutions U^-1 [0; W], which back_solve computes from the same W with
-one more tbtrs over all rows. pbtrf and tbtrs are the only LAPACK
-routines called. Small dense symmetric eigenproblems go through
-LAPACK's symmetric solver.
+K = U.T @ U. trailing_solve computes U^-T b for a block b that vanishes
+above its last rows with one triangular band solve (tbtrs) over them,
+and back_solve U^-1 [0; W] with one more tbtrs over all rows. pbtrf
+and tbtrs are the only LAPACK routines called. Small dense symmetric
+eigenproblems go through LAPACK's symmetric solver.
 """
 
 import math
@@ -119,28 +115,38 @@ def _tbtrs(f, block, trans):
 
 
 class CellStiffness:
-    """P1 stiffness K(c) = sum_t area_t ops_t.T A_t(c) ops_t over the
-    active dofs, linear in the cell components c, on the fixed pattern
-    of its upper triangle: slot s is K[rows[s], cols[s]], rows <= cols,
-    and values(c) = c.ravel() @ stack. band(values) is K in LAPACK
-    upper band storage of shape band_shape; where each slot lands there
-    is worked out once.
+    """P1 stiffness K(c) = sum_t area_t ops_t.T c_t ops_t over the active
+    dofs, linear in the symmetric d x d cell matrices c, on the fixed
+    pattern of its upper triangle: slot s is K[rows[s], cols[s]],
+    rows <= cols. A cell matrix enters through its independent entries,
+    the diagonal ones and then those above the diagonal in row order:
+    (c11, c22, c12) for d = 2, (c11, c22, c33, c12, c13, c23) for d = 3.
+    values(c) = (those entries of every cell) @ stack. band(values) is K
+    in LAPACK upper band storage of shape band_shape; where each slot
+    lands there is worked out once.
 
-    ops (n_tri, m, d) maps a triangle's local dofs to its gradient or
-    strain vector, comps (n_comp, m, m) is the coefficient matrix of
-    each unit component, dofs (n_tri, d) the global dof of every local
-    dof, labels (n_tri,) every triangle's 1-based cell and active[g]
-    global dof g's position among the active dofs (-1 if inactive).
+    ops (n_tri, d, n_loc) maps a triangle's local dofs to its gradient
+    or strain vector, dofs (n_tri, n_loc) gives the global dof of every
+    local dof, labels (n_tri,) every triangle's 1-based cell and
+    active[g] global dof g's position among the active dofs (-1 if
+    inactive).
     """
 
-    def __init__(self, ops, comps, area, dofs, labels, active):
+    def __init__(self, ops, area, dofs, labels, active):
+        d, n_loc = ops.shape[1], dofs.shape[1]
+        self.dim = d
+        # one unit component per entry on or above the diagonal, with
+        # its mirror image below
+        er, ec = (np.concatenate([np.arange(d), i]) for i in np.triu_indices(d, 1))
+        self._entries, n_comp = (er, ec), er.size
+        comps = np.zeros((n_comp, d, d))
+        comps[np.arange(n_comp), er, ec] = comps[np.arange(n_comp), ec, er] = 1.0
         elem = np.einsum("jkl,tka,tlb->tjab", comps, ops, ops, optimize=True)
         elem *= area[:, None, None, None]
-        n_comp, d = comps.shape[0], dofs.shape[1]
         self.n_cells = int(labels.max())
         loc = active[dofs]
-        r = np.broadcast_to(loc[:, :, None], (len(loc), d, d))
-        c = np.broadcast_to(loc[:, None, :], (len(loc), d, d))
+        r = np.broadcast_to(loc[:, :, None], (len(loc), n_loc, n_loc))
+        c = np.broadcast_to(loc[:, None, :], (len(loc), n_loc, n_loc))
         t, a, b = np.nonzero((r >= 0) & (r <= c))
         n = int(active.max()) + 1
         slots, slot = np.unique(r[t, a, b] * n + c[t, a, b], return_inverse=True)
@@ -159,15 +165,14 @@ class CellStiffness:
         self._band_index = np.ravel_multi_index(place, self.band_shape)
 
     def values(self, cells):
-        """Slot values of K at the finite cell components, or directions."""
+        """Slot values of K at the (N, d, d) cell matrices, or
+        directions, which it reads only on and above the diagonal."""
         cells = np.asarray(cells, dtype=float)
-        if len(cells) != self.n_cells or cells.size != self.stack.shape[0]:
+        if len(cells) != self.n_cells:
             raise CellCountMismatch(
                 "cells of shape %s for a %d-cell partition" % (cells.shape, self.n_cells)
             )
-        if not np.isfinite(cells).all():
-            raise ValueError("cell components must be finite")
-        return cells.reshape(-1) @ self.stack
+        return cells[:, self._entries[0], self._entries[1]].reshape(-1) @ self.stack
 
     def pairing(self, values, u):
         """u.T @ K @ u for the K with these slot values; u holds one

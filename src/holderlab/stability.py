@@ -2,10 +2,10 @@
 flat-vs-analytic counterexample study.
 
 PROBLEMS maps each kind to its forward-problem class, which owns the
-kind's parameter space: sampling cells and directions, the cell count,
-the cell matrices delta_R measures, and the map itself. Sampling and
-sweeps take the built forward problem and read all of these from it;
-a CompactSetSpec adds only the ellipticity bounds. This module branches
+kind's parameter space, one symmetric matrix per cell: sampling cells
+and directions, the cell count and the map itself. Sampling and sweeps
+take the built forward problem and read all of these from it; a
+CompactSetSpec adds only the ellipticity bounds. This module branches
 on no kind.
 
 A sweep samples parameter pairs from a compact ellipticity class,
@@ -126,9 +126,9 @@ def _rng(seed, stream, index):
 
 
 def sample_point(problem, spec, seed, stream, index):
-    """Raw cell array of parameter point `index` of a stream, one row
-    per cell of the problem's partition; it depends only on (seed,
-    stream, index)."""
+    """Cell matrices of parameter point `index` of a stream, one per
+    cell of the problem's partition; it depends only on (seed, stream,
+    index)."""
     rng = _rng(seed, stream, index)
     return problem.sample_cells(rng, spec.lambda_lo, spec.lambda_hi, problem.form.n_cells)
 
@@ -141,11 +141,11 @@ def sample_direction(problem, seed, index=0):
     return problem.sample_direction(rng, problem.form.n_cells)
 
 
-def _cell_frobenius(problem, cells_a, cells_b, subset):
+def _cell_frobenius(cells_a, cells_b, subset):
     """Max Frobenius distance between cell matrices over the subset of
     1-based cell labels."""
     idx = np.array(subset, dtype=int) - 1
-    diff = problem.cell_matrices(cells_a)[idx] - problem.cell_matrices(cells_b)[idx]
+    diff = cells_a[idx] - cells_b[idx]
     return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2)))))
 
 
@@ -202,7 +202,7 @@ class _SweepJobs:
             raw = m_p - self.problem.forward(cells_q)
         except HolderLabError:
             return None
-        d_r = _cell_frobenius(self.problem, cells_p, cells_q, self.rq.cell_subset)
+        d_r = _cell_frobenius(cells_p, cells_q, self.rq.cell_subset)
         d = whiten(self.problem.whitener, raw)
         d_f = operator_distance(d)
         flags = ()
@@ -404,15 +404,20 @@ def _log_slopes(ts, fs):
 def flat_counterexample(ts, tol=1e-14):
     """F(t) = integral of exp(-1/s^2) over [0, t] with local log-log
     slopes; the slopes blow up as t decreases, defeating any power-law
-    envelope. A t where F underflows to 0 has no logarithm: the
-    smallest one raises DegenerateSample."""
+    envelope. Where F underflows to 0 it has no logarithm, and where it
+    is subnormal it has lost significant bits: the smallest t where F
+    falls below the smallest normal float raises DegenerateSample."""
     ts = np.sort(np.asarray(ts, dtype=float))
     if ts[0] <= 0.0 or ts[-1] > 1.0:
         raise ValueError("sample points must lie in (0, 1]")
     fs = np.array([adaptive_quadrature(flat_integrand, 0.0, t, tol) for t in ts])
-    if not fs.all():
-        t = float(ts[fs == 0.0][0])
-        raise DegenerateSample("F(%r) underflows to 0, so it has no logarithm" % t)
+    low = np.flatnonzero(fs < np.finfo(float).tiny)
+    if low.size:
+        t, f = float(ts[low[0]]), float(fs[low[0]])
+        raise DegenerateSample(
+            "F(%r) underflows to %r, below the smallest normal float, so its "
+            "logarithm is lost or inexact" % (t, f)
+        )
     slopes = _log_slopes(ts, fs)
     return [FlatMapSample(float(t), float(f), float(s)) for t, f, s in zip(ts, fs, slopes)]
 

@@ -8,20 +8,19 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 import pytest
 
-from holderlab import conductivity, elasticity, numerics
+from holderlab import operators
 
 
 @pytest.fixture
 def backsolves(monkeypatch):
     """One entry per full back-substitution (numerics.back_solve), at
-    the name under which each forward problem's module calls it."""
+    the name under which operators.ForwardProblem calls it."""
     calls = []
-    real = numerics.back_solve
+    real = operators.back_solve
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    for module in (conductivity, elasticity):
-        monkeypatch.setattr(module, "back_solve", counted)
+    monkeypatch.setattr(operators, "back_solve", counted)
     return calls

@@ -279,8 +279,9 @@ def test_fit_on_records_without_column_header_exits_1(tmp_path, capsys, text):
         (RECORDS_HEAD + COLUMNS + GOOD_ROW + "0,random_random,,abc,0.1,0.0,,\n", 5),
         (RECORDS_HEAD + COLUMNS + "\n" + "0,random_random,,0.1\n", 5),
         ("# dropped x\n" + COLUMNS + GOOD_ROW, 1),
+        (RECORDS_HEAD.replace("dropped 0", "dropped -5") + COLUMNS + GOOD_ROW, 2),
     ],
-    ids=["non-numeric", "short-row", "dropped-count"],
+    ids=["non-numeric", "short-row", "dropped-count", "negative-dropped"],
 )
 def test_fit_on_malformed_records_exits_2_naming_the_line(tmp_path, capsys, text, line):
     """A malformed records row is a config error naming the file and the
@@ -361,14 +362,20 @@ def test_counterexample_table_has_both_maps(tmp_path):
 
 
 def test_counterexample_underflow_exits_2_naming_t_lo(tmp_path, capsys):
-    """At t_lo 0.02 the flat map's F underflows to 0: a config error
-    naming counterexample.t_lo, and no file with nan slopes."""
-    path = write_config(tmp_path, {"counterexample": {"t_lo": 0.02}})
-    assert main(["counterexample", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("config error (field counterexample.t_lo): F(0.02) underflows")
-    assert not (tmp_path / "out").exists()
+    """At t_lo 0.02 the flat map's F underflows to 0, and at 0.037 to a
+    subnormal float: a config error naming counterexample.t_lo, and no
+    file with nan or inexact slopes."""
+    for t_lo in (0.02, 0.037):
+        root = tmp_path / str(t_lo)
+        root.mkdir()
+        path = write_config(root, {"counterexample": {"t_lo": t_lo}})
+        assert main(["counterexample", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error (field counterexample.t_lo): F(%r) underflows" % t_lo
+        )
+        assert not (root / "out").exists()
 
 
 def test_module_runs_as_script(tmp_path):

@@ -2,7 +2,7 @@
 reference assembly.
 
 Each problem keeps its stiffness as slot values linear in the cell
-components plus an index map into the LAPACK band storage that its
+matrices plus an index map into the LAPACK band storage that its
 factorization takes. The reference below assembles the same matrices one triangle at a time from
 the vertex coordinates, with gradients from the inverse of the affine
 map, and shares no code with the package's assembly.
@@ -14,7 +14,10 @@ import pytest
 from holderlab import conductivity as cd
 from holderlab import elasticity as el
 from holderlab import mesh as mx
-from holderlab.errors import NotPositiveDefinite
+from holderlab import stability as sl
+from holderlab.errors import CellCountMismatch, NotPositiveDefinite
+
+from helpers import random_conductivity, random_mandel, symmetric_2x2
 
 ROOT2 = np.sqrt(2.0)
 TOL = 1e-13
@@ -35,8 +38,7 @@ def reference_conductivity(m, cells):
     for tri, label in zip(m.triangles, m.labels):
         xy = m.nodes[tri]
         area = 0.5 * abs(np.linalg.det(np.column_stack([np.ones(3), xy])))
-        a11, a22, a12 = cells[label - 1]
-        coef = np.array([[a11, a12], [a12, a22]])
+        coef = cells[label - 1]
         g = reference_gradients(xy)
         for i in range(3):
             for j in range(3):
@@ -85,7 +87,7 @@ def conductivity_points():
     spd = np.column_stack([rng.uniform(1.0, 2.0, 4), rng.uniform(1.0, 2.0, 4), rng.uniform(-0.5, 0.5, 4)])
     direction = rng.standard_normal((4, 3))
     direction[0] = (1.0, -1.0, 2.0)  # indefinite
-    return spd, direction
+    return symmetric_2x2(spd), symmetric_2x2(direction)
 
 
 def elasticity_points():
@@ -206,13 +208,9 @@ def image_cells(kind, cells, j, shift):
     centres = np.array([(0.25, 0.25), (0.75, 0.25), (0.25, 0.75), (0.75, 0.75)])
     target = centres @ j.T + shift
     label = 2 * (target[:, 1] > 0.5) + (target[:, 0] > 0.5)
+    q = j if kind == "conductivity" else mandel_map(j)
     out = np.empty_like(cells)
-    if kind == "conductivity":
-        mats = j @ cd.cell_matrices(cells) @ j.T
-        out[label] = np.column_stack([mats[:, 0, 0], mats[:, 1, 1], mats[:, 0, 1]])
-    else:
-        q = mandel_map(j)
-        out[label] = q @ cells @ q.T
+    out[label] = q @ cells @ q.T
     return out
 
 
@@ -292,3 +290,72 @@ def test_non_finite_input_fails_with_a_name(kind, bad):
         problem.derivative(broken_cells, direction)
     with pytest.raises(ValueError, match="finite"):
         problem.derivative(cells, broken_direction)
+
+
+# The behaviours below run one code path, operators.ForwardProblem, for
+# both kinds.
+RANDOM_CELLS = {"conductivity": random_conductivity, "elasticity": random_mandel}
+INDEFINITE = {"conductivity": [[1.0, 2.0], [2.0, 1.0]], "elasticity": np.diag([1.0, 1.0, -1.0])}
+
+
+def unit_problem(kind, n_sub, cols=1):
+    m = mx.build_mesh(n_sub, mx.PartitionSpec(cols, 1), mx.PatchSpec("bottom", 0.0, 1.0))
+    return sl.PROBLEMS[kind](m)
+
+
+def zero_directions(problem, n_cells):
+    return np.zeros((n_cells, problem.form.dim, problem.form.dim))
+
+
+@pytest.mark.parametrize("kind", sorted(sl.PROBLEMS))
+def test_indefinite_cell_fails_factorization(kind):
+    problem = unit_problem(kind, 4)
+    with pytest.raises(NotPositiveDefinite):
+        problem.derivative(np.array([INDEFINITE[kind]]), zero_directions(problem, 1))
+
+
+@pytest.mark.parametrize("kind", sorted(sl.PROBLEMS))
+def test_stiffness_cell_count_mismatch(kind):
+    problem = unit_problem(kind, 4, cols=2)
+    with pytest.raises(CellCountMismatch):
+        problem.forward(RANDOM_CELLS[kind](1, seed=1))
+    with pytest.raises(CellCountMismatch):
+        problem.derivative(RANDOM_CELLS[kind](2, seed=1), zero_directions(problem, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(sl.PROBLEMS))
+def test_derivative_radial(kind):
+    """Euler's identity for a map of degree k: the derivative at p in
+    the direction p is k times the map."""
+    problem = unit_problem(kind, 8, cols=2)
+    p = RANDOM_CELLS[kind](2, seed=6)
+    mat = problem.forward(p)
+    d = problem.derivative(p, p)
+    assert np.abs(d - problem.degree * mat).max() <= 1e-10 * np.abs(mat).max()
+
+
+@pytest.mark.parametrize("kind", sorted(sl.PROBLEMS))
+def test_derivative_zero_direction(kind):
+    problem = unit_problem(kind, 4)
+    d = problem.derivative(RANDOM_CELLS[kind](1, seed=7), zero_directions(problem, 1))
+    assert np.all(d == 0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(sl.PROBLEMS))
+def test_derivative_rejects_non_symmetric_direction(kind):
+    """The stiffness reads only the entries on and above the diagonal,
+    so a non-symmetric direction would be read as one of its triangles:
+    it is refused like non-symmetric cells, while its symmetric part,
+    which is indefinite, gives the derivative that finite differences
+    see."""
+    problem = unit_problem(kind, 8, cols=2)
+    p = RANDOM_CELLS[kind](2, seed=15)
+    dp = zero_directions(problem, 2)
+    dp[0, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        problem.derivative(p, dp)
+    sym = 0.5 * (dp + dp.transpose(0, 2, 1))
+    d = problem.derivative(p, sym)
+    h = 1e-4
+    fd = (problem.forward(p + h * sym) - problem.forward(p - h * sym)) / (2 * h)
+    assert np.abs(fd - d).max() <= 1e-6 * np.abs(d).max()

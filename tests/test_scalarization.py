@@ -105,7 +105,7 @@ def test_matrix_element_conductivity_scaling():
     relative accuracy."""
     m = mx.build_mesh(4, mx.PartitionSpec(1, 1), mx.PatchSpec("bottom", 0.0, 1.0))
     problem = cd.NDProblem(m)
-    cells = np.array([[1.3, 1.1, 0.2]])
+    cells = np.array([[[1.3, 0.2], [0.2, 1.1]]])
     a = problem.forward(cells)
     b = problem.forward(2.0 * cells)
     for i in range(problem.basis.k):

@@ -83,9 +83,8 @@ def test_sampling_eigenvalue_bounds():
     for kind in sl.PROBLEMS:
         problem = built(kind, cols=2)
         for cells in points(problem, SPEC, 10, seed=3):
-            mats = problem.cell_matrices(cells)
-            assert np.array_equal(mats, mats.transpose(0, 2, 1))
-            for m in mats:
+            assert np.array_equal(cells, cells.transpose(0, 2, 1))
+            for m in cells:
                 w = np.linalg.eigvalsh(m)
                 assert w[0] >= 0.5 - 1e-12
                 assert w[-1] <= 2.0 + 1e-12
@@ -97,7 +96,7 @@ def test_sampling_eigenvalue_bounds():
 def test_sampling_degenerate_interval():
     spec = sl.CompactSetSpec(1.0, 1.0)
     for cells in points(built("conductivity", cols=2), spec, 3, seed=1):
-        for m in cd.cell_matrices(cells):
+        for m in cells:
             assert np.allclose(m, np.eye(2), atol=1e-12)
     for cells in points(built("elasticity"), spec, 3, seed=1):
         assert np.allclose(cells[0], np.eye(3), atol=1e-12)
@@ -261,8 +260,8 @@ def test_sweep_rejects_probe_k_above_basis_dimension(monkeypatch):
 
 
 def test_sweep_samples_points_of_the_problem_shape(monkeypatch):
-    """On 2x2 cells every sampled point has one row per cell of the
-    problem's partition, and no record is dropped."""
+    """On 2x2 cells every sampled point has one 2x2 matrix per cell of
+    the problem's partition, and no record is dropped."""
     seen = recorded_forwards(monkeypatch)
     problem = built("conductivity", cols=2, rows=2)
     rq = sl.RecoveredQuantity((1, 2, 3, 4))
@@ -270,7 +269,7 @@ def test_sweep_samples_points_of_the_problem_shape(monkeypatch):
     assert res.dropped == 0
     assert len(res.records) == 6 + 5
     assert len(seen) == 2 * 6 + 1 + 5
-    assert {cells.shape for cells in seen} == {(4, 3)}
+    assert {cells.shape for cells in seen} == {(4, 2, 2)}
 
 
 def test_worker_count_is_capped(monkeypatch):
@@ -401,13 +400,13 @@ def test_one_cell_ray_matches_scaling_oracle():
     distances have closed forms and the log ratio tends to 1."""
     m = bottom_mesh(8)
     problem = cd.NDProblem(m)
-    base = problem.forward(np.array([[1.0, 1.0, 0.0]]))
+    base = problem.forward(np.eye(2)[None])
     w = gram_inv_sqrt(problem.basis.gram)
     norm_base = spectral_norm(w @ base @ w)
     ratios = []
     for t in (1e-1, 1e-3, 1e-5):
         s = t / math.sqrt(2.0)  # unit-Frobenius identity direction
-        stepped = problem.forward(np.array([[1.0 + s, 1.0 + s, 0.0]]))
+        stepped = problem.forward((1.0 + s) * np.eye(2)[None])
         d_f = operator_distance(whiten(problem.whitener, base - stepped))
         expected = s / (1.0 + s) * norm_base
         # relative agreement down to the absolute solver-noise floor
@@ -514,10 +513,13 @@ def test_flat_counterexample_properties():
 
 
 def test_flat_counterexample_names_the_first_t_where_f_underflows():
-    """F underflows to 0 below t of about 0.0367; the smallest such t
-    is named before any logarithm is taken."""
+    """F underflows to 0 below t of about 0.0367 and is subnormal, with
+    few significant bits, below about 0.0377; the smallest such t is
+    named before any logarithm is taken."""
     with pytest.raises(DegenerateSample, match=r"F\(0\.02\) underflows to 0"):
         sl.flat_counterexample([0.5, 0.03, 0.02, 0.1])
+    with pytest.raises(DegenerateSample, match=r"F\(0\.037\) underflows to 1\.676e-320"):
+        sl.flat_counterexample([0.5, 0.0376, 0.037, 0.1])
 
 
 def test_analytic_control_properties():
