@@ -39,7 +39,7 @@ from . import __version__
 from . import mesh as mx
 from . import stability as sl
 from .errors import ConfigError, DegenerateSample, HolderLabError
-from .scalarization import all_candidate_pairs, greedy_select
+from .scalarization import greedy_select
 
 REQUIRED = object()  # the default of a field the config must give
 
@@ -295,7 +295,7 @@ def parse_records_csv(path):
         return ConfigError("records file %s line %d: %s" % (path, lineno, exc))
 
     head = {"config": "-", "seed": "-"}
-    dropped = 0
+    dropped, dropped_at = 0, None
     rows, linenos = [], []
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
@@ -303,6 +303,9 @@ def parse_records_csv(path):
         if line.startswith("#"):
             parts = line[1:].split()
             if parts[:1] == ["dropped"] and len(parts) == 2:
+                if dropped_at is not None:
+                    raise malformed(lineno, "second dropped count, after line %d" % dropped_at)
+                dropped_at = lineno
                 try:
                     dropped = int(parts[1])
                 except ValueError as exc:
@@ -459,23 +462,13 @@ def cmd_select(cfg, args):
     if not kept:
         raise HolderLabError("no sample pair with positive operator distance")
     diffs, dists = zip(*kept)
-    k = diffs[0].shape[0]
-    max_size = cfg["select"]["max_size"]
-    if max_size is None:
-        max_size = k * (k + 1) // 2
-    sel = greedy_select(
-        diffs,
-        dists,
-        all_candidate_pairs(k),
-        cfg["select"]["target_ratio"],
-        max_size,
-    )
+    sel = greedy_select(diffs, dists, cfg["select"]["target_ratio"], cfg["select"]["max_size"])
     lines = [
         "# achieved_ratio %s reached %s size %d"
         % (repr(sel.achieved_ratio), sel.reached, len(sel.mset)),
         "i,j",
     ]
-    for i, j in sel.mset.pairs:
+    for i, j in sel.mset:
         lines.append("%d,%d" % (i, j))
     summary = "select: %d measurements, ratio %.4f, target %s %s" % (
         len(sel.mset),

@@ -65,10 +65,12 @@ def factor_spd(band):
         raise DimensionMismatch(
             "band storage must have 1 to n rows for n columns, got %s" % (band.shape,)
         )
-    try:
-        return scipy.linalg.cholesky_banded(band, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from exc
+    f, info = scipy.linalg.lapack.dpbtrf(band)
+    if info > 0:
+        raise NotPositiveDefinite("non-positive pivot in row %d" % (info - 1))
+    if info < 0:
+        raise DimensionMismatch("LAPACK pbtrf rejected argument %d" % -info)
+    return f
 
 
 def trailing_solve(f, tail):

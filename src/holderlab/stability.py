@@ -18,13 +18,13 @@ holds the recovered-quantity distance delta_R. A sweep solves each
 ray's base point once for all the ray's steps.
 
 A sweep job is a random pair or a whole ray, named by its index: the
-job samples its own points from (seed, stream, index). With more than
-one worker, the sweep forks worker processes that inherit the built
-problem, hands each a contiguous chunk of jobs balanced by forward
-count, and merges the records in job order, so the output does not
-depend on the worker count. Each worker should run one BLAS thread, as
-the command line arranges; otherwise the workers' BLAS thread pools
-oversubscribe the CPUs.
+job samples its own points from (seed, stream, index). With W > 1
+workers, the sweep forks worker processes that inherit the built
+problem; worker w runs jobs w, w + W, w + 2W, ..., so each gets an
+equal share of the pairs and of the rays, and the records are merged
+back in job order, so the output does not depend on the worker count.
+Each worker should run one BLAS thread, as the command line arranges;
+otherwise the workers' BLAS thread pools oversubscribe the CPUs.
 
 The envelope fit estimates (theta, C) so that every record lies below
 log delta_R <= theta * log delta_F + log C + slack.
@@ -41,7 +41,7 @@ from . import elasticity as el
 from .errors import BasisMismatch, DegenerateSample, HolderLabError, InsufficientSpread
 from .numerics import adaptive_quadrature, flat_integrand
 from .operators import operator_distance, whiten
-from .scalarization import ProbeWeights, finite_distance, phi, probe_weights
+from .scalarization import finite_distance, phi, probe_weights
 
 PROBLEMS = {"conductivity": cd.NDProblem, "elasticity": el.DNProblem}
 
@@ -158,26 +158,23 @@ def default_ray_steps(n):
 @dataclass(frozen=True)
 class _SweepJobs:
     """The jobs of one sweep and all they read. Job i < n_pairs is random
-    pair i; job n_pairs + r is ray r, which solves its base point once
-    for all its steps. A job samples its own points from (seed, stream,
-    index), so its index is all a worker needs."""
+    pair i; job n_pairs + r is ray r < n_rays, which solves its base
+    point once for all its steps. A job samples its own points from
+    (seed, stream, index), so its index is all a worker needs."""
 
     problem: object
     spec: CompactSetSpec
     rq: RecoveredQuantity
     n_pairs: int
+    n_rays: int
     ray_steps: np.ndarray
     seed: int
-    weights: ProbeWeights
+    weights: np.ndarray  # probe weights of phi
 
-    def cost(self, index):
-        """Forward solves of job `index`."""
-        return 2 if index < self.n_pairs else 1 + len(self.ray_steps)
-
-    def run(self, lo, hi):
-        """Record tuples of jobs lo..hi-1 in order, None for a dropped
-        record."""
-        return [res for i in range(lo, hi) for res in self._job(i)]
+    def run(self, start, step):
+        """Record tuples of jobs start, start + step, start + 2*step, ...,
+        one list per job, None for a dropped record."""
+        return [self._job(i) for i in range(start, self.n_pairs + self.n_rays, step)]
 
     def _job(self, i):
         problem, spec, seed = self.problem, self.spec, self.seed
@@ -221,14 +218,6 @@ def _worker_count(threads, n_jobs):
     return max(1, min(threads, cpus, n_jobs))
 
 
-def _chunks(costs, n):
-    """n contiguous (lo, hi) job ranges of near-equal total cost."""
-    cum = np.cumsum(costs)
-    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n) / n, side="right")
-    bounds = [0, *map(int, cuts), len(costs)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
 _worker_jobs = None  # the sweep's jobs inside a worker process
 
 
@@ -237,13 +226,13 @@ def _install_jobs(jobs):
     _worker_jobs = jobs
 
 
-def _run_chunk(lo, hi):
-    return _worker_jobs.run(lo, hi)
+def _run_share(start, step):
+    return _worker_jobs.run(start, step)
 
 
 def _run_on_workers(jobs, n_jobs, workers):
-    """jobs.run(0, n_jobs) on `workers` processes, one contiguous chunk
-    of jobs each, merged in job order."""
+    """jobs.run(0, 1) on `workers` processes: worker w runs jobs w,
+    w + workers, ..., and their lists are merged back in job order."""
     # Imported here: they cost the commands that never sweep ~17 ms.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
@@ -252,12 +241,12 @@ def _run_on_workers(jobs, n_jobs, workers):
     # numpy and scipy instead of importing and building them again; the
     # executor forks every worker before it starts its own thread.
     context = multiprocessing.get_context("fork")
-    chunks = _chunks([jobs.cost(i) for i in range(n_jobs)], workers)
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_install_jobs, initargs=(jobs,)
     ) as pool:
-        futures = [pool.submit(_run_chunk, lo, hi) for lo, hi in chunks]
-        return [res for f in futures for res in f.result()]
+        futures = [pool.submit(_run_share, w, workers) for w in range(workers)]
+        parts = [f.result() for f in futures]
+    return [parts[i % workers][i // workers] for i in range(n_jobs)]
 
 
 def sweep(problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=None, threads=1):
@@ -284,13 +273,11 @@ def sweep(problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=No
             "truncation order %d exceeds basis dimension %d" % (k, problem.basis.k)
         )
     steps = np.asarray(ray_steps, dtype=float)
-    jobs = _SweepJobs(problem, spec, rq, n_random_pairs, steps, seed, probe_weights(k))
+    jobs = _SweepJobs(problem, spec, rq, n_random_pairs, n_rays, steps, seed, probe_weights(k))
     n_jobs = n_random_pairs + n_rays
     workers = _worker_count(threads, n_jobs)
-    if workers > 1:
-        results = _run_on_workers(jobs, n_jobs, workers)
-    else:
-        results = jobs.run(0, n_jobs)
+    per_job = _run_on_workers(jobs, n_jobs, workers) if workers > 1 else jobs.run(0, 1)
+    results = [res for job in per_job for res in job]
 
     kept = [res for res in results if res is not None]
     records = [

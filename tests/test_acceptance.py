@@ -19,13 +19,7 @@ from holderlab.cli import main
 from holderlab.mesh import PartitionSpec, PatchSpec, build_mesh
 from holderlab.numerics import spectral_norm
 from holderlab.operators import operator_distance, whiten
-from holderlab.scalarization import (
-    FiniteMap,
-    all_candidate_pairs,
-    greedy_select,
-    phi,
-    probe_weights,
-)
+from holderlab.scalarization import FiniteMap, greedy_select, phi, probe_weights
 
 from helpers import eig_min
 
@@ -148,7 +142,7 @@ def test_criterion_4_faithfulness(small_mesh):
     cp = cd.NDProblem(small_mesh)
     k = cp.basis.coeffs.shape[0]
     w = probe_weights(k)
-    bound_const = w.square_sum() ** 2
+    bound_const = float(np.sum(w**2)) ** 2
     ps = points(cp, 100, stream=1)
     qs = points(cp, 100, stream=2)
     for p, q in zip(ps, qs):
@@ -226,7 +220,7 @@ def test_criterion_8_finite_measurements(conductivity_sweep):
     diffs, dists = zip(*kept)
     k = diffs[0].shape[0]
     cap = k * (k + 1) // 2
-    selection = greedy_select(diffs, dists, all_candidate_pairs(k), 0.5, cap)
+    selection = greedy_select(diffs, dists, 0.5, cap)
     assert selection.reached
     assert len(selection.mset) <= cap
     fm = FiniteMap(selection.mset, k)

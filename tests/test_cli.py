@@ -280,8 +280,9 @@ def test_fit_on_records_without_column_header_exits_1(tmp_path, capsys, text):
         (RECORDS_HEAD + COLUMNS + "\n" + "0,random_random,,0.1\n", 5),
         ("# dropped x\n" + COLUMNS + GOOD_ROW, 1),
         (RECORDS_HEAD.replace("dropped 0", "dropped -5") + COLUMNS + GOOD_ROW, 2),
+        (RECORDS_HEAD + "# dropped 5\n" + COLUMNS + GOOD_ROW, 3),
     ],
-    ids=["non-numeric", "short-row", "dropped-count", "negative-dropped"],
+    ids=["non-numeric", "short-row", "dropped-count", "negative-dropped", "second-dropped"],
 )
 def test_fit_on_malformed_records_exits_2_naming_the_line(tmp_path, capsys, text, line):
     """A malformed records row is a config error naming the file and the

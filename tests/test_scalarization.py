@@ -30,6 +30,12 @@ def white(a, b):
     return whiten(np.eye(a.shape[0]), a - b)
 
 
+def upper_pairs(dim):
+    """The upper-triangle index pairs greedy_select picks from, in
+    row-major order."""
+    return [(i, j) for i in range(dim) for j in range(i, dim)]
+
+
 def samples_of(pairs):
     """Raw differences and operator distances of operator pairs, the
     samples greedy_select reads."""
@@ -40,18 +46,18 @@ def samples_of(pairs):
 
 def test_probe_weights_values():
     w = sc.probe_weights(3)
-    assert np.array_equal(w.weights, [0.5, 0.25, 0.125])
-    assert w.square_sum() == 0.328125
+    assert np.array_equal(w, [0.5, 0.25, 0.125])
+    assert np.sum(w**2) == 0.328125
 
 
 @given(st.integers(min_value=1, max_value=50))
 def test_probe_weights_square_sum(k):
     w = sc.probe_weights(k)
-    assert abs(w.square_sum() - (1.0 - 4.0 ** (-k)) / 3.0) <= 1e-15
+    assert abs(np.sum(w**2) - (1.0 - 4.0 ** (-k)) / 3.0) <= 1e-15
 
 
 def test_probe_weights_limit():
-    assert abs(sc.probe_weights(60).square_sum() - 1.0 / 3.0) <= 1e-16
+    assert abs(np.sum(sc.probe_weights(60) ** 2) - 1.0 / 3.0) <= 1e-16
 
 
 def test_phi_zero_on_equal():
@@ -70,7 +76,7 @@ def test_phi_hs_bound():
         a, b = random_pair(6, seed=seed)
         for k in (2, 4, 6):
             w = sc.probe_weights(k)
-            bound = w.square_sum() ** 2 * operator_distance(white(a, b)) ** 2
+            bound = np.sum(w**2) ** 2 * operator_distance(white(a, b)) ** 2
             assert sc.phi(white(a, b), w) <= bound * (1 + 1e-12)
 
 
@@ -80,8 +86,8 @@ def test_phi_norm_sandwich():
         w = sc.probe_weights(4)
         root = np.sqrt(sc.phi(white(a, b), w))
         dist = operator_distance(white(a, b))
-        lo = float(np.min(w.weights) ** 2)
-        assert lo * dist * (1 - 1e-12) <= root <= w.square_sum() * dist * (1 + 1e-12)
+        lo = float(np.min(w) ** 2)
+        assert lo * dist * (1 - 1e-12) <= root <= np.sum(w**2) * dist * (1 + 1e-12)
 
 
 def test_phi_faithful_at_full_truncation():
@@ -118,7 +124,7 @@ def test_matrix_element_conductivity_scaling():
 def test_finite_distance_full_grid_is_frobenius():
     a, b = random_pair(4, seed=5)
     grid = [(i, j) for i in range(4) for j in range(4)]
-    fm = sc.FiniteMap(sc.MeasurementSet(tuple(grid)), 4)
+    fm = sc.FiniteMap(tuple(grid), 4)
     assert abs(
         sc.finite_distance(fm, a - b) - np.linalg.norm(a - b)
     ) <= 1e-14
@@ -127,15 +133,15 @@ def test_finite_distance_full_grid_is_frobenius():
 
 def test_finite_distance_singleton():
     a, b = random_pair(4, seed=6)
-    fm = sc.FiniteMap(sc.MeasurementSet(((1, 1),)), 4)
+    fm = sc.FiniteMap(((1, 1),), 4)
     assert sc.finite_distance(fm, a - b) == abs(a[1, 1] - b[1, 1])
 
 
 def test_measurement_set_validation():
     with pytest.raises(ValueError):
-        sc.MeasurementSet(((0, 0), (0, 0)))
+        sc.FiniteMap(((0, 0), (0, 0)), 3)
     with pytest.raises(IndexOutOfRange):
-        sc.FiniteMap(sc.MeasurementSet(((0, 5),)), 3)
+        sc.FiniteMap(((0, 5),), 3)
 
 
 def test_greedy_single_separating_entry():
@@ -144,33 +150,22 @@ def test_greedy_single_separating_entry():
     bumped[1, 1] += 1.0
     a = sym_operator(base)
     b = sym_operator(bumped)
-    res = sc.greedy_select(
-        *samples_of([(a, b)]), sc.all_candidate_pairs(3), target_ratio=0.5, max_size=6
-    )
+    res = sc.greedy_select(*samples_of([(a, b)]), target_ratio=0.5, max_size=6)
     assert res.reached
-    assert res.mset.pairs == ((1, 1),)
-
-
-def test_greedy_empty_candidates():
-    a, b = random_pair(3, seed=7)
-    res = sc.greedy_select(*samples_of([(a, b)]), [], target_ratio=0.5, max_size=4)
-    assert not res.reached
-    assert len(res.mset) == 0
-    assert res.achieved_ratio == 0.0
+    assert res.mset == ((1, 1),)
 
 
 def test_greedy_degenerate_sample():
     a, _ = random_pair(3, seed=8)
     with pytest.raises(DegenerateSample):
-        sc.greedy_select(*samples_of([(a, a)]), sc.all_candidate_pairs(3), 0.5, 4)
+        sc.greedy_select(*samples_of([(a, a)]), 0.5, 4)
 
 
 def test_greedy_monotone_in_size():
     samples = [random_pair(4, seed=s) for s in range(3)]
-    cands = sc.all_candidate_pairs(4)
     prev = 0.0
-    for size in range(1, len(cands) + 1):
-        res = sc.greedy_select(*samples_of(samples), cands, target_ratio=1.0, max_size=size)
+    for size in range(1, len(upper_pairs(4)) + 1):
+        res = sc.greedy_select(*samples_of(samples), target_ratio=1.0, max_size=size)
         assert res.achieved_ratio >= prev - 1e-15
         prev = res.achieved_ratio
 
@@ -180,7 +175,7 @@ def test_greedy_against_brute_force_3x3():
     achieves ratio >= 1/sqrt(2), and greedy's first pick matches the
     best single candidate found by enumeration."""
     samples = [random_pair(3, seed=20 + s) for s in range(4)]
-    cands = sc.all_candidate_pairs(3)
+    cands = upper_pairs(3)
     dists = [operator_distance(white(a, b)) for a, b in samples]
     diffs = [a - b for a, b in samples]
 
@@ -194,15 +189,15 @@ def test_greedy_against_brute_force_3x3():
     assert ratio(cands) >= 1.0 / np.sqrt(2.0) - 1e-12
 
     best_single = max((ratio([c]) for c in cands))
-    res1 = sc.greedy_select(*samples_of(samples), cands, target_ratio=1.0, max_size=1)
+    res1 = sc.greedy_select(*samples_of(samples), target_ratio=1.0, max_size=1)
     assert abs(res1.achieved_ratio - best_single) <= 1e-12
 
-    res_all = sc.greedy_select(*samples_of(samples), cands, target_ratio=1.0, max_size=len(cands))
+    res_all = sc.greedy_select(*samples_of(samples), target_ratio=1.0)
     assert abs(res_all.achieved_ratio - ratio(cands)) <= 1e-12
 
     # greedy at every size stays within the best achievable ratio
     for size in (2, 3, 4):
-        res = sc.greedy_select(*samples_of(samples), cands, target_ratio=1.0, max_size=size)
+        res = sc.greedy_select(*samples_of(samples), target_ratio=1.0, max_size=size)
         best = max(
             ratio(list(subset)) for subset in itertools.combinations(cands, size)
         )
@@ -248,8 +243,8 @@ def test_greedy_matches_reference_with_exact_ties(seed):
     diffs = np.array([symmetrize(d) for d in diffs])
     diffs[:, 0, 0] += 1.0  # no all-zero sample
     dists = np.array([np.abs(d).sum() for d in diffs])
-    cands = sc.all_candidate_pairs(dim)
-    for target, max_size in ((1.0, len(cands)), (0.3, len(cands)), (1.0, 4)):
-        got = sc.greedy_select(list(diffs), dists, cands, target, max_size)
-        want = reference_greedy(list(diffs), dists, cands, target, max_size)
-        assert (list(got.mset.pairs), got.achieved_ratio, got.reached) == want
+    cands = upper_pairs(dim)
+    for target, max_size in ((1.0, len(cands)), (0.3, None), (1.0, 4)):
+        got = sc.greedy_select(list(diffs), dists, target, max_size)
+        want = reference_greedy(list(diffs), dists, cands, target, max_size or len(cands))
+        assert (list(got.mset), got.achieved_ratio, got.reached) == want

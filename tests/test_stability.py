@@ -300,18 +300,19 @@ def test_single_job_sweep_stays_in_process(monkeypatch):
     assert pids == [os.getpid()] * 2
 
 
-def test_chunks_balance_forwards():
-    """Contiguous chunks cover every job once, in order, and split the
-    forward count evenly when the jobs allow it."""
-    costs = [2] * 100 + [11] * 10
-    chunks = sl._chunks(costs, 2)
-    assert chunks == [(0, 77), (77, 110)]
-    assert [sum(costs[lo:hi]) for lo, hi in chunks] == [154, 156]
-    assert sl._chunks([5], 1) == [(0, 1)]
-    for n in (1, 2, 3):
-        chunks = sl._chunks(costs, n)
-        assert len(chunks) == n
-        assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(110))
+def test_strided_workers_merge_in_job_order(monkeypatch):
+    """Worker w of W runs jobs w, w + W, ...; the merged records and
+    differences of small_sweep's 13 jobs are the same at 1 to 4
+    workers, even splits or not."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    ref = small_sweep()
+    for threads in (2, 3, 4):
+        assert sl._worker_count(threads, 13) == threads
+        res = small_sweep(threads=threads)
+        assert res.records == ref.records
+        assert res.dropped == ref.dropped
+        assert len(res.differences) == len(ref.differences)
+        assert all(np.array_equal(a, b) for a, b in zip(res.differences, ref.differences))
 
 
 def inject_failure(monkeypatch, seed):
@@ -555,10 +556,10 @@ def test_injectivity_probe_one_cell_sweep():
 
 def test_add_finite_distances_fills_column():
     res = small_sweep()
-    from holderlab.scalarization import FiniteMap, MeasurementSet
+    from holderlab.scalarization import FiniteMap
 
     k = res.differences[0].shape[0]
-    fm = FiniteMap(MeasurementSet(tuple((i, i) for i in range(k))), k)
+    fm = FiniteMap(tuple((i, i) for i in range(k)), k)
     filled = sl.add_finite_distances(res, fm)
     for rec, d in zip(filled.records, filled.differences):
         expected = float(np.linalg.norm(np.diag(d)))
