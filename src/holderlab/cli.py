@@ -1,20 +1,22 @@
 """Configuration-driven command line for reproducible experiments.
 
 Configs are JSON with nested sections; every run is a pure function of
-(config, seed). The commands that solve read the cell count, sampling
-and basis from one forward problem, build_problem_from(cfg); compact_set
-gives only the ellipticity bounds. `validate`, `sweep` and `select`
-also check the config against the built problem (_checked_problem).
-Every command but `validate`, which echoes the config, writes one
-file, and one function, `_emit`, writes them all: a comment line
-recording the tool version, the hash of the normalized config and the
-seed, then the command's body, in a file under output_dir (`fit` writes
-to --out), and then one stdout line ending `-> <path>`. Exit codes: 0
-success, 1 runtime numerical failure (the message names the originating
-error), 2 config validation failure, an unwritable output path (the
-message names output_dir, or --out for `fit`), a probe_k above the
-basis dimension (found before any solve) and a counterexample t_lo
-where F underflows below the smallest normal float included.
+(config, seed). PROBLEMS maps the config's `problem` to its
+forward-problem class. build_problem_from(cfg), the one constructor
+that `forward`, `derivcheck`, `sweep`, `select` and `validate` call,
+builds the problem and checks the config against it before any solve;
+the commands read the cell count, sampling and basis from it, and
+compact_set gives only the ellipticity bounds. Every command but
+`validate`, which echoes the config, writes one file, and one function,
+`_emit`, writes them all: a comment line recording the tool version,
+the hash of the normalized config and the seed, then the command's
+body, in a file under output_dir (`fit` writes to --out), and then one
+stdout line ending `-> <path>`. Exit codes: 0 success, 1 runtime
+numerical failure (the message names the originating error;
+NotIdentifiable included), 2 config validation failure, an unwritable
+output path (the message names output_dir, or --out for `fit`), a
+probe_k above the basis dimension and a counterexample t_lo where F
+underflows below the smallest normal float included.
 """
 
 import argparse
@@ -36,10 +38,14 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np
 
 from . import __version__
+from . import conductivity as cd
+from . import elasticity as el
 from . import mesh as mx
 from . import stability as sl
-from .errors import ConfigError, DegenerateSample, HolderLabError
+from .errors import ConfigError, DegenerateSample, HolderLabError, NotIdentifiable
 from .scalarization import greedy_select
+
+PROBLEMS = {"conductivity": cd.NDProblem, "elasticity": el.DNProblem}
 
 REQUIRED = object()  # the default of a field the config must give
 
@@ -95,7 +101,7 @@ _path = _check(lambda v: type(v) is str and v != "", "must be a nonempty path st
 # a section. The parsers check one field each; normalize_config checks
 # the relations between fields.
 FIELDS = {
-    "problem": Field(REQUIRED, _choice(tuple(sl.PROBLEMS))),
+    "problem": Field(REQUIRED, _choice(tuple(PROBLEMS))),
     "seed": Field(REQUIRED, _integer(0)),
     "mesh": {
         "n_sub": Field(REQUIRED, _integer(1)),
@@ -231,8 +237,24 @@ def build_mesh_from(cfg):
 
 
 def build_problem_from(cfg):
-    """The forward problem of the config's kind on its mesh."""
-    return sl.PROBLEMS[cfg["problem"]](build_mesh_from(cfg))
+    """The forward problem of the config's kind on its mesh, after the
+    checks that need it built; building it costs no solve. probe_k must
+    not exceed the basis dimension k. A map has k(k+1)/2 entries, so
+    when the cells' m parameters outnumber them no data determine every
+    cell, and recovering them all is NotIdentifiable."""
+    problem = PROBLEMS[cfg["problem"]](build_mesh_from(cfg))
+    k, form = problem.k, problem.form
+    if cfg["probe_k"] is not None and cfg["probe_k"] > k:
+        raise ConfigError("must be at most the basis dimension %d" % k, "probe_k")
+    m = form.n_cells * form.dim * (form.dim + 1) // 2
+    if len(cfg["recovered_cells"]) == form.n_cells and m > k * (k + 1) // 2:
+        mesh = cfg["mesh"]
+        raise NotIdentifiable(
+            "%d cell parameters exceed the %d entries of a map of basis dimension %d "
+            "(mesh.n_sub %d, mesh.grid_cols %d, mesh.grid_rows %d)"
+            % (m, k * (k + 1) // 2, k, mesh["n_sub"], mesh["grid_cols"], mesh["grid_rows"])
+        )
+    return problem
 
 
 def build_spec_from(cfg):
@@ -409,21 +431,10 @@ def cmd_derivcheck(cfg, args):
     return _emit(cfg, "derivcheck.csv", "\n".join(lines) + "\n", summary)
 
 
-def _checked_problem(cfg):
-    """The config's forward problem, after the checks that need it
-    built: probe_k at most its basis dimension. Building the problem
-    costs no solve."""
-    problem = build_problem_from(cfg)
-    k = problem.basis.k
-    if cfg["probe_k"] is not None and cfg["probe_k"] > k:
-        raise ConfigError("must be at most the basis dimension %d" % k, "probe_k")
-    return problem
-
-
 def _run_sweep(cfg, threads):
     s = cfg["sweep"]
     return sl.sweep(
-        _checked_problem(cfg),
+        build_problem_from(cfg),
         build_spec_from(cfg),
         sl.RecoveredQuantity(tuple(cfg["recovered_cells"])),
         s["n_random_pairs"],
@@ -486,9 +497,7 @@ def cmd_counterexample(cfg, args):
         flat = sl.flat_counterexample(ts, tol=ce["tol"])
     except DegenerateSample as exc:
         raise ConfigError(str(exc), "counterexample.t_lo") from None
-    ctl = sl.analytic_control(
-        ts, tol=ce["tol"], n_bins=cfg["fit"]["n_bins"], slack=cfg["fit"]["slack"]
-    )
+    ctl = sl.analytic_control(ts, n_bins=cfg["fit"]["n_bins"], slack=cfg["fit"]["slack"])
     lines = ["map,t,F,local_slope"]
     for s in flat:
         lines.append("flat,%s,%s,%s" % (repr(s.t), repr(s.F_t), repr(s.local_slope)))
@@ -502,7 +511,7 @@ def cmd_counterexample(cfg, args):
 
 
 def cmd_validate(cfg, args):
-    _checked_problem(cfg)
+    build_problem_from(cfg)
     print(json.dumps(cfg, indent=2, sort_keys=True))
     return 0
 

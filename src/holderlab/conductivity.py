@@ -6,7 +6,7 @@ potential. A basis current is the difference of two adjacent
 patch-node hat functions, each scaled by its integral over the whole
 boundary, so it has zero mean over the whole boundary, not over the
 patch; the end nodes' hats reach one edge past the patch (see
-CurrentBasis). The potential space is H1 modulo constants, realized by
+current_basis). The potential space is H1 modulo constants, realized by
 grounding one node off the patch: the currents have zero mean, so their
 pairing with a potential does not see the constant the ground fixes.
 
@@ -19,7 +19,6 @@ W.T @ W, from one triangular solve over the trailing rows.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +39,12 @@ KIND = "conductivity_nd"
 _SYMMETRIC = [[0, 2], [2, 1]]
 
 
-@dataclass
-class CurrentBasis:
-    """Currents in the patch hat functions (coeffs[i] is current i).
-    The loads pair them over the whole boundary, where the end nodes'
-    hats reach one edge past the patch; gram sums over patch edges."""
-
-    nodes: np.ndarray   # patch node indices, arclength order
-    coeffs: np.ndarray  # (k, k+1)
-    gram: np.ndarray    # (k, k) L2 patch Gram of the currents
-
-    @property
-    def k(self):
-        return self.coeffs.shape[0]
-
-
 def current_basis(mesh):
+    """The currents in the patch hat functions: the patch nodes in
+    arclength order, coeffs (k, k+1) whose row i is current i, and the
+    currents' (k, k) L2 Gram matrix over the patch edges. The loads
+    pair them over the whole boundary, where the end nodes' hats reach
+    one edge past the patch."""
     pn = patch_nodes(mesh)
     if pn.size < 2:
         raise EmptyPatch("current basis needs at least two patch nodes")
@@ -66,7 +55,7 @@ def current_basis(mesh):
     coeffs[idx, idx] = 1.0 / w[:-1]
     coeffs[idx, idx + 1] = -1.0 / w[1:]
     gram = symmetrize(coeffs @ boundary_mass_matrix(mesh) @ coeffs.T)
-    return CurrentBasis(pn, coeffs, gram)
+    return pn, coeffs, gram
 
 
 def ground_node(mesh, patch):
@@ -79,11 +68,12 @@ def ground_node(mesh, patch):
     return int(np.argmax(np.linalg.norm(mesh.nodes - mid, axis=1)))
 
 
-def _patch_loads(mesh, basis):
-    """Load vectors over all nodes: column i pairs basis current i,
-    through the boundary mass matrix, with every nodal trace."""
-    x = np.zeros((mesh.n_nodes, basis.k))
-    x[basis.nodes] = basis.coeffs.T
+def _patch_loads(mesh, nodes, coeffs):
+    """Load vectors over all nodes: column i pairs current i, coeffs[i]
+    over the patch nodes, through the boundary mass matrix with every
+    nodal trace."""
+    x = np.zeros((mesh.n_nodes, len(coeffs)))
+    x[nodes] = coeffs.T
     a, b = mesh.boundary_edges.T
     h = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a], axis=1)[:, None]
     loads = np.zeros_like(x)
@@ -113,14 +103,14 @@ class NDProblem(ForwardProblem):
     degree = -1  # F(t p) = t^-1 F(p)
 
     def __init__(self, mesh):
-        basis = current_basis(mesh)
-        self.ground = ground_node(mesh, basis.nodes)
+        nodes, coeffs, gram = current_basis(mesh)
+        self.ground = ground_node(mesh, nodes)
         order = patch_last_order(mesh)
         self.dofs = order[order != self.ground]
         active = np.full(mesh.n_nodes, -1)
         active[self.dofs] = np.arange(self.dofs.size)
-        super().__init__(basis, stiffness_form(mesh, active))
-        loads = _patch_loads(mesh, basis)[self.dofs]
+        super().__init__(gram, stiffness_form(mesh, active))
+        loads = _patch_loads(mesh, nodes, coeffs)[self.dofs]
         self.first = int(np.flatnonzero(loads.any(axis=1))[0])
         self.loads = loads[self.first:].copy()  # not a view holding every row
 

@@ -18,8 +18,6 @@ U^-1 [0; C] are the basis data minus the interior corrections that
 make each datum's zero extension discrete-harmonic.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import PatchTooSmall
@@ -38,31 +36,18 @@ KIND = "elasticity_dn"
 ROOT2 = np.sqrt(2.0)
 
 
-@dataclass
-class DisplacementBasis:
-    """Vector hat functions at patch interior nodes: entries pair a
-    node index with a component (0 for x, 1 for y), interleaved per
-    node. Endpoint nodes carry no basis function, so every basis
-    displacement vanishes outside the open patch."""
-
-    nodes: np.ndarray    # interior patch nodes in arclength order
-    entries: np.ndarray  # (k, 2) rows (node, component)
-    gram: np.ndarray     # (k, k) vector L2 patch Gram
-
-    @property
-    def k(self):
-        return self.entries.shape[0]
-
-
 def displacement_basis(mesh):
+    """Vector hat functions at the patch's interior nodes: entries (k, 2)
+    pairs a node index, in arclength order, with a component (0 for x,
+    1 for y), interleaved per node, and gram is their (k, k) vector L2
+    patch Gram matrix. Endpoint nodes carry no basis function, so every
+    basis displacement vanishes outside the open patch."""
     pn = patch_nodes(mesh)
     if pn.size < 3:
         raise PatchTooSmall("displacement basis needs an interior patch node")
-    inner = pn[1:-1]
-    entries = np.array([(n, c) for n in inner for c in (0, 1)], dtype=np.intp)
+    entries = np.array([(n, c) for n in pn[1:-1] for c in (0, 1)], dtype=np.intp)
     mass = boundary_mass_matrix(mesh)[1:-1, 1:-1]
-    gram = symmetrize(np.kron(mass, np.eye(2)))
-    return DisplacementBasis(inner, entries, gram)
+    return entries, symmetrize(np.kron(mass, np.eye(2)))
 
 
 def _strain_operators(mesh):
@@ -109,16 +94,16 @@ class DNProblem(ForwardProblem):
     degree = 1  # F(t p) = t F(p)
 
     def __init__(self, mesh):
-        basis = displacement_basis(mesh)
-        bd = 2 * basis.entries[:, 0] + basis.entries[:, 1]
+        entries, gram = displacement_basis(mesh)
+        bd = 2 * entries[:, 0] + entries[:, 1]
         self.dofs = np.concatenate([interior_dofs(mesh), bd])
         active = np.full(2 * mesh.n_nodes, -1)
         active[self.dofs] = np.arange(self.dofs.size)
-        super().__init__(basis, stiffness_form(mesh, active))
+        super().__init__(gram, stiffness_form(mesh, active))
         # C[a, b] = U[n - k + a, n - k + b] for a <= b sits at
         # band[u + a - b, n - k + b] if b - a <= u; the rest of C is zero
         rows, n = self.form.band_shape
-        k = basis.k
+        k = self.k
         a, b = np.triu_indices(k)
         keep = b - a < rows
         self._block = a[keep], b[keep]
@@ -150,7 +135,7 @@ class DNProblem(ForwardProblem):
 
     def trailing(self, f):
         """The trailing k x k block C of the factor f, upper triangular."""
-        c = np.zeros((self.basis.k, self.basis.k))
+        c = np.zeros((self.k, self.k))
         c[self._block] = f[self._in_band]
         return c
 

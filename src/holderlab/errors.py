@@ -55,6 +55,11 @@ class DegenerateSample(HolderLabError):
     ratio or logarithm."""
 
 
+class NotIdentifiable(HolderLabError):
+    """The cells to recover have more parameters than the finite map has
+    entries, so no data determine them all."""
+
+
 class InsufficientSpread(HolderLabError):
     """Records span fewer than two decades of delta_F; no fit possible."""
 

@@ -4,13 +4,13 @@ proxy operator norm.
 ForwardProblem holds what both forward problems share: the parameter
 space of one symmetric positive definite matrix per cell, the banded
 factorization and the one algorithm that reads the map and its
-derivative off it. A forward map is a plain symmetric matrix in its
-problem's fixed boundary basis; the problem holds the whitening
-G^{-1/2} of that basis's Gram matrix G. Distances between operators are
-measured in the Gram-whitened spectral norm, the declared stand-in for
-the continuum operator norm on a fixed discretization: whiten maps a
-raw difference M_p - M_q into the Gram-orthonormalized basis, and the
-distance and the scalarization read its output.
+derivative off it. A forward map is a plain symmetric k x k matrix in
+its problem's fixed boundary basis; the problem holds that basis's
+Gram matrix G and its whitening G^{-1/2}. Distances between operators
+are measured in the Gram-whitened spectral norm, the declared stand-in
+for the continuum operator norm on a fixed discretization: whiten maps
+a raw difference M_p - M_q into the Gram-orthonormalized basis, and
+the distance and the scalarization read its output.
 """
 
 import numpy as np
@@ -42,15 +42,15 @@ class ForwardProblem:
     """A forward problem of one mesh, built once, and its parameter
     space: one symmetric positive definite d x d matrix per cell.
 
-    A subclass sets basis (with its Gram matrix) and form, the stiffness
-    K(cells) over its active dofs as a numerics.CellStiffness, through
-    __init__, and gives its map's kind, its degree of homogeneity,
-    F(t p) = t^degree F(p), and trailing(f). The active dofs are
-    numbered so that K has a narrow band and the map only needs a block
-    W of the banded factor K = U.T @ U that vanishes above its last rows:
-    trailing(f) returns those rows. The map is then M = W.T @ W, exactly
-    symmetric, from one factorization and at most one triangular solve
-    over the trailing rows.
+    A subclass sets gram, the k x k Gram matrix of its boundary basis,
+    and form, the stiffness K(cells) over its active dofs as a
+    numerics.CellStiffness, through __init__, and gives its map's kind,
+    its degree of homogeneity, F(t p) = t^degree F(p), and trailing(f).
+    The active dofs are numbered so that K has a narrow band and the map
+    only needs a block W of the banded factor K = U.T @ U that vanishes
+    above its last rows: trailing(f) returns those rows. The map is then
+    M = W.T @ W, exactly symmetric, from one factorization and at most
+    one triangular solve over the trailing rows.
 
     The derivative in a direction dp pairs the solutions U^-1 [0; W],
     from one more triangular solve over all rows, through the stiffness
@@ -59,9 +59,10 @@ class ForwardProblem:
     degree * M fixes its sign: the pairing times the degree.
     """
 
-    def __init__(self, basis, form):
-        self.basis = basis
-        self.whitener = gram_inv_sqrt(basis.gram)
+    def __init__(self, gram, form):
+        self.gram = gram
+        self.k = len(gram)
+        self.whitener = gram_inv_sqrt(gram)
         self.form = form
 
     def check_symmetric(self, cells):

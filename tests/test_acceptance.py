@@ -140,7 +140,7 @@ def test_criterion_3_derivative_checks(small_mesh):
 
 def test_criterion_4_faithfulness(small_mesh):
     cp = cd.NDProblem(small_mesh)
-    k = cp.basis.coeffs.shape[0]
+    k = cp.k
     w = probe_weights(k)
     bound_const = float(np.sum(w**2)) ** 2
     ps = points(cp, 100, stream=1)

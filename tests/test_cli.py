@@ -19,6 +19,7 @@ from holderlab import mesh as mx
 from holderlab import stability as sl
 from holderlab.cli import (
     FIELDS,
+    PROBLEMS,
     config_hash,
     header_line,
     main,
@@ -195,7 +196,7 @@ def test_command_prints_summary_to_path_and_writes_header(tmp_path, capsys, comm
 def test_sweep_is_thread_count_invariant(tmp_path):
     """records.csv and selection.csv are the same bytes whether the
     sweep runs in-process or on two or three worker processes."""
-    for problem in sl.PROBLEMS:
+    for problem in PROBLEMS:
         path = write_config(tmp_path, {"problem": problem})
         outputs = set()
         for threads in ("1", "2", "3"):
@@ -433,7 +434,10 @@ def test_mesh_and_fit_load_no_process_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-@pytest.mark.parametrize("command", ["sweep", "select", "validate"])
+PROBLEM_COMMANDS = ["forward", "derivcheck", "sweep", "select", "validate"]
+
+
+@pytest.mark.parametrize("command", PROBLEM_COMMANDS)
 def test_probe_k_above_basis_dimension_exits_2(tmp_path, capsys, monkeypatch, command):
     """probe_k 40 on the 8-current basis of n_sub=8 is a config error
     naming the field and the dimension, raised before any forward and
@@ -451,6 +455,46 @@ def test_probe_k_above_basis_dimension_exits_2(tmp_path, capsys, monkeypatch, co
     assert captured.out == ""
     assert captured.err == "config error (field probe_k): must be at most the basis dimension 8\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+def test_non_identifiable_config_exits_1_before_any_solve(tmp_path, capsys, monkeypatch, command):
+    """Conductivity with 4x4 cells at n_sub=8 has 48 cell parameters and
+    a map of 8 * 9 / 2 = 36 entries, so no data determine every cell:
+    NotIdentifiable naming m, k and the mesh fields, exit 1, before any
+    forward and before any output is written. Recovering a proper
+    subset of the cells needs no injective map, so that config runs."""
+    from holderlab import conductivity as cd
+
+    def no_forward(problem, cells):
+        raise AssertionError("a forward ran")
+
+    mesh = {"n_sub": 8, "grid_cols": 4, "grid_rows": 4}
+    monkeypatch.setattr(cd, "nd_matrix", no_forward)
+    path = write_config(tmp_path, {"mesh": mesh})
+    assert main([command, str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "NotIdentifiable: 48 cell parameters exceed the 36 entries of a map of basis "
+        "dimension 8 (mesh.n_sub 8, mesh.grid_cols 4, mesh.grid_rows 4)\n"
+    )
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    path = write_config(tmp_path, {"mesh": mesh, "recovered_cells": [1, 2]})
+    assert main([command, str(path)]) == 0
+
+
+def test_stability_imports_neither_problem_module():
+    """Only the command line maps a config to a problem class: the
+    sweep module reads everything from the built problem it is given."""
+    code = "import sys, holderlab.stability; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "holderlab.stability" in loaded
+    assert not {"holderlab.conductivity", "holderlab.elasticity"} & loaded
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
@@ -510,7 +554,7 @@ def test_readme_library_example_runs():
 def valid_configs(draw):
     cols, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     raw = {
-        "problem": draw(st.sampled_from(tuple(sl.PROBLEMS))),
+        "problem": draw(st.sampled_from(tuple(PROBLEMS))),
         "seed": draw(st.integers(0, 2**64)),
         "mesh": {
             "n_sub": cols * rows * draw(st.integers(1, 4)),
@@ -562,7 +606,7 @@ def test_normalize_is_idempotent_and_hash_stable(raw):
     assert normalize_config(raw) == cfg
 
 
-CHOICES = {"problem": tuple(sl.PROBLEMS), "mesh.side": mx.SIDES}
+CHOICES = {"problem": tuple(PROBLEMS), "mesh.side": mx.SIDES}
 
 
 def accepts(name, value):

@@ -114,8 +114,8 @@ def test_matrix_element_conductivity_scaling():
     cells = np.array([[[1.3, 0.2], [0.2, 1.1]]])
     a = problem.forward(cells)
     b = problem.forward(2.0 * cells)
-    for i in range(problem.basis.k):
-        for j in range(problem.basis.k):
+    for i in range(problem.k):
+        for j in range(problem.k):
             lhs = b[i, j]
             rhs = 0.5 * a[i, j]
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1e-30)

@@ -10,6 +10,7 @@ import pytest
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab import stability as sl
+from holderlab.cli import PROBLEMS
 from holderlab.errors import (
     BasisMismatch,
     DegenerateSample,
@@ -33,7 +34,7 @@ SPEC = sl.CompactSetSpec(0.5, 2.0)
 
 def built(kind, n_sub=4, cols=1, rows=1):
     """The forward problem of a kind on a bottom-patch mesh."""
-    return sl.PROBLEMS[kind](bottom_mesh(n_sub, cols, rows))
+    return PROBLEMS[kind](bottom_mesh(n_sub, cols, rows))
 
 
 def points(problem, spec, count, seed, stream=0):
@@ -80,7 +81,7 @@ def test_sampling_eigenvalue_bounds():
     """Each kind's sampled cells are symmetric matrices with eigenvalues
     in the class's interval, and its map has the degree its class
     states: F(2 p) = 2^degree F(p)."""
-    for kind in sl.PROBLEMS:
+    for kind in PROBLEMS:
         problem = built(kind, cols=2)
         for cells in points(problem, SPEC, 10, seed=3):
             assert np.array_equal(cells, cells.transpose(0, 2, 1))
@@ -166,7 +167,7 @@ def test_sweep_thread_count_invariance():
         assert ra.phi == rb.phi
 
 
-@pytest.mark.parametrize("kind", tuple(sl.PROBLEMS))
+@pytest.mark.parametrize("kind", tuple(PROBLEMS))
 def test_sweep_drops_ray_steps_outside_the_cone(kind):
     """Long rays from a wide class leave the SPD cone; those steps are
     dropped and counted, and the sweep still finishes the same on any
@@ -254,9 +255,9 @@ def test_sweep_rejects_probe_k_above_basis_dimension(monkeypatch):
     problem = built("conductivity", n_sub=8)
     rq = sl.RecoveredQuantity((1,))
     with pytest.raises(BasisMismatch, match="exceeds basis dimension 8"):
-        sl.sweep(problem, SPEC, rq, 5, 1, [1e-3], 42, probe_k=problem.basis.k + 1)
+        sl.sweep(problem, SPEC, rq, 5, 1, [1e-3], 42, probe_k=problem.k + 1)
     assert seen == []
-    assert len(sl.sweep(problem, SPEC, rq, 1, 0, [], 42, probe_k=problem.basis.k).records) == 1
+    assert len(sl.sweep(problem, SPEC, rq, 1, 0, [], 42, probe_k=problem.k).records) == 1
 
 
 def test_sweep_samples_points_of_the_problem_shape(monkeypatch):
@@ -402,7 +403,7 @@ def test_one_cell_ray_matches_scaling_oracle():
     m = bottom_mesh(8)
     problem = cd.NDProblem(m)
     base = problem.forward(np.eye(2)[None])
-    w = gram_inv_sqrt(problem.basis.gram)
+    w = gram_inv_sqrt(problem.gram)
     norm_base = spectral_norm(w @ base @ w)
     ratios = []
     for t in (1e-1, 1e-3, 1e-5):
