@@ -69,17 +69,22 @@ def ground_node(mesh, patch):
 
 
 def _patch_loads(mesh, nodes, coeffs):
-    """Load vectors over all nodes: column i pairs current i, coeffs[i]
-    over the patch nodes, through the boundary mass matrix with every
-    nodal trace."""
-    x = np.zeros((mesh.n_nodes, len(coeffs)))
-    x[nodes] = coeffs.T
+    """The loads on the boundary ring, the only nodes they reach: ring
+    lists the boundary nodes in counterclockwise order, and column i of
+    rows pairs current i, coeffs[i] over the patch nodes, through the
+    boundary mass matrix with the nodal trace of each ring node."""
+    ring = mesh.boundary_edges[:, 0]
+    at = np.empty(mesh.n_nodes, dtype=np.intp)
+    at[ring] = np.arange(ring.size)
+    x = np.zeros((ring.size, len(coeffs)))
+    x[at[nodes]] = coeffs.T
     a, b = mesh.boundary_edges.T
     h = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a], axis=1)[:, None]
-    loads = np.zeros_like(x)
-    np.add.at(loads, a, h / 3.0 * x[a] + h / 6.0 * x[b])
-    np.add.at(loads, b, h / 3.0 * x[b] + h / 6.0 * x[a])
-    return loads
+    a, b = at[a], at[b]  # each edge's ends as ring positions
+    rows = np.zeros_like(x)
+    np.add.at(rows, a, h / 3.0 * x[a] + h / 6.0 * x[b])
+    np.add.at(rows, b, h / 3.0 * x[b] + h / 6.0 * x[a])
+    return ring, rows
 
 
 def stiffness_form(mesh, active):
@@ -110,9 +115,12 @@ class NDProblem(ForwardProblem):
         active = np.full(mesh.n_nodes, -1)
         active[self.dofs] = np.arange(self.dofs.size)
         super().__init__(gram, stiffness_form(mesh, active))
-        loads = _patch_loads(mesh, nodes, coeffs)[self.dofs]
-        self.first = int(np.flatnonzero(loads.any(axis=1))[0])
-        self.loads = loads[self.first:].copy()  # not a view holding every row
+        ring, rows = _patch_loads(mesh, nodes, coeffs)
+        dof = active[ring]  # -1 at the ground
+        hit = (dof >= 0) & rows.any(axis=1)
+        self.first = int(dof[hit].min())
+        self.loads = np.zeros((self.dofs.size - self.first, self.k))
+        self.loads[dof[hit] - self.first] = rows[hit]
 
     @staticmethod
     def sample_cells(rng, lo, hi, n_cells):

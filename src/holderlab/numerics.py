@@ -5,14 +5,16 @@ All other modules funnel their linear solves and eigenvalue evaluations
 through this one. Matrices are 64-bit floats throughout. A stiffness
 matrix is linear in the entries of its symmetric cell matrices, so
 CellStiffness stores it once per mesh as one row of slot values per
-independent entry on a fixed sparsity pattern, together with where
-each slot sits in LAPACK band storage; a call is a small matmul and one
-placement into that band, which is narrow under the mesh's patch-last
-numbering (mesh.patch_last_order), and factored with pbtrf as
-K = U.T @ U. trailing_solve computes U^-T b for a block b that vanishes
-above its last rows with one triangular band solve (tbtrs) over them,
-and back_solve U^-1 [0; W] with one more tbtrs over all rows. pbtrf
-and tbtrs are the only LAPACK routines called. Small dense symmetric
+independent entry on a fixed sparsity pattern, summed one such entry
+at a time, together with where each slot sits in LAPACK band storage; a
+call is a small matmul and one placement into a Fortran-ordered band,
+which is narrow under the mesh's patch-last numbering
+(mesh.patch_last_order) and which pbtrf factors in place as
+K = U.T @ U, so a solve holds one band and no copy of it.
+trailing_solve computes U^-T b for a block b that vanishes above its
+last rows with one triangular band solve (tbtrs) over them, and
+back_solve U^-1 [0; W] with one more tbtrs over all rows. pbtrf and
+tbtrs are the only LAPACK routines called. Small dense symmetric
 eigenproblems go through LAPACK's symmetric solver.
 """
 
@@ -55,7 +57,12 @@ def factor_spd(band):
     positive definite matrix given in upper band storage,
     band[u + i - j, j] = A[i, j] for i <= j; the unused top-left corner
     is never read. Returns the upper factor U (U.T @ U = A) in the same
-    storage, band[u + i - j, j] = U[i, j]. Raises NotPositiveDefinite on
+    storage, band[u + i - j, j] = U[i, j]. A Fortran-contiguous float64
+    band, such as CellStiffness.band returns, may be overwritten: the
+    factor is computed in place and returned as that same array. A
+    one-row band is both C- and Fortran-contiguous, so it is overwritten
+    too; any other input, a C-ordered band of more rows for one, is
+    copied first and left as it was. Raises NotPositiveDefinite on
     a non-positive pivot, which for assembled systems signals a
     coefficient outside the ellipticity cone or a singular (ungrounded)
     system.
@@ -65,7 +72,7 @@ def factor_spd(band):
         raise DimensionMismatch(
             "band storage must have 1 to n rows for n columns, got %s" % (band.shape,)
         )
-    f, info = scipy.linalg.lapack.dpbtrf(band)
+    f, info = scipy.linalg.lapack.dpbtrf(band, overwrite_ab=1)
     if info > 0:
         raise NotPositiveDefinite("non-positive pivot in row %d" % (info - 1))
     if info < 0:
@@ -107,7 +114,9 @@ def _tbtrs(f, block, trans):
         )
     first = n - block.shape[0]
     if trans == "N":
-        block, first = np.vstack([np.zeros((first, block.shape[1])), block]), 0
+        padded = np.zeros((n, block.shape[1]))
+        padded[first:] = block
+        block, first = padded, 0
     x, info = scipy.linalg.lapack.dtbtrs(f[:, first:], block, trans=trans)
     if info > 0:
         raise NotPositiveDefinite("factor has a zero pivot in row %d" % (first + info - 1))
@@ -141,10 +150,6 @@ class CellStiffness:
         # its mirror image below
         er, ec = (np.concatenate([np.arange(d), i]) for i in np.triu_indices(d, 1))
         self._entries, n_comp = (er, ec), er.size
-        comps = np.zeros((n_comp, d, d))
-        comps[np.arange(n_comp), er, ec] = comps[np.arange(n_comp), ec, er] = 1.0
-        elem = np.einsum("jkl,tka,tlb->tjab", comps, ops, ops, optimize=True)
-        elem *= area[:, None, None, None]
         self.n_cells = int(labels.max())
         loc = active[dofs]
         r = np.broadcast_to(loc[:, :, None], (len(loc), n_loc, n_loc))
@@ -153,10 +158,16 @@ class CellStiffness:
         n = int(active.max()) + 1
         slots, slot = np.unique(r[t, a, b] * n + c[t, a, b], return_inverse=True)
         self.rows, self.cols = np.divmod(slots, n)
-        # one sum per (cell, component, slot), flattened in that order
-        flat = ((labels[t, None] - 1) * n_comp + np.arange(n_comp)) * slots.size + slot[:, None]
-        size = self.n_cells * n_comp * slots.size
-        stack = np.bincount(flat.ravel(), elem[t, :, a, b].ravel(), minlength=size)
+        # one sum per (cell, slot), filled one component at a time
+        slot += (labels[t] - 1) * slots.size
+        stack = np.empty((self.n_cells, n_comp, slots.size))
+        size = self.n_cells * slots.size
+        for j, (p, q) in enumerate(zip(er, ec)):
+            w = ops[t, p, a] * ops[t, q, b]
+            if p != q:
+                w += ops[t, q, a] * ops[t, p, b]
+            w *= area[t]
+            stack[:, j] = np.bincount(slot, w, minlength=size).reshape(self.n_cells, -1)
         self.stack = stack.reshape(-1, slots.size)
         # a diagonal entry appears once in the upper triangle, an
         # off-diagonal one stands for two entries of K
@@ -164,7 +175,7 @@ class CellStiffness:
         u = int((self.cols - self.rows).max())
         self.band_shape = (u + 1, n)
         place = (u + self.rows - self.cols, self.cols)
-        self._band_index = np.ravel_multi_index(place, self.band_shape)
+        self._band_index = np.ravel_multi_index(place, self.band_shape, order="F")
 
     def values(self, cells):
         """Slot values of K at the (N, d, d) cell matrices, or
@@ -184,9 +195,10 @@ class CellStiffness:
 
     def band(self, values):
         """K for these slot values in LAPACK upper band storage, as
-        factor_spd takes it."""
-        out = np.zeros(self.band_shape)
-        out.reshape(-1)[self._band_index] = values
+        factor_spd takes it: Fortran-ordered, so it is factored in
+        place."""
+        out = np.zeros(self.band_shape, order="F")
+        out.reshape(-1, order="F")[self._band_index] = values
         return out
 
 

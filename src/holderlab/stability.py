@@ -139,10 +139,12 @@ def sample_direction(problem, seed, index=0):
 
 def _cell_frobenius(cells_a, cells_b, subset):
     """Max Frobenius distance between cell matrices over the subset of
-    1-based cell labels."""
+    1-based cell labels; inf, without a warning, where it overflows,
+    which sweep then refuses."""
     idx = np.array(subset, dtype=int) - 1
     diff = cells_a[idx] - cells_b[idx]
-    return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2)))))
+    with np.errstate(over="ignore"):
+        return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2)))))
 
 
 def default_ray_steps(n):
@@ -259,7 +261,9 @@ def sweep(problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=No
     `threads` > 1 runs the jobs on up to that many worker processes.
     Records are ordered by pair id regardless of that count; a record
     whose solve fails is dropped and counted, and a failed base solve
-    drops all its ray's records.
+    drops all its ray's records. A record whose delta_R, delta_F or phi
+    is not finite, such as a delta_R that overflows on cells near the
+    largest float, raises DegenerateSample naming the first such record.
     """
     if max(rq.cell_subset) > problem.form.n_cells:
         raise ValueError("recovered cell label outside the partition")
@@ -278,6 +282,12 @@ def sweep(problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=No
         StabilityRecord(i, kind, t, d_r, d_f, ph, flags=flags)
         for i, (kind, t, d_r, d_f, ph, flags, _) in enumerate(kept)
     ]
+    for r in records:
+        if not (math.isfinite(r.delta_R) and math.isfinite(r.delta_F) and math.isfinite(r.phi)):
+            raise DegenerateSample(
+                "record %d has a value that is not finite (delta_R=%r, delta_F=%r, phi=%r)"
+                % (r.pair_id, r.delta_R, r.delta_F, r.phi)
+            )
     return SweepResult(records, len(results) - len(kept), [res[-1] for res in kept])
 
 

@@ -222,6 +222,25 @@ def test_sweep_records_roundtrip(tmp_path):
     assert all(r.t is not None for r in rays)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("lambda_hi", [1e200, 1e300])
+def test_sweep_with_an_overflowing_distance_exits_1_naming_the_record(
+    tmp_path, capsys, lambda_hi, threads
+):
+    """Cells near the largest float overflow delta_R to inf: the sweep
+    refuses the first such record, on any worker count, with no
+    warning and no records.csv, instead of writing infinite distances
+    that only fit rejects."""
+    path = write_config(tmp_path, {
+        "mesh": {"n_sub": 4, "grid_cols": 2, "grid_rows": 1},
+        "compact_set": {"lambda_hi": lambda_hi},
+    })
+    assert main(["sweep", str(path), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert "DegenerateSample: record 0 has a value that is not finite (delta_R=inf" in err
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 RECORDS_HEAD = "# holderlab 0.1.0 config=abc seed=7\n# dropped 0\n"
 COLUMNS = "pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n"
 GOOD_ROW = "1,random_random,,0.1,0.01,0.0,,\n"

@@ -95,8 +95,9 @@ def test_grounded_stiffness_spd_and_row_sums():
 
 
 def test_nd_problem_keeps_only_the_trailing_loads():
-    """The problem owns the trailing rows of its loads: a view of them
-    would keep the whole (n_free, k) array alive."""
+    """The problem owns the trailing rows of its loads, in one array
+    of its own: no (n_free, k) array exists that a view would keep
+    alive."""
     problem = cd.NDProblem(unit_mesh(16, cols=2, rows=2))
     assert problem.loads.base is None
     assert problem.loads.shape == (problem.dofs.size - problem.first, problem.k)

@@ -8,6 +8,8 @@ the vertex coordinates, with gradients from the inverse of the affine
 map, and shares no code with the package's assembly.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,15 @@ def from_band(band):
     return k
 
 
+def all_loads(m):
+    """The conductivity loads over every node: the ring rows that
+    _patch_loads returns, and zero rows off the boundary."""
+    ring, rows = cd._patch_loads(m, *cd.current_basis(m)[:2])
+    loads = np.zeros((m.n_nodes, rows.shape[1]))
+    loads[ring] = rows
+    return loads
+
+
 def rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
 
@@ -136,7 +147,7 @@ def test_forward_matches_reference_solve(kind, side, interval):
         free = problem.dofs
         k = reference_conductivity(m, cells)[np.ix_(free, free)]
         # all rows of the loads: the problem keeps only those from first on
-        loads = cd._patch_loads(m, *cd.current_basis(m)[:2])[free]
+        loads = all_loads(m)[free]
         want = loads.T @ np.linalg.solve(k, loads)
     else:
         problem = el.DNProblem(m)
@@ -162,7 +173,7 @@ def test_derivative_matches_reference_solve(kind, side, interval):
         cells, direction = conductivity_points()
         free = problem.dofs
         k = reference_conductivity(m, cells)[np.ix_(free, free)]
-        loads = cd._patch_loads(m, *cd.current_basis(m)[:2])[free]
+        loads = all_loads(m)[free]
         u = np.linalg.solve(k, loads)
         want = -u.T @ reference_conductivity(m, direction)[np.ix_(free, free)] @ u
     else:
@@ -257,6 +268,49 @@ def test_patch_last_band_and_trailing_block(kind, side):
         trailing = problem.k
     assert band_rows - 1 <= per_node * (n_sub + 2)
     assert trailing <= per_node * 2 * (n_sub + 1)
+
+
+def traced(fn):
+    """fn()'s result, the peak of the memory it allocated and the
+    memory its allocations still hold when it returns, in bytes, as
+    tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - base, held - base
+
+
+MEMORY_CASES = [("conductivity", 32), ("elasticity", 16), ("elasticity", 32)]
+
+
+def memory_case(kind, n_sub):
+    m = mx.build_mesh(n_sub, mx.PartitionSpec(2, 2), mx.PatchSpec("bottom", 0.0, 1.0))
+    cells = (random_conductivity if kind == "conductivity" else random_mandel)(4, seed=23)
+    return m, PROBLEMS[kind], cells
+
+
+@pytest.mark.parametrize("kind, n_sub", MEMORY_CASES)
+def test_build_peaks_within_three_times_what_it_keeps(kind, n_sub):
+    """A problem's construction holds no array of every element matrix
+    or of every (entry, component) pair: its peak stays within 3x the
+    slot values, indices and loads it keeps."""
+    m, build, _ = memory_case(kind, n_sub)
+    _, peak, kept = traced(lambda: build(m))
+    assert peak <= 3.0 * kept
+
+
+@pytest.mark.parametrize("kind, n_sub", MEMORY_CASES)
+def test_forward_peaks_within_one_and_a_half_bands(kind, n_sub):
+    """A forward factors its band in place: it never holds the band
+    and a copy of it."""
+    m, build, cells = memory_case(kind, n_sub)
+    problem = build(m)
+    _, peak, _ = traced(lambda: problem.forward(cells))
+    assert peak <= 1.5 * 8 * np.prod(problem.form.band_shape)
 
 
 @pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
