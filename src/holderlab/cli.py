@@ -431,7 +431,7 @@ def cmd_derivcheck(cfg, args):
     return _emit(cfg, "derivcheck.csv", "\n".join(lines) + "\n", summary)
 
 
-def _run_sweep(cfg, threads):
+def _run_sweep(cfg, threads, differences=False):
     s = cfg["sweep"]
     return sl.sweep(
         build_problem_from(cfg),
@@ -443,6 +443,7 @@ def _run_sweep(cfg, threads):
         cfg["seed"],
         probe_k=cfg["probe_k"],
         threads=threads,
+        differences=differences,
     )
 
 
@@ -464,7 +465,7 @@ def cmd_fit(args):
 
 
 def cmd_select(cfg, args):
-    result = _run_sweep(cfg, args.threads)
+    result = _run_sweep(cfg, args.threads, differences=True)
     kept = [
         (d, rec.delta_F)
         for d, rec in zip(result.differences, result.records)

@@ -97,7 +97,9 @@ def back_solve(f, w):
     """U^-1 [0; W] over all rows, for the banded factor f of U and
     trailing rows W, from one triangular band solve (LAPACK tbtrs) with
     U itself. For the W that trailing_solve returned for a block b these
-    are the solutions K^-1 b."""
+    are the solutions K^-1 b. The solve runs in place on a
+    Fortran-ordered zero-padded copy of W, which it returns: it holds
+    one (n, k) block, not two."""
     return _tbtrs(f, w, "N")
 
 
@@ -113,16 +115,22 @@ def _tbtrs(f, block, trans):
             "trailing block of shape %s for a factor of %d rows" % (block.shape, n)
         )
     first = n - block.shape[0]
+    overwrite = 0
     if trans == "N":
-        padded = np.zeros((n, block.shape[1]))
+        # a Fortran-ordered pad of its own, which tbtrs solves in place
+        padded = np.zeros((n, block.shape[1]), order="F")
         padded[first:] = block
-        block, first = padded, 0
-    x, info = scipy.linalg.lapack.dtbtrs(f[:, first:], block, trans=trans)
+        block, first, overwrite = padded, 0, 1
+    x, info = scipy.linalg.lapack.dtbtrs(f[:, first:], block, trans=trans, overwrite_b=overwrite)
     if info > 0:
         raise NotPositiveDefinite("factor has a zero pivot in row %d" % (first + info - 1))
     if info < 0:
         raise DimensionMismatch("LAPACK tbtrs rejected argument %d" % -info)
     return x
+
+
+# Slots CellStiffness.pairing sums at a time.
+PAIR_BLOCK = 1024
 
 
 class CellStiffness:
@@ -189,8 +197,17 @@ class CellStiffness:
 
     def pairing(self, values, u):
         """u.T @ K @ u for the K with these slot values; u holds one
-        column per vector over the active dofs. Exactly symmetric."""
-        half = u[self.rows].T @ ((self._weight * values)[:, None] * u[self.cols])
+        column per vector over the active dofs. Exactly symmetric. It
+        sums over blocks of PAIR_BLOCK slots, so the rows of u it
+        gathers take two (PAIR_BLOCK, k) arrays at a time, not three
+        (slots, k) ones."""
+        weighted = self._weight * values
+        half = np.zeros((u.shape[1], u.shape[1]))
+        for s in range(0, len(weighted), PAIR_BLOCK):
+            block = slice(s, s + PAIR_BLOCK)
+            right = u[self.cols[block]]
+            right *= weighted[block, None]
+            half += u[self.rows[block]].T @ right
         return half + half.T
 
     def band(self, values):

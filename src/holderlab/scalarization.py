@@ -95,22 +95,35 @@ def greedy_select(diffs, dists, target_ratio, max_size=None):
     dists = np.asarray(dists, dtype=float)
     if np.any(dists == 0.0):
         raise DegenerateSample("sample pair with zero operator distance")
-    # squared entry differences per sample and upper-triangle entry not
-    # yet picked; a pick's column is dropped from all three, which stay
-    # in row-major order, so argmax still breaks ties by the first entry
+    # squared entry differences, one row per upper-triangle entry not
+    # yet picked and one column per sample, gathered once into a block
+    # that the search reuses with one score buffer of its size: a pick's
+    # row is removed by shifting the later rows up, so the rows stay in
+    # row-major order and argmax still breaks ties by the first entry
     rows, cols = np.triu_indices(len(diffs[0]))
-    cand = np.asarray(diffs)[:, rows, cols] ** 2
-    size = len(rows) if max_size is None else min(max_size, len(rows))
-    ssq = np.zeros(len(diffs))
+    index = rows * len(diffs[0]) + cols
+    n = len(diffs)
+    cand = np.empty((len(index), n))
+    for s, d in enumerate(diffs):
+        cand[:, s] = np.take(d, index)
+    np.square(cand, out=cand)
+    flat = cand.reshape(-1)  # a 1-D view shifts in place, with no copy
+    buf = np.empty_like(cand)
+    left = list(zip(rows.tolist(), cols.tolist()))
+    size = len(left) if max_size is None else min(max_size, len(left))
+    ssq = np.zeros(n)
     chosen = []
     ratio = 0.0
     while len(chosen) < size:
-        scores = np.min(np.sqrt(ssq[:, None] + cand) / dists[:, None], axis=0)
-        pick = int(np.argmax(scores))
-        chosen.append((int(rows[pick]), int(cols[pick])))
-        ssq += cand[:, pick]
-        cand = np.delete(cand, pick, axis=1)
-        rows, cols = np.delete(rows, pick), np.delete(cols, pick)
+        m = len(left)
+        live = buf[:m]
+        np.add(cand[:m], ssq, out=live)
+        np.sqrt(live, out=live)
+        np.divide(live, dists, out=live)
+        pick = int(np.argmax(np.min(live, axis=1)))
+        chosen.append(left.pop(pick))
+        ssq += cand[pick]
+        flat[pick * n:(m - 1) * n] = flat[(pick + 1) * n:m * n]
         ratio = float(np.min(np.sqrt(ssq) / dists))
         if ratio >= target_ratio:
             return SelectionResult(tuple(chosen), ratio, True)

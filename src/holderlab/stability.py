@@ -12,10 +12,12 @@ A sweep samples parameter pairs from a compact ellipticity class,
 evaluates the forward map on both, and forms the operator difference
 M_p - M_q once per record: whitened once with the forward problem's
 whitener, it gives the operator distance delta_F and the scalarization
-value phi, and the raw difference is kept in the result, where
-add_finite_distances and the greedy selection read it. A record also
-holds the recovered-quantity distance delta_R. A sweep solves each
-ray's base point once for all the ray's steps.
+value phi. Only a sweep asked for its differences keeps the raw one of
+each record in the result, where add_finite_distances and the greedy
+selection read it; any other sweep drops it once the record is made,
+in the worker that made it. A record also holds the recovered-quantity
+distance delta_R. A sweep solves each ray's base point once for all
+the ray's steps.
 
 A sweep job is a random pair or a whole ray, named by its index: the
 job samples its own points from (seed, stream, index). With W > 1
@@ -95,7 +97,9 @@ class StabilityRecord:
 class SweepResult:
     records: list
     dropped: int
-    differences: list  # raw M_p - M_q per record, in record order
+    # raw M_p - M_q per record, in record order, or None where the sweep
+    # was not asked to keep them
+    differences: list | None
 
 
 @dataclass
@@ -168,6 +172,7 @@ class _SweepJobs:
     ray_steps: np.ndarray
     seed: int
     weights: np.ndarray  # probe weights of phi
+    differences: bool  # whether a record keeps its raw difference
 
     def run(self, start, step):
         """Record tuples of jobs start, start + step, start + 2*step, ...,
@@ -203,7 +208,7 @@ class _SweepJobs:
         flags = ()
         if d_f == 0.0 and d_r > 0.0:
             flags = ("injectivity_violation",)
-        return (kind, t, d_r, d_f, phi(d, self.weights), flags, raw)
+        return (kind, t, d_r, d_f, phi(d, self.weights), flags, raw if self.differences else None)
 
 
 def _worker_count(threads, n_jobs):
@@ -247,12 +252,17 @@ def _run_on_workers(jobs, n_jobs, workers):
     return [parts[i % workers][i // workers] for i in range(n_jobs)]
 
 
-def sweep(problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=None, threads=1):
+def sweep(
+    problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=None, threads=1,
+    differences=False,
+):
     """Stability records of a built forward problem for random pairs
-    and near-diagonal rays, with the raw operator difference M_p - M_q
-    of every record. A recovered cell label outside the problem's
-    partition is a ValueError, and a probe_k above its basis dimension
-    a BasisMismatch, both raised before any solve.
+    and near-diagonal rays. With differences=True the result also holds
+    the raw operator difference M_p - M_q of every record, k x k floats
+    each, as the greedy selection reads them; otherwise no record keeps
+    one and result.differences is None. A recovered cell label outside
+    the problem's partition is a ValueError, and a probe_k above its
+    basis dimension a BasisMismatch, both raised before any solve.
 
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Each record whitens its
@@ -271,7 +281,9 @@ def sweep(problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=No
     if k > problem.k:
         raise BasisMismatch("truncation order %d exceeds basis dimension %d" % (k, problem.k))
     steps = np.asarray(ray_steps, dtype=float)
-    jobs = _SweepJobs(problem, spec, rq, n_random_pairs, n_rays, steps, seed, probe_weights(k))
+    jobs = _SweepJobs(
+        problem, spec, rq, n_random_pairs, n_rays, steps, seed, probe_weights(k), differences
+    )
     n_jobs = n_random_pairs + n_rays
     workers = _worker_count(threads, n_jobs)
     per_job = _run_on_workers(jobs, n_jobs, workers) if workers > 1 else jobs.run(0, 1)
@@ -288,12 +300,16 @@ def sweep(problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=No
                 "record %d has a value that is not finite (delta_R=%r, delta_F=%r, phi=%r)"
                 % (r.pair_id, r.delta_R, r.delta_F, r.phi)
             )
-    return SweepResult(records, len(results) - len(kept), [res[-1] for res in kept])
+    diffs = [res[-1] for res in kept] if differences else None
+    return SweepResult(records, len(results) - len(kept), diffs)
 
 
 def add_finite_distances(result, fm):
     """Copy of the sweep result with delta_finite filled from the
-    records' raw differences."""
+    records' raw differences; a result of a sweep that kept none is a
+    ValueError."""
+    if result.differences is None:
+        raise ValueError("the sweep kept no differences: sweep with differences=True")
     return replace(result, records=[
         replace(rec, delta_finite=finite_distance(fm, d))
         for rec, d in zip(result.records, result.differences)

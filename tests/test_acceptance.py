@@ -59,6 +59,7 @@ def conductivity_sweep():
         20,
         sl.default_ray_steps(20),
         SEED,
+        differences=True,
     )
     elapsed = time.perf_counter() - start
     return result, elapsed

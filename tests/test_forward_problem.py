@@ -313,6 +313,19 @@ def test_forward_peaks_within_one_and_a_half_bands(kind, n_sub):
     assert peak <= 1.5 * 8 * np.prod(problem.form.band_shape)
 
 
+def test_derivative_peaks_near_band_and_solutions():
+    """A derivative holds the factored band and the (n, k) solutions u,
+    solved in place, and pairs them through K(dp) over blocks of slots:
+    it holds no (slots, k) gathers of u. At n_sub 32 those would take
+    about 7 MB each against about 2 MB for band and u together."""
+    m, build, cells = memory_case("elasticity", 32)
+    problem = build(m)
+    band = 8 * np.prod(problem.form.band_shape)
+    u = 8 * problem.form.band_shape[1] * problem.k
+    _, peak, _ = traced(lambda: problem.derivative(cells, cells))
+    assert peak <= 2.0 * (band + u)
+
+
 @pytest.mark.parametrize("kind", ["conductivity", "elasticity"])
 def test_forward_skips_backsolve_and_derivative_runs_one(kind, backsolves):
     """A forward map takes the trailing triangular solve only; the

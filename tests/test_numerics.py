@@ -186,6 +186,27 @@ def test_back_solve_matches_dense_triangular_solve(first):
     assert np.abs(x - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_back_solve_returns_its_own_padded_array(monkeypatch):
+    """back_solve solves in place: tbtrs overwrites the zero-padded
+    block it is given and returns that same array, so a back-solve
+    holds one (n, k) block; the caller's W is left as it was."""
+    given = []
+    real = nx.scipy.linalg.lapack.dtbtrs
+
+    def recorded(a, b, **kwargs):
+        given.append(b)
+        return real(a, b, **kwargs)
+
+    monkeypatch.setattr(nx.scipy.linalg.lapack, "dtbtrs", recorded)
+    f = nx.factor_spd(band_of(banded_spd(30, bandwidth=4, seed=12)))
+    w = np.random.default_rng(14).standard_normal((8, 5))
+    kept = w.copy()
+    x = nx.back_solve(f, w)
+    assert x is given[0]
+    assert x.flags.f_contiguous and x.shape == (30, 5)
+    assert np.array_equal(w, kept)
+
+
 def test_trailing_solve_rejects_bad_blocks():
     f = nx.factor_spd(band_of(np.eye(3)))
     for tail in (np.ones(2), np.ones((4, 2)), np.ones((0, 2))):

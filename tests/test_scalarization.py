@@ -233,18 +233,21 @@ def reference_greedy(diffs, dists, candidates, target_ratio, max_size):
 def test_greedy_matches_reference_with_exact_ties(seed):
     """Small integer entries and duplicated entries plant exact ties in
     every step's scores; the picks, their order and the ratio match the
-    reference bit for bit."""
-    rng = np.random.default_rng(seed)
-    dim, n = 6, 5
-    diffs = rng.integers(-2, 3, (n, dim, dim)).astype(float)
-    diffs[:, 4, 5] = diffs[:, 0, 1]
-    diffs[:, 2, 3] = diffs[:, 0, 1]
-    diffs[:, 1, 1] = diffs[:, 3, 3]
-    diffs = np.array([symmetrize(d) for d in diffs])
-    diffs[:, 0, 0] += 1.0  # no all-zero sample
-    dists = np.array([np.abs(d).sum() for d in diffs])
+    reference bit for bit, with fewer samples (5) than the 21 candidates
+    and with more (30), and where max_size stops the search one pick
+    before the last candidate."""
+    dim = 6
     cands = upper_pairs(dim)
-    for target, max_size in ((1.0, len(cands)), (0.3, None), (1.0, 4)):
-        got = sc.greedy_select(list(diffs), dists, target, max_size)
-        want = reference_greedy(list(diffs), dists, cands, target, max_size or len(cands))
-        assert (list(got.mset), got.achieved_ratio, got.reached) == want
+    for n in (5, 30):
+        rng = np.random.default_rng(seed)
+        diffs = rng.integers(-2, 3, (n, dim, dim)).astype(float)
+        diffs[:, 4, 5] = diffs[:, 0, 1]
+        diffs[:, 2, 3] = diffs[:, 0, 1]
+        diffs[:, 1, 1] = diffs[:, 3, 3]
+        diffs = np.array([symmetrize(d) for d in diffs])
+        diffs[:, 0, 0] += 1.0  # no all-zero sample
+        dists = np.array([np.abs(d).sum() for d in diffs])
+        for target, max_size in ((1.0, len(cands)), (0.3, None), (1.0, 4), (1.0, len(cands) - 1)):
+            got = sc.greedy_select(list(diffs), dists, target, max_size)
+            want = reference_greedy(list(diffs), dists, cands, target, max_size or len(cands))
+            assert (list(got.mset), got.achieved_ratio, got.reached) == want

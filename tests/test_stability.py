@@ -2,6 +2,7 @@ import json
 import math
 import multiprocessing
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -125,7 +126,7 @@ def test_elasticity_sampling_matches_per_cell_loop(n_cells):
             assert np.array_equal(sl.sample_point(problem, SPEC, seed, stream, 7), want)
 
 
-def small_sweep(threads=1, seed=42):
+def small_sweep(threads=1, seed=42, differences=False):
     rq = sl.RecoveredQuantity((1, 2))
     return sl.sweep(
         built("conductivity", n_sub=8, cols=2),
@@ -136,6 +137,7 @@ def small_sweep(threads=1, seed=42):
         ray_steps=sl.default_ray_steps(4),
         seed=seed,
         threads=threads,
+        differences=differences,
     )
 
 
@@ -306,10 +308,10 @@ def test_strided_workers_merge_in_job_order(monkeypatch):
     differences of small_sweep's 13 jobs are the same at 1 to 4
     workers, even splits or not."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    ref = small_sweep()
+    ref = small_sweep(differences=True)
     for threads in (2, 3, 4):
         assert sl._worker_count(threads, 13) == threads
-        res = small_sweep(threads=threads)
+        res = small_sweep(threads=threads, differences=True)
         assert res.records == ref.records
         assert res.dropped == ref.dropped
         assert len(res.differences) == len(ref.differences)
@@ -556,7 +558,7 @@ def test_injectivity_probe_one_cell_sweep():
 
 
 def test_add_finite_distances_fills_column():
-    res = small_sweep()
+    res = small_sweep(differences=True)
     from holderlab.scalarization import FiniteMap
 
     k = res.differences[0].shape[0]
@@ -567,11 +569,40 @@ def test_add_finite_distances_fills_column():
         assert abs(rec.delta_finite - expected) <= 1e-14
 
 
+def test_add_finite_distances_needs_the_differences():
+    """A sweep keeps no differences unless asked to, and filling
+    delta_finite from one that kept none is a named ValueError."""
+    from holderlab.scalarization import FiniteMap
+
+    res = small_sweep()
+    assert res.differences is None
+    with pytest.raises(ValueError, match="kept no differences"):
+        sl.add_finite_distances(res, FiniteMap(((0, 0),), 16))
+
+
+def test_default_sweep_keeps_no_operator_matrix_per_record():
+    """A sweep not asked for its differences drops each record's k x k
+    difference once the record is made: its peak stays below the
+    n_records * k^2 float64s that keeping them would take, here about
+    0.7 MB for 100 elasticity records of k = 30."""
+    problem = built("elasticity", n_sub=16, cols=2, rows=2)
+    rq = sl.RecoveredQuantity((1,))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = sl.sweep(problem, SPEC, rq, 50, 5, sl.default_ray_steps(10), 7)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < len(res.records) * problem.k**2 * 8
+    assert res.differences is None
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_sweep_whitens_each_record_once(monkeypatch, threads):
     count, counting = shared_counter()
     monkeypatch.setattr(sl, "whiten", counting(whiten))
-    res = small_sweep(threads=threads)
+    res = small_sweep(threads=threads, differences=True)
     assert count.value == len(res.records) == len(res.differences)
 
 
@@ -579,7 +610,7 @@ def test_sweep_differences_are_raw_operator_differences():
     """differences[i] is M_p - M_q of record i, for a random pair and
     for a ray step alike."""
     problem = cd.NDProblem(bottom_mesh(8, cols=2))
-    res = small_sweep()
+    res = small_sweep(differences=True)
     ps = points(problem, SPEC, 10, 42, sl._STREAM_RANDOM_P)
     qs = points(problem, SPEC, 10, 42, sl._STREAM_RANDOM_Q)
     for i in (0, 9):
