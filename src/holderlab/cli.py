@@ -466,14 +466,17 @@ def cmd_fit(args):
 
 def cmd_select(cfg, args):
     result = _run_sweep(cfg, args.threads, differences=True)
-    kept = [
-        (d, rec.delta_F)
-        for d, rec in zip(result.differences, result.records)
-        if rec.delta_F > 0.0
-    ]
+    kept = [i for i, rec in enumerate(result.records) if rec.delta_F > 0.0]
     if not kept:
         raise HolderLabError("no sample pair with positive operator distance")
-    diffs, dists = zip(*kept)
+    # one row per kept record's upper triangle; each is dropped from the
+    # result once copied, and the result before the search
+    diffs = np.empty((len(kept), len(result.differences[0])))
+    for row, i in enumerate(kept):
+        diffs[row] = result.differences[i]
+        result.differences[i] = None
+    dists = [result.records[i].delta_F for i in kept]
+    del result
     sel = greedy_select(diffs, dists, cfg["select"]["target_ratio"], cfg["select"]["max_size"])
     lines = [
         "# achieved_ratio %s reached %s size %d"

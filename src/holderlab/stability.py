@@ -13,9 +13,10 @@ evaluates the forward map on both, and forms the operator difference
 M_p - M_q once per record: whitened once with the forward problem's
 whitener, it gives the operator distance delta_F and the scalarization
 value phi. Only a sweep asked for its differences keeps the raw one of
-each record in the result, where add_finite_distances and the greedy
-selection read it; any other sweep drops it once the record is made,
-in the worker that made it. A record also holds the recovered-quantity
+each record in the result, as its upper triangle (symmetry makes the
+rest redundant), where add_finite_distances and the greedy selection
+read it; any other sweep drops it once the record is made, in the
+worker that made it. A record also holds the recovered-quantity
 distance delta_R. A sweep solves each ray's base point once for all
 the ray's steps.
 
@@ -41,7 +42,7 @@ import numpy as np
 from .errors import BasisMismatch, DegenerateSample, HolderLabError, InsufficientSpread
 from .numerics import adaptive_quadrature, flat_integrand
 from .operators import operator_distance, whiten
-from .scalarization import finite_distance, phi, probe_weights
+from .scalarization import finite_distance, phi, probe_weights, upper_triangle
 
 # rng stream tags so every sampled object is a pure function of
 # (seed, stream, index)
@@ -97,8 +98,8 @@ class StabilityRecord:
 class SweepResult:
     records: list
     dropped: int
-    # raw M_p - M_q per record, in record order, or None where the sweep
-    # was not asked to keep them
+    # upper_triangle of the raw M_p - M_q per record, in record order, or
+    # None where the sweep was not asked to keep them
     differences: list | None
 
 
@@ -172,7 +173,7 @@ class _SweepJobs:
     ray_steps: np.ndarray
     seed: int
     weights: np.ndarray  # probe weights of phi
-    differences: bool  # whether a record keeps its raw difference
+    differences: bool  # whether a record keeps its raw difference's upper triangle
 
     def run(self, start, step):
         """Record tuples of jobs start, start + step, start + 2*step, ...,
@@ -208,7 +209,8 @@ class _SweepJobs:
         flags = ()
         if d_f == 0.0 and d_r > 0.0:
             flags = ("injectivity_violation",)
-        return (kind, t, d_r, d_f, phi(d, self.weights), flags, raw if self.differences else None)
+        upper = upper_triangle(raw) if self.differences else None
+        return (kind, t, d_r, d_f, phi(d, self.weights), flags, upper)
 
 
 def _worker_count(threads, n_jobs):
@@ -258,11 +260,12 @@ def sweep(
 ):
     """Stability records of a built forward problem for random pairs
     and near-diagonal rays. With differences=True the result also holds
-    the raw operator difference M_p - M_q of every record, k x k floats
-    each, as the greedy selection reads them; otherwise no record keeps
-    one and result.differences is None. A recovered cell label outside
-    the problem's partition is a ValueError, and a probe_k above its
-    basis dimension a BasisMismatch, both raised before any solve.
+    the raw operator difference M_p - M_q of every record as its
+    upper_triangle, k(k+1)/2 floats each, as the greedy selection reads
+    them; otherwise no record keeps one and result.differences is None.
+    A recovered cell label outside the problem's partition is a
+    ValueError, and a probe_k above its basis dimension a BasisMismatch,
+    both raised before any solve.
 
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Each record whitens its
@@ -306,8 +309,8 @@ def sweep(
 
 def add_finite_distances(result, fm):
     """Copy of the sweep result with delta_finite filled from the
-    records' raw differences; a result of a sweep that kept none is a
-    ValueError."""
+    records' raw differences (their upper triangles); a result of a
+    sweep that kept none is a ValueError."""
     if result.differences is None:
         raise ValueError("the sweep kept no differences: sweep with differences=True")
     return replace(result, records=[

@@ -4,6 +4,7 @@ import numpy as np
 
 from holderlab.errors import NotPositiveDefinite
 from holderlab.numerics import symmetrize
+from holderlab.scalarization import triangle_dim
 
 
 def eig_min(m):
@@ -11,6 +12,16 @@ def eig_min(m):
     m = np.asarray(m, dtype=float)
     w = np.linalg.eigvalsh(symmetrize(m))
     return float(w[0])
+
+
+def symmetric_from_upper(upper):
+    """The symmetric matrix whose upper_triangle is `upper`."""
+    k = triangle_dim(len(upper))
+    rows, cols = np.triu_indices(k)
+    m = np.empty((k, k))
+    m[rows, cols] = upper
+    m[cols, rows] = upper
+    return m
 
 
 def random_conductivity(n_cells, seed, lo=0.5, hi=2.0):

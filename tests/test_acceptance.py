@@ -19,7 +19,7 @@ from holderlab.cli import main
 from holderlab.mesh import PartitionSpec, PatchSpec, build_mesh
 from holderlab.numerics import spectral_norm
 from holderlab.operators import operator_distance, whiten
-from holderlab.scalarization import FiniteMap, greedy_select, phi, probe_weights
+from holderlab.scalarization import FiniteMap, greedy_select, phi, probe_weights, triangle_dim
 
 from helpers import eig_min
 
@@ -219,7 +219,7 @@ def test_criterion_8_finite_measurements(conductivity_sweep):
     theta_full = sl.fit_holder(result.records).theta
     kept = [(d, r.delta_F) for d, r in zip(result.differences, result.records) if r.delta_F > 0.0]
     diffs, dists = zip(*kept)
-    k = diffs[0].shape[0]
+    k = triangle_dim(len(diffs[0]))
     cap = k * (k + 1) // 2
     selection = greedy_select(diffs, dists, 0.5, cap)
     assert selection.reached

@@ -13,6 +13,8 @@ from holderlab.errors import BasisMismatch, DegenerateSample, IndexOutOfRange
 from holderlab.numerics import symmetrize
 from holderlab.operators import operator_distance, whiten
 
+from helpers import symmetric_from_upper
+
 
 def sym_operator(mat):
     return symmetrize(np.asarray(mat, dtype=float))
@@ -39,7 +41,7 @@ def upper_pairs(dim):
 def samples_of(pairs):
     """Raw differences and operator distances of operator pairs, the
     samples greedy_select reads."""
-    return [a - b for a, b in pairs], [
+    return [sc.upper_triangle(a - b) for a, b in pairs], [
         operator_distance(white(a, b)) for a, b in pairs
     ]
 
@@ -126,15 +128,15 @@ def test_finite_distance_full_grid_is_frobenius():
     grid = [(i, j) for i in range(4) for j in range(4)]
     fm = sc.FiniteMap(tuple(grid), 4)
     assert abs(
-        sc.finite_distance(fm, a - b) - np.linalg.norm(a - b)
+        sc.finite_distance(fm, sc.upper_triangle(a - b)) - np.linalg.norm(a - b)
     ) <= 1e-14
-    assert sc.finite_distance(fm, a - a) == 0.0
+    assert sc.finite_distance(fm, sc.upper_triangle(a - a)) == 0.0
 
 
 def test_finite_distance_singleton():
     a, b = random_pair(4, seed=6)
     fm = sc.FiniteMap(((1, 1),), 4)
-    assert sc.finite_distance(fm, a - b) == abs(a[1, 1] - b[1, 1])
+    assert sc.finite_distance(fm, sc.upper_triangle(a - b)) == abs(a[1, 1] - b[1, 1])
 
 
 def test_measurement_set_validation():
@@ -159,6 +161,16 @@ def test_greedy_degenerate_sample():
     a, _ = random_pair(3, seed=8)
     with pytest.raises(DegenerateSample):
         sc.greedy_select(*samples_of([(a, a)]), 0.5, 4)
+
+
+def test_greedy_reads_upper_triangles_only():
+    """Whole k x k differences, or rows whose length is no k(k+1)/2, are
+    a BasisMismatch, not a selection from the wrong entries."""
+    a, b = random_pair(4, seed=9)
+    with pytest.raises(BasisMismatch):
+        sc.greedy_select([a - b], [1.0], 0.5)
+    with pytest.raises(BasisMismatch):
+        sc.greedy_select([np.ones(9)], [1.0], 0.5)
 
 
 def test_greedy_monotone_in_size():
@@ -248,6 +260,41 @@ def test_greedy_matches_reference_with_exact_ties(seed):
         diffs[:, 0, 0] += 1.0  # no all-zero sample
         dists = np.array([np.abs(d).sum() for d in diffs])
         for target, max_size in ((1.0, len(cands)), (0.3, None), (1.0, 4), (1.0, len(cands) - 1)):
-            got = sc.greedy_select(list(diffs), dists, target, max_size)
+            got = sc.greedy_select([sc.upper_triangle(d) for d in diffs], dists, target, max_size)
             want = reference_greedy(list(diffs), dists, cands, target, max_size or len(cands))
             assert (list(got.mset), got.achieved_ratio, got.reached) == want
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pruned_greedy_matches_reference_across_score_blocks(seed, monkeypatch):
+    """Where the bound prunes: more than twice BOUND_SAMPLES samples and
+    105 candidates (dim 14) whose columns repeat a few integer patterns,
+    up to sign, so equal bounds and equal scores span more than one
+    SCORE_BLOCK. The picks, their order and the ratio match the
+    reference bit for bit, also one pick short of all candidates, and
+    no pair is picked twice."""
+    widths = []
+    scores = sc._scores
+
+    def recorded(values, ssq, dists):
+        widths.append(values.shape[1])
+        return scores(values, ssq, dists)
+
+    monkeypatch.setattr(sc, "_scores", recorded)
+    dim = 14
+    cands = upper_pairs(dim)
+    rng = np.random.default_rng(seed)
+    for n in (2 * sc.BOUND_SAMPLES + 1, 5 * sc.BOUND_SAMPLES):
+        patterns = rng.integers(-2, 3, (n, 4)).astype(float)
+        patterns[:, 0] = 1.0  # no all-zero sample
+        cols = patterns[:, rng.integers(0, 4, len(cands))] * rng.choice([-1.0, 1.0], len(cands))
+        diffs = [symmetric_from_upper(row) for row in cols]
+        dists = np.array([np.abs(d).sum() for d in diffs])
+        for target, max_size in ((1.0, len(cands)), (1.0, len(cands) - 1), (0.9, None)):
+            got = sc.greedy_select([sc.upper_triangle(d) for d in diffs], dists, target, max_size)
+            want = reference_greedy(diffs, dists, cands, target, max_size or len(cands))
+            assert (list(got.mset), got.achieved_ratio, got.reached) == want
+            assert len(set(got.mset)) == len(got.mset)
+    # some step scored a full block exactly and then another: each step
+    # opens with its bound over all 105 candidates, wider than a block
+    assert any(a == sc.SCORE_BLOCK and b <= sc.SCORE_BLOCK for a, b in zip(widths, widths[1:]))

@@ -20,8 +20,9 @@ from holderlab.errors import (
 )
 from holderlab.numerics import spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
+from holderlab.scalarization import greedy_select, triangle_dim, upper_triangle
 
-from helpers import eig_min
+from helpers import eig_min, symmetric_from_upper
 
 
 def bottom_mesh(n_sub, cols=1, rows=1):
@@ -561,10 +562,10 @@ def test_add_finite_distances_fills_column():
     res = small_sweep(differences=True)
     from holderlab.scalarization import FiniteMap
 
-    k = res.differences[0].shape[0]
+    k = triangle_dim(len(res.differences[0]))
     fm = FiniteMap(tuple((i, i) for i in range(k)), k)
     filled = sl.add_finite_distances(res, fm)
-    for rec, d in zip(filled.records, filled.differences):
+    for rec, d in zip(filled.records, map(symmetric_from_upper, filled.differences)):
         expected = float(np.linalg.norm(np.diag(d)))
         assert abs(rec.delta_finite - expected) <= 1e-14
 
@@ -598,6 +599,54 @@ def test_default_sweep_keeps_no_operator_matrix_per_record():
     assert res.differences is None
 
 
+@pytest.fixture(scope="module")
+def elasticity_selection_sweep():
+    """select's sweep on elasticity, n_sub 16, 2x2 cells, k = 30: 100
+    pairs and 10 rays of 10 steps, 200 records, with the bytes that
+    tracemalloc sees the result keep."""
+    problem = built("elasticity", n_sub=16, cols=2, rows=2)
+    rq = sl.RecoveredQuantity((1,))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = sl.sweep(problem, SPEC, rq, 100, 10, sl.default_ray_steps(10), 1729, differences=True)
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    return problem, res, kept
+
+
+def test_sweep_keeps_an_upper_triangle_per_record(elasticity_selection_sweep):
+    """A sweep asked for its differences keeps k(k+1)/2 floats of each
+    record, not k^2: all it keeps stays below 3/4 of the k x k matrices,
+    about 1.1 MB here, where the triangles take 0.74 MB."""
+    problem, res, kept = elasticity_selection_sweep
+    k = problem.k
+    assert len(res.differences) == len(res.records) == 200
+    assert all(d.shape == (k * (k + 1) // 2,) for d in res.differences)
+    assert kept < 0.75 * len(res.records) * k * k * 8
+
+
+def test_greedy_peaks_within_a_quarter_over_its_entries(elasticity_selection_sweep):
+    """greedy_select on the sweep's 200 upper triangles holds them once
+    in one (samples x entries) array and no score array of that size:
+    its tracemalloc peak, which includes that array, stays within 1.25
+    times it. All 465 entries are picked here, so every step runs."""
+    problem, res, _ = elasticity_selection_sweep
+    kept = [(d, r.delta_F) for d, r in zip(res.differences, res.records) if r.delta_F > 0.0]
+    diffs, dists = map(list, zip(*kept))
+    entries = len(diffs) * len(diffs[0]) * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sel = greedy_select(diffs, dists, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(sel.mset) == problem.k * (problem.k + 1) // 2
+    assert peak <= 1.25 * entries
+
+
 @pytest.mark.parametrize("threads", [1, 3])
 def test_sweep_whitens_each_record_once(monkeypatch, threads):
     count, counting = shared_counter()
@@ -607,19 +656,19 @@ def test_sweep_whitens_each_record_once(monkeypatch, threads):
 
 
 def test_sweep_differences_are_raw_operator_differences():
-    """differences[i] is M_p - M_q of record i, for a random pair and
-    for a ray step alike."""
+    """differences[i] is the upper triangle of M_p - M_q of record i,
+    for a random pair and for a ray step alike."""
     problem = cd.NDProblem(bottom_mesh(8, cols=2))
     res = small_sweep(differences=True)
     ps = points(problem, SPEC, 10, 42, sl._STREAM_RANDOM_P)
     qs = points(problem, SPEC, 10, 42, sl._STREAM_RANDOM_Q)
     for i in (0, 9):
-        want = problem.forward(ps[i]) - problem.forward(qs[i])
+        want = upper_triangle(problem.forward(ps[i]) - problem.forward(qs[i]))
         assert np.array_equal(res.differences[i], want)
     base = sl.sample_point(problem, SPEC, 42, sl._STREAM_RAY_BASE, 0)
     t = float(sl.default_ray_steps(4)[0])
     stepped = base + t * sl.sample_direction(problem, 42, index=0)
-    want = problem.forward(base) - problem.forward(stepped)
+    want = upper_triangle(problem.forward(base) - problem.forward(stepped))
     first_ray = next(i for i, r in enumerate(res.records) if r.kind == "near_diagonal")
     assert res.records[first_ray].t == t
     assert np.array_equal(res.differences[first_ray], want)
