@@ -23,7 +23,8 @@ class DimensionMismatch(HolderLabError):
 
 
 class ToleranceNotReached(HolderLabError):
-    """Adaptive quadrature hit its recursion-depth cap."""
+    """The flat map's continued fraction hit its term cap before a step
+    met the requested relative tolerance."""
 
 
 class IncompatibleSubdivision(HolderLabError):

@@ -1,5 +1,4 @@
-"""Banded SPD solves, small symmetric eigenproblems and 1D adaptive
-quadrature.
+"""Banded SPD solves and small symmetric eigenproblems.
 
 All other modules funnel their linear solves and eigenvalue evaluations
 through this one. Matrices are 64-bit floats throughout. A stiffness
@@ -18,17 +17,10 @@ tbtrs are the only LAPACK routines called. Small dense symmetric
 eigenproblems go through LAPACK's symmetric solver.
 """
 
-import math
-
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    CellCountMismatch,
-    DimensionMismatch,
-    NotPositiveDefinite,
-    ToleranceNotReached,
-)
+from .errors import CellCountMismatch, DimensionMismatch, NotPositiveDefinite
 
 
 def symmetrize(a):
@@ -217,48 +209,3 @@ class CellStiffness:
         out = np.zeros(self.band_shape, order="F")
         out.reshape(-1, order="F")[self._band_index] = values
         return out
-
-
-def adaptive_quadrature(f, a, b, tol, max_depth=50):
-    """Integrate f over [a, b] to absolute tolerance tol.
-
-    Adaptive Simpson with Richardson correction. Raises
-    ToleranceNotReached if an interval still fails its local tolerance
-    at recursion depth max_depth.
-    """
-    if a > b:
-        raise ValueError("integration bounds out of order")
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_step(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson_step(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol:
-        return left + right + err / 15.0
-    if depth <= 0:
-        raise ToleranceNotReached(
-            "interval [%g, %g] still above tolerance at depth cap" % (a, b)
-        )
-    half = 0.5 * tol
-    return _simpson_step(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson_step(
-        f, m, b, fm, frm, fb, right, half, depth - 1
-    )
-
-
-def flat_integrand(s):
-    """exp(-1/s^2) extended by zero at s = 0."""
-    if s == 0.0:
-        return 0.0
-    return math.exp(-1.0 / (s * s))

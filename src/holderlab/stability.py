@@ -39,8 +39,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BasisMismatch, DegenerateSample, HolderLabError, InsufficientSpread
-from .numerics import adaptive_quadrature, flat_integrand
+from .errors import (
+    BasisMismatch,
+    DegenerateSample,
+    HolderLabError,
+    InsufficientSpread,
+    ToleranceNotReached,
+)
 from .operators import operator_distance, whiten
 from .scalarization import finite_distance, phi, probe_weights, upper_triangle
 
@@ -411,16 +416,58 @@ def _log_slopes(ts, fs):
     return slopes
 
 
+# A backstop for the fraction's loop, not a knob: at x = 1/t^2 >= 1, as
+# on (0, 1], a step reached exactly 1.0, which meets any tol, within 277
+# terms at each of 200001 t sampled in [0.036, 1].
+_FLAT_TERMS = 1000
+
+
+def _flat_map(t, tol):
+    """F(t) = integral of exp(-1/s^2) over [0, t] for 0 < t <= 1.
+
+    F(t) = Gamma(-1/2, x) / 2 at x = 1/t^2, and x^(-1/2) = t, so by
+    Legendre's continued fraction for Gamma(a, x) (DLMF 8.9.2)
+    F(t) = t * exp(-x) * CF / 2 with
+
+        CF = 1/(x + (3/2)/(1 + 1/(x + (5/2)/(1 + 2/(x + ...))))),
+
+    evaluated by modified Lentz. All its elements are positive, so
+    consecutive convergents bracket CF: stopping at the first step that
+    changes it by at most tol relative leaves it within tol of CF.
+    Raises ToleranceNotReached if no step does within _FLAT_TERMS. The
+    rounding of x adds about x * 2e-16 relative, 1e-13 at t = 0.05.
+    """
+    x = 1.0 / (t * t)
+    # c and d are the ratios A_j / A_(j-1) and B_(j-1) / B_j of the
+    # convergents A_j / B_j, positive like the elements; A_0 = 0
+    c, d = math.inf, 1.0 / x
+    cf = d
+    for j in range(2, _FLAT_TERMS + 1):
+        k = j // 2
+        a, b = (k + 0.5, 1.0) if j % 2 == 0 else (k, x)
+        d = 1.0 / (b + a * d)
+        c = b + a / c
+        step = c * d
+        cf *= step
+        if abs(step - 1.0) <= tol:
+            return 0.5 * t * cf * math.exp(-x)
+    raise ToleranceNotReached(
+        "F(%r): no step within %r relative after %d terms" % (t, tol, _FLAT_TERMS)
+    )
+
+
 def flat_counterexample(ts, tol=1e-14):
-    """F(t) = integral of exp(-1/s^2) over [0, t] with local log-log
-    slopes; the slopes blow up as t decreases, defeating any power-law
-    envelope. Where F underflows to 0 it has no logarithm, and where it
-    is subnormal it has lost significant bits: the smallest t where F
-    falls below the smallest normal float raises DegenerateSample."""
+    """F(t) = integral of exp(-1/s^2) over [0, t], which is
+    Gamma(-1/2, 1/t^2) / 2, to relative tolerance tol, with local
+    log-log slopes; the slopes blow up as t decreases, defeating any
+    power-law envelope. Where F underflows to 0 it has no logarithm,
+    and where it is subnormal it has lost significant bits: the smallest
+    t where F falls below the smallest normal float raises
+    DegenerateSample."""
     ts = np.sort(np.asarray(ts, dtype=float))
     if ts[0] <= 0.0 or ts[-1] > 1.0:
         raise ValueError("sample points must lie in (0, 1]")
-    fs = np.array([adaptive_quadrature(flat_integrand, 0.0, t, tol) for t in ts])
+    fs = np.array([_flat_map(float(t), tol) for t in ts])
     low = np.flatnonzero(fs < np.finfo(float).tiny)
     if low.size:
         t, f = float(ts[low[0]]), float(fs[low[0]])

@@ -4,13 +4,16 @@ refactor of the solver stack can show it changes no number beyond
 rounding.
 
 Each tests/golden/<problem>/ holds the config and the records.csv,
-selection.csv, operator.csv and derivcheck.csv it produced. Regenerate
-(only when outputs change on purpose) from the repository root with
+selection.csv, operator.csv and derivcheck.csv it produced;
+tests/golden/conductivity/ also holds the counterexample.csv of the
+flat and cubic maps, which read no problem. Regenerate (only when
+outputs change on purpose) from the repository root with
 
     PYTHONPATH=src python -m holderlab.cli sweep tests/golden/<problem>/config.json
     PYTHONPATH=src python -m holderlab.cli select tests/golden/<problem>/config.json
     PYTHONPATH=src python -m holderlab.cli forward tests/golden/<problem>/config.json
     PYTHONPATH=src python -m holderlab.cli derivcheck tests/golden/<problem>/config.json
+    PYTHONPATH=src python -m holderlab.cli counterexample tests/golden/conductivity/config.json
 """
 
 import json
@@ -36,6 +39,15 @@ OPERATOR_TOL = 1e-13
 # error may move by DERIV_ROUND / h, and the radial identity error,
 # which subtracts no nearby maps, by DERIV_ROUND.
 DERIV_ROUND = 1e-14
+# Relative tolerance of a counterexample F. Its rounding error is what
+# may move: x = 1/t^2 rounds twice, which moves exp(-x) by up to
+# x * 2.2e-16 relative, 9e-14 at the table's smallest t (x = 400), and
+# the continued fraction stops within 1e-14 of its value.
+FLAT_TOL = 1e-12
+# A local slope divides the difference of two logarithms, each moved by
+# at most FLAT_TOL, by a log-t spacing of at least ln(10)/10 = 0.23 on
+# the default table: 8.7e-12.
+SLOPE_TOL = 1e-11
 
 
 def read_records(path):
@@ -132,3 +144,23 @@ def test_derivcheck_matches_golden_errors(problem, tmp_path):
     w_label, w_err = want[-1].rsplit(" ", 1)
     assert g_label == w_label
     assert abs(float(g_err) - float(w_err)) <= DERIV_ROUND, (g_err, w_err)
+
+
+def test_counterexample_matches_golden_table(tmp_path):
+    folder = GOLDEN / "conductivity"
+    assert main(["counterexample", str(write_config(folder, tmp_path))]) == 0
+
+    want = (folder / "counterexample.csv").read_text().splitlines()
+    got = (tmp_path / "counterexample.csv").read_text().splitlines()
+    assert got[:2] == want[:2]  # version, config hash, seed; column header
+    assert len(got) == len(want)
+    for g, w in zip(got[2:-1], want[2:-1]):
+        (g_map, g_t, g_f, g_slope), (w_map, w_t, w_f, w_slope) = g.split(","), w.split(",")
+        assert (g_map, g_t) == (w_map, w_t)
+        assert rel_err(g_f, w_f) <= FLAT_TOL, (w_map, w_t, g_f, w_f)
+        assert abs(float(g_slope) - float(w_slope)) <= SLOPE_TOL, (w_map, w_t, g_slope, w_slope)
+    # "# cubic_fit_theta <theta>"
+    g_label, g_theta = got[-1].rsplit(" ", 1)
+    w_label, w_theta = want[-1].rsplit(" ", 1)
+    assert g_label == w_label
+    assert rel_err(g_theta, w_theta) <= SUMMARY_TOL

@@ -1,21 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from holderlab import numerics as nx
-from holderlab.errors import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    ToleranceNotReached,
-)
+from holderlab.errors import DimensionMismatch, NotPositiveDefinite
 
 from helpers import eig_min
-
-# Independent oracle for the flat-function integral: composite Simpson
-# with 1e6 and 2e6 intervals agrees with a 30-digit arbitrary-precision
-# evaluation on this value.
-FLAT_HALF = 0.0008667500636944228
 
 
 def random_spd(n, seed, shift=None):
@@ -240,37 +229,6 @@ def test_spectral_norm_dominates_rayleigh():
     for k in range(100):
         v = np.random.default_rng(200 + k).standard_normal(12)
         assert s >= abs(v @ m @ v) / (v @ v) - 1e-12 * s
-
-
-def test_quadrature_linear():
-    assert abs(nx.adaptive_quadrature(lambda s: s, 0.0, 1.0, 1e-12) - 0.5) <= 1e-12
-
-
-def test_quadrature_zero():
-    assert nx.adaptive_quadrature(lambda s: 0.0, 0.0, 1.0, 1e-12) == 0.0
-
-
-def test_quadrature_flat_oracle():
-    v = nx.adaptive_quadrature(nx.flat_integrand, 0.0, 0.5, 1e-14)
-    assert abs(v - FLAT_HALF) <= 1e-14
-
-
-def test_quadrature_additive():
-    f = math.exp
-    tol = 1e-12
-    whole = nx.adaptive_quadrature(f, 0.0, 1.0, tol)
-    parts = nx.adaptive_quadrature(f, 0.0, 0.3, tol) + nx.adaptive_quadrature(
-        f, 0.3, 1.0, tol
-    )
-    assert abs(whole - parts) <= 2 * tol
-
-
-def test_quadrature_depth_cap():
-    def needle(s):
-        return 1.0 / math.sqrt(s) if s > 0 else 0.0
-
-    with pytest.raises(ToleranceNotReached):
-        nx.adaptive_quadrature(needle, 0.0, 1.0, 1e-12, max_depth=4)
 
 
 def neumann_like(n, seed):

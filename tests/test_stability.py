@@ -17,6 +17,7 @@ from holderlab.errors import (
     DegenerateSample,
     InsufficientSpread,
     NotPositiveDefinite,
+    ToleranceNotReached,
 )
 from holderlab.numerics import spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
@@ -32,6 +33,17 @@ def bottom_mesh(n_sub, cols=1, rows=1):
 
 
 SPEC = sl.CompactSetSpec(0.5, 2.0)
+
+# F(t) = Gamma(-1/2, 1/t^2) / 2 at these binary t, from a 60-digit
+# evaluation and rounded to the nearest float. The tests run without an
+# arbitrary-precision library, so these literals are the reference.
+FLAT_EXACT = {
+    0.05: 1.1925201306957522e-178,
+    0.1: 1.8328115612557248e-47,
+    0.2: 5.251223974643087e-14,
+    0.5: 8.667500636944228e-4,
+    1.0: 0.08907385589078035,
+}
 
 
 def built(kind, n_sub=4, cols=1, rows=1):
@@ -518,13 +530,35 @@ def test_flat_counterexample_properties():
 
 
 def test_flat_counterexample_names_the_first_t_where_f_underflows():
-    """F underflows to 0 below t of about 0.0367 and is subnormal, with
-    few significant bits, below about 0.0377; the smallest such t is
+    """F underflows to 0 below t of about 0.0369 and is subnormal, with
+    few significant bits, below about 0.0379; the smallest such t is
     named before any logarithm is taken."""
     with pytest.raises(DegenerateSample, match=r"F\(0\.02\) underflows to 0"):
         sl.flat_counterexample([0.5, 0.03, 0.02, 0.1])
-    with pytest.raises(DegenerateSample, match=r"F\(0\.037\) underflows to 1\.676e-320"):
+    with pytest.raises(DegenerateSample, match=r"F\(0\.037\) underflows to 1\.5e-322"):
         sl.flat_counterexample([0.5, 0.0376, 0.037, 0.1])
+
+
+def test_flat_map_matches_60_digit_values():
+    samples = sl.flat_counterexample(list(FLAT_EXACT))
+    for s in samples:
+        exact = FLAT_EXACT[s.t]
+        assert abs(s.F_t - exact) <= 1e-12 * exact, (s.t, s.F_t, exact)
+
+
+def test_flat_map_looser_tol_stays_within_it():
+    """The fraction's convergents bracket its value, so the step it
+    stops on bounds its error, at t = 1 too, where it converges
+    slowest."""
+    for s in sl.flat_counterexample(list(FLAT_EXACT), tol=1e-6):
+        exact = FLAT_EXACT[s.t]
+        assert abs(s.F_t - exact) <= 1e-6 * exact, (s.t, s.F_t, exact)
+
+
+def test_flat_map_term_cap_raises(monkeypatch):
+    monkeypatch.setattr(sl, "_FLAT_TERMS", 2)
+    with pytest.raises(ToleranceNotReached, match=r"F\(0\.5\)"):
+        sl.flat_counterexample([0.5])
 
 
 def test_analytic_control_properties():
