@@ -3,7 +3,7 @@ trees, alternating, with each run's wall time, peak RSS and outputs.
 
     python3 bench/grid.py --before TREE --after TREE --label NAME
         [--cells conductivity:16,elasticity:64] [--commands sweep,select]
-        [--runs N] [--threads T] [--out DIR]
+        [--runs N] [--threads 1,2] [--out DIR]
 
 A tree is a checkout whose `src/` holds the holderlab package. Every
 cell (problem, n_sub) runs on 2x1 cells, the full bottom patch, seed
@@ -12,17 +12,21 @@ cell (problem, n_sub) runs on 2x1 cells, the full bottom patch, seed
 the BLAS thread variables removed, so the command line pins them as it
 does for a user. The commands of one run go in the order given, in one
 fresh directory, so `fit` reads the `records.csv` its `sweep` wrote.
-Run i of a cell starts with the before tree when i is even and with
-the after tree when i is odd.
+Every cell runs at each thread count of --threads, the --threads of
+`sweep` and `select`, and the results are keyed by both, as in
+"elasticity-64-threads-2". Run i of a cell at a thread count starts
+with the before tree when i is even and with the after tree when i is
+odd.
 
 For every command the file records each run's wall seconds (measured
 from outside the child), peak RSS in MB (os.wait4's ru_maxrss: the
 largest of the child and its sweep workers) and exit code, their
 medians, and whether every output file of every run is byte-identical
-to the before tree's first. It also records, per tree, the Python,
-numpy and scipy versions, nproc and the OpenBLAS threads, read in a
-child that has imported holderlab.cli, so they are the ones the
-commands run with. The grid is end to end only: it reports no layer
+to that of the before tree's first run of the cell at the first thread
+count, so outputs that change with the thread count show. It also
+records, per tree, the Python, numpy and scipy versions, nproc and the
+OpenBLAS threads, read in a child that has imported holderlab.cli, so
+they are the ones the commands run with. The grid is end to end only: it reports no layer
 times. The cells of the full grid that --cells leaves out are listed.
 
 Writes BENCH_<label>.json in --out (default: the current directory).
@@ -153,6 +157,14 @@ def parse_cells(text):
     return cells
 
 
+def parse_threads(text):
+    """The thread counts of a comma-separated list, each at least 1."""
+    items = [item.strip() for item in text.split(",")]
+    if not all(item.isdigit() and int(item) >= 1 for item in items):
+        raise SystemExit("bad --threads %r: expected counts >= 1, e.g. 1,2" % text)
+    return [int(item) for item in items]
+
+
 def parse_commands(text):
     commands = [c.strip() for c in text.split(",")]
     bad = [c for c in commands if c not in COMMANDS]
@@ -182,30 +194,33 @@ def same_file(a, b):
     return a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)
 
 
-def grid(before, after, cells, commands, runs, threads, work):
+def grid(before, after, cells, commands, runs, thread_counts, work):
     results = {}
     for cell in cells:
-        name = "%s-%d" % cell
-        sides = {"before": [], "after": []}
-        dirs = {"before": [], "after": []}
-        for i in range(runs):
-            order = ("before", "after") if i % 2 == 0 else ("after", "before")
-            for side in order:
-                run_dir = work / name / ("%s-%d" % (side, i))
-                tree = before if side == "before" else after
-                sides[side].append(run_side(tree, cell, commands, threads, run_dir))
-                dirs[side].append(run_dir)
-                print("%s %s run %d: %s" % (name, side, i, json.dumps(sides[side][-1])), flush=True)
-        entry = {side: summary(sides[side], commands) for side in sides}
-        ref = dirs["before"][0]
-        entry["outputs_identical"] = {
-            command: all(
-                same_file(ref / OUTPUTS[command], d / OUTPUTS[command])
-                for d in dirs["before"] + dirs["after"]
-            )
-            for command in commands
-        }
-        results[name] = entry
+        ref = None  # the before tree's first run of the cell
+        for threads in thread_counts:
+            name = "%s-%d-threads-%d" % (*cell, threads)
+            sides = {"before": [], "after": []}
+            dirs = {"before": [], "after": []}
+            for i in range(runs):
+                order = ("before", "after") if i % 2 == 0 else ("after", "before")
+                for side in order:
+                    run_dir = work / name / ("%s-%d" % (side, i))
+                    tree = before if side == "before" else after
+                    sides[side].append(run_side(tree, cell, commands, threads, run_dir))
+                    dirs[side].append(run_dir)
+                    print("%s %s run %d: %s" % (name, side, i, json.dumps(sides[side][-1])), flush=True)
+            entry = {side: summary(sides[side], commands) for side in sides}
+            if ref is None:
+                ref = dirs["before"][0]
+            entry["outputs_identical"] = {
+                command: all(
+                    same_file(ref / OUTPUTS[command], d / OUTPUTS[command])
+                    for d in dirs["before"] + dirs["after"]
+                )
+                for command in commands
+            }
+            results[name] = entry
     return results
 
 
@@ -221,17 +236,20 @@ def main(argv=None):
     )
     parser.add_argument("--commands", default=",".join(COMMANDS), help="in run order")
     parser.add_argument("--runs", type=int, default=1, help="runs per tree and cell")
-    parser.add_argument("--threads", type=int, default=1, help="--threads of sweep and select")
+    parser.add_argument(
+        "--threads", default="1", help="comma-separated --threads of sweep and select (default: 1)"
+    )
     parser.add_argument("--out", default=".", help="directory of the BENCH file")
     args = parser.parse_args(argv)
     cells = parse_cells(args.cells)
     commands = parse_commands(args.commands)
-    if args.runs < 1 or args.threads < 1:
-        raise SystemExit("--runs and --threads must be at least 1")
+    thread_counts = parse_threads(args.threads)
+    if args.runs < 1:
+        raise SystemExit("--runs must be at least 1")
     full = [(p, n) for p in PROBLEMS for n in GRID_N_SUB]
     with tempfile.TemporaryDirectory(prefix="holderlab-grid-") as work:
         work = Path(work)
-        results = grid(args.before, args.after, cells, commands, args.runs, args.threads, work)
+        results = grid(args.before, args.after, cells, commands, args.runs, thread_counts, work)
     bench = {
         "label": args.label,
         "kind": "end to end only: wall and peak RSS of whole CLI children, no layer times",
@@ -240,7 +258,7 @@ def main(argv=None):
             "left_out": ["%s:%d" % c for c in full if c not in cells],
             "commands": commands,
             "runs": args.runs,
-            "threads": args.threads,
+            "threads": thread_counts,
             "mesh": "2x1 cells, full bottom patch",
             "seed": SEED,
             "sweep": "default: 200 pairs and 20 rays of 20 steps",

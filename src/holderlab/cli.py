@@ -466,18 +466,17 @@ def cmd_fit(args):
 
 def cmd_select(cfg, args):
     result = _run_sweep(cfg, args.threads, differences=True)
-    kept = [i for i, rec in enumerate(result.records) if rec.delta_F > 0.0]
-    if not kept:
+    dists = np.array([rec.delta_F for rec in result.records])
+    positive = dists > 0.0
+    if not positive.any():
         raise HolderLabError("no sample pair with positive operator distance")
-    # one row per kept record's upper triangle; each is dropped from the
-    # result once copied, and the result before the search
-    diffs = np.empty((len(kept), len(result.differences[0])))
-    for row, i in enumerate(kept):
-        diffs[row] = result.differences[i]
-        result.differences[i] = None
-    dists = [result.records[i].delta_F for i in kept]
+    # the sweep's (records x entries) triangles, read in place unless a
+    # record with delta_F = 0 has to be left out
+    diffs = result.differences if positive.all() else result.differences[positive]
     del result
-    sel = greedy_select(diffs, dists, cfg["select"]["target_ratio"], cfg["select"]["max_size"])
+    sel = greedy_select(
+        diffs, dists[positive], cfg["select"]["target_ratio"], cfg["select"]["max_size"]
+    )
     lines = [
         "# achieved_ratio %s reached %s size %d"
         % (repr(sel.achieved_ratio), sel.reached, len(sel.mset)),

@@ -12,28 +12,36 @@ A sweep samples parameter pairs from a compact ellipticity class,
 evaluates the forward map on both, and forms the operator difference
 M_p - M_q once per record: whitened once with the forward problem's
 whitener, it gives the operator distance delta_F and the scalarization
-value phi. Only a sweep asked for its differences keeps the raw one of
-each record in the result, as its upper triangle (symmetry makes the
-rest redundant), where add_finite_distances and the greedy selection
-read it; any other sweep drops it once the record is made, in the
-worker that made it. A record also holds the recovered-quantity
-distance delta_R. A sweep solves each ray's base point once for all
-the ray's steps.
+value phi. A sweep gives every record it may make one row, fixed by
+its job and step, and the job that makes the record writes its values
+and status into that row in place; a sweep asked for its differences
+also writes the raw difference's upper triangle (symmetry makes the
+rest redundant) into the row of one (rows x k(k+1)/2) block, where
+add_finite_distances and the greedy selection read it. Any other sweep
+keeps no difference beyond the record that made it. Once the jobs are
+done, the kept rows move up over the dropped ones in place, so the
+result's differences are one array with one row per record. A record
+also holds the recovered-quantity distance delta_R. A sweep solves each
+ray's base point once for all the ray's steps.
 
 A sweep job is a random pair or a whole ray, named by its index: the
 job samples its own points from (seed, stream, index). With W > 1
-workers, the sweep forks worker processes that inherit the built
-problem; worker w runs jobs w, w + W, w + 2W, ..., so each gets an
-equal share of the pairs and of the rays, and the records are merged
-back in job order, so the output does not depend on the worker count.
-Each worker should run one BLAS thread, as the command line arranges;
-otherwise the workers' BLAS thread pools oversubscribe the CPUs.
+workers, the sweep puts its rows in one anonymous shared mapping and
+forks worker processes that inherit it and the built problem; worker w
+runs jobs w, w + W, w + 2W, ..., so each gets an equal share of the
+pairs and of the rays, writes their rows and returns nothing. In-process
+the same jobs write ordinary arrays. A row's place depends on its job
+alone, so the output does not depend on the worker count. Each worker
+sets its OpenBLAS libraries to one thread as it starts, as the command
+line does for the whole process; otherwise the workers' BLAS thread
+pools would oversubscribe the CPUs.
 
 The envelope fit estimates (theta, C) so that every record lies below
 log delta_R <= theta * log delta_F + log C + slack.
 """
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -47,7 +55,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .operators import operator_distance, whiten
-from .scalarization import finite_distance, phi, probe_weights, upper_triangle
+from .scalarization import finite_distance, phi, probe_weights
 
 # rng stream tags so every sampled object is a pure function of
 # (seed, stream, index)
@@ -103,9 +111,9 @@ class StabilityRecord:
 class SweepResult:
     records: list
     dropped: int
-    # upper_triangle of the raw M_p - M_q per record, in record order, or
-    # None where the sweep was not asked to keep them
-    differences: list | None
+    # (records x k(k+1)/2): row i is the upper_triangle of record i's raw
+    # M_p - M_q; None where the sweep was not asked to keep them
+    differences: np.ndarray | None
 
 
 @dataclass
@@ -165,10 +173,12 @@ def default_ray_steps(n):
 
 @dataclass(frozen=True)
 class _SweepJobs:
-    """The jobs of one sweep and all they read. Job i < n_pairs is random
-    pair i; job n_pairs + r is ray r < n_rays, which solves its base
-    point once for all its steps. A job samples its own points from
-    (seed, stream, index), so its index is all a worker needs."""
+    """The jobs of one sweep, all they read and the rows they write. Job
+    i < n_pairs is random pair i and writes row i; job n_pairs + r is ray
+    r < n_rays, which solves its base point once for all its steps and
+    writes row n_pairs + r * len(ray_steps) + s for step s. A job samples
+    its own points from (seed, stream, index), so its index is all a
+    worker needs, and a row's index gives its record's kind and t."""
 
     problem: object
     spec: CompactSetSpec
@@ -178,44 +188,65 @@ class _SweepJobs:
     ray_steps: np.ndarray
     seed: int
     weights: np.ndarray  # probe weights of phi
-    differences: bool  # whether a record keeps its raw difference's upper triangle
+    values: np.ndarray  # (rows, 3): delta_R, delta_F and phi of each row
+    status: np.ndarray  # int8 per row: 0 dropped, 1 kept, 2 kept with injectivity_violation
+    triangles: np.ndarray | None  # (rows, k(k+1)/2): raw differences' upper triangles
+    upper: np.ndarray  # flat indices of a k x k matrix's upper triangle
 
     def run(self, start, step):
-        """Record tuples of jobs start, start + step, start + 2*step, ...,
-        one list per job, None for a dropped record."""
-        return [self._job(i) for i in range(start, self.n_pairs + self.n_rays, step)]
+        """Write the rows of jobs start, start + step, start + 2*step, ...;
+        a dropped record's row keeps status 0."""
+        for i in range(start, self.n_pairs + self.n_rays, step):
+            self._job(i)
 
     def _job(self, i):
         problem, spec, seed = self.problem, self.spec, self.seed
         if i < self.n_pairs:
-            kind = "random_random"
+            row = i
             cells_p = sample_point(problem, spec, seed, _STREAM_RANDOM_P, i)
-            steps = [(None, sample_point(problem, spec, seed, _STREAM_RANDOM_Q, i))]
+            qs = [sample_point(problem, spec, seed, _STREAM_RANDOM_Q, i)]
         else:
-            kind = "near_diagonal"
             r = i - self.n_pairs
+            row = self.n_pairs + r * len(self.ray_steps)
             cells_p = sample_point(problem, spec, seed, _STREAM_RAY_BASE, r)
             dp = sample_direction(problem, seed, r)
-            steps = [(float(t), cells_p + t * dp) for t in self.ray_steps]
+            qs = [cells_p + t * dp for t in self.ray_steps]
         try:
             m_p = problem.forward(cells_p)
         except HolderLabError:
-            return [None] * len(steps)
-        return [self._record(kind, t, cells_p, m_p, cells_q) for t, cells_q in steps]
+            return
+        for s, cells_q in enumerate(qs):
+            self._record(row + s, cells_p, m_p, cells_q)
 
-    def _record(self, kind, t, cells_p, m_p, cells_q):
+    def _record(self, row, cells_p, m_p, cells_q):
         try:
             raw = m_p - self.problem.forward(cells_q)
         except HolderLabError:
-            return None
+            return
         d_r = _cell_frobenius(cells_p, cells_q, self.rq.cell_subset)
         d = whiten(self.problem.whitener, raw)
         d_f = operator_distance(d)
-        flags = ()
-        if d_f == 0.0 and d_r > 0.0:
-            flags = ("injectivity_violation",)
-        upper = upper_triangle(raw) if self.differences else None
-        return (kind, t, d_r, d_f, phi(d, self.weights), flags, upper)
+        self.values[row] = d_r, d_f, phi(d, self.weights)
+        self.status[row] = 2 if d_f == 0.0 and d_r > 0.0 else 1
+        if self.triangles is not None:
+            np.take(raw, self.upper, out=self.triangles[row])
+
+
+def _row_arrays(n_rows, n_entries, shared):
+    """The zeroed triangle block (n_rows x n_entries floats), values
+    (n_rows x 3 floats) and status (n_rows int8) of a sweep. Shared puts
+    them in one anonymous shared mapping, which workers forked after it
+    write and this process reads; otherwise they are ordinary arrays."""
+    specs = (((n_rows, n_entries), np.float64), ((n_rows, 3), np.float64), ((n_rows,), np.int8))
+    if not shared:
+        return [np.zeros(shape, dtype) for shape, dtype in specs]
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    buf = mmap.mmap(-1, max(1, sum(sizes)))
+    arrays, offset = [], 0
+    for (shape, dtype), size in zip(specs, sizes):
+        arrays.append(np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape))
+        offset += size
+    return arrays
 
 
 def _worker_count(threads, n_jobs):
@@ -228,35 +259,66 @@ def _worker_count(threads, n_jobs):
     return max(1, min(threads, cpus, n_jobs))
 
 
+# The names under which OpenBLAS builds export set_num_threads: scipy's
+# 64-bit-integer build, scipy's 32-bit one, and OpenBLAS's own.
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads",
+)
+
+
+def _pin_blas():
+    """One BLAS thread in this process: set_num_threads(1) on every
+    OpenBLAS library that /proc/self/maps lists, under the first of
+    its names the library exports. Without such a library or name,
+    nothing changes."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        name = next((n for n in _OPENBLAS_SET_THREADS if hasattr(lib, n)), None)
+        if name is not None:
+            getattr(lib, name)(1)
+
+
 _worker_jobs = None  # the sweep's jobs inside a worker process
 
 
 def _install_jobs(jobs):
     global _worker_jobs
     _worker_jobs = jobs
+    _pin_blas()
 
 
 def _run_share(start, step):
-    return _worker_jobs.run(start, step)
+    _worker_jobs.run(start, step)
 
 
-def _run_on_workers(jobs, n_jobs, workers):
+def _run_on_workers(jobs, workers):
     """jobs.run(0, 1) on `workers` processes: worker w runs jobs w,
-    w + workers, ..., and their lists are merged back in job order."""
+    w + workers, ..., writing their rows in place, and returns nothing."""
     # Imported here: they cost the commands that never sweep ~17 ms.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork, so the workers inherit the built problem and the loaded
-    # numpy and scipy instead of importing and building them again; the
-    # executor forks every worker before it starts its own thread.
+    # fork, so the workers inherit the built problem, the shared rows and
+    # the loaded numpy and scipy instead of importing and building them
+    # again; the executor forks every worker before it starts its own
+    # thread.
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
         workers, mp_context=context, initializer=_install_jobs, initargs=(jobs,)
     ) as pool:
-        futures = [pool.submit(_run_share, w, workers) for w in range(workers)]
-        parts = [f.result() for f in futures]
-    return [parts[i % workers][i // workers] for i in range(n_jobs)]
+        for future in [pool.submit(_run_share, w, workers) for w in range(workers)]:
+            future.result()
 
 
 def sweep(
@@ -266,9 +328,10 @@ def sweep(
     """Stability records of a built forward problem for random pairs
     and near-diagonal rays. With differences=True the result also holds
     the raw operator difference M_p - M_q of every record as its
-    upper_triangle, k(k+1)/2 floats each, as the greedy selection reads
-    them; otherwise no record keeps one and result.differences is None.
-    A recovered cell label outside the problem's partition is a
+    upper_triangle, one row of k(k+1)/2 floats per record in one
+    C-contiguous (records x k(k+1)/2) array, as the greedy selection
+    reads them; otherwise no record keeps one and result.differences
+    is None. A recovered cell label outside the problem's partition is a
     ValueError, and a probe_k above its basis dimension a BasisMismatch,
     both raised before any solve.
 
@@ -289,27 +352,42 @@ def sweep(
     if k > problem.k:
         raise BasisMismatch("truncation order %d exceeds basis dimension %d" % (k, problem.k))
     steps = np.asarray(ray_steps, dtype=float)
-    jobs = _SweepJobs(
-        problem, spec, rq, n_random_pairs, n_rays, steps, seed, probe_weights(k), differences
-    )
     n_jobs = n_random_pairs + n_rays
+    n_rows = n_random_pairs + n_rays * len(steps)
     workers = _worker_count(threads, n_jobs)
-    per_job = _run_on_workers(jobs, n_jobs, workers) if workers > 1 else jobs.run(0, 1)
-    results = [res for job in per_job for res in job]
+    rows, cols = np.triu_indices(problem.k)
+    triangles, values, status = _row_arrays(n_rows, len(rows) if differences else 0, workers > 1)
+    jobs = _SweepJobs(
+        problem, spec, rq, n_random_pairs, n_rays, steps, seed, probe_weights(k),
+        values, status, triangles if differences else None, rows * problem.k + cols,
+    )
+    if workers > 1:
+        _run_on_workers(jobs, workers)
+    else:
+        jobs.run(0, 1)
 
-    kept = [res for res in results if res is not None]
-    records = [
-        StabilityRecord(i, kind, t, d_r, d_f, ph, flags=flags)
-        for i, (kind, t, d_r, d_f, ph, flags, _) in enumerate(kept)
-    ]
+    kept = np.flatnonzero(status).tolist()
+    records = []
+    for pair_id, row in enumerate(kept):
+        if row < n_random_pairs:
+            kind, t = "random_random", None
+        else:
+            kind, t = "near_diagonal", float(steps[(row - n_random_pairs) % len(steps)])
+        flags = ("injectivity_violation",) if status[row] == 2 else ()
+        records.append(StabilityRecord(pair_id, kind, t, *values[row].tolist(), flags=flags))
     for r in records:
         if not (math.isfinite(r.delta_R) and math.isfinite(r.delta_F) and math.isfinite(r.phi)):
             raise DegenerateSample(
                 "record %d has a value that is not finite (delta_R=%r, delta_F=%r, phi=%r)"
                 % (r.pair_id, r.delta_R, r.delta_F, r.phi)
             )
-    diffs = [res[-1] for res in kept] if differences else None
-    return SweepResult(records, len(results) - len(kept), diffs)
+    if differences:
+        # kept rows move up over the dropped ones, in place
+        for dst, src in enumerate(kept):
+            if dst != src:
+                triangles[dst] = triangles[src]
+    diffs = triangles[: len(kept)] if differences else None
+    return SweepResult(records, n_rows - len(kept), diffs)
 
 
 def add_finite_distances(result, fm):

@@ -1,9 +1,31 @@
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def load_grid():
+    spec = importlib.util.spec_from_file_location("grid", ROOT / "bench" / "grid.py")
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return grid
+
+
+def test_grid_parses_a_list_of_thread_counts():
+    """--threads is a comma-separated list of counts of at least 1, in
+    the order given."""
+    grid = load_grid()
+    assert grid.parse_threads("1") == [1]
+    assert grid.parse_threads("1,2") == [1, 2]
+    assert grid.parse_threads(" 4, 1 ") == [4, 1]
+    for bad in ("", "0", "1,", "1,-2", "two", "1.5"):
+        with pytest.raises(SystemExit, match="bad --threads"):
+            grid.parse_threads(bad)
 
 
 def test_grid_runs_one_tree_twice_with_identical_outputs(tmp_path):
@@ -31,7 +53,8 @@ def test_grid_runs_one_tree_twice_with_identical_outputs(tmp_path):
         env = bench["trees"][side]["env"]
         assert {"python", "numpy", "scipy", "nproc", "openblas"} <= set(env)
         assert all(lib["threads"] == 1 for lib in env["openblas"])
-    assert set(bench["results"]) == {"conductivity-4", "elasticity-4"}
+    assert bench["setup"]["threads"] == [1]
+    assert set(bench["results"]) == {"conductivity-4-threads-1", "elasticity-4-threads-1"}
     for entry in bench["results"].values():
         assert entry["outputs_identical"] == {"sweep": True, "fit": True, "select": True}
         for side in ("before", "after"):

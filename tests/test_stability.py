@@ -2,6 +2,8 @@ import json
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -317,9 +319,9 @@ def test_single_job_sweep_stays_in_process(monkeypatch):
 
 
 def test_strided_workers_merge_in_job_order(monkeypatch):
-    """Worker w of W runs jobs w, w + W, ...; the merged records and
-    differences of small_sweep's 13 jobs are the same at 1 to 4
-    workers, even splits or not."""
+    """Worker w of W runs jobs w, w + W, ... and writes their rows; the
+    records and differences of small_sweep's 13 jobs are the same at 1
+    to 4 workers, even splits or not."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     ref = small_sweep(differences=True)
     for threads in (2, 3, 4):
@@ -329,6 +331,179 @@ def test_strided_workers_merge_in_job_order(monkeypatch):
         assert res.dropped == ref.dropped
         assert len(res.differences) == len(ref.differences)
         assert all(np.array_equal(a, b) for a, b in zip(res.differences, ref.differences))
+
+
+def test_shared_rows_drop_and_compact_alike_at_any_worker_count(monkeypatch):
+    """With pair 3's q solve and ray 1's base solve failing, the records,
+    the dropped count and the differences are the same at 1 to 4
+    workers, and each kept row, moved up over the dropped ones, holds
+    the upper triangle of its own record's M_p - M_q."""
+    problem = built("conductivity", n_sub=8, cols=2)
+    q3 = sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_Q, 3)
+    base1 = sl.sample_point(problem, SPEC, 42, sl._STREAM_RAY_BASE, 1)
+    real = cd.nd_matrix
+
+    def failing(problem, cells):
+        if np.array_equal(cells, q3) or np.array_equal(cells, base1):
+            raise NotPositiveDefinite("injected")
+        return real(problem, cells)
+
+    steps = sl.default_ray_steps(4)
+    pairs = [
+        (sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_P, i),
+         sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_Q, i))
+        for i in range(10) if i != 3
+    ]
+    for r in (0, 2):
+        base = sl.sample_point(problem, SPEC, 42, sl._STREAM_RAY_BASE, r)
+        dp = sl.sample_direction(problem, 42, r)
+        pairs += [(base, base + t * dp) for t in steps]
+    want = [upper_triangle(problem.forward(p) - problem.forward(q)) for p, q in pairs]
+
+    monkeypatch.setattr(cd, "nd_matrix", failing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    ref = small_sweep(differences=True)
+    assert ref.dropped == 1 + 4
+    assert [r.pair_id for r in ref.records] == list(range(len(pairs)))
+    assert [r.t for r in ref.records] == [None] * 9 + [float(t) for t in steps] * 2
+    assert len(ref.differences) == len(want)
+    for row, triangle in zip(ref.differences, want):
+        assert np.array_equal(row, triangle)
+    for threads in (2, 3, 4):
+        res = small_sweep(threads=threads, differences=True)
+        assert res.records == ref.records
+        assert res.dropped == ref.dropped
+        assert np.array_equal(res.differences, ref.differences)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads):
+    """The sweep's differences are one C-contiguous (records x entries)
+    array, and where every record has delta_F > 0, select hands that
+    same buffer to greedy_select, in-process and from the workers'
+    shared rows alike."""
+    from holderlab import cli
+
+    seen = {}
+    real_sweep, real_greedy = sl.sweep, cli.greedy_select
+
+    def sweep(*args, **kwargs):
+        seen["result"] = real_sweep(*args, **kwargs)
+        return seen["result"]
+
+    def greedy(diffs, *args):
+        seen["diffs"] = diffs
+        return real_greedy(diffs, *args)
+
+    monkeypatch.setattr(sl, "sweep", sweep)
+    monkeypatch.setattr(cli, "greedy_select", greedy)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = {
+        "problem": "conductivity",
+        "seed": 42,
+        "mesh": {"n_sub": 8, "grid_cols": 2},
+        "sweep": {"n_random_pairs": 10, "n_rays": 3, "n_ray_steps": 4},
+        "output_dir": str(tmp_path),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["select", str(path), "--threads", str(threads)]) == 0
+    res = seen["result"]
+    assert isinstance(res.differences, np.ndarray)
+    assert res.differences.ndim == 2 and res.differences.flags.c_contiguous
+    assert res.differences.shape[0] == len(res.records) == 10 + 3 * 4
+    triangle_dim(res.differences.shape[1])
+    assert all(r.delta_F > 0.0 for r in res.records)
+    assert np.shares_memory(seen["diffs"], res.differences)
+
+
+def test_sweep_pool_returns_nothing(monkeypatch):
+    """The workers write their records into the shared rows: every
+    future of the sweep's pool returns None, and the records are those
+    of the in-process sweep."""
+    import concurrent.futures
+
+    futures = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, *args, **kwargs):
+            futures.append(super().submit(*args, **kwargs))
+            return futures[-1]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    res = small_sweep(threads=3, differences=True)
+    assert len(futures) == 3
+    assert [f.result() for f in futures] == [None] * 3
+    ref = small_sweep(differences=True)
+    assert res.records == ref.records
+    assert np.array_equal(res.differences, ref.differences)
+
+
+BLAS_WORKERS = r"""
+import ctypes, json, os, sys
+
+import numpy as np
+
+from holderlab import conductivity as cd
+from holderlab import mesh as mx
+from holderlab import stability as sl
+
+
+def blas_threads():
+    with open("/proc/self/maps") as maps:
+        paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    threads = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                threads.append(getattr(lib, name)())
+                break
+    return threads
+
+
+real = sl.whiten
+
+
+def whiten(whitener, raw):
+    with open(sys.argv[1], "a") as log:
+        log.write(json.dumps([os.getpid(), blas_threads()]) + "\n")
+    return real(whitener, raw)
+
+
+sl.whiten = whiten
+os.sched_getaffinity = lambda pid: {0, 1}
+mesh = mx.build_mesh(8, mx.PartitionSpec(2, 1), mx.PatchSpec("bottom", 0.0, 1.0))
+before = blas_threads()
+sl.sweep(cd.NDProblem(mesh), sl.CompactSetSpec(0.5, 2.0), sl.RecoveredQuantity((1,)), 4, 2,
+         sl.default_ray_steps(2), 42, threads=2)
+print(json.dumps({"pid": os.getpid(), "before": before, "after": blas_threads()}))
+"""
+
+
+def test_sweep_workers_run_one_blas_thread(tmp_path):
+    """In a fresh process without the BLAS thread variables, each sweep
+    worker reads back one thread from every OpenBLAS library it has
+    loaded, whatever the process loaded them with; the process itself
+    keeps its own setting."""
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    log = tmp_path / "workers.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_WORKERS, str(log)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    parent = json.loads(proc.stdout)
+    if not parent["before"]:
+        pytest.skip("numpy loaded no OpenBLAS library")
+    assert parent["after"] == parent["before"]
+    calls = [json.loads(line) for line in log.read_text().splitlines()]
+    assert len(calls) == 4 + 2 * 2
+    assert len({pid for pid, _ in calls}) == 2 and parent["pid"] not in {pid for pid, _ in calls}
+    assert all(threads == [1] * len(parent["before"]) for _, threads in calls)
 
 
 def inject_failure(monkeypatch, seed):
@@ -637,7 +812,8 @@ def test_default_sweep_keeps_no_operator_matrix_per_record():
 def elasticity_selection_sweep():
     """select's sweep on elasticity, n_sub 16, 2x2 cells, k = 30: 100
     pairs and 10 rays of 10 steps, 200 records, with the bytes that
-    tracemalloc sees the result keep."""
+    tracemalloc sees the result keep. In-process: tracemalloc does not
+    see the shared mapping that a sweep on workers writes."""
     problem = built("elasticity", n_sub=16, cols=2, rows=2)
     rq = sl.RecoveredQuantity((1,))
     tracemalloc.start()
