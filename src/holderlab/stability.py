@@ -286,7 +286,9 @@ def _pin_blas():
             continue
         name = next((n for n in _OPENBLAS_SET_THREADS if hasattr(lib, n)), None)
         if name is not None:
-            getattr(lib, name)(1)
+            set_num_threads = getattr(lib, name)
+            set_num_threads.argtypes, set_num_threads.restype = [ctypes.c_int], None
+            set_num_threads(1)
 
 
 _worker_jobs = None  # the sweep's jobs inside a worker process

@@ -459,7 +459,9 @@ def blas_threads():
         for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
                      "openblas_get_num_threads"):
             if hasattr(lib, name):
-                threads.append(getattr(lib, name)())
+                get_num_threads = getattr(lib, name)
+                get_num_threads.argtypes, get_num_threads.restype = [], ctypes.c_int
+                threads.append(get_num_threads())
                 break
     return threads
 
