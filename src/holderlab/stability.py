@@ -41,7 +41,6 @@ log delta_R <= theta * log delta_F + log C + slack.
 """
 
 import math
-import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -240,6 +239,8 @@ def _row_arrays(n_rows, n_entries, shared):
     specs = (((n_rows, n_entries), np.float64), ((n_rows, 3), np.float64), ((n_rows,), np.int8))
     if not shared:
         return [np.zeros(shape, dtype) for shape, dtype in specs]
+    import mmap  # here, like the pool's modules: in-process sweeps never map
+
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
     buf = mmap.mmap(-1, max(1, sum(sizes)))
     arrays, offset = [], 0
