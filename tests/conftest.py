@@ -1,8 +1,8 @@
 import os
 
 # The command line's BLAS setting, one thread per process, made before
-# numpy loads: otherwise every forked sweep worker runs its own BLAS
-# thread pool, and the workers oversubscribe the CPUs.
+# numpy loads, so the tests' solves run as the commands' do (sweep
+# workers set one thread themselves either way).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 

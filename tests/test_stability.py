@@ -376,12 +376,14 @@ def test_shared_rows_drop_and_compact_alike_at_any_worker_count(monkeypatch):
         assert np.array_equal(res.differences, ref.differences)
 
 
+@pytest.mark.parametrize("zero", [False, True], ids=["all_positive", "one_zero"])
 @pytest.mark.parametrize("threads", [1, 2])
-def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads):
+def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads, zero):
     """The sweep's differences are one C-contiguous (records x entries)
     array, and where every record has delta_F > 0, select hands that
     same buffer to greedy_select, in-process and from the workers'
-    shared rows alike."""
+    shared rows alike. A record with delta_F = 0 is left out: the greedy
+    gets the other rows and distances, in record order."""
     from holderlab import cli
 
     seen = {}
@@ -389,11 +391,13 @@ def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads):
 
     def sweep(*args, **kwargs):
         seen["result"] = real_sweep(*args, **kwargs)
+        if zero:
+            seen["result"].records[1].delta_F = 0.0
         return seen["result"]
 
-    def greedy(diffs, *args):
-        seen["diffs"] = diffs
-        return real_greedy(diffs, *args)
+    def greedy(diffs, dists, *args):
+        seen["diffs"], seen["dists"] = diffs, dists
+        return real_greedy(diffs, dists, *args)
 
     monkeypatch.setattr(sl, "sweep", sweep)
     monkeypatch.setattr(cli, "greedy_select", greedy)
@@ -413,8 +417,13 @@ def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads):
     assert res.differences.ndim == 2 and res.differences.flags.c_contiguous
     assert res.differences.shape[0] == len(res.records) == 10 + 3 * 4
     triangle_dim(res.differences.shape[1])
-    assert all(r.delta_F > 0.0 for r in res.records)
-    assert np.shares_memory(seen["diffs"], res.differences)
+    if not zero:
+        assert all(r.delta_F > 0.0 for r in res.records)
+        assert np.shares_memory(seen["diffs"], res.differences)
+    else:
+        keep = [i for i in range(len(res.records)) if i != 1]
+        assert np.array_equal(seen["diffs"], res.differences[keep])
+        assert list(seen["dists"]) == [res.records[i].delta_F for i in keep]
 
 
 def test_sweep_pool_returns_nothing(monkeypatch):
