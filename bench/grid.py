@@ -209,7 +209,8 @@ def grid(before, after, cells, commands, runs, thread_counts, work):
                     tree = before if side == "before" else after
                     sides[side].append(run_side(tree, cell, commands, threads, run_dir))
                     dirs[side].append(run_dir)
-                    print("%s %s run %d: %s" % (name, side, i, json.dumps(sides[side][-1])), flush=True)
+                    line = json.dumps(sides[side][-1])
+                    print("%s %s run %d: %s" % (name, side, i, line), flush=True)
             entry = {side: summary(sides[side], commands) for side in sides}
             if ref is None:
                 ref = dirs["before"][0]

@@ -233,13 +233,13 @@ class _SweepJobs:
 
 def _row_arrays(n_rows, n_entries, shared):
     """The zeroed triangle block (n_rows x n_entries floats), values
-    (n_rows x 3 floats) and status (n_rows int8) of a sweep. Shared puts
-    them in one anonymous shared mapping, which workers forked after it
-    write and this process reads; otherwise they are ordinary arrays."""
+    (n_rows x 3 floats) and status (n_rows int8) of a sweep: ordinary
+    arrays, or with shared, views of one anonymous shared mapping that
+    workers forked after it write and this process reads."""
     specs = (((n_rows, n_entries), np.float64), ((n_rows, 3), np.float64), ((n_rows,), np.int8))
     if not shared:
         return [np.zeros(shape, dtype) for shape, dtype in specs]
-    import mmap  # here, like the pool's modules: in-process sweeps never map
+    import mmap  # imported here, like the pool's modules: in-process sweeps map nothing
 
     sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
     buf = mmap.mmap(-1, max(1, sum(sizes)))

@@ -499,7 +499,8 @@ def test_sweep_workers_run_one_blas_thread(tmp_path):
     worker reads back one thread from every OpenBLAS library it has
     loaded, whatever the process loaded them with; the process itself
     keeps its own setting."""
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
     env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     log = tmp_path / "workers.jsonl"
     proc = subprocess.run(
