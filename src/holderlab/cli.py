@@ -397,7 +397,8 @@ def cmd_mesh(cfg, args):
 def _forward_problem(cfg):
     """The forward problem and its first sampled point."""
     problem = build_problem_from(cfg)
-    return problem, sl.sample_point(problem, build_spec_from(cfg), cfg["seed"], 1, 0)
+    spec = build_spec_from(cfg)
+    return problem, sl.sample_point(problem, spec, cfg["seed"], sl._STREAM_RANDOM_P, 0)
 
 
 def cmd_forward(cfg, args):

@@ -13,16 +13,17 @@ evaluates the forward map on both, and forms the operator difference
 M_p - M_q once per record: whitened once with the forward problem's
 whitener, it gives the operator distance delta_F and the scalarization
 value phi. A sweep gives every record it may make one row, fixed by
-its job and step, and the job that makes the record writes its values
-and status into that row in place; a sweep asked for its differences
-also writes the raw difference's upper triangle (symmetry makes the
-rest redundant) into the row of one (rows x k(k+1)/2) block, where
-add_finite_distances and the greedy selection read it. Any other sweep
-keeps no difference beyond the record that made it. Once the jobs are
-done, the kept rows move up over the dropped ones in place, so the
-result's differences are one array with one row per record. A record
-also holds the recovered-quantity distance delta_R. A sweep solves each
-ray's base point once for all the ray's steps.
+its job and step, and the job that makes the record writes its
+measurements and a kept bit into that row in place; a sweep asked for
+its differences also writes the raw difference's upper triangle into
+the row of one (rows x k(k+1)/2) block, where add_finite_distances and
+the greedy selection read it. Any other sweep keeps no difference beyond
+the record that made it. One pass over the kept rows then makes the
+records, deriving kind and t from the row's index and flags from its
+measurements, and moves the kept triangles up in place, so the result's
+differences are one array with one row per record. A record also holds
+the recovered-quantity distance delta_R. A sweep solves each ray's base
+point once for all the ray's steps.
 
 A sweep job is a random pair or a whole ray, named by its index: the
 job samples its own points from (seed, stream, index). With W > 1
@@ -177,7 +178,8 @@ class _SweepJobs:
     r < n_rays, which solves its base point once for all its steps and
     writes row n_pairs + r * len(ray_steps) + s for step s. A job samples
     its own points from (seed, stream, index), so its index is all a
-    worker needs, and a row's index gives its record's kind and t."""
+    worker needs. A row holds measurements and a kept bit; the parent
+    derives the record's kind, t and flags."""
 
     problem: object
     spec: CompactSetSpec
@@ -188,13 +190,13 @@ class _SweepJobs:
     seed: int
     weights: np.ndarray  # probe weights of phi
     values: np.ndarray  # (rows, 3): delta_R, delta_F and phi of each row
-    status: np.ndarray  # int8 per row: 0 dropped, 1 kept, 2 kept with injectivity_violation
+    kept: np.ndarray  # int8 kept bit per row: 1 where the row holds a record
     triangles: np.ndarray | None  # (rows, k(k+1)/2): raw differences' upper triangles
     upper: np.ndarray  # flat indices of a k x k matrix's upper triangle
 
     def run(self, start, step):
         """Write the rows of jobs start, start + step, start + 2*step, ...;
-        a dropped record's row keeps status 0."""
+        a dropped record's row keeps its kept bit 0."""
         for i in range(start, self.n_pairs + self.n_rays, step):
             self._job(i)
 
@@ -226,14 +228,14 @@ class _SweepJobs:
         d = whiten(self.problem.whitener, raw)
         d_f = operator_distance(d)
         self.values[row] = d_r, d_f, phi(d, self.weights)
-        self.status[row] = 2 if d_f == 0.0 and d_r > 0.0 else 1
+        self.kept[row] = 1
         if self.triangles is not None:
             np.take(raw, self.upper, out=self.triangles[row])
 
 
 def _row_arrays(n_rows, n_entries, shared):
     """The zeroed triangle block (n_rows x n_entries floats), values
-    (n_rows x 3 floats) and status (n_rows int8) of a sweep: ordinary
+    (n_rows x 3 floats) and kept bits (n_rows int8) of a sweep: ordinary
     arrays, or with shared, views of one anonymous shared mapping that
     workers forked after it write and this process reads."""
     specs = (((n_rows, n_entries), np.float64), ((n_rows, 3), np.float64), ((n_rows,), np.int8))
@@ -359,38 +361,34 @@ def sweep(
     n_rows = n_random_pairs + n_rays * len(steps)
     workers = _worker_count(threads, n_jobs)
     rows, cols = np.triu_indices(problem.k)
-    triangles, values, status = _row_arrays(n_rows, len(rows) if differences else 0, workers > 1)
+    triangles, values, kept = _row_arrays(n_rows, len(rows) if differences else 0, workers > 1)
     jobs = _SweepJobs(
         problem, spec, rq, n_random_pairs, n_rays, steps, seed, probe_weights(k),
-        values, status, triangles if differences else None, rows * problem.k + cols,
+        values, kept, triangles if differences else None, rows * problem.k + cols,
     )
     if workers > 1:
         _run_on_workers(jobs, workers)
     else:
         jobs.run(0, 1)
 
-    kept = np.flatnonzero(status).tolist()
     records = []
-    for pair_id, row in enumerate(kept):
+    for pair_id, row in enumerate(np.flatnonzero(kept).tolist()):
+        d_r, d_f, ph = values[row].tolist()
+        if not (math.isfinite(d_r) and math.isfinite(d_f) and math.isfinite(ph)):
+            raise DegenerateSample(
+                "record %d has a value that is not finite (delta_R=%r, delta_F=%r, phi=%r)"
+                % (pair_id, d_r, d_f, ph)
+            )
         if row < n_random_pairs:
             kind, t = "random_random", None
         else:
             kind, t = "near_diagonal", float(steps[(row - n_random_pairs) % len(steps)])
-        flags = ("injectivity_violation",) if status[row] == 2 else ()
-        records.append(StabilityRecord(pair_id, kind, t, *values[row].tolist(), flags=flags))
-    for r in records:
-        if not (math.isfinite(r.delta_R) and math.isfinite(r.delta_F) and math.isfinite(r.phi)):
-            raise DegenerateSample(
-                "record %d has a value that is not finite (delta_R=%r, delta_F=%r, phi=%r)"
-                % (r.pair_id, r.delta_R, r.delta_F, r.phi)
-            )
-    if differences:
-        # kept rows move up over the dropped ones, in place
-        for dst, src in enumerate(kept):
-            if dst != src:
-                triangles[dst] = triangles[src]
-    diffs = triangles[: len(kept)] if differences else None
-    return SweepResult(records, n_rows - len(kept), diffs)
+        flags = ("injectivity_violation",) if d_f == 0.0 and d_r > 0.0 else ()
+        records.append(StabilityRecord(pair_id, kind, t, d_r, d_f, ph, flags=flags))
+        if differences and pair_id != row:
+            triangles[pair_id] = triangles[row]  # kept rows move up, in place
+    diffs = triangles[: len(records)] if differences else None
+    return SweepResult(records, n_rows - len(records), diffs)
 
 
 def add_finite_distances(result, fm):
@@ -454,16 +452,11 @@ def fit_holder(records, n_bins=8, slack=0.1):
     idx = np.clip(
         ((x - edges_lo) / (edges_hi - edges_lo) * n_bins).astype(int), 0, n_bins - 1
     )
-    anchors_x, anchors_y = [], []
-    for b in range(n_bins):
-        mask = idx == b
-        if not mask.any():
-            continue
-        top = np.argmax(y[mask])
-        anchors_x.append(x[mask][top])
-        anchors_y.append(y[mask][top])
-    ax = np.array(anchors_x)
-    ay = np.array(anchors_y)
+    # by bin, then descending y, then record order (lexsort is stable):
+    # each bin's first is its anchor, its first record of largest y
+    order = np.lexsort((-y, idx))
+    first = order[np.flatnonzero(np.diff(idx[order], prepend=-1))]
+    ax, ay = x[first], y[first]
     design = np.column_stack([ax, np.ones_like(ax)])
     (theta_precap, intercept), *_ = np.linalg.lstsq(design, ay, rcond=None)
     theta = min(float(theta_precap), 1.0)
@@ -484,17 +477,31 @@ def fit_holder(records, n_bins=8, slack=0.1):
     )
 
 
-def _log_slopes(ts, fs):
-    """Centered log-log difference quotients, one-sided at the ends."""
+def _slope_samples(ts, fs):
+    """Samples (t, F(t)) with centered log-log difference quotients,
+    one-sided at the ends, as their local slopes."""
     lt = np.log(ts)
     lf = np.log(fs)
-    n = len(ts)
-    slopes = np.empty(n)
-    for i in range(n):
-        lo = max(i - 1, 0)
-        hi = min(i + 1, n - 1)
-        slopes[i] = (lf[hi] - lf[lo]) / (lt[hi] - lt[lo])
-    return slopes
+    i = np.arange(len(ts))
+    lo = np.maximum(i - 1, 0)
+    hi = np.minimum(i + 1, len(ts) - 1)
+    slopes = (lf[hi] - lf[lo]) / (lt[hi] - lt[lo])
+    return [FlatMapSample(float(t), float(f), float(s)) for t, f, s in zip(ts, fs, slopes)]
+
+
+def _sample_points(ts):
+    """The sample points sorted: one outside (0, 1] is a ValueError, and
+    the first whose log repeats the previous one's a DegenerateSample."""
+    ts = np.sort(np.asarray(ts, dtype=float))
+    if ts[0] <= 0.0 or ts[-1] > 1.0:
+        raise ValueError("sample points must lie in (0, 1]")
+    same = np.flatnonzero(np.diff(np.log(ts)) == 0.0)
+    if same.size:
+        raise DegenerateSample(
+            "sample point %r repeats the logarithm of the one before it, so a log-log "
+            "slope divides by 0" % float(ts[same[0] + 1])
+        )
+    return ts
 
 
 # A backstop for the fraction's loop, not a knob: at x = 1/t^2 >= 1, as
@@ -544,10 +551,8 @@ def flat_counterexample(ts, tol=1e-14):
     power-law envelope. Where F underflows to 0 it has no logarithm,
     and where it is subnormal it has lost significant bits: the smallest
     t where F falls below the smallest normal float raises
-    DegenerateSample."""
-    ts = np.sort(np.asarray(ts, dtype=float))
-    if ts[0] <= 0.0 or ts[-1] > 1.0:
-        raise ValueError("sample points must lie in (0, 1]")
+    DegenerateSample, as do coincident sample points."""
+    ts = _sample_points(ts)
     fs = np.array([_flat_map(float(t), tol) for t in ts])
     low = np.flatnonzero(fs < np.finfo(float).tiny)
     if low.size:
@@ -556,8 +561,7 @@ def flat_counterexample(ts, tol=1e-14):
             "F(%r) underflows to %r, below the smallest normal float, so its "
             "logarithm is lost or inexact" % (t, f)
         )
-    slopes = _log_slopes(ts, fs)
-    return [FlatMapSample(float(t), float(f), float(s)) for t, f, s in zip(ts, fs, slopes)]
+    return _slope_samples(ts, fs)
 
 
 @dataclass
@@ -566,22 +570,17 @@ class AnalyticControl:
     fit: HolderFit
 
 
-def analytic_control(ts, grid_n=100, n_bins=8, slack=0.1):
+_CONTROL_GRID = 100  # points per axis of analytic_control's grid of pairs
+
+
+def analytic_control(ts, n_bins=8, slack=0.1):
     """Same pipeline on the analytic map F(t) = t^3, evaluated exactly:
     local slopes (all 3), and an envelope fit over a brute-force grid of
     parameter pairs."""
-    ts = np.sort(np.asarray(ts, dtype=float))
-    if ts[0] <= 0.0 or ts[-1] > 1.0:
-        raise ValueError("sample points must lie in (0, 1]")
-    fs = ts**3
-    slopes = _log_slopes(ts, fs)
-    samples = [
-        FlatMapSample(float(t), float(f), float(s)) for t, f, s in zip(ts, fs, slopes)
-    ]
-    grid = np.linspace(-1.0, 1.0, grid_n)
-    p, q = np.meshgrid(grid, grid)
-    p = p.ravel()
-    q = q.ravel()
+    ts = _sample_points(ts)
+    samples = _slope_samples(ts, ts**3)
+    grid = np.linspace(-1.0, 1.0, _CONTROL_GRID)
+    p, q = (a.ravel() for a in np.meshgrid(grid, grid))
     keep = p != q
     d_f = np.abs(p[keep] ** 3 - q[keep] ** 3)
     d_r = np.abs(p[keep] - q[keep])

@@ -399,6 +399,19 @@ def test_counterexample_underflow_exits_2_naming_t_lo(tmp_path, capsys):
         assert not (root / "out").exists()
 
 
+def test_counterexample_coincident_points_exit_2_naming_t_lo(tmp_path, capsys):
+    """t_lo and t_hi one float apart give repeated sample points: a
+    config error naming counterexample.t_lo, not a file of nan slopes."""
+    path = write_config(tmp_path, {"counterexample": {"t_lo": 0.5, "t_hi": 0.5000000000000001}})
+    assert main(["counterexample", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error (field counterexample.t_lo): sample point 0.5 repeats"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_module_runs_as_script(tmp_path):
     path = write_config(tmp_path)
     proc = subprocess.run(

@@ -1,7 +1,9 @@
+import csv
 import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -167,11 +169,41 @@ def test_sweep_bookkeeping():
     assert ids == sorted(ids)
 
 
-def test_sweep_contract_no_silent_injectivity_failure():
+def test_sweep_contract_no_silent_injectivity_failure(tmp_path, monkeypatch):
+    """A record with delta_F = 0 and delta_R > 0 carries
+    injectivity_violation, in the result and in records.csv. small_sweep
+    has no such record, so a forward that maps every point to one
+    matrix makes every record one, in-process and on two workers."""
+    from holderlab import cli
+
     res = small_sweep()
     for r in res.records:
         if r.delta_F == 0.0 and r.delta_R > 0.0:
             assert "injectivity_violation" in r.flags
+    problem = built("conductivity", n_sub=8, cols=2)
+    fixed = cd.nd_matrix(problem, sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_P, 0))
+    monkeypatch.setattr(cd, "nd_matrix", lambda problem, cells: fixed)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    config = {
+        "problem": "conductivity",
+        "seed": 42,
+        "mesh": {"n_sub": 8, "grid_cols": 2},
+        "sweep": {"n_random_pairs": 10, "n_rays": 3, "n_ray_steps": 4},
+        "output_dir": str(tmp_path),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for threads in (1, 2):
+        res = small_sweep(threads=threads)
+        assert len(res.records) == 10 + 3 * 4
+        for r in res.records:
+            assert r.delta_F == 0.0 and r.delta_R > 0.0
+            assert r.flags == ("injectivity_violation",)
+        assert cli.main(["sweep", str(path), "--threads", str(threads)]) == 0
+        lines = (tmp_path / "records.csv").read_text().splitlines()
+        rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
+        assert len(rows) == 10 + 3 * 4
+        assert {row["flags"] for row in rows} == {"injectivity_violation"}
 
 
 def test_sweep_thread_count_invariance():
@@ -694,6 +726,59 @@ def test_fit_nan_distance_raises_naming_the_record(column):
         sl.fit_holder(records)
 
 
+def per_bin_loop_fit(records, n_bins, slack):
+    """fit_holder's fit with its anchors picked by a loop over the bins:
+    np.argmax gives each bin's first record of largest log delta_R."""
+    usable = [r for r in records if r.delta_F > 0.0 and r.delta_R > 0.0]
+    x = np.log(np.array([r.delta_F for r in usable]))
+    y = np.log(np.array([r.delta_R for r in usable]))
+    idx = np.clip(((x - x.min()) / (x.max() - x.min()) * n_bins).astype(int), 0, n_bins - 1)
+    ax, ay = [], []
+    for b in range(n_bins):
+        mask = idx == b
+        if mask.any():
+            top = np.argmax(y[mask])
+            ax.append(x[mask][top])
+            ay.append(y[mask][top])
+    ax, ay = np.array(ax), np.array(ay)
+    design = np.column_stack([ax, np.ones_like(ax)])
+    (theta_precap, intercept), *_ = np.linalg.lstsq(design, ay, rcond=None)
+    theta = min(float(theta_precap), 1.0)
+    if theta != theta_precap:
+        intercept = float(np.mean(ay - theta * ax))
+    excess = y - (theta * x + intercept)
+    lift = max(0.0, float(excess.max()) - slack)
+    return sl.HolderFit(
+        theta, float(theta_precap), float(intercept) + lift, n_bins, slack,
+        float(excess.max()) - lift, len(usable),
+    )
+
+
+@pytest.mark.parametrize("n_bins", [2, 8, 64, 1000])
+@pytest.mark.parametrize("power", [0.5, 1.5], ids=["below_cap", "capped"])
+def test_fit_anchors_match_a_per_bin_loop_on_ties(n_bins, power):
+    """Records in shuffled order whose delta_R takes a few values, so
+    that the largest delta_R ties inside a bin and across bins: the fit
+    picks each bin's first record of largest delta_R, as a loop over
+    the bins does, field by field."""
+    rng = np.random.default_rng(n_bins)
+    d_f = 10.0 ** rng.uniform(-6.0, -1.0, 300)
+    d_r = 10.0 ** np.round(np.log10(d_f**power))  # a few values, tied
+    records = synthetic_records(d_f, d_r)
+    records += synthetic_records(d_f[:100], d_r[:100])  # exact duplicates
+    assert sl.fit_holder(records, n_bins=n_bins) == per_bin_loop_fit(records, n_bins, 0.1)
+
+
+def test_fit_with_a_billion_bins_returns():
+    """The fit's cost does not grow with the bin count: a loop over
+    10^9 bins would take most of an hour on 600 records."""
+    rng = np.random.default_rng(3)
+    d_f = 10.0 ** rng.uniform(-6.0, -1.0, 600)
+    fit = sl.fit_holder(synthetic_records(d_f, d_f**0.5), n_bins=10**9)
+    assert fit.n_bins == 10**9 and fit.records_used == 600
+    assert abs(fit.theta - 0.5) <= 1e-6
+
+
 def test_fit_constant_r_flagged():
     d_f = 10.0 ** np.linspace(-6.0, -1.0, 30)
     fit = sl.fit_holder(synthetic_records(d_f, np.zeros(30)))
@@ -755,6 +840,19 @@ def test_analytic_control_properties():
         assert abs(s.local_slope - 3.0) <= 1e-10
     assert abs(ctl.samples[-1].F_t - 1.0) <= 1e-13
     assert 0.30 <= ctl.fit.theta <= 0.37
+
+
+@pytest.mark.parametrize("study", [sl.flat_counterexample, sl.analytic_control])
+def test_coincident_sample_points_raise_naming_the_first(study):
+    """Sample points that coincide, or differ but share a logarithm,
+    leave a log-log slope dividing by 0: a DegenerateSample naming the
+    first such point once sorted, not nan slopes."""
+    with pytest.raises(DegenerateSample, match=r"sample point 0\.2 repeats"):
+        study([0.5, 0.2, 0.1, 0.2, 0.5])
+    t = float(np.nextafter(0.05, 1.0))
+    assert t != 0.05 and math.log(t) == math.log(0.05)
+    with pytest.raises(DegenerateSample, match="sample point %s repeats" % re.escape(repr(t))):
+        study([0.5, t, 0.05])
 
 
 def test_flat_dominates_analytic_slopes():
