@@ -185,3 +185,40 @@ def test_build_mesh_matches_loop_reference():
                 assert mx.mesh_to_text(m) == text
                 assert m.triangles.dtype == m.boundary_edges.dtype == np.intp
                 assert m.boundary_edges.tobytes() == edges.tobytes()
+
+
+def loop_patch_reference(n_sub, side, t0, t1):
+    """on_patch and patch_last_order of the structured mesh, built one
+    ring edge and one node at a time. Ring edge r lies on side
+    r // n_sub, its midpoint a fraction (r % n_sub + 0.5) / n_sub along
+    that side; node (i, j) sits at depth and arclength (in grid steps)
+    from the patch side as listed, counterclockwise."""
+    mask = []
+    for r in range(4 * n_sub):
+        along = (r % n_sub + 0.5) / n_sub
+        mask.append(mx.SIDES[r // n_sub] == side and t0 <= along <= t1)
+    depth_along = {
+        "bottom": lambda i, j: (j, i),
+        "right": lambda i, j: (n_sub - i, j),
+        "top": lambda i, j: (n_sub - j, n_sub - i),
+        "left": lambda i, j: (i, n_sub - j),
+    }[side]
+    nodes = [(i, j) for j in range(n_sub + 1) for i in range(n_sub + 1)]
+
+    def key(node):
+        depth, along = depth_along(*nodes[node])
+        return (-depth, along)
+
+    return np.array(mask), sorted(range(len(nodes)), key=key)
+
+
+def test_patch_matches_loop_reference():
+    # n_sub 2 with t0 0.25 (or t1 0.75) puts an edge midpoint on a bound
+    extents = ((0.0, 1.0), (0.25, 0.75), (0.0, 0.5), (0.3, 0.9), (0.5, 1.0))
+    for n_sub in (1, 2, 3, 8, 16):
+        for side in mx.SIDES:
+            for t0, t1 in extents:
+                mask, order = loop_patch_reference(n_sub, side, t0, t1)
+                m = unit_mesh(n_sub, side=side, t0=t0, t1=t1)
+                assert m.on_patch.tolist() == mask.tolist(), (n_sub, side, t0, t1)
+                assert mx.patch_last_order(m).tolist() == order, (n_sub, side)
