@@ -26,6 +26,7 @@ from .errors import EmptyPatch
 from .mesh import (
     boundary_hat_integrals,
     boundary_mass_matrix,
+    edge_lengths,
     p1_gradients,
     patch_last_order,
     patch_nodes,
@@ -78,9 +79,8 @@ def _patch_loads(mesh, nodes, coeffs):
     at[ring] = np.arange(ring.size)
     x = np.zeros((ring.size, len(coeffs)))
     x[at[nodes]] = coeffs.T
-    a, b = mesh.boundary_edges.T
-    h = np.linalg.norm(mesh.nodes[b] - mesh.nodes[a], axis=1)[:, None]
-    a, b = at[a], at[b]  # each edge's ends as ring positions
+    h = edge_lengths(mesh, mesh.boundary_edges)[:, None]
+    a, b = at[mesh.boundary_edges.T]  # each edge's ends as ring positions
     rows = np.zeros_like(x)
     np.add.at(rows, a, h / 3.0 * x[a] + h / 6.0 * x[b])
     np.add.at(rows, b, h / 3.0 * x[b] + h / 6.0 * x[a])

@@ -23,7 +23,6 @@ import numpy as np
 from .errors import PatchTooSmall
 from .mesh import (
     boundary_mass_matrix,
-    boundary_node_set,
     p1_gradients,
     patch_last_order,
     patch_nodes,
@@ -66,7 +65,7 @@ def interior_dofs(mesh):
     """Dofs of the interior nodes in patch-last node order, x before y
     at each node."""
     order = patch_last_order(mesh)
-    inner = order[~np.isin(order, boundary_node_set(mesh))]
+    inner = order[~np.isin(order, mesh.boundary_edges[:, 0])]
     return np.column_stack([2 * inner, 2 * inner + 1]).ravel()
 
 

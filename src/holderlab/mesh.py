@@ -4,9 +4,18 @@ The domain is always the unit square, partitioned into a grid of
 rectangular cells (the known coefficient partition) and uniformly
 triangulated so that cell boundaries align with mesh lines. One side
 carries a marked measurement patch.
+
+The boundary is a ring of edges in counterclockwise order: the bottom
+side left to right, the right side upward, the top side right to left
+and the left side downward. A point's side coordinates are its depth
+from a side and its arclength fraction along that side in the ring's
+direction (_side_coordinates); the patch is the ring edges whose
+midpoints lie on its side at fractions in [t0, t1]. Each boundary
+integral names the edges it runs over: boundary_mass_matrix the patch
+edges, boundary_hat_integrals the whole ring.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +36,6 @@ class PartitionSpec:
     def __post_init__(self):
         if self.grid_cols < 1 or self.grid_rows < 1:
             raise ValueError("partition grid must be at least 1x1")
-
-    @property
-    def n_cells(self):
-        return self.grid_cols * self.grid_rows
 
 
 @dataclass(frozen=True)
@@ -57,13 +62,23 @@ class Mesh:
     labels: np.ndarray         # (n_tri,) cell labels in 1..N
     boundary_edges: np.ndarray  # (n_bnd, 2) node pairs in CCW order
     on_patch: np.ndarray       # (n_bnd,) bool
-    n_sub: int
-    part: PartitionSpec = field(repr=False, default=None)
-    patch: PatchSpec = field(repr=False, default=None)
+    patch: PatchSpec
 
     @property
     def n_nodes(self):
         return self.nodes.shape[0]
+
+
+def _side_coordinates(points, side):
+    """Depth of each (n, 2) point from the side and its arclength
+    fraction along it, counterclockwise."""
+    x, y = points.T
+    return {
+        "bottom": (y, x),
+        "right": (1.0 - x, y),
+        "top": (1.0 - y, 1.0 - x),
+        "left": (x, 1.0 - y),
+    }[side]
 
 
 def build_mesh(n_sub, part, patch):
@@ -98,23 +113,15 @@ def build_mesh(n_sub, part, patch):
     row = np.minimum((cent[:, 1] * part.grid_rows).astype(int), part.grid_rows - 1)
     labels = row * part.grid_cols + col + 1
 
-    # counterclockwise ring of boundary nodes: bottom left to right,
-    # right upward, top right to left, left downward
     s = np.arange(n_sub)
     ring = np.concatenate([s, n_sub + s * m, n_sub * m + n_sub - s, (n_sub - s) * m])
     boundary_edges = np.column_stack([ring, np.roll(ring, -1)]).astype(np.intp)
 
     mid = 0.5 * (nodes[boundary_edges[:, 0]] + nodes[boundary_edges[:, 1]])
-    side_of = np.repeat(np.arange(4), n_sub)
-    frac = np.empty(len(ring))
-    frac[side_of == 0] = mid[side_of == 0, 0]
-    frac[side_of == 1] = mid[side_of == 1, 1]
-    frac[side_of == 2] = 1.0 - mid[side_of == 2, 0]
-    frac[side_of == 3] = 1.0 - mid[side_of == 3, 1]
-    want = SIDES.index(patch.side)
-    on_patch = (side_of == want) & (frac >= patch.t0) & (frac <= patch.t1)
+    depth, along = _side_coordinates(mid, patch.side)
+    on_patch = (depth == 0.0) & (along >= patch.t0) & (along <= patch.t1)
 
-    return Mesh(nodes, triangles, labels, boundary_edges, on_patch, n_sub, part, patch)
+    return Mesh(nodes, triangles, labels, boundary_edges, on_patch, patch)
 
 
 def triangle_areas(mesh):
@@ -135,40 +142,38 @@ def p1_gradients(mesh):
     return g / (2.0 * area)[:, None, None], area
 
 
+def _patch_edges(mesh):
+    """The ring edges on the patch, in arclength order."""
+    edges = mesh.boundary_edges[mesh.on_patch]
+    if len(edges) == 0:
+        raise EmptyPatch("no boundary edge lies on the patch")
+    return edges
+
+
+def edge_lengths(mesh, edges):
+    return np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
+
+
 def patch_nodes(mesh):
     """Node indices along the patch in arclength order, endpoints
     included."""
-    sel = np.flatnonzero(mesh.on_patch)
-    if sel.size == 0:
-        raise EmptyPatch("no boundary edge lies on the patch")
-    edges = mesh.boundary_edges
-    return np.concatenate([edges[sel[:1], 0], edges[sel, 1]]).astype(np.intp)
-
-
-def patch_edge_lengths(mesh):
-    sel = np.flatnonzero(mesh.on_patch)
-    if sel.size == 0:
-        raise EmptyPatch("no boundary edge lies on the patch")
-    a = mesh.nodes[mesh.boundary_edges[sel, 0]]
-    b = mesh.nodes[mesh.boundary_edges[sel, 1]]
-    return np.linalg.norm(b - a, axis=1)
+    edges = _patch_edges(mesh)
+    return np.concatenate([edges[:1, 0], edges[:, 1]])
 
 
 def boundary_mass_matrix(mesh):
-    """Gram matrix of the patch hat functions in L2 of the patch:
+    """Gram matrix of the patch hat functions in L2 of the patch edges:
     tridiagonal, with h/3 diagonal and h/6 coupling per patch edge."""
-    h = patch_edge_lengths(mesh)
+    h = edge_lengths(mesh, _patch_edges(mesh))
     diag = np.append(h, 0.0) / 3.0 + np.insert(h, 0, 0.0) / 3.0
     return symmetrize(np.diag(diag) + np.diag(h / 6.0, 1) + np.diag(h / 6.0, -1))
 
 
 def boundary_hat_integrals(mesh):
-    """Integral over the whole boundary of every nodal hat function;
-    zero for interior nodes."""
+    """Integral over the whole ring of every nodal hat function; zero
+    for interior nodes."""
     w = np.zeros(mesh.n_nodes)
-    a = mesh.nodes[mesh.boundary_edges[:, 0]]
-    b = mesh.nodes[mesh.boundary_edges[:, 1]]
-    h = np.linalg.norm(b - a, axis=1)
+    h = edge_lengths(mesh, mesh.boundary_edges)
     np.add.at(w, mesh.boundary_edges[:, 0], 0.5 * h)
     np.add.at(w, mesh.boundary_edges[:, 1], 0.5 * h)
     return w
@@ -179,18 +184,8 @@ def patch_last_order(mesh):
     along that side in counterclockwise order, so the patch side's
     nodes come last. Mesh neighbours stay at most n_sub + 2 positions
     apart, so a stiffness numbered in this order keeps its narrow band."""
-    x, y = mesh.nodes.T
-    depth, along = {
-        "bottom": (y, x),
-        "right": (1.0 - x, y),
-        "top": (1.0 - y, 1.0 - x),
-        "left": (x, 1.0 - y),
-    }[mesh.patch.side]
+    depth, along = _side_coordinates(mesh.nodes, mesh.patch.side)
     return np.lexsort((along, -depth))
-
-
-def boundary_node_set(mesh):
-    return np.unique(mesh.boundary_edges)
 
 
 def mesh_to_text(mesh):

@@ -54,8 +54,9 @@ def test_patch_spec_validation():
 
 
 def test_refinement_preserves_labels():
-    coarse = unit_mesh(4, cols=2, rows=2)
-    fine = unit_mesh(8, cols=2, rows=2)
+    part = mx.PartitionSpec(2, 2)
+    coarse = unit_mesh(4, cols=part.grid_cols, rows=part.grid_rows)
+    fine = unit_mesh(8, cols=part.grid_cols, rows=part.grid_rows)
 
     def label_at(pt, part):
         col = min(int(pt[0] * part.grid_cols), part.grid_cols - 1)
@@ -65,7 +66,7 @@ def test_refinement_preserves_labels():
     for m in (coarse, fine):
         cents = m.nodes[m.triangles].mean(axis=1)
         for c, lab in zip(cents, m.labels):
-            assert lab == label_at(c, m.part)
+            assert lab == label_at(c, part)
 
 
 def test_patch_nodes_full_bottom():
@@ -124,11 +125,11 @@ def test_boundary_mass_positive_definite():
 def test_boundary_hat_integrals():
     m = unit_mesh(4)
     w = mx.boundary_hat_integrals(m)
-    bset = mx.boundary_node_set(m)
-    inner = np.setdiff1d(np.arange(m.n_nodes), bset)
+    ring = m.boundary_edges[:, 0]
+    inner = np.setdiff1d(np.arange(m.n_nodes), ring)
     assert np.all(w[inner] == 0)
     # closed boundary polyline: every boundary hat spans two edges
-    assert np.allclose(w[bset], 0.25)
+    assert np.allclose(w[ring], 0.25)
     assert abs(w.sum() - 4.0) < 1e-14
 
 
