@@ -143,6 +143,16 @@ FIELDS = {
 }
 
 
+def _object_once(pairs):
+    """A JSON object as a dict, failing on a key given twice."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError("key %r given twice" % key)
+        obj[key] = value
+    return obj
+
+
 def load_config(path):
     try:
         with open(path, "r") as f:
@@ -150,7 +160,7 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc))
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object_once)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             "config is not valid JSON (line %d column %d)" % (exc.lineno, exc.colno)

@@ -44,7 +44,8 @@ class CellCountMismatch(HolderLabError):
 
 
 class BasisMismatch(HolderLabError):
-    """Two operators do not share the same boundary basis / Gram."""
+    """Data do not fit the boundary basis: a truncation order above its
+    dimension, entries that form no upper triangle, or a Gram not SPD."""
 
 
 class IndexOutOfRange(HolderLabError):
@@ -52,8 +53,9 @@ class IndexOutOfRange(HolderLabError):
 
 
 class DegenerateSample(HolderLabError):
-    """A sample pair has a zero or infinite distance, so it has no finite
-    ratio or logarithm."""
+    """A sample has no finite ratio or logarithm: a zero or non-finite
+    distance or record value, sample points with coincident logarithms,
+    or an F that underflows below the smallest normal float."""
 
 
 class NotIdentifiable(HolderLabError):
@@ -62,7 +64,8 @@ class NotIdentifiable(HolderLabError):
 
 
 class InsufficientSpread(HolderLabError):
-    """Records span fewer than two decades of delta_F; no fit possible."""
+    """No fit possible: no records, fewer than two with positive
+    distances, or fewer than two decades of delta_F spanned."""
 
 
 class ConfigError(HolderLabError):

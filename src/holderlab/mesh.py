@@ -5,14 +5,12 @@ rectangular cells (the known coefficient partition) and uniformly
 triangulated so that cell boundaries align with mesh lines. One side
 carries a marked measurement patch.
 
-The boundary is a ring of edges in counterclockwise order: the bottom
-side left to right, the right side upward, the top side right to left
-and the left side downward. A point's side coordinates are its depth
-from a side and its arclength fraction along that side in the ring's
-direction (_side_coordinates); the patch is the ring edges whose
-midpoints lie on its side at fractions in [t0, t1]. Each boundary
-integral names the edges it runs over: boundary_mass_matrix the patch
-edges, boundary_hat_integrals the whole ring.
+The boundary is a ring of edges, counterclockwise: bottom left to
+right, right upward, top right to left, left downward. A point's side
+coordinates are its depth from a side and its arclength fraction along
+it in the ring's direction; the patch is the ring edges whose midpoints
+lie on its side at fractions in [t0, t1]. Each boundary integral names
+its edges: the patch mass the patch's, the hat integrals the ring's.
 """
 
 from dataclasses import dataclass
@@ -40,9 +38,7 @@ class PartitionSpec:
 
 @dataclass(frozen=True)
 class PatchSpec:
-    """Measured boundary portion: a sub-interval [t0, t1] of one side,
-    in arclength fractions taken along the counterclockwise traversal
-    of that side."""
+    """Measured boundary portion: arclength fractions [t0, t1] along one side."""
 
     side: str
     t0: float
@@ -70,8 +66,7 @@ class Mesh:
 
 
 def _side_coordinates(points, side):
-    """Depth of each (n, 2) point from the side and its arclength
-    fraction along it, counterclockwise."""
+    """Each (n, 2) point's depth from the side and arclength fraction along it."""
     x, y = points.T
     return {
         "bottom": (y, x),
@@ -151,12 +146,12 @@ def _patch_edges(mesh):
 
 
 def edge_lengths(mesh, edges):
+    """Length of each edge of an (n, 2) array of node pairs."""
     return np.linalg.norm(mesh.nodes[edges[:, 1]] - mesh.nodes[edges[:, 0]], axis=1)
 
 
 def patch_nodes(mesh):
-    """Node indices along the patch in arclength order, endpoints
-    included."""
+    """Node indices along the patch in arclength order, endpoints included."""
     edges = _patch_edges(mesh)
     return np.concatenate([edges[:1, 0], edges[:, 1]])
 
@@ -191,9 +186,6 @@ def patch_last_order(mesh):
 def mesh_to_text(mesh):
     """Plain-text export: one node per line "x y", then one triangle
     per line "i j k label" with zero-based node indices."""
-    lines = []
-    for x, y in mesh.nodes:
-        lines.append("%s %s" % (repr(float(x)), repr(float(y))))
-    for t, lab in zip(mesh.triangles, mesh.labels):
-        lines.append("%d %d %d %d" % (t[0], t[1], t[2], lab))
+    lines = ["%r %r" % (float(x), float(y)) for x, y in mesh.nodes]
+    lines += ["%d %d %d %d" % (*t, lab) for t, lab in zip(mesh.triangles, mesh.labels)]
     return "\n".join(lines) + "\n"

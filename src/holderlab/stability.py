@@ -480,11 +480,11 @@ def fit_holder(records, n_bins=8, slack=0.1):
 def _slope_samples(ts, fs):
     """Samples (t, F(t)) with centered log-log difference quotients,
     one-sided at the ends, as their local slopes."""
-    lt = np.log(ts)
-    lf = np.log(fs)
+    if len(ts) < 2:
+        raise ValueError("a log-log slope needs at least 2 sample points, got %d" % len(ts))
+    lt, lf = np.log(ts), np.log(fs)
     i = np.arange(len(ts))
-    lo = np.maximum(i - 1, 0)
-    hi = np.minimum(i + 1, len(ts) - 1)
+    lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, len(ts) - 1)
     slopes = (lf[hi] - lf[lo]) / (lt[hi] - lt[lo])
     return [FlatMapSample(float(t), float(f), float(s)) for t, f, s in zip(ts, fs, slopes)]
 

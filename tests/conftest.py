@@ -1,10 +1,7 @@
-import os
-
-# The command line's BLAS setting, one thread per process, made before
-# numpy loads, so the tests' solves run as the commands' do (sweep
-# workers set one thread themselves either way).
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
+# This import must come first: the command line pins BLAS to one thread
+# per process before numpy loads, so the tests' solves run as the
+# commands' do (sweep workers set one thread themselves either way).
+import holderlab.cli  # noqa: F401
 
 import pytest
 

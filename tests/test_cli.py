@@ -127,6 +127,21 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"seed": 1, "seed": 7, "problem": "conductivity", "mesh": {"n_sub": 4}}', "seed"),
+        ('{"problem": "conductivity", "mesh": {"n_sub": 4, "n_sub": 8}}', "n_sub"),
+    ],
+)
+def test_repeated_key_exits_2_naming_it(tmp_path, capsys, text, key):
+    # written as text: a dict cannot hold the repeat
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    assert "key %r given twice" % key in capsys.readouterr().err
+
+
 def test_bad_field_exits_2_and_names_field(tmp_path, capsys):
     path = write_config(tmp_path, {"recovered_cells": [1, 3]})
     assert main(["validate", str(path)]) == 2

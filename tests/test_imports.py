@@ -11,6 +11,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
+PYPROJECT = ROOT / "pyproject.toml"
 LOCAL = {"holderlab", "helpers", "conftest"}
 
 
@@ -19,6 +20,19 @@ def installed_by_workflow():
     line = re.search(r"pip install ([^\n]+)", WORKFLOW.read_text())
     assert line, "no pip install line in %s" % WORKFLOW
     return {re.split(r"[<>=\[]", word)[0] for word in line.group(1).split() if word[0] != "-"}
+
+
+def declared_by_pyproject():
+    """Package names in pyproject.toml's dependencies and its test
+    extra, read with a regex: Python 3.10 has no tomllib."""
+    text = PYPROJECT.read_text()
+    names = set()
+    for key in ("dependencies", "test"):
+        block = re.search(r"^%s = \[(.*?)\]" % key, text, re.M | re.S)
+        assert block, "no %s list in %s" % (key, PYPROJECT)
+        for req in re.findall(r'"([^"]+)"', block.group(1)):
+            names.add(re.split(r"[<>=~!;\[ ]", req)[0])
+    return names
 
 
 def imported_packages(path):
@@ -41,3 +55,7 @@ def test_tier1_code_imports_only_what_the_workflow_installs():
         if name not in allowed
     ]
     assert not stray, stray
+
+
+def test_workflow_installs_what_pyproject_declares():
+    assert installed_by_workflow() == declared_by_pyproject()

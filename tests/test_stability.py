@@ -833,6 +833,12 @@ def test_flat_map_term_cap_raises(monkeypatch):
         sl.flat_counterexample([0.5])
 
 
+@pytest.mark.parametrize("study", [sl.analytic_control, sl.flat_counterexample])
+def test_single_sample_point_raises(study):
+    with pytest.raises(ValueError, match="at least 2 sample points, got 1"):
+        study([0.5])
+
+
 def test_analytic_control_properties():
     ts = np.array([0.05, 0.1, 0.2, 0.5, 1.0])
     ctl = sl.analytic_control(ts)
