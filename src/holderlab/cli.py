@@ -155,9 +155,9 @@ def _object_once(pairs):
 
 def load_config(path):
     try:
-        with open(path, "r") as f:
+        with open(path, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config file %s: %s" % (path, exc))
     try:
         raw = json.loads(text, object_pairs_hook=_object_once)
@@ -318,13 +318,17 @@ def records_csv(result):
 
 def parse_records_csv(path):
     """Records plus (header tokens, dropped count) from a records CSV."""
+    def malformed(lineno, exc):
+        return ConfigError("records file %s line %d: %s" % (path, lineno, exc))
+
     try:
-        with open(path, "r") as f:
+        with open(path, "r", encoding="utf-8") as f:
             lines = f.read().splitlines()
     except OSError as exc:
         raise ConfigError("cannot read records file %s: %s" % (path, exc))
-    def malformed(lineno, exc):
-        return ConfigError("records file %s line %d: %s" % (path, lineno, exc))
+    except UnicodeDecodeError as exc:  # one read decodes the whole file: exc.object
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise malformed(lineno, "not UTF-8: %s 0x%02x" % (exc.reason, exc.object[exc.start]))
 
     head = {"config": "-", "seed": "-"}
     dropped, dropped_at = 0, None

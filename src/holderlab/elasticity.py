@@ -27,7 +27,7 @@ from .mesh import (
     patch_last_order,
     patch_nodes,
 )
-from .numerics import CellStiffness, symmetrize
+from .numerics import CellStiffness
 from .operators import ForwardProblem
 
 KIND = "elasticity_dn"
@@ -46,7 +46,7 @@ def displacement_basis(mesh):
         raise PatchTooSmall("displacement basis needs an interior patch node")
     entries = np.array([(n, c) for n in pn[1:-1] for c in (0, 1)], dtype=np.intp)
     mass = boundary_mass_matrix(mesh)[1:-1, 1:-1]
-    return entries, symmetrize(np.kron(mass, np.eye(2)))
+    return entries, np.kron(mass, np.eye(2))
 
 
 def _strain_operators(mesh):

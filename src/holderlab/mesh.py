@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPatch, IncompatibleSubdivision
-from .numerics import symmetrize
 
 SIDES = ("bottom", "right", "top", "left")
 
@@ -161,7 +160,7 @@ def boundary_mass_matrix(mesh):
     tridiagonal, with h/3 diagonal and h/6 coupling per patch edge."""
     h = edge_lengths(mesh, _patch_edges(mesh))
     diag = np.append(h, 0.0) / 3.0 + np.insert(h, 0, 0.0) / 3.0
-    return symmetrize(np.diag(diag) + np.diag(h / 6.0, 1) + np.diag(h / 6.0, -1))
+    return np.diag(diag) + np.diag(h / 6.0, 1) + np.diag(h / 6.0, -1)
 
 
 def boundary_hat_integrals(mesh):

@@ -36,11 +36,12 @@ def symmetrize(a):
 
 
 def spectral_norm(m):
-    """Largest absolute eigenvalue of a symmetric matrix."""
+    """Largest absolute eigenvalue of a symmetric matrix, read from its
+    lower triangle."""
     m = np.asarray(m, dtype=float)
     if m.size == 0:
         return 0.0
-    w = np.linalg.eigvalsh(symmetrize(m))
+    w = np.linalg.eigvalsh(m)
     return float(np.max(np.abs(w)))
 
 

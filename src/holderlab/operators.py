@@ -20,8 +20,9 @@ from .numerics import back_solve, factor_spd, spectral_norm, symmetrize
 
 
 def gram_inv_sqrt(gram):
-    """Symmetric inverse square root of an SPD Gram matrix."""
-    w, q = np.linalg.eigh(symmetrize(gram))
+    """Exactly symmetric inverse square root of an SPD Gram matrix, read
+    from its lower triangle."""
+    w, q = np.linalg.eigh(gram)
     if w[0] <= 0:
         raise BasisMismatch("basis Gram is not positive definite")
     return symmetrize((q / np.sqrt(w)) @ q.T)

@@ -26,16 +26,18 @@ the recovered-quantity distance delta_R. A sweep solves each ray's base
 point once for all the ray's steps.
 
 A sweep job is a random pair or a whole ray, named by its index: the
-job samples its own points from (seed, stream, index). With W > 1
-workers, the sweep puts its rows in one anonymous shared mapping and
-forks worker processes that inherit it and the built problem; worker w
-runs jobs w, w + W, w + 2W, ..., so each gets an equal share of the
-pairs and of the rays, writes their rows and returns nothing. In-process
-the same jobs write ordinary arrays. A row's place depends on its job
-alone, so the output does not depend on the worker count. Each worker
-sets its OpenBLAS libraries to one thread as it starts, as the command
-line does for the whole process; otherwise the workers' BLAS thread
-pools would oversubscribe the CPUs.
+job samples its own points from (seed, stream, index). Pair i writes
+row i, and ray r the rows of its steps after all the pairs' rows. The
+jobs are a closure over the sweep's own locals. With W > 1 workers,
+the sweep puts each row array in an anonymous shared mapping of its
+own and forks worker processes that inherit them, the closure and the
+built problem; worker w runs jobs w, w + W, w + 2W, ..., so each gets
+an equal share of the pairs and of the rays, writes their rows and
+returns nothing. In-process the same jobs write ordinary arrays. A
+row's place depends on its job alone, so the output does not depend on
+the worker count. Each worker sets its OpenBLAS libraries to one thread
+as it starts, as the command line does for the whole process; otherwise
+the workers' BLAS thread pools would oversubscribe the CPUs.
 
 The envelope fit estimates (theta, C) so that every record lies below
 log delta_R <= theta * log delta_F + log C + slack.
@@ -155,11 +157,10 @@ def sample_direction(problem, seed, index=0):
     return problem.sample_direction(rng, problem.form.n_cells)
 
 
-def _cell_frobenius(cells_a, cells_b, subset):
-    """Max Frobenius distance between cell matrices over the subset of
-    1-based cell labels; inf, without a warning, where it overflows,
-    which sweep then refuses."""
-    idx = np.array(subset, dtype=int) - 1
+def _cell_frobenius(cells_a, cells_b, idx):
+    """Max Frobenius distance between the cell matrices at the 0-based
+    indices idx; inf, without a warning, where it overflows, which sweep
+    then refuses."""
     diff = cells_a[idx] - cells_b[idx]
     with np.errstate(over="ignore"):
         return float(np.max(np.sqrt(np.sum(diff**2, axis=(1, 2)))))
@@ -171,85 +172,21 @@ def default_ray_steps(n):
     return np.geomspace(1e-6, 1e-1, n)
 
 
-@dataclass(frozen=True)
-class _SweepJobs:
-    """The jobs of one sweep, all they read and the rows they write. Job
-    i < n_pairs is random pair i and writes row i; job n_pairs + r is ray
-    r < n_rays, which solves its base point once for all its steps and
-    writes row n_pairs + r * len(ray_steps) + s for step s. A job samples
-    its own points from (seed, stream, index), so its index is all a
-    worker needs. A row holds measurements and a kept bit; the parent
-    derives the record's kind, t and flags."""
-
-    problem: object
-    spec: CompactSetSpec
-    rq: RecoveredQuantity
-    n_pairs: int
-    n_rays: int
-    ray_steps: np.ndarray
-    seed: int
-    weights: np.ndarray  # probe weights of phi
-    values: np.ndarray  # (rows, 3): delta_R, delta_F and phi of each row
-    kept: np.ndarray  # int8 kept bit per row: 1 where the row holds a record
-    triangles: np.ndarray | None  # (rows, k(k+1)/2): raw differences' upper triangles
-    upper: np.ndarray  # flat indices of a k x k matrix's upper triangle
-
-    def run(self, start, step):
-        """Write the rows of jobs start, start + step, start + 2*step, ...;
-        a dropped record's row keeps its kept bit 0."""
-        for i in range(start, self.n_pairs + self.n_rays, step):
-            self._job(i)
-
-    def _job(self, i):
-        problem, spec, seed = self.problem, self.spec, self.seed
-        if i < self.n_pairs:
-            row = i
-            cells_p = sample_point(problem, spec, seed, _STREAM_RANDOM_P, i)
-            qs = [sample_point(problem, spec, seed, _STREAM_RANDOM_Q, i)]
-        else:
-            r = i - self.n_pairs
-            row = self.n_pairs + r * len(self.ray_steps)
-            cells_p = sample_point(problem, spec, seed, _STREAM_RAY_BASE, r)
-            dp = sample_direction(problem, seed, r)
-            qs = [cells_p + t * dp for t in self.ray_steps]
-        try:
-            m_p = problem.forward(cells_p)
-        except HolderLabError:
-            return
-        for s, cells_q in enumerate(qs):
-            self._record(row + s, cells_p, m_p, cells_q)
-
-    def _record(self, row, cells_p, m_p, cells_q):
-        try:
-            raw = m_p - self.problem.forward(cells_q)
-        except HolderLabError:
-            return
-        d_r = _cell_frobenius(cells_p, cells_q, self.rq.cell_subset)
-        d = whiten(self.problem.whitener, raw)
-        d_f = operator_distance(d)
-        self.values[row] = d_r, d_f, phi(d, self.weights)
-        self.kept[row] = 1
-        if self.triangles is not None:
-            np.take(raw, self.upper, out=self.triangles[row])
-
-
 def _row_arrays(n_rows, n_entries, shared):
     """The zeroed triangle block (n_rows x n_entries floats), values
     (n_rows x 3 floats) and kept bits (n_rows int8) of a sweep: ordinary
-    arrays, or with shared, views of one anonymous shared mapping that
-    workers forked after it write and this process reads."""
+    arrays, or with shared, each in an anonymous shared mapping of its
+    own that workers forked after it write and this process reads."""
     specs = (((n_rows, n_entries), np.float64), ((n_rows, 3), np.float64), ((n_rows,), np.int8))
     if not shared:
         return [np.zeros(shape, dtype) for shape, dtype in specs]
     import mmap  # imported here, like the pool's modules: in-process sweeps map nothing
 
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-    buf = mmap.mmap(-1, max(1, sum(sizes)))
-    arrays, offset = [], 0
-    for (shape, dtype), size in zip(specs, sizes):
-        arrays.append(np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape))
-        offset += size
-    return arrays
+    def mapped(shape, dtype):
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        return np.ndarray(shape, dtype, mmap.mmap(-1, max(1, size)))
+
+    return [mapped(shape, dtype) for shape, dtype in specs]
 
 
 def _worker_count(threads, n_jobs):
@@ -294,33 +231,34 @@ def _pin_blas():
             set_num_threads(1)
 
 
-_worker_jobs = None  # the sweep's jobs inside a worker process
+_worker_run = None  # the sweep's run(start, step) inside a worker process
 
 
-def _install_jobs(jobs):
-    global _worker_jobs
-    _worker_jobs = jobs
+def _install(run):
+    global _worker_run
+    _worker_run = run
     _pin_blas()
 
 
 def _run_share(start, step):
-    _worker_jobs.run(start, step)
+    _worker_run(start, step)
 
 
-def _run_on_workers(jobs, workers):
-    """jobs.run(0, 1) on `workers` processes: worker w runs jobs w,
-    w + workers, ..., writing their rows in place, and returns nothing."""
+def _run_on_workers(run, workers):
+    """run(0, 1) on `workers` processes: worker w calls run(w, workers),
+    writing its rows in place, and returns nothing."""
     # Imported here: they cost the commands that never sweep ~17 ms.
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # fork, so the workers inherit the built problem, the shared rows and
-    # the loaded numpy and scipy instead of importing and building them
-    # again; the executor forks every worker before it starts its own
+    # fork, so the workers inherit run, with the built problem and shared
+    # rows it closes over, and the loaded numpy and scipy instead of
+    # importing and building them again; pickle could not send run at
+    # all. The executor forks every worker before it starts its own
     # thread.
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_install_jobs, initargs=(jobs,)
+        workers, mp_context=context, initializer=_install, initargs=(run,)
     ) as pool:
         for future in [pool.submit(_run_share, w, workers) for w in range(workers)]:
             future.result()
@@ -343,7 +281,11 @@ def sweep(
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Each record whitens its
     difference once with the problem's whitener; delta_F and phi both
-    read the whitened one.
+    read the whitened one. Job i < n_random_pairs is random pair i and
+    writes row i; job n_random_pairs + r is ray r, which solves its base
+    point once and writes row n_random_pairs + r * len(ray_steps) + s
+    for step s. A row holds delta_R, delta_F, phi and a kept bit; the
+    record's kind, t and flags follow from its row.
     `threads` > 1 runs the jobs on up to that many worker processes.
     Records are ordered by pair id regardless of that count; a record
     whose solve fails is dropped and counted, and a failed base solve
@@ -361,15 +303,48 @@ def sweep(
     n_rows = n_random_pairs + n_rays * len(steps)
     workers = _worker_count(threads, n_jobs)
     rows, cols = np.triu_indices(problem.k)
+    upper = rows * problem.k + cols  # flat indices of a k x k matrix's upper triangle
     triangles, values, kept = _row_arrays(n_rows, len(rows) if differences else 0, workers > 1)
-    jobs = _SweepJobs(
-        problem, spec, rq, n_random_pairs, n_rays, steps, seed, probe_weights(k),
-        values, kept, triangles if differences else None, rows * problem.k + cols,
-    )
+    weights = probe_weights(k)
+    recovered = np.array(rq.cell_subset, dtype=int) - 1
+
+    def record(row, cells_p, m_p, cells_q):
+        try:
+            raw = m_p - problem.forward(cells_q)
+        except HolderLabError:
+            return
+        d_r = _cell_frobenius(cells_p, cells_q, recovered)
+        d = whiten(problem.whitener, raw)
+        values[row] = d_r, operator_distance(d), phi(d, weights)
+        kept[row] = 1
+        if differences:
+            np.take(raw, upper, out=triangles[row])
+
+    def run(start, step):
+        """Write the rows of jobs start, start + step, start + 2*step, ...;
+        a dropped record's row keeps its kept bit 0."""
+        for i in range(start, n_jobs, step):
+            if i < n_random_pairs:
+                row = i
+                cells_p = sample_point(problem, spec, seed, _STREAM_RANDOM_P, i)
+                qs = [sample_point(problem, spec, seed, _STREAM_RANDOM_Q, i)]
+            else:
+                r = i - n_random_pairs
+                row = n_random_pairs + r * len(steps)
+                cells_p = sample_point(problem, spec, seed, _STREAM_RAY_BASE, r)
+                dp = sample_direction(problem, seed, r)
+                qs = [cells_p + t * dp for t in steps]
+            try:
+                m_p = problem.forward(cells_p)
+            except HolderLabError:
+                continue
+            for s, cells_q in enumerate(qs):
+                record(row + s, cells_p, m_p, cells_q)
+
     if workers > 1:
-        _run_on_workers(jobs, workers)
+        _run_on_workers(run, workers)
     else:
-        jobs.run(0, 1)
+        run(0, 1)
 
     records = []
     for pair_id, row in enumerate(np.flatnonzero(kept).tolist()):

@@ -1,10 +1,24 @@
 """Small oracles that only the tests use."""
 
+import os
+import pathlib
+
 import numpy as np
 
 from holderlab.errors import NotPositiveDefinite
 from holderlab.numerics import symmetrize
 from holderlab.scalarization import triangle_dim
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env(base=None):
+    """A child interpreter's environment: base (this process's by
+    default) with this checkout's src first on PYTHONPATH, so the child
+    imports holderlab from here, installed or not."""
+    env = dict(os.environ if base is None else base)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def eig_min(m):

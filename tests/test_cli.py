@@ -29,6 +29,8 @@ from holderlab.cli import (
 )
 from holderlab.errors import ConfigError
 
+from helpers import child_env
+
 BASE = {
     "problem": "conductivity",
     "seed": 7,
@@ -125,6 +127,17 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     path.write_text("{ not json")
     assert main(["validate", str(path)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_config_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    """A config in another encoding is a config error naming the file,
+    not a decoding traceback."""
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"problem": "conductivity", "seed": 7, "output_dir": "caf\xe9"}\n')
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot read config file %s: " % path)
 
 
 @pytest.mark.parametrize(
@@ -316,14 +329,20 @@ def test_fit_on_records_without_column_header_exits_1(tmp_path, capsys, text):
         ("# dropped x\n" + COLUMNS + GOOD_ROW, 1),
         (RECORDS_HEAD.replace("dropped 0", "dropped -5") + COLUMNS + GOOD_ROW, 2),
         (RECORDS_HEAD + "# dropped 5\n" + COLUMNS + GOOD_ROW, 3),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,random_random,,0.1,0.01,0.0,,caf\xe9\n", 5),
     ],
-    ids=["non-numeric", "short-row", "dropped-count", "negative-dropped", "second-dropped"],
+    ids=[
+        "non-numeric", "short-row", "dropped-count", "negative-dropped", "second-dropped",
+        "latin-1",
+    ],
 )
 def test_fit_on_malformed_records_exits_2_naming_the_line(tmp_path, capsys, text, line):
-    """A malformed records row is a config error naming the file and the
-    line, and no fit is written."""
+    """A malformed records row, or a byte that is not UTF-8, is a config
+    error naming the file and the line, and no fit is written. The file
+    is written as Latin-1 bytes, which are ASCII but for the last case's
+    0xe9."""
     csv_path = tmp_path / "records.csv"
-    csv_path.write_text(text)
+    csv_path.write_bytes(text.encode("latin-1"))
     out = tmp_path / "fit.json"
     assert main(["fit", str(csv_path), "--out", str(out)]) == 2
     assert "records file %s line %d:" % (csv_path, line) in capsys.readouterr().err
@@ -431,6 +450,7 @@ def test_module_runs_as_script(tmp_path):
     path = write_config(tmp_path)
     proc = subprocess.run(
         [sys.executable, "-m", "holderlab.cli", "validate", str(path)],
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -452,7 +472,7 @@ def test_cli_pins_blas_threads_unless_set():
     def child_sees(extra):
         proc = subprocess.run(
             [sys.executable, "-c", code],
-            env={**env, **extra},
+            env=child_env({**env, **extra}),
             capture_output=True,
             text=True,
         )
@@ -476,7 +496,9 @@ def test_mesh_and_fit_load_no_process_pool(tmp_path):
         "assert main(['mesh', %r]) == 0; assert main(['fit', %r]) == 0; "
         "print([m for m in sys.modules if m.startswith('multiprocessing')])"
     ) % (str(path), str(records))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -536,8 +558,9 @@ def test_stability_imports_neither_problem_module():
     """Only the command line maps a config to a problem class: the
     sweep module reads everything from the built problem it is given."""
     code = "import sys, holderlab.stability; print(' '.join(sys.modules))"
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).parents[1] / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env()
+    )
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "holderlab.stability" in loaded
@@ -589,9 +612,8 @@ def test_readme_library_example_runs():
     root = pathlib.Path(__file__).parents[1]
     readme = (root / "README.md").read_text()
     code = readme.split("```python\n", 1)[1].split("```", 1)[0]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, "-c", code], capture_output=True, text=True, env=child_env(), timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "1"

@@ -17,7 +17,8 @@ from holderlab import conductivity as cd
 from holderlab import elasticity as el
 from holderlab import mesh as mx
 from holderlab.cli import PROBLEMS
-from holderlab.errors import CellCountMismatch, NotPositiveDefinite
+from holderlab.errors import CellCountMismatch, HolderLabError, NotPositiveDefinite
+from holderlab.operators import whiten
 
 from helpers import random_conductivity, random_mandel, symmetric_2x2
 
@@ -426,3 +427,33 @@ def test_derivative_rejects_non_symmetric_direction(kind):
     h = 1e-4
     fd = (problem.forward(p + h * sym) - problem.forward(p - h * sym)) / (2 * h)
     assert np.abs(fd - d).max() <= 1e-6 * np.abs(d).max()
+
+
+def exactly_symmetric(m):
+    return np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_basis_matrices_are_exactly_symmetric(kind):
+    """The patch mass, a problem's Gram and whitener and a whitened
+    forward difference equal their transposes bit for bit, on every
+    side, on whole, centred and off-centre patches and at n_sub 1 to
+    16: eigh and eigvalsh read one triangle of them, so they need no
+    symmetrizing again. Patches without a basis are skipped."""
+    checked = 0
+    for n_sub in range(1, 17):
+        for side in mx.SIDES:
+            for t0, t1 in [(0.0, 1.0), (0.25, 0.75), (0.1, 0.6)]:
+                try:
+                    m = mx.build_mesh(n_sub, mx.PartitionSpec(1, 1), mx.PatchSpec(side, t0, t1))
+                    assert exactly_symmetric(mx.boundary_mass_matrix(m))
+                    problem = PROBLEMS[kind](m)
+                except HolderLabError:
+                    continue
+                p, q = RANDOM_CELLS[kind](2, seed=n_sub)
+                d = whiten(problem.whitener, problem.forward(p[None]) - problem.forward(q[None]))
+                assert exactly_symmetric(problem.gram)
+                assert exactly_symmetric(problem.whitener)
+                assert exactly_symmetric(d)
+                checked += 1
+    assert checked >= 150

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from helpers import child_env
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
@@ -41,6 +43,7 @@ def test_grid_runs_one_tree_twice_with_identical_outputs(tmp_path):
             "--out", str(tmp_path),
         ],
         cwd=tmp_path,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=300,

@@ -2,6 +2,8 @@ import pathlib
 import subprocess
 import sys
 
+from helpers import child_env
+
 PYPROJECT = pathlib.Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 FAILING_PROPERTY = """\
@@ -31,6 +33,7 @@ def test_failing_property_does_not_stop_later_tests(tmp_path):
             "-c", str(PYPROJECT), "--rootdir", str(tmp_path), str(path),
         ],
         cwd=tmp_path,
+        env=child_env(),
         capture_output=True,
         text=True,
         timeout=300,

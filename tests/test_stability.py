@@ -3,9 +3,11 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -27,7 +29,7 @@ from holderlab.numerics import spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
 from holderlab.scalarization import greedy_select, triangle_dim, upper_triangle
 
-from helpers import eig_min, symmetric_from_upper
+from helpers import child_env, eig_min, symmetric_from_upper
 
 
 def bottom_mesh(n_sub, cols=1, rows=1):
@@ -481,6 +483,27 @@ def test_sweep_pool_returns_nothing(monkeypatch):
     assert np.array_equal(res.differences, ref.differences)
 
 
+def test_workers_inherit_the_problem_unpickled(monkeypatch):
+    """The workers get the built problem by fork, not as a pickled copy:
+    a problem holding a lock, which pickle refuses, sweeps on two workers
+    to the records and differences of the in-process sweep."""
+    problem = built("conductivity", n_sub=8, cols=2)
+    problem.lock = threading.Lock()
+    with pytest.raises(TypeError):
+        pickle.dumps(problem)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert sl._worker_count(2, 13) == 2
+    ref, res = (
+        sl.sweep(
+            problem, SPEC, sl.RecoveredQuantity((1, 2)), 10, 3, sl.default_ray_steps(4), 42,
+            threads=threads, differences=True,
+        )
+        for threads in (1, 2)
+    )
+    assert res.records == ref.records
+    assert np.array_equal(res.differences, ref.differences)
+
+
 BLAS_WORKERS = r"""
 import ctypes, json, os, sys
 
@@ -532,8 +555,7 @@ def test_sweep_workers_run_one_blas_thread(tmp_path):
     loaded, whatever the process loaded them with; the process itself
     keeps its own setting."""
     blas_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-    env = {k: v for k, v in os.environ.items() if k not in blas_vars}
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = child_env({k: v for k, v in os.environ.items() if k not in blas_vars})
     log = tmp_path / "workers.jsonl"
     proc = subprocess.run(
         [sys.executable, "-c", BLAS_WORKERS, str(log)],
