@@ -42,7 +42,9 @@ from . import conductivity as cd
 from . import elasticity as el
 from . import mesh as mx
 from . import stability as sl
-from .errors import ConfigError, DegenerateSample, HolderLabError, NotIdentifiable
+from .errors import (
+    ConfigError, DegenerateSample, EmptyPatch, HolderLabError, NotIdentifiable, PatchTooSmall,
+)
 from .scalarization import greedy_select
 
 PROBLEMS = {"conductivity": cd.NDProblem, "elasticity": el.DNProblem}
@@ -248,11 +250,20 @@ def build_mesh_from(cfg):
 
 def build_problem_from(cfg):
     """The forward problem of the config's kind on its mesh, after the
-    checks that need it built; building it costs no solve. probe_k must
-    not exceed the basis dimension k. A map has k(k+1)/2 entries, so
-    when the cells' m parameters outnumber them no data determine every
-    cell, and recovering them all is NotIdentifiable."""
-    problem = PROBLEMS[cfg["problem"]](build_mesh_from(cfg))
+    checks that need it built; building it costs no solve. A patch that
+    holds no basis and a probe_k above the basis dimension k are config
+    errors. A map has k(k+1)/2 entries, so when the cells' m parameters
+    outnumber them no data determine every cell, and recovering them
+    all is NotIdentifiable."""
+    mesh = build_mesh_from(cfg)
+    try:
+        problem = PROBLEMS[cfg["problem"]](mesh)
+    except (EmptyPatch, PatchTooSmall) as exc:
+        m = cfg["mesh"]
+        raise ConfigError(
+            "the %s patch from t0 %r to t1 %r holds no basis at n_sub %d: %s"
+            % (m["side"], m["t0"], m["t1"], m["n_sub"], exc), "mesh.t0",
+        ) from None
     k, form = problem.k, problem.form
     if cfg["probe_k"] is not None and cfg["probe_k"] > k:
         raise ConfigError("must be at most the basis dimension %d" % k, "probe_k")

@@ -32,7 +32,9 @@ class IncompatibleSubdivision(HolderLabError):
 
 
 class EmptyPatch(HolderLabError):
-    """The measured boundary patch contains no mesh edge."""
+    """The measured boundary patch holds no mesh edge, or too few nodes
+    for a current basis. The command line reports it, like
+    PatchTooSmall, as a ConfigError naming mesh.t0."""
 
 
 class PatchTooSmall(HolderLabError):
@@ -48,10 +50,6 @@ class BasisMismatch(HolderLabError):
     dimension, entries that form no upper triangle, or a Gram not SPD."""
 
 
-class IndexOutOfRange(HolderLabError):
-    """A basis index lies outside the operator dimension."""
-
-
 class DegenerateSample(HolderLabError):
     """A sample has no finite ratio or logarithm: a zero or non-finite
     distance or record value, sample points with coincident logarithms,
@@ -59,8 +57,8 @@ class DegenerateSample(HolderLabError):
 
 
 class NotIdentifiable(HolderLabError):
-    """The cells to recover have more parameters than the finite map has
-    entries, so no data determine them all."""
+    """The cells to recover have more parameters than the map's k(k+1)/2
+    triangle entries, so no data determine them all."""
 
 
 class InsufficientSpread(HolderLabError):

@@ -6,11 +6,13 @@ matrices, not operator pairs. The scalarization compresses the whitened
 difference (from operators.whiten) through diagonal probe weights 2^-j
 in the Gram-orthonormalized basis and takes the squared Hilbert-Schmidt
 norm: a single scalar that vanishes exactly when the truncated
-difference does. Finite measurements sample entries of the raw
-difference M_p - M_q, which a sweep keeps as its upper triangle; a
-greedy selector picks a small set of upper-triangle entries whose
-Euclidean distance stays uniformly comparable to the operator distance
-over a sample of differences.
+difference does. A finite measurement samples entries of the raw
+difference M_p - M_q. A sweep keeps that difference as its upper
+triangle, k(k+1)/2 columns in the one layout triangle_indices states,
+so a measurement set is a set of those columns. A greedy selector picks
+a small set of columns whose Euclidean norm stays uniformly comparable
+to the operator distance over a sample of differences, and
+stability.add_finite_distances measures every record on them.
 
 The greedy scores a candidate entry by its worst ratio over the
 samples, a minimum. The same minimum over a few samples, computed with
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatch, DegenerateSample, IndexOutOfRange
+from .errors import BasisMismatch, DegenerateSample
 
 
 def probe_weights(k):
@@ -48,12 +50,19 @@ def phi(d, w):
     return float(np.sum(wd * wd))
 
 
+def triangle_indices(k):
+    """The flat indices of a k x k matrix's upper triangle, diagonal
+    included, in row-major order: the k(k+1)/2 columns in which a sweep
+    keeps a raw operator difference, greedy_select picks and
+    add_finite_distances measures. Column c holds the entry
+    divmod(triangle_indices(k)[c], k)."""
+    rows, cols = np.triu_indices(k)
+    return rows * k + cols
+
+
 def upper_triangle(m):
-    """The upper-triangle entries of a k x k matrix, diagonal included,
-    in row-major order: k(k+1)/2 floats, the form in which a sweep keeps
-    a raw operator difference and the order of greedy_select's
-    candidates."""
-    return m[np.triu_indices(len(m))]
+    """The k(k+1)/2 triangle columns of a k x k matrix."""
+    return np.take(m, triangle_indices(len(m)))
 
 
 def triangle_dim(n_entries):
@@ -64,45 +73,10 @@ def triangle_dim(n_entries):
     return k
 
 
-@dataclass(frozen=True)
-class FiniteMap:
-    """Duplicate-free index pairs (i, j) into a basis of dimension dim:
-    the entries a finite measurement samples."""
-
-    pairs: tuple
-    dim: int
-
-    def __post_init__(self):
-        if len(set(self.pairs)) != len(self.pairs):
-            raise ValueError("measurement set contains duplicate pairs")
-        for i, j in self.pairs:
-            if not (0 <= i < self.dim and 0 <= j < self.dim):
-                raise IndexOutOfRange(
-                    "pair (%d, %d) outside dimension %d" % (i, j, self.dim)
-                )
-
-    def evaluate(self, upper):
-        """The measured entries, in set order, of a symmetric matrix
-        given as its upper_triangle; a pair (i, j) below the diagonal
-        reads the entry (j, i)."""
-        if len(upper) != self.dim * (self.dim + 1) // 2:
-            raise BasisMismatch(
-                "%d entries are no upper triangle of dimension %d" % (len(upper), self.dim)
-            )
-        i, j = np.array(self.pairs, dtype=int).reshape(-1, 2).T
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        return upper[lo * (2 * self.dim - lo - 1) // 2 + hi]
-
-
-def finite_distance(fm, upper):
-    """Euclidean norm of the measured entries of a raw operator
-    difference M_p - M_q given as its upper_triangle."""
-    return float(np.linalg.norm(fm.evaluate(upper)))
-
-
 @dataclass
 class SelectionResult:
     mset: tuple  # the picked (i, j) pairs, in pick order
+    columns: tuple  # their triangle columns, in the same order
     achieved_ratio: float
     # False where the search stopped below target_ratio: max_size
     # entries were picked, or every candidate was
@@ -126,13 +100,14 @@ def _scores(values, ssq, dists):
 
 
 def greedy_select(diffs, dists, target_ratio, max_size=None):
-    """Grow a set of upper-triangle entries (symmetry makes the lower
-    triangle redundant) greedily until the worst-case ratio
-    finite_distance/operator_distance over the samples reaches
+    """Grow a set of triangle columns (symmetry makes the lower
+    triangle redundant) greedily until the worst-case ratio of their
+    Euclidean norm to the operator distance over the samples reaches
     target_ratio. Sample s is the upper_triangle diffs[s] of a raw
     difference, with the operator distance dists[s] (a record's
     delta_F); diffs may be one (samples x entries) float array, which
-    is read in place.
+    is read in place. The result names the picks both as columns and
+    as (i, j) pairs.
 
     Each step adds the entry j maximizing the score
     min_s sqrt(ssq_s + d_s[j]^2) / dists[s], where ssq_s is sample s's
@@ -162,7 +137,7 @@ def greedy_select(diffs, dists, target_ratio, max_size=None):
     if entries.ndim != 2:
         raise BasisMismatch("samples of shape %s are no upper triangles" % (entries.shape,))
     n, m = entries.shape
-    rows, cols = np.triu_indices(triangle_dim(m))
+    k = triangle_dim(m)
     size = m if max_size is None else min(max_size, m)
     ssq = np.zeros(n)
     ratios = np.zeros(n)  # sqrt(ssq) / dists
@@ -184,10 +159,11 @@ def greedy_select(diffs, dists, target_ratio, max_size=None):
             if scores[j] > best or (scores[j] == best and block[j] < pick):
                 pick, best = int(block[j]), scores[j]
         taken[pick] = True
-        chosen.append((int(rows[pick]), int(cols[pick])))
+        chosen.append(pick)
         ssq += np.square(entries[:, pick])
         ratios = np.sqrt(ssq) / dists
         ratio = float(np.min(ratios))
         if ratio >= target_ratio:
-            return SelectionResult(tuple(chosen), ratio, True)
-    return SelectionResult(tuple(chosen), ratio, False)
+            break
+    pairs = tuple(divmod(int(f), k) for f in triangle_indices(k)[chosen])
+    return SelectionResult(pairs, tuple(chosen), ratio, ratio >= target_ratio)

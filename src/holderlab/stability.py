@@ -15,15 +15,16 @@ whitener, it gives the operator distance delta_F and the scalarization
 value phi. A sweep gives every record it may make one row, fixed by
 its job and step, and the job that makes the record writes its
 measurements and a kept bit into that row in place; a sweep asked for
-its differences also writes the raw difference's upper triangle into
-the row of one (rows x k(k+1)/2) block, where add_finite_distances and
-the greedy selection read it. Any other sweep keeps no difference beyond
-the record that made it. One pass over the kept rows then makes the
-records, deriving kind and t from the row's index and flags from its
-measurements, and moves the kept triangles up in place, so the result's
-differences are one array with one row per record. A record also holds
-the recovered-quantity distance delta_R. A sweep solves each ray's base
-point once for all the ray's steps.
+its differences also writes the raw difference's triangle columns
+(scalarization.triangle_indices) into the row of one (rows x k(k+1)/2)
+block, where add_finite_distances and the greedy selection read them.
+Any other sweep keeps no difference beyond the record that made it. One
+pass over the kept rows then makes the records, deriving kind and t
+from the row's index and flags from its measurements, and moves the
+kept triangles up in place, so the result's differences are one array
+with one row per record. A record also holds the recovered-quantity
+distance delta_R. A sweep solves each ray's base point once for all the
+ray's steps.
 
 A sweep job is a random pair or a whole ray, named by its index: the
 job samples its own points from (seed, stream, index). Pair i writes
@@ -57,7 +58,7 @@ from .errors import (
     ToleranceNotReached,
 )
 from .operators import operator_distance, whiten
-from .scalarization import finite_distance, phi, probe_weights
+from .scalarization import phi, probe_weights, triangle_indices
 
 # rng stream tags so every sampled object is a pure function of
 # (seed, stream, index)
@@ -284,8 +285,9 @@ def sweep(
     read the whitened one. Job i < n_random_pairs is random pair i and
     writes row i; job n_random_pairs + r is ray r, which solves its base
     point once and writes row n_random_pairs + r * len(ray_steps) + s
-    for step s. A row holds delta_R, delta_F, phi and a kept bit; the
-    record's kind, t and flags follow from its row.
+    for step s; without steps there is no ray job, so no base point is
+    sampled or solved. A row holds delta_R, delta_F, phi and a kept bit;
+    the record's kind, t and flags follow from its row.
     `threads` > 1 runs the jobs on up to that many worker processes.
     Records are ordered by pair id regardless of that count; a record
     whose solve fails is dropped and counted, and a failed base solve
@@ -299,12 +301,11 @@ def sweep(
     if k > problem.k:
         raise BasisMismatch("truncation order %d exceeds basis dimension %d" % (k, problem.k))
     steps = np.asarray(ray_steps, dtype=float)
-    n_jobs = n_random_pairs + n_rays
+    n_jobs = n_random_pairs + (n_rays if len(steps) else 0)
     n_rows = n_random_pairs + n_rays * len(steps)
     workers = _worker_count(threads, n_jobs)
-    rows, cols = np.triu_indices(problem.k)
-    upper = rows * problem.k + cols  # flat indices of a k x k matrix's upper triangle
-    triangles, values, kept = _row_arrays(n_rows, len(rows) if differences else 0, workers > 1)
+    upper = triangle_indices(problem.k)
+    triangles, values, kept = _row_arrays(n_rows, len(upper) if differences else 0, workers > 1)
     weights = probe_weights(k)
     recovered = np.array(rq.cell_subset, dtype=int) - 1
 
@@ -366,15 +367,21 @@ def sweep(
     return SweepResult(records, n_rows - len(records), diffs)
 
 
-def add_finite_distances(result, fm):
-    """Copy of the sweep result with delta_finite filled from the
-    records' raw differences (their upper triangles); a result of a
-    sweep that kept none is a ValueError."""
+def add_finite_distances(result, columns):
+    """Copy of the sweep result whose delta_finite is the Euclidean norm
+    of each record's raw difference at the given triangle columns (a
+    selection's columns, say). A column repeated or outside the
+    triangle is a ValueError, as is a result of a sweep that kept no
+    differences."""
     if result.differences is None:
         raise ValueError("the sweep kept no differences: sweep with differences=True")
+    columns = np.asarray(columns, dtype=np.intp)
+    n = result.differences.shape[1]
+    if len(np.unique(columns)) != len(columns) or not np.all((0 <= columns) & (columns < n)):
+        raise ValueError("columns must be distinct and in [0, %d)" % n)
+    finite = np.linalg.norm(result.differences[:, columns], axis=1)
     return replace(result, records=[
-        replace(rec, delta_finite=finite_distance(fm, d))
-        for rec, d in zip(result.records, result.differences)
+        replace(rec, delta_finite=f) for rec, f in zip(result.records, finite.tolist())
     ])
 
 

@@ -19,7 +19,7 @@ from holderlab.cli import main
 from holderlab.mesh import PartitionSpec, PatchSpec, build_mesh
 from holderlab.numerics import spectral_norm
 from holderlab.operators import operator_distance, whiten
-from holderlab.scalarization import FiniteMap, greedy_select, phi, probe_weights, triangle_dim
+from holderlab.scalarization import greedy_select, phi, probe_weights, triangle_dim
 
 from helpers import eig_min
 
@@ -224,8 +224,7 @@ def test_criterion_8_finite_measurements(conductivity_sweep):
     selection = greedy_select(diffs, dists, 0.5, cap)
     assert selection.reached
     assert len(selection.mset) <= cap
-    fm = FiniteMap(selection.mset, k)
-    with_finite = sl.add_finite_distances(result, fm)
+    with_finite = sl.add_finite_distances(result, selection.columns)
     finite_records = [replace(r, delta_F=r.delta_finite) for r in with_finite.records]
     theta_finite = sl.fit_holder(finite_records).theta
     assert theta_finite >= 0.8 * theta_full

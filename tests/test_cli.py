@@ -554,6 +554,32 @@ def test_non_identifiable_config_exits_1_before_any_solve(tmp_path, capsys, monk
     assert main([command, str(path)]) == 0
 
 
+NO_BASIS_PATCHES = [
+    ("conductivity", 0.13, 0.2, "no boundary edge lies on the patch"),
+    ("elasticity", 0.0, 0.3, "displacement basis needs an interior patch node"),
+]
+
+
+@pytest.mark.parametrize("command", PROBLEM_COMMANDS)
+@pytest.mark.parametrize("problem, t0, t1, why", NO_BASIS_PATCHES)
+def test_patch_without_basis_exits_2(tmp_path, capsys, command, problem, t0, t1, why):
+    """At n_sub 4 a patch over [0.13, 0.2] holds no edge, and one over
+    [0, 0.3] no interior node: a config error naming mesh.t0, the side,
+    t0, t1 and n_sub, with no output written. `mesh` builds no basis
+    and still writes its file."""
+    mesh = {"n_sub": 4, "grid_cols": 2, "grid_rows": 1, "t0": t0, "t1": t1}
+    path = write_config(tmp_path, {"problem": problem, "mesh": mesh})
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error (field mesh.t0): the bottom patch from t0 %r to t1 %r holds no basis "
+        "at n_sub 4: %s\n" % (t0, t1, why)
+    )
+    assert not (tmp_path / "out").exists()
+    assert main(["mesh", str(path)]) == 0
+
+
 def test_stability_imports_neither_problem_module():
     """Only the command line maps a config to a problem class: the
     sweep module reads everything from the built problem it is given."""

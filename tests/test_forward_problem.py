@@ -16,9 +16,10 @@ import pytest
 from holderlab import conductivity as cd
 from holderlab import elasticity as el
 from holderlab import mesh as mx
+from holderlab import stability as sl
 from holderlab.cli import PROBLEMS
 from holderlab.errors import CellCountMismatch, HolderLabError, NotPositiveDefinite
-from holderlab.operators import whiten
+from holderlab.operators import operator_distance, whiten
 
 from helpers import random_conductivity, random_mandel, symmetric_2x2
 
@@ -427,6 +428,41 @@ def test_derivative_rejects_non_symmetric_direction(kind):
     h = 1e-4
     fd = (problem.forward(p + h * sym) - problem.forward(p - h * sym)) / (2 * h)
     assert np.abs(fd - d).max() <= 1e-6 * np.abs(d).max()
+
+
+# Rounding allowance of the sandwich, in units of u times the gap's scale.
+SANDWICH_ULPS = 16
+
+
+@pytest.mark.parametrize("n_sub", [4, 8, 16])
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_monotonicity_sandwich(kind, n_sub):
+    """The monotonicity inequalities of both maps: with the energy form
+    E(c) = degree * DF(p)[c],
+
+        E(p - p q^-1 p) <= degree * (F(q) - F(p)) <= E(q - p)
+
+    in the Loewner order, cell by cell matrix products, for 10 sampled
+    pairs on 2x2 cells. Each gap, whitened, has no eigenvalue below
+    -SANDWICH_ULPS * u times the whitened difference's spectral norm; a
+    derivative of the wrong sign breaks the upper bound by that norm."""
+    m = mx.build_mesh(n_sub, mx.PartitionSpec(2, 2), mx.PatchSpec("bottom", 0.0, 1.0))
+    problem = PROBLEMS[kind](m)
+    spec = sl.CompactSetSpec(0.5, 2.0)
+    u = np.finfo(float).eps
+    for i in range(10):
+        p = sl.sample_point(problem, spec, 11, 1, i)
+        q = sl.sample_point(problem, spec, 11, 2, i)
+        pqp = p @ np.linalg.solve(q, p)
+        pqp = 0.5 * (pqp + pqp.transpose(0, 2, 1))  # exactly symmetric, as a direction must be
+
+        def energy(c):
+            return problem.degree * problem.derivative(p, c)
+
+        middle = problem.degree * (problem.forward(q) - problem.forward(p))
+        floor = -SANDWICH_ULPS * u * operator_distance(whiten(problem.whitener, middle))
+        for gap in (middle - energy(p - pqp), energy(q - p) - middle):
+            assert np.linalg.eigvalsh(whiten(problem.whitener, gap))[0] >= floor
 
 
 def exactly_symmetric(m):

@@ -1,8 +1,9 @@
 """The code the tier-1 run executes imports only what that run has: the
-standard library, the package and the tests' own modules, and the
-packages tier1.yml installs. A package present on one machine but not
-installed by the workflow (an arbitrary-precision library, say) would
-pass locally and fail there."""
+standard library, the package, the tests' and the benchmark's own
+modules, and the packages tier1.yml installs. The workflow runs
+perfbench/run.py too, so perfbench is scanned with the rest. A package
+present on one machine but not installed by the workflow (an
+arbitrary-precision library, say) would pass locally and fail there."""
 
 import ast
 import pathlib
@@ -12,7 +13,8 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 PYPROJECT = ROOT / "pyproject.toml"
-LOCAL = {"holderlab", "helpers", "conftest"}
+# the package, the tests' modules and perfbench's, which imports its siblings by name
+LOCAL = {"holderlab", "helpers", "conftest", "run", "traced"}
 
 
 def installed_by_workflow():
@@ -49,7 +51,7 @@ def test_tier1_code_imports_only_what_the_workflow_installs():
     allowed = set(sys.stdlib_module_names) | LOCAL | installed_by_workflow()
     stray = [
         "%s:%d imports %s" % (path.relative_to(ROOT), line, name)
-        for folder in ("src", "tests", "bench")
+        for folder in ("src", "tests", "bench", "perfbench")
         for path in sorted((ROOT / folder).rglob("*.py"))
         for line, name in imported_packages(path)
         if name not in allowed

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab import scalarization as sc
-from holderlab.errors import BasisMismatch, DegenerateSample, IndexOutOfRange
+from holderlab import stability as sl
+from holderlab.errors import BasisMismatch, DegenerateSample
 from holderlab.numerics import symmetrize
 from holderlab.operators import operator_distance, whiten
 
@@ -123,27 +124,47 @@ def test_matrix_element_conductivity_scaling():
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1e-30)
 
 
+def finite_distances(diffs, columns):
+    """delta_finite of records whose raw differences are diffs, measured
+    at the given triangle columns."""
+    records = [
+        sl.StabilityRecord(i, "random_random", None, 0.0, 0.0, 0.0) for i in range(len(diffs))
+    ]
+    uppers = np.array([sc.upper_triangle(d) for d in diffs])
+    filled = sl.add_finite_distances(sl.SweepResult(records, 0, uppers), columns)
+    return [r.delta_finite for r in filled.records]
+
+
+def test_triangle_indices_are_the_row_major_upper_triangle():
+    for k in range(1, 7):
+        rows, cols = divmod(sc.triangle_indices(k), k)
+        assert np.array_equal((rows, cols), np.triu_indices(k))
+        m = np.arange(k * k, dtype=float).reshape(k, k)
+        assert np.array_equal(sc.upper_triangle(m), m[np.triu_indices(k)])
+
+
 def test_finite_distance_full_grid_is_frobenius():
+    """All k(k+1)/2 columns measure the Frobenius norm of the upper
+    triangle, and nothing of a zero difference."""
     a, b = random_pair(4, seed=5)
-    grid = [(i, j) for i in range(4) for j in range(4)]
-    fm = sc.FiniteMap(tuple(grid), 4)
-    assert abs(
-        sc.finite_distance(fm, sc.upper_triangle(a - b)) - np.linalg.norm(a - b)
-    ) <= 1e-14
-    assert sc.finite_distance(fm, sc.upper_triangle(a - a)) == 0.0
+    full, zero = finite_distances([a - b, a - a], range(10))
+    assert abs(full - np.linalg.norm(np.triu(a - b))) <= 1e-14
+    assert zero == 0.0
 
 
 def test_finite_distance_singleton():
     a, b = random_pair(4, seed=6)
-    fm = sc.FiniteMap(((1, 1),), 4)
-    assert sc.finite_distance(fm, sc.upper_triangle(a - b)) == abs(a[1, 1] - b[1, 1])
+    column = int(np.flatnonzero(sc.triangle_indices(4) == 1 * 4 + 1)[0])  # entry (1, 1)
+    assert finite_distances([a - b], [column]) == [abs(a[1, 1] - b[1, 1])]
 
 
 def test_measurement_set_validation():
-    with pytest.raises(ValueError):
-        sc.FiniteMap(((0, 0), (0, 0)), 3)
-    with pytest.raises(IndexOutOfRange):
-        sc.FiniteMap(((0, 5),), 3)
+    """A repeated column or one outside the triangle of k(k+1)/2 = 6
+    entries is a ValueError, not a measurement of the wrong entries."""
+    a, b = random_pair(3, seed=7)
+    for columns in ([0, 0], [0, 6], [-1]):
+        with pytest.raises(ValueError, match="distinct"):
+            finite_distances([a - b], columns)
 
 
 def test_greedy_single_separating_entry():
@@ -247,7 +268,8 @@ def test_greedy_matches_reference_with_exact_ties(seed):
     every step's scores; the picks, their order and the ratio match the
     reference bit for bit, with fewer samples (5) than the 21 candidates
     and with more (30), and where max_size stops the search one pick
-    before the last candidate."""
+    before the last candidate. The columns are the pairs' places in the
+    row-major triangle."""
     dim = 6
     cands = upper_pairs(dim)
     for n in (5, 30):
@@ -263,6 +285,7 @@ def test_greedy_matches_reference_with_exact_ties(seed):
             got = sc.greedy_select([sc.upper_triangle(d) for d in diffs], dists, target, max_size)
             want = reference_greedy(list(diffs), dists, cands, target, max_size or len(cands))
             assert (list(got.mset), got.achieved_ratio, got.reached) == want
+            assert got.columns == tuple(cands.index(pair) for pair in got.mset)
 
 
 @pytest.mark.parametrize("seed", range(3))

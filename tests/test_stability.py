@@ -27,7 +27,7 @@ from holderlab.errors import (
 )
 from holderlab.numerics import spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
-from holderlab.scalarization import greedy_select, triangle_dim, upper_triangle
+from holderlab.scalarization import greedy_select, triangle_dim, triangle_indices, upper_triangle
 
 from helpers import child_env, eig_min, symmetric_from_upper
 
@@ -273,6 +273,19 @@ def test_sweep_solves_each_ray_base_once(monkeypatch):
         res = small_sweep(threads=threads)
         assert len(res.records) == 10 + 3 * 4
         assert count.value == 2 * 10 + 3 * (4 + 1)
+
+
+def test_rays_without_steps_solve_nothing(monkeypatch):
+    """Rays with no steps make no record and no job: P pairs and 4 such
+    rays take exactly 2P forward solves, in process or on workers."""
+    count, counting = shared_counter()
+    monkeypatch.setattr(cd, "nd_matrix", counting(cd.nd_matrix))
+    problem = built("conductivity", n_sub=8, cols=2)
+    for threads in (1, 3):
+        count.value = 0
+        res = sl.sweep(problem, SPEC, sl.RecoveredQuantity((1,)), 3, 4, [], seed=7, threads=threads)
+        assert (len(res.records), res.dropped) == (3, 0)
+        assert count.value == 2 * 3
 
 
 def recorded_forwards(monkeypatch):
@@ -907,11 +920,9 @@ def test_injectivity_probe_one_cell_sweep():
 
 def test_add_finite_distances_fills_column():
     res = small_sweep(differences=True)
-    from holderlab.scalarization import FiniteMap
-
     k = triangle_dim(len(res.differences[0]))
-    fm = FiniteMap(tuple((i, i) for i in range(k)), k)
-    filled = sl.add_finite_distances(res, fm)
+    diagonal = np.flatnonzero(triangle_indices(k) % (k + 1) == 0)  # the columns of (i, i)
+    filled = sl.add_finite_distances(res, diagonal)
     for rec, d in zip(filled.records, map(symmetric_from_upper, filled.differences)):
         expected = float(np.linalg.norm(np.diag(d)))
         assert abs(rec.delta_finite - expected) <= 1e-14
@@ -920,12 +931,10 @@ def test_add_finite_distances_fills_column():
 def test_add_finite_distances_needs_the_differences():
     """A sweep keeps no differences unless asked to, and filling
     delta_finite from one that kept none is a named ValueError."""
-    from holderlab.scalarization import FiniteMap
-
     res = small_sweep()
     assert res.differences is None
     with pytest.raises(ValueError, match="kept no differences"):
-        sl.add_finite_distances(res, FiniteMap(((0, 0),), 16))
+        sl.add_finite_distances(res, [0])
 
 
 def test_default_sweep_keeps_no_operator_matrix_per_record():
