@@ -42,9 +42,7 @@ from . import conductivity as cd
 from . import elasticity as el
 from . import mesh as mx
 from . import stability as sl
-from .errors import (
-    ConfigError, DegenerateSample, EmptyPatch, HolderLabError, NotIdentifiable, PatchTooSmall,
-)
+from .errors import ConfigError, DegenerateSample, EmptyPatch, HolderLabError, NotIdentifiable
 from .scalarization import greedy_select
 
 PROBLEMS = {"conductivity": cd.NDProblem, "elasticity": el.DNProblem}
@@ -258,7 +256,7 @@ def build_problem_from(cfg):
     mesh = build_mesh_from(cfg)
     try:
         problem = PROBLEMS[cfg["problem"]](mesh)
-    except (EmptyPatch, PatchTooSmall) as exc:
+    except EmptyPatch as exc:
         m = cfg["mesh"]
         raise ConfigError(
             "the %s patch from t0 %r to t1 %r holds no basis at n_sub %d: %s"
@@ -441,6 +439,10 @@ def cmd_derivcheck(cfg, args):
     direction = sl.sample_direction(problem, cfg["seed"], index=0)
     deriv = problem.derivative(cells, direction)
     scale = float(np.abs(deriv).max())
+    if not (0.0 < scale < math.inf):
+        raise DegenerateSample(
+            "the derivative's largest entry is %r: no relative error to check" % scale
+        )
     lines = ["h,rel_err"]
     errs = []
     for h in cfg["derivcheck"]["steps"]:
@@ -492,16 +494,11 @@ def cmd_fit(args):
 
 def cmd_select(cfg, args):
     result = _run_sweep(cfg, args.threads, differences=True)
-    dists = np.array([rec.delta_F for rec in result.records])
-    positive = dists > 0.0
-    if not positive.any():
-        raise HolderLabError("no sample pair with positive operator distance")
-    # the sweep's (records x entries) triangles, read in place unless a
-    # record with delta_F = 0 has to be left out
-    diffs = result.differences if positive.all() else result.differences[positive]
-    del result
     sel = greedy_select(
-        diffs, dists[positive], cfg["select"]["target_ratio"], cfg["select"]["max_size"]
+        result.differences,
+        [rec.delta_F for rec in result.records],
+        cfg["select"]["target_ratio"],
+        cfg["select"]["max_size"],
     )
     lines = [
         "# achieved_ratio %s reached %s size %d"

@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .errors import EmptyPatch
 from .mesh import (
     boundary_hat_integrals,
     boundary_mass_matrix,
@@ -34,8 +33,6 @@ from .mesh import (
 from .numerics import CellStiffness, symmetrize, trailing_solve
 from .operators import ForwardProblem
 
-KIND = "conductivity_nd"
-
 # (N, 3) rows (a11, a22, a12) to (N, 2, 2) symmetric matrices
 _SYMMETRIC = [[0, 2], [2, 1]]
 
@@ -45,10 +42,8 @@ def current_basis(mesh):
     arclength order, coeffs (k, k+1) whose row i is current i, and the
     currents' (k, k) L2 Gram matrix over the patch edges. The loads
     pair them over the whole boundary, where the end nodes' hats reach
-    one edge past the patch."""
+    one edge past the patch. patch_nodes gives at least two nodes."""
     pn = patch_nodes(mesh)
-    if pn.size < 2:
-        raise EmptyPatch("current basis needs at least two patch nodes")
     w = boundary_hat_integrals(mesh)[pn]
     k = pn.size - 1
     coeffs = np.zeros((k, k + 1))
@@ -104,7 +99,7 @@ class NDProblem(ForwardProblem):
     loads (n_free - first, k).
     """
 
-    kind = KIND
+    kind = "conductivity_nd"
     degree = -1  # F(t p) = t^-1 F(p)
 
     def __init__(self, mesh):
@@ -122,12 +117,11 @@ class NDProblem(ForwardProblem):
         self.loads = np.zeros((self.dofs.size - self.first, self.k))
         self.loads[dof[hit] - self.first] = rows[hit]
 
-    @staticmethod
-    def sample_cells(rng, lo, hi, n_cells):
-        """n_cells matrices with eigenvalues drawn uniformly in [lo, hi]
-        and a uniform rotation angle, drawn cell by cell."""
-        rows = np.empty((n_cells, 3))
-        for j in range(n_cells):
+    def sample_cells(self, rng, lo, hi):
+        """One matrix per cell with eigenvalues drawn uniformly in
+        [lo, hi] and a uniform rotation angle, drawn cell by cell."""
+        rows = np.empty((self.form.n_cells, 3))
+        for j in range(self.form.n_cells):
             e = rng.uniform(lo, hi, 2)
             th = rng.uniform(0.0, np.pi)
             c, s = math.cos(th), math.sin(th)
@@ -136,11 +130,10 @@ class NDProblem(ForwardProblem):
             rows[j] = (a[0, 0], a[1, 1], 0.5 * (a[0, 1] + a[1, 0]))
         return rows[:, _SYMMETRIC]
 
-    @staticmethod
-    def sample_direction(rng, n_cells):
-        """Gaussian symmetric matrices with unit Frobenius norm over the
-        whole tuple."""
-        d = rng.standard_normal((n_cells, 3))
+    def sample_direction(self, rng):
+        """Gaussian symmetric matrices, one per cell, with unit Frobenius
+        norm over the whole tuple."""
+        d = rng.standard_normal((self.form.n_cells, 3))
         norm = math.sqrt(float(np.sum(d[:, 0] ** 2 + d[:, 1] ** 2 + 2.0 * d[:, 2] ** 2)))
         return (d / norm)[:, _SYMMETRIC]
 

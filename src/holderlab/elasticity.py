@@ -20,7 +20,7 @@ make each datum's zero extension discrete-harmonic.
 
 import numpy as np
 
-from .errors import PatchTooSmall
+from .errors import EmptyPatch
 from .mesh import (
     boundary_mass_matrix,
     p1_gradients,
@@ -29,8 +29,6 @@ from .mesh import (
 )
 from .numerics import CellStiffness
 from .operators import ForwardProblem
-
-KIND = "elasticity_dn"
 
 ROOT2 = np.sqrt(2.0)
 
@@ -43,7 +41,7 @@ def displacement_basis(mesh):
     basis displacement vanishes outside the open patch."""
     pn = patch_nodes(mesh)
     if pn.size < 3:
-        raise PatchTooSmall("displacement basis needs an interior patch node")
+        raise EmptyPatch("displacement basis needs an interior patch node")
     entries = np.array([(n, c) for n in pn[1:-1] for c in (0, 1)], dtype=np.intp)
     mass = boundary_mass_matrix(mesh)[1:-1, 1:-1]
     return entries, np.kron(mass, np.eye(2))
@@ -89,7 +87,7 @@ class DNProblem(ForwardProblem):
     its band storage.
     """
 
-    kind = KIND
+    kind = "elasticity_dn"
     degree = 1  # F(t p) = t F(p)
 
     def __init__(self, mesh):
@@ -108,12 +106,12 @@ class DNProblem(ForwardProblem):
         self._block = a[keep], b[keep]
         self._in_band = rows - 1 + a[keep] - b[keep], n - k + b[keep]
 
-    @staticmethod
-    def sample_cells(rng, lo, hi, n_cells):
-        """n_cells tensors with eigenvalues drawn uniformly in [lo, hi]
-        and eigenvectors from the QR of a Gaussian matrix."""
+    def sample_cells(self, rng, lo, hi):
+        """One tensor per cell with eigenvalues drawn uniformly in
+        [lo, hi] and eigenvectors from the QR of a Gaussian matrix."""
         # the draws keep the per-cell order; the rotations and products
         # run stacked, which gives the per-cell results bit for bit
+        n_cells = self.form.n_cells
         e = np.empty((n_cells, 3))
         g = np.empty((n_cells, 3, 3))
         for j in range(n_cells):
@@ -124,11 +122,10 @@ class DNProblem(ForwardProblem):
         a = (q * e[:, None, :]) @ q.transpose(0, 2, 1)
         return 0.5 * (a + a.transpose(0, 2, 1))
 
-    @staticmethod
-    def sample_direction(rng, n_cells):
-        """Gaussian symmetric tensors with unit Frobenius norm over the
-        whole tuple."""
-        d = rng.standard_normal((n_cells, 3, 3))
+    def sample_direction(self, rng):
+        """Gaussian symmetric tensors, one per cell, with unit Frobenius
+        norm over the whole tuple."""
+        d = rng.standard_normal((self.form.n_cells, 3, 3))
         d = 0.5 * (d + d.transpose(0, 2, 1))
         return d / float(np.linalg.norm(d))
 

@@ -32,13 +32,9 @@ class IncompatibleSubdivision(HolderLabError):
 
 
 class EmptyPatch(HolderLabError):
-    """The measured boundary patch holds no mesh edge, or too few nodes
-    for a current basis. The command line reports it, like
-    PatchTooSmall, as a ConfigError naming mesh.t0."""
-
-
-class PatchTooSmall(HolderLabError):
-    """The patch has no interior node, so no displacement basis exists."""
+    """The measured boundary patch holds no basis: no mesh edge, so no
+    current basis, or no interior node, so no displacement basis. The
+    command line reports it as a ConfigError naming mesh.t0."""
 
 
 class CellCountMismatch(HolderLabError):
@@ -51,9 +47,11 @@ class BasisMismatch(HolderLabError):
 
 
 class DegenerateSample(HolderLabError):
-    """A sample has no finite ratio or logarithm: a zero or non-finite
-    distance or record value, sample points with coincident logarithms,
-    or an F that underflows below the smallest normal float."""
+    """A sample has no finite ratio or logarithm: a non-finite record
+    value, no sample pair with a positive operator distance to select
+    from, a derivative whose largest entry is zero or not finite,
+    sample points with coincident logarithms, or an F that underflows
+    below the smallest normal float."""
 
 
 class NotIdentifiable(HolderLabError):

@@ -1,7 +1,11 @@
 """Banded SPD solves and small symmetric eigenproblems.
 
-All other modules funnel their linear solves and eigenvalue evaluations
-through this one. Matrices are 64-bit floats throughout. A stiffness
+Every stiffness factorization and solve, and the spectral norm that
+measures operator distances, go through this module; three small dense
+calls stay with their callers: the Gram whitening's eigh
+(operators.gram_inv_sqrt), the cells' definiteness check's eigvalsh
+(ForwardProblem.check_cells) and the fit's lstsq (stability.fit_holder).
+Matrices are 64-bit floats throughout. A stiffness
 matrix is linear in the entries of its symmetric cell matrices, so
 CellStiffness stores it once per mesh as one row of slot values per
 independent entry on a fixed sparsity pattern, summed one such entry
@@ -13,8 +17,8 @@ K = U.T @ U, so a solve holds one band and no copy of it.
 trailing_solve computes U^-T b for a block b that vanishes above its
 last rows with one triangular band solve (tbtrs) over them, and
 back_solve U^-1 [0; W] with one more tbtrs over all rows. pbtrf and
-tbtrs are the only LAPACK routines called. Small dense symmetric
-eigenproblems go through LAPACK's symmetric solver.
+tbtrs are the only banded LAPACK routines called; spectral_norm uses
+LAPACK's dense symmetric eigenvalue solver.
 """
 
 import numpy as np

@@ -105,9 +105,12 @@ def greedy_select(diffs, dists, target_ratio, max_size=None):
     Euclidean norm to the operator distance over the samples reaches
     target_ratio. Sample s is the upper_triangle diffs[s] of a raw
     difference, with the operator distance dists[s] (a record's
-    delta_F); diffs may be one (samples x entries) float array, which
-    is read in place. The result names the picks both as columns and
-    as (i, j) pairs.
+    delta_F). A sample with dists[s] = 0 bounds nothing from below and
+    is left out; with no positive distance there is nothing to select
+    from, a DegenerateSample. diffs may be one (samples x entries)
+    float array, which is read in place where every distance is
+    positive; otherwise the positive rows are gathered once. The
+    result names the picks both as columns and as (i, j) pairs.
 
     Each step adds the entry j maximizing the score
     min_s sqrt(ssq_s + d_s[j]^2) / dists[s], where ssq_s is sample s's
@@ -126,18 +129,19 @@ def greedy_select(diffs, dists, target_ratio, max_size=None):
     and the ratio are those of scoring every candidate on every sample,
     bit for bit. The entries are the one large array the search holds.
     """
-    if len(diffs) == 0:
-        raise ValueError("need at least one sample difference")
     if not (0.0 < target_ratio <= 1.0):
         raise ValueError("target_ratio must lie in (0, 1]")
     dists = np.asarray(dists, dtype=float)
-    if np.any(dists == 0.0):
-        raise DegenerateSample("sample pair with zero operator distance")
+    positive = dists > 0.0
+    if not positive.any():
+        raise DegenerateSample("no sample pair with positive operator distance")
     entries = np.asarray(diffs, dtype=float)
     if entries.ndim != 2:
         raise BasisMismatch("samples of shape %s are no upper triangles" % (entries.shape,))
+    k = triangle_dim(entries.shape[1])
+    if not positive.all():
+        entries, dists = entries[positive], dists[positive]
     n, m = entries.shape
-    k = triangle_dim(m)
     size = m if max_size is None else min(max_size, m)
     ssq = np.zeros(n)
     ratios = np.zeros(n)  # sqrt(ssq) / dists

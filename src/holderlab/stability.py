@@ -147,7 +147,7 @@ def sample_point(problem, spec, seed, stream, index):
     cell of the problem's partition; it depends only on (seed, stream,
     index)."""
     rng = _rng(seed, stream, index)
-    return problem.sample_cells(rng, spec.lambda_lo, spec.lambda_hi, problem.form.n_cells)
+    return problem.sample_cells(rng, spec.lambda_lo, spec.lambda_hi)
 
 
 def sample_direction(problem, seed, index=0):
@@ -155,7 +155,7 @@ def sample_direction(problem, seed, index=0):
     norm over the whole tuple, counter-seeded: ray `index` of a sweep
     walks along it."""
     rng = _rng(seed, _STREAM_RAY_DIR, index)
-    return problem.sample_direction(rng, problem.form.n_cells)
+    return problem.sample_direction(rng)
 
 
 def _cell_frobenius(cells_a, cells_b, idx):

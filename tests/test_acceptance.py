@@ -217,11 +217,9 @@ def test_criterion_7_conductivity_sweep(conductivity_sweep):
 def test_criterion_8_finite_measurements(conductivity_sweep):
     result, _ = conductivity_sweep
     theta_full = sl.fit_holder(result.records).theta
-    kept = [(d, r.delta_F) for d, r in zip(result.differences, result.records) if r.delta_F > 0.0]
-    diffs, dists = zip(*kept)
-    k = triangle_dim(len(diffs[0]))
+    k = triangle_dim(result.differences.shape[1])
     cap = k * (k + 1) // 2
-    selection = greedy_select(diffs, dists, 0.5, cap)
+    selection = greedy_select(result.differences, [r.delta_F for r in result.records], 0.5, cap)
     assert selection.reached
     assert len(selection.mset) <= cap
     with_finite = sl.add_finite_distances(result, selection.columns)

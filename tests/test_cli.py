@@ -408,6 +408,45 @@ def test_select_writes_pairs_within_dim(tmp_path):
     assert all(0 <= i <= j < 8 for i, j in pairs)
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", ["empty_sweep", "one_fixed_matrix"])
+def test_select_without_positive_distance_exits_1(tmp_path, capsys, monkeypatch, case, threads):
+    """With no record at a positive operator distance, an empty sweep
+    or a forward that maps every point to one matrix, there is nothing
+    to select from: select exits 1 naming DegenerateSample, on any
+    worker count, and writes no selection.csv."""
+    from holderlab import conductivity as cd
+
+    if case == "empty_sweep":
+        path = write_config(tmp_path, {"sweep": {"n_random_pairs": 0, "n_rays": 0}})
+    else:
+        path = write_config(tmp_path)
+        problem = PROBLEMS["conductivity"](mx.build_mesh(
+            8, mx.PartitionSpec(2, 1), mx.PatchSpec("bottom", 0.0, 1.0)
+        ))
+        fixed = problem.forward(sl.sample_point(problem, sl.CompactSetSpec(0.5, 2.0), 7, 0, 0))
+        monkeypatch.setattr(cd, "nd_matrix", lambda problem, cells: fixed)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(["select", str(path), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert "DegenerateSample: no sample pair with positive operator distance" in err
+    assert not (tmp_path / "out" / "selection.csv").exists()
+
+
+def test_derivcheck_with_a_vanishing_derivative_exits_1(tmp_path, capsys):
+    """Cells near 1e200 underflow the conductivity map's derivative to
+    exactly 0, which leaves no relative error: derivcheck exits 1
+    naming DegenerateSample, with no warning and no table of nan."""
+    path = write_config(tmp_path, {
+        "mesh": {"n_sub": 4, "grid_cols": 2, "grid_rows": 1},
+        "compact_set": {"lambda_hi": 1e200},
+    })
+    assert main(["derivcheck", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "DegenerateSample: the derivative's largest entry is 0.0" in err
+    assert not (tmp_path / "out" / "derivcheck.csv").exists()
+
+
 def test_counterexample_table_has_both_maps(tmp_path):
     path = write_config(tmp_path, {"counterexample": {"n_points": 5}})
     assert main(["counterexample", str(path)]) == 0

@@ -3,7 +3,7 @@ import pytest
 
 from holderlab import elasticity as el
 from holderlab import mesh as mx
-from holderlab.errors import NotPositiveDefinite, PatchTooSmall
+from holderlab.errors import EmptyPatch, NotPositiveDefinite
 from holderlab.numerics import spectral_norm
 
 from helpers import eig_min, isotropic_tensor, random_mandel
@@ -67,7 +67,7 @@ def test_displacement_basis_excludes_endpoints():
 
 
 def test_displacement_basis_too_small():
-    with pytest.raises(PatchTooSmall):
+    with pytest.raises(EmptyPatch):
         el.displacement_basis(unit_mesh(4, t0=0.0, t1=0.3))
 
 

@@ -179,9 +179,32 @@ def test_greedy_single_separating_entry():
 
 
 def test_greedy_degenerate_sample():
+    """No sample, or only samples at distance 0, leaves nothing to
+    select from; the shape of the samples is not read first."""
     a, _ = random_pair(3, seed=8)
-    with pytest.raises(DegenerateSample):
-        sc.greedy_select(*samples_of([(a, a)]), 0.5, 4)
+    for diffs, dists in (
+        samples_of([(a, a)]), ([], []), (np.empty((0, 6)), []), ([a - a, np.ones(9)], [0.0, 0.0])
+    ):
+        with pytest.raises(DegenerateSample, match="no sample pair with positive operator distance"):
+            sc.greedy_select(diffs, dists, 0.5, 4)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_greedy_leaves_out_zero_distance_samples(where):
+    """Samples at distance 0 bound nothing from below: with any rows
+    at all in their place, first, in the middle or last, the selection
+    is that of the positive samples alone, bit for bit, from lists and
+    from one array alike."""
+    diffs, dists = samples_of([random_pair(4, seed=s) for s in range(6)])
+    zeros = list(np.random.default_rng(3).standard_normal((2, len(diffs[0]))))
+    at = {"first": 0, "middle": 3, "last": len(diffs)}[where]
+    with_zeros = diffs[:at] + zeros + diffs[at:], dists[:at] + [0.0, 0.0] + dists[at:]
+    for target, size in ((1.0, None), (0.5, None), (1.0, 3)):
+        alone = sc.greedy_select(diffs, dists, target, size)
+        for rows in (with_zeros[0], np.array(with_zeros[0])):
+            got = sc.greedy_select(rows, with_zeros[1], target, size)
+            assert (got.mset, got.columns, got.reached) == (alone.mset, alone.columns, alone.reached)
+            assert repr(got.achieved_ratio) == repr(alone.achieved_ratio)
 
 
 def test_greedy_reads_upper_triangles_only():

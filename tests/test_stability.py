@@ -427,10 +427,10 @@ def test_shared_rows_drop_and_compact_alike_at_any_worker_count(monkeypatch):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads, zero):
     """The sweep's differences are one C-contiguous (records x entries)
-    array, and where every record has delta_F > 0, select hands that
-    same buffer to greedy_select, in-process and from the workers'
-    shared rows alike. A record with delta_F = 0 is left out: the greedy
-    gets the other rows and distances, in record order."""
+    array, and select hands that same buffer to greedy_select with
+    every record's delta_F in record order, in-process and from the
+    workers' shared rows alike, also where a record has delta_F = 0:
+    leaving such a record out is the greedy's own rule."""
     from holderlab import cli
 
     seen = {}
@@ -464,13 +464,9 @@ def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads, z
     assert res.differences.ndim == 2 and res.differences.flags.c_contiguous
     assert res.differences.shape[0] == len(res.records) == 10 + 3 * 4
     triangle_dim(res.differences.shape[1])
-    if not zero:
-        assert all(r.delta_F > 0.0 for r in res.records)
-        assert np.shares_memory(seen["diffs"], res.differences)
-    else:
-        keep = [i for i in range(len(res.records)) if i != 1]
-        assert np.array_equal(seen["diffs"], res.differences[keep])
-        assert list(seen["dists"]) == [res.records[i].delta_F for i in keep]
+    assert np.shares_memory(seen["diffs"], res.differences)
+    assert list(seen["dists"]) == [r.delta_F for r in res.records]
+    assert (min(r.delta_F for r in res.records) == 0.0) == zero
 
 
 def test_sweep_pool_returns_nothing(monkeypatch):
