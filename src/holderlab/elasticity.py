@@ -119,8 +119,10 @@ class DNProblem(ForwardProblem):
             g[j] = rng.standard_normal((3, 3))
         q, r = np.linalg.qr(g)
         q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
-        a = (q * e[:, None, :]) @ q.transpose(0, 2, 1)
-        return 0.5 * (a + a.transpose(0, 2, 1))
+        # a tensor that overflows is inf, which check_cells refuses
+        with np.errstate(over="ignore"):
+            a = (q * e[:, None, :]) @ q.transpose(0, 2, 1)
+            return 0.5 * (a + a.transpose(0, 2, 1))
 
     def sample_direction(self, rng):
         """Gaussian symmetric tensors, one per cell, with unit Frobenius

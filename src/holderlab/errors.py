@@ -13,8 +13,8 @@ class HolderLabError(Exception):
 class NotPositiveDefinite(HolderLabError):
     """A matrix expected to be SPD produced a non-positive pivot.
 
-    For assembled systems this signals a coefficient outside the
-    ellipticity cone or a system left singular (no node grounded).
+    For assembled systems: a coefficient outside the ellipticity cone,
+    a singular system (no node grounded) or a stiffness that overflows.
     """
 
 

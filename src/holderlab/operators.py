@@ -94,8 +94,12 @@ class ForwardProblem:
 
     def factor(self, cells):
         """Banded Cholesky factor of K(cells); the cells are checked
-        first."""
-        return factor_spd(self.form.band(self.form.values(self.check_cells(cells))))
+        first, and a K that overflows is a NotPositiveDefinite."""
+        with np.errstate(over="ignore"):
+            values = self.form.values(self.check_cells(cells))
+        if not np.isfinite(values).all():
+            raise NotPositiveDefinite("the stiffness of these cells overflows")
+        return factor_spd(self.form.band(values))
 
     def matrix(self, cells):
         """The map's matrix in the basis, W.T @ W."""

@@ -47,7 +47,8 @@ def phi(d, w):
             "truncation order %d exceeds basis dimension %d" % (k, d.shape[0])
         )
     wd = (w[:, None] * w[None, :]) * d[:k, :k]
-    return float(np.sum(wd * wd))
+    with np.errstate(over="ignore"):
+        return float(np.sum(wd * wd))
 
 
 def triangle_indices(k):

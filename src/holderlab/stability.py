@@ -29,22 +29,26 @@ ray's steps.
 A sweep job is a random pair or a whole ray, named by its index: the
 job samples its own points from (seed, stream, index). Pair i writes
 row i, and ray r the rows of its steps after all the pairs' rows. The
-jobs are a closure over the sweep's own locals. With W > 1 workers,
-the sweep puts each row array in an anonymous shared mapping of its
-own and forks worker processes that inherit them, the closure and the
+jobs are a closure over the sweep's own locals, and each row array sits
+in an anonymous shared mapping of its own. With W > 1 workers, the
+sweep forks W processes that inherit the rows, the closure and the
 built problem; worker w runs jobs w, w + W, w + 2W, ..., so each gets
 an equal share of the pairs and of the rays, writes their rows and
-returns nothing. In-process the same jobs write ordinary arrays. A
-row's place depends on its job alone, so the output does not depend on
-the worker count. Each worker sets its OpenBLAS libraries to one thread
-as it starts, as the command line does for the whole process; otherwise
-the workers' BLAS thread pools would oversubscribe the CPUs.
+sends nothing back. Then the sweep reruns the share of any worker that
+did not exit 0: every job is deterministic, so the rerun rewrites the
+same rows, and a failure seen only in a worker, such as a kill, leaves
+no trace when the rerun succeeds. A row's place depends on its job
+alone, so the output does not depend on the worker count. Each worker
+sets its OpenBLAS libraries to one thread as it starts, as the command
+line does for the whole process; otherwise the workers' BLAS thread
+pools would oversubscribe the CPUs.
 
 The envelope fit estimates (theta, C) so that every record lies below
 log delta_R <= theta * log delta_F + log C + slack.
 """
 
 import math
+import mmap
 import os
 from dataclasses import dataclass, replace
 
@@ -173,15 +177,11 @@ def default_ray_steps(n):
     return np.geomspace(1e-6, 1e-1, n)
 
 
-def _row_arrays(n_rows, n_entries, shared):
+def _row_arrays(n_rows, n_entries):
     """The zeroed triangle block (n_rows x n_entries floats), values
-    (n_rows x 3 floats) and kept bits (n_rows int8) of a sweep: ordinary
-    arrays, or with shared, each in an anonymous shared mapping of its
-    own that workers forked after it write and this process reads."""
+    (n_rows x 3 floats) and kept bits (n_rows int8) of a sweep, each in
+    an anonymous shared mapping that workers forked after it share."""
     specs = (((n_rows, n_entries), np.float64), ((n_rows, 3), np.float64), ((n_rows,), np.int8))
-    if not shared:
-        return [np.zeros(shape, dtype) for shape, dtype in specs]
-    import mmap  # imported here, like the pool's modules: in-process sweeps map nothing
 
     def mapped(shape, dtype):
         size = math.prod(shape) * np.dtype(dtype).itemsize
@@ -232,37 +232,29 @@ def _pin_blas():
             set_num_threads(1)
 
 
-_worker_run = None  # the sweep's run(start, step) inside a worker process
-
-
-def _install(run):
-    global _worker_run
-    _worker_run = run
-    _pin_blas()
-
-
-def _run_share(start, step):
-    _worker_run(start, step)
-
-
 def _run_on_workers(run, workers):
-    """run(0, 1) on `workers` processes: worker w calls run(w, workers),
-    writing its rows in place, and returns nothing."""
-    # Imported here: they cost the commands that never sweep ~17 ms.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    # fork, so the workers inherit run, with the built problem and shared
-    # rows it closes over, and the loaded numpy and scipy instead of
-    # importing and building them again; pickle could not send run at
-    # all. The executor forks every worker before it starts its own
-    # thread.
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(
-        workers, mp_context=context, initializer=_install, initargs=(run,)
-    ) as pool:
-        for future in [pool.submit(_run_share, w, workers) for w in range(workers)]:
-            future.result()
+    """run(0, 1) on `workers` forked processes: worker w pins BLAS, runs
+    run(w, workers) and leaves through os._exit, 0 on success and 1
+    otherwise, so it never returns into its caller's frames or flushes
+    inherited buffers. Once all are reaped, this process reruns the
+    share of each that did not exit 0, raising its error here."""
+    pids = []
+    try:
+        for w in range(workers):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    _pin_blas()
+                    run(w, workers)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+    finally:
+        failed = [w for w, pid in enumerate(pids) if os.waitpid(pid, 0)[1] != 0]
+    for w in failed:
+        run(w, workers)
 
 
 def sweep(
@@ -305,7 +297,7 @@ def sweep(
     n_rows = n_random_pairs + n_rays * len(steps)
     workers = _worker_count(threads, n_jobs)
     upper = triangle_indices(problem.k)
-    triangles, values, kept = _row_arrays(n_rows, len(upper) if differences else 0, workers > 1)
+    triangles, values, kept = _row_arrays(n_rows, len(upper) if differences else 0)
     weights = probe_weights(k)
     recovered = np.array(rq.cell_subset, dtype=int) - 1
 

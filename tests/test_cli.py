@@ -269,6 +269,52 @@ def test_sweep_with_an_overflowing_distance_exits_1_naming_the_record(
     assert not (tmp_path / "out" / "records.csv").exists()
 
 
+def overflow_config(tmp_path, problem, lambda_hi):
+    """3 pairs and 1 ray of 2 steps on n_sub 4, 2x1 cells, seed 7, with
+    cells up to lambda_hi."""
+    return write_config(tmp_path, {
+        "problem": problem,
+        "mesh": {"n_sub": 4, "grid_cols": 2, "grid_rows": 1},
+        "compact_set": {"lambda_hi": lambda_hi},
+        "sweep": {"n_random_pairs": 3, "n_rays": 1, "n_ray_steps": 2},
+    })
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command", ["sweep", "select"])
+def test_overflowing_phi_exits_1_naming_the_record(tmp_path, capsys, command, threads):
+    """Elasticity cells near 1e200 overflow phi: sweep and select name
+    the record whose phi is inf, and stderr holds that line alone, no
+    warning, whether it comes from a worker or this process."""
+    path = overflow_config(tmp_path, "elasticity", 1e200)
+    assert main([command, str(path), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"DegenerateSample: record 0 has a value that is not finite \(.*, phi=inf\)\n", err
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_overflowing_stiffness_is_refused_by_name(tmp_path, capsys, problem, threads):
+    """Cells up to 1.7e308 overflow the stiffness, or the elasticity
+    tensors themselves: forward and derivcheck exit 1 naming
+    NotPositiveDefinite and write nothing, sweep drops every record and
+    select has no positive distance to select from, all without a
+    warning."""
+    path = overflow_config(tmp_path, problem, 1.7e308)
+    for command in ("forward", "derivcheck"):
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err.startswith("NotPositiveDefinite: ")
+    assert not (tmp_path / "out").exists()
+    assert main(["sweep", str(path), "--threads", threads]) == 0
+    assert "sweep: 0 records (5 dropped)" in capsys.readouterr().out
+    assert main(["select", str(path), "--threads", threads]) == 1
+    err = capsys.readouterr().err
+    assert err == "DegenerateSample: no sample pair with positive operator distance\n"
+
+
 RECORDS_HEAD = "# holderlab 0.1.0 config=abc seed=7\n# dropped 0\n"
 COLUMNS = "pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n"
 GOOD_ROW = "1,random_random,,0.1,0.01,0.0,,\n"
@@ -523,18 +569,23 @@ def test_cli_pins_blas_threads_unless_set():
 
 
 def test_mesh_and_fit_load_no_process_pool(tmp_path):
-    """Only a sweep on worker processes imports multiprocessing; a fresh
-    process running mesh and fit never loads it."""
+    """No command loads a process pool: a fresh process running mesh,
+    fit, and sweep and select on two workers never imports
+    multiprocessing or concurrent.futures.process."""
     path = write_config(tmp_path)
     records = tmp_path / "records.csv"
     rows = ["pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags"]
     rows += ["%d,random_random,,%r,%r,0.0,," % (i, 2.0 * df, df) for i, df in enumerate([1e-6, 1e-3, 1e-1])]
     records.write_text("\n".join(rows) + "\n")
     code = (
-        "import sys; from holderlab.cli import main; "
+        "import os, sys; from holderlab.cli import main; "
+        "os.sched_getaffinity = lambda pid: {0, 1}; "
         "assert main(['mesh', %r]) == 0; assert main(['fit', %r]) == 0; "
-        "print([m for m in sys.modules if m.startswith('multiprocessing')])"
-    ) % (str(path), str(records))
+        "assert main(['sweep', %r, '--threads', '2']) == 0; "
+        "assert main(['select', %r, '--threads', '2']) == 0; "
+        "print([m for m in sys.modules "
+        "if m.startswith('multiprocessing') or m == 'concurrent.futures.process'])"
+    ) % (str(path), str(records), str(path), str(path))
     proc = subprocess.run(
         [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
     )

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -258,7 +259,7 @@ def child_pids():
             with open("/proc/self/task/%s/children" % task) as f:
                 pids.update(f.read().split())
         except FileNotFoundError:
-            pass  # a thread, such as a pool's manager, ended after listdir
+            pass  # a thread ended after listdir
     return pids
 
 
@@ -469,24 +470,65 @@ def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads, z
     assert (min(r.delta_F for r in res.records) == 0.0) == zero
 
 
+def reaped_statuses(monkeypatch):
+    """The wait status of every child that os.waitpid reaps from now on,
+    in this process."""
+    statuses = []
+    real = os.waitpid
+
+    def waitpid(pid, options):
+        pid, status = real(pid, options)
+        statuses.append(status)
+        return pid, status
+
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return statuses
+
+
 def test_sweep_pool_returns_nothing(monkeypatch):
-    """The workers write their records into the shared rows: every
-    future of the sweep's pool returns None, and the records are those
+    """The workers write their records into the shared rows and send
+    nothing back: all three are reaped with status 0, this process runs
+    no forward of its own, so reruns no share, and the records are those
     of the in-process sweep."""
-    import concurrent.futures
+    statuses, parent_forwards = reaped_statuses(monkeypatch), []
+    real = cd.nd_matrix
 
-    futures = []
+    def recorded(problem, cells):
+        parent_forwards.append(cells)  # a worker appends to its own copy
+        return real(problem, cells)
 
-    class Recording(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, *args, **kwargs):
-            futures.append(super().submit(*args, **kwargs))
-            return futures[-1]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    monkeypatch.setattr(cd, "nd_matrix", recorded)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     res = small_sweep(threads=3, differences=True)
-    assert len(futures) == 3
-    assert [f.result() for f in futures] == [None] * 3
+    assert statuses == [0] * 3
+    assert parent_forwards == []
+    ref = small_sweep(differences=True)
+    assert res.records == ref.records
+    assert np.array_equal(res.differences, ref.differences)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists children from /proc")
+def test_killed_worker_share_is_rerun(monkeypatch):
+    """A worker killed by a signal on one ray's base point costs a
+    recomputation: this process reruns its share, the records and
+    differences are those of the in-process sweep, and no child is
+    left."""
+    parent = os.getpid()
+    base = sl.sample_point(built("conductivity", n_sub=8, cols=2), SPEC, 42, sl._STREAM_RAY_BASE, 1)
+    real = cd.nd_matrix
+
+    def killing(problem, cells):
+        if os.getpid() != parent and np.array_equal(cells, base):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(problem, cells)
+
+    monkeypatch.setattr(cd, "nd_matrix", killing)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    statuses = reaped_statuses(monkeypatch)
+    before = child_pids()
+    res = small_sweep(threads=2, differences=True)
+    assert child_pids() == before
+    assert statuses[0] == 0 and os.WTERMSIG(statuses[1]) == signal.SIGKILL
     ref = small_sweep(differences=True)
     assert res.records == ref.records
     assert np.array_equal(res.differences, ref.differences)
@@ -954,9 +996,9 @@ def test_default_sweep_keeps_no_operator_matrix_per_record():
 @pytest.fixture(scope="module")
 def elasticity_selection_sweep():
     """select's sweep on elasticity, n_sub 16, 2x2 cells, k = 30: 100
-    pairs and 10 rays of 10 steps, 200 records, with the bytes that
-    tracemalloc sees the result keep. In-process: tracemalloc does not
-    see the shared mapping that a sweep on workers writes."""
+    pairs and 10 rays of 10 steps, 200 records, with the bytes the
+    result keeps: those tracemalloc sees, plus the shared mapping of the
+    triangle block, which it does not see."""
     problem = built("elasticity", n_sub=16, cols=2, rows=2)
     rq = sl.RecoveredQuantity((1,))
     tracemalloc.start()
@@ -966,7 +1008,7 @@ def elasticity_selection_sweep():
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    return problem, res, kept
+    return problem, res, kept + res.differences.base.nbytes
 
 
 def test_sweep_keeps_an_upper_triangle_per_record(elasticity_selection_sweep):
