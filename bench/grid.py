@@ -29,7 +29,8 @@ OpenBLAS threads, read in a child that has imported holderlab.cli, so
 they are the ones the commands run with. The grid is end to end only: it reports no layer
 times. The cells of the full grid that --cells leaves out are listed.
 
-Writes BENCH_<label>.json in --out (default: the current directory).
+Writes BENCH_<label>.json in --out (default: the current directory),
+which it makes, with its parents, before the first run.
 """
 
 import argparse
@@ -240,13 +241,18 @@ def main(argv=None):
     parser.add_argument(
         "--threads", default="1", help="comma-separated --threads of sweep and select (default: 1)"
     )
-    parser.add_argument("--out", default=".", help="directory of the BENCH file")
+    parser.add_argument("--out", default=".", help="directory of the BENCH file, made if missing")
     args = parser.parse_args(argv)
     cells = parse_cells(args.cells)
     commands = parse_commands(args.commands)
     thread_counts = parse_threads(args.threads)
     if args.runs < 1:
         raise SystemExit("--runs must be at least 1")
+    out = Path(args.out)
+    try:  # before the first run, so a bad --out loses none
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit("cannot create --out %s: %s" % (out, exc.strerror))
     full = [(p, n) for p in PROBLEMS for n in GRID_N_SUB]
     with tempfile.TemporaryDirectory(prefix="holderlab-grid-") as work:
         work = Path(work)
@@ -272,7 +278,7 @@ def main(argv=None):
         "platform": {"system": platform.system(), "cpu_count": os.cpu_count()},
         "results": results,
     }
-    path = Path(args.out) / ("BENCH_%s.json" % args.label)
+    path = out / ("BENCH_%s.json" % args.label)
     path.write_text(json.dumps(bench, indent=1) + "\n")
     print("-> %s" % path)
     return 0

@@ -165,6 +165,8 @@ def load_config(path):
         raise ConfigError(
             "config is not valid JSON (line %d column %d)" % (exc.lineno, exc.colno)
         )
+    except (RecursionError, ValueError) as exc:  # nested too deep, or too long an integer
+        raise ConfigError("cannot decode config file %s: %s" % (path, exc)) from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be an object")
     return raw
@@ -320,8 +322,9 @@ def records_csv(result):
     buf.write("# dropped %d\n" % result.dropped)
     buf.write("pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n")
     for r in result.records:
-        row = (r.pair_id, r.kind, r.t, r.delta_R, r.delta_F, r.phi, r.delta_finite)
-        buf.write(",".join(map(_fmt, row)) + "," + ";".join(r.flags) + "\n")
+        row = (r.pair_id, r.kind, r.t, r.delta_R, r.delta_F, r.phi)
+        # no command fills delta_finite; the column stays, empty, so the files keep their header
+        buf.write(",".join(map(_fmt, row)) + ",," + ";".join(r.flags) + "\n")
     return buf.getvalue()
 
 
@@ -368,29 +371,27 @@ def parse_records_csv(path):
     # a field that a short row lacks reads as empty, which fails below
     reader = csv.DictReader(io.StringIO("\n".join(rows)), restval="")
     needed = {"pair_id", "kind", "delta_R", "delta_F"}
-    if not needed.issubset(reader.fieldnames or ()):
-        raise ConfigError(
-            "records file %s lacks columns %s" % (path, sorted(needed))
-        )
     records = []
-    for row in reader:
-        try:
-            records.append(
-                sl.StabilityRecord(
-                    pair_id=int(row["pair_id"]),
-                    kind=row["kind"],
-                    t=float(row["t"]) if row.get("t") else None,
-                    delta_R=float(row["delta_R"]),
-                    delta_F=float(row["delta_F"]),
-                    phi=float(row.get("phi") or 0.0),
-                    delta_finite=(
-                        float(row["delta_finite"]) if row.get("delta_finite") else None
-                    ),
-                    flags=tuple(f for f in (row.get("flags") or "").split(";") if f),
+    try:
+        if not needed.issubset(reader.fieldnames or ()):
+            raise ConfigError("records file %s lacks columns %s" % (path, sorted(needed)))
+        for row in reader:
+            try:
+                records.append(
+                    sl.StabilityRecord(
+                        pair_id=int(row["pair_id"]),
+                        kind=row["kind"],
+                        t=float(row["t"]) if row.get("t") else None,
+                        delta_R=float(row["delta_R"]),
+                        delta_F=float(row["delta_F"]),
+                        phi=float(row.get("phi") or 0.0),
+                        flags=tuple(f for f in (row.get("flags") or "").split(";") if f),
+                    )
                 )
-            )
-        except ValueError as exc:
-            raise malformed(linenos[reader.line_num - 1], exc) from None
+            except ValueError as exc:
+                raise malformed(linenos[reader.line_num - 1], exc) from None
+    except csv.Error as exc:  # line_num counts only the lines before the failing one
+        raise malformed(linenos[reader.line_num], exc) from None
     return records, head, dropped
 
 
@@ -483,7 +484,8 @@ def cmd_sweep(cfg, args):
 
 def cmd_fit(args):
     records, head_tokens, dropped = parse_records_csv(args.records)
-    fit = sl.fit_holder(records, n_bins=args.bins, slack=args.slack)
+    d_r, d_f = [r.delta_R for r in records], [r.delta_F for r in records]
+    fit = sl.fit_holder(d_r, d_f, n_bins=args.bins, slack=args.slack)
     head = header_line(head_tokens["config"], head_tokens["seed"])
     out = args.out or os.path.join(os.path.dirname(args.records) or ".", "fit.json")
     summary = "fit: theta=%s theta_precap=%s records_used=%d" % (

@@ -12,7 +12,8 @@ triangle, k(k+1)/2 columns in the one layout triangle_indices states,
 so a measurement set is a set of those columns. A greedy selector picks
 a small set of columns whose Euclidean norm stays uniformly comparable
 to the operator distance over a sample of differences, and
-stability.add_finite_distances measures every record on them.
+finite_distances measures every record on them: an array that
+stability.fit_holder takes in delta_F's place.
 
 The greedy scores a candidate entry by its worst ratio over the
 samples, a minimum. The same minimum over a few samples, computed with
@@ -55,7 +56,7 @@ def triangle_indices(k):
     """The flat indices of a k x k matrix's upper triangle, diagonal
     included, in row-major order: the k(k+1)/2 columns in which a sweep
     keeps a raw operator difference, greedy_select picks and
-    add_finite_distances measures. Column c holds the entry
+    finite_distances measures. Column c holds the entry
     divmod(triangle_indices(k)[c], k)."""
     rows, cols = np.triu_indices(k)
     return rows * k + cols
@@ -72,6 +73,22 @@ def triangle_dim(n_entries):
     if k * (k + 1) // 2 != n_entries:
         raise BasisMismatch("%d entries are no upper triangle" % n_entries)
     return k
+
+
+def finite_distances(diffs, columns):
+    """The Euclidean norm of each row of diffs, a sweep's block of
+    triangle columns (SweepResult.differences), at the given columns (a
+    selection's columns, say): one finite distance per record. A column
+    repeated or outside the triangle is a ValueError, as is diffs None,
+    the block of a sweep that kept no differences."""
+    if diffs is None:
+        raise ValueError("the sweep kept no differences: sweep with differences=True")
+    diffs = np.asarray(diffs, dtype=float)
+    columns = np.asarray(columns, dtype=np.intp)
+    n = diffs.shape[1]
+    if len(np.unique(columns)) != len(columns) or not np.all((0 <= columns) & (columns < n)):
+        raise ValueError("columns must be distinct and in [0, %d)" % n)
+    return np.linalg.norm(diffs[:, columns], axis=1)
 
 
 @dataclass

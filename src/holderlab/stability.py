@@ -17,7 +17,8 @@ its job and step, and the job that makes the record writes its
 measurements and a kept bit into that row in place; a sweep asked for
 its differences also writes the raw difference's triangle columns
 (scalarization.triangle_indices) into the row of one (rows x k(k+1)/2)
-block, where add_finite_distances and the greedy selection read them.
+block, where scalarization.finite_distances and the greedy selection
+read them.
 Any other sweep keeps no difference beyond the record that made it. One
 pass over the kept rows then makes the records, deriving kind and t
 from the row's index and flags from its measurements, and moves the
@@ -44,13 +45,14 @@ line does for the whole process; otherwise the workers' BLAS thread
 pools would oversubscribe the CPUs.
 
 The envelope fit estimates (theta, C) so that every record lies below
-log delta_R <= theta * log delta_F + log C + slack.
+log delta_R <= theta * log delta_F + log C + slack. It reads two arrays
+of distances, so a finite distance or phi can take delta_F's place.
 """
 
 import math
 import mmap
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +112,6 @@ class StabilityRecord:
     delta_R: float
     delta_F: float
     phi: float
-    delta_finite: float | None = None
     flags: tuple = ()
 
 
@@ -359,64 +360,53 @@ def sweep(
     return SweepResult(records, n_rows - len(records), diffs)
 
 
-def add_finite_distances(result, columns):
-    """Copy of the sweep result whose delta_finite is the Euclidean norm
-    of each record's raw difference at the given triangle columns (a
-    selection's columns, say). A column repeated or outside the
-    triangle is a ValueError, as is a result of a sweep that kept no
-    differences."""
-    if result.differences is None:
-        raise ValueError("the sweep kept no differences: sweep with differences=True")
-    columns = np.asarray(columns, dtype=np.intp)
-    n = result.differences.shape[1]
-    if len(np.unique(columns)) != len(columns) or not np.all((0 <= columns) & (columns < n)):
-        raise ValueError("columns must be distinct and in [0, %d)" % n)
-    finite = np.linalg.norm(result.differences[:, columns], axis=1)
-    return replace(result, records=[
-        replace(rec, delta_finite=f) for rec, f in zip(result.records, finite.tolist())
-    ])
+def _distances(delta_R, delta_F):
+    """delta_R and delta_F as float arrays; a ValueError unless both are 1-d and equally long."""
+    d_r, d_f = np.asarray(delta_R, dtype=float), np.asarray(delta_F, dtype=float)
+    if d_r.ndim != 1 or d_r.shape != d_f.shape:
+        raise ValueError(
+            "need two equally long 1-d sequences of distances, got shapes %s and %s"
+            % (d_r.shape, d_f.shape)
+        )
+    return d_r, d_f
 
 
-def fit_holder(records, n_bins=8, slack=0.1):
-    """Upper-envelope power-law fit of delta_R against delta_F.
+def fit_holder(delta_R, delta_F, n_bins=8, slack=0.1):
+    """Upper-envelope power-law fit of delta_R against delta_F, two
+    equally long sequences holding record i's distances at position i.
 
-    Records are binned by log delta_F; the per-bin maximum of
-    log delta_R anchors a least-squares line whose slope is theta
-    (capped at 1, pre-cap value kept); the intercept is then lifted
-    minimally so every record sits within `slack` log units of the
-    envelope. Records that all have delta_R = 0 give the constant-R
-    fit; no records at all raise InsufficientSpread, and a record with
-    an infinite or NaN distance raises DegenerateSample.
+    Records whose two distances are positive are binned by log delta_F;
+    the per-bin maximum of log delta_R anchors a least-squares line
+    whose slope is theta (capped at 1, pre-cap value kept); the
+    intercept is then lifted minimally so every record sits within
+    `slack` log units of the envelope. Records that all have
+    delta_R = 0 give the constant-R fit; no records at all raise
+    InsufficientSpread, and a record with an infinite or NaN distance
+    raises DegenerateSample naming its position.
     """
     if n_bins < 2:
         raise ValueError("need at least two bins")
     if slack < 0:
         raise ValueError("slack must be nonnegative")
-    records = list(records)
-    if not records:
+    d_r, d_f = _distances(delta_R, delta_F)
+    if not len(d_r):
         raise InsufficientSpread("no records to fit")
-    for r in records:
-        if not (math.isfinite(r.delta_F) and math.isfinite(r.delta_R)):
-            raise DegenerateSample(
-                "record %d has a distance that is not finite (delta_F=%r, delta_R=%r)"
-                % (r.pair_id, r.delta_F, r.delta_R)
-            )
-    if all(r.delta_R == 0.0 for r in records):
-        return HolderFit(
-            theta=1.0,
-            theta_precap=1.0,
-            log_C=float("-inf"),
-            n_bins=n_bins,
-            slack=slack,
-            max_violation=0.0,
-            records_used=0,
-            constant_R=True,
+    bad = np.flatnonzero(~(np.isfinite(d_f) & np.isfinite(d_r)))
+    if bad.size:
+        i = int(bad[0])
+        raise DegenerateSample(
+            "record %d has a distance that is not finite (delta_F=%r, delta_R=%r)"
+            % (i, float(d_f[i]), float(d_r[i]))
         )
-    usable = [r for r in records if r.delta_F > 0.0 and r.delta_R > 0.0]
-    if len(usable) < 2:
+    if np.all(d_r == 0.0):
+        return HolderFit(
+            theta=1.0, theta_precap=1.0, log_C=float("-inf"), n_bins=n_bins, slack=slack,
+            max_violation=0.0, records_used=0, constant_R=True,
+        )
+    usable = (d_f > 0.0) & (d_r > 0.0)
+    if np.count_nonzero(usable) < 2:
         raise InsufficientSpread("need at least two records with positive distances")
-    x = np.log(np.array([r.delta_F for r in usable]))
-    y = np.log(np.array([r.delta_R for r in usable]))
+    x, y = np.log(d_f[usable]), np.log(d_r[usable])
     span = (x.max() - x.min()) / math.log(10.0)
     if span < 2.0:
         raise InsufficientSpread(
@@ -440,14 +430,8 @@ def fit_holder(records, n_bins=8, slack=0.1):
     lift = max(0.0, float(excess.max()) - slack)
     log_c = float(intercept) + lift
     return HolderFit(
-        theta=theta,
-        theta_precap=float(theta_precap),
-        log_C=log_c,
-        n_bins=n_bins,
-        slack=slack,
-        max_violation=float(excess.max()) - lift,
-        records_used=len(usable),
-        constant_R=False,
+        theta=theta, theta_precap=float(theta_precap), log_C=log_c, n_bins=n_bins, slack=slack,
+        max_violation=float(excess.max()) - lift, records_used=len(x),
     )
 
 
@@ -558,25 +542,18 @@ def analytic_control(ts, n_bins=8, slack=0.1):
     keep = p != q
     d_f = np.abs(p[keep] ** 3 - q[keep] ** 3)
     d_r = np.abs(p[keep] - q[keep])
-    records = [
-        StabilityRecord(i, "grid_pair", None, float(r), float(f), 0.0)
-        for i, (r, f) in enumerate(zip(d_r, d_f))
-    ]
-    return AnalyticControl(samples, fit_holder(records, n_bins=n_bins, slack=slack))
+    return AnalyticControl(samples, fit_holder(d_r, d_f, n_bins=n_bins, slack=slack))
 
 
-def injectivity_probe(records, floor):
-    """Records whose recovered-quantity distance clears the floor while
-    the operator distance sits below floor times the data scale; an
-    empty list is a pass for the exact-recovery hypothesis.
+def injectivity_probe(delta_R, delta_F, floor):
+    """Positions of the records whose recovered-quantity distance
+    delta_R[i] clears the floor while the operator distance delta_F[i]
+    sits below floor times the data scale; an empty list is a pass for
+    the exact-recovery hypothesis.
 
     The scale is the largest observed delta_F, or 1 if all operator
     distances vanish.
     """
-    records = list(records)
-    scale = max((r.delta_F for r in records), default=0.0)
-    if scale == 0.0:
-        scale = 1.0
-    return [
-        r for r in records if r.delta_R > floor and r.delta_F < floor * scale
-    ]
+    d_r, d_f = _distances(delta_R, delta_F)
+    scale = float(d_f.max(initial=0.0)) or 1.0
+    return np.flatnonzero((d_r > floor) & (d_f < floor * scale)).tolist()

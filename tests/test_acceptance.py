@@ -7,7 +7,6 @@ implementation.
 
 import json
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,13 @@ from holderlab.cli import main
 from holderlab.mesh import PartitionSpec, PatchSpec, build_mesh
 from holderlab.numerics import spectral_norm
 from holderlab.operators import operator_distance, whiten
-from holderlab.scalarization import greedy_select, phi, probe_weights, triangle_dim
+from holderlab.scalarization import (
+    finite_distances,
+    greedy_select,
+    phi,
+    probe_weights,
+    triangle_dim,
+)
 
 from helpers import eig_min
 
@@ -165,11 +170,8 @@ def test_criterion_4_faithfulness(small_mesh):
 
 def test_criterion_5_fit_calibration():
     start = time.perf_counter()
-    records = [
-        sl.StabilityRecord(i, "random_random", None, float(np.sqrt(df)), float(df), 0.0)
-        for i, df in enumerate(np.geomspace(1e-6, 1e-1, 200))
-    ]
-    exact = sl.fit_holder(records)
+    d_f = np.geomspace(1e-6, 1e-1, 200)
+    exact = sl.fit_holder(np.sqrt(d_f), d_f)
     control = sl.analytic_control(np.geomspace(0.05, 0.5, 11))
     elapsed = time.perf_counter() - start
     assert abs(exact.theta - 0.5) <= 1e-6
@@ -199,11 +201,13 @@ def test_criterion_6_counterexample_discrimination():
 def test_criterion_7_conductivity_sweep(conductivity_sweep):
     result, elapsed = conductivity_sweep
     assert len(result.records) == 200 + 20 * 20
-    assert sl.injectivity_probe(result.records, 1e-8) == []
-    fit = sl.fit_holder(result.records)
+    d_r = [r.delta_R for r in result.records]
+    d_f = [r.delta_F for r in result.records]
+    assert sl.injectivity_probe(d_r, d_f, 1e-8) == []
+    fit = sl.fit_holder(d_r, d_f)
     assert fit.theta > 0.05
-    x = np.log([r.delta_F for r in result.records])
-    y = np.log([r.delta_R for r in result.records])
+    x = np.log(d_f)
+    y = np.log(d_r)
     excess = y - (fit.theta * x + fit.log_C)
     assert excess.max() <= fit.slack + 1e-12
     assert elapsed < 300.0
@@ -216,15 +220,16 @@ def test_criterion_7_conductivity_sweep(conductivity_sweep):
 
 def test_criterion_8_finite_measurements(conductivity_sweep):
     result, _ = conductivity_sweep
-    theta_full = sl.fit_holder(result.records).theta
+    d_r = [r.delta_R for r in result.records]
+    d_f = [r.delta_F for r in result.records]
+    theta_full = sl.fit_holder(d_r, d_f).theta
     k = triangle_dim(result.differences.shape[1])
     cap = k * (k + 1) // 2
-    selection = greedy_select(result.differences, [r.delta_F for r in result.records], 0.5, cap)
+    selection = greedy_select(result.differences, d_f, 0.5, cap)
     assert selection.reached
     assert len(selection.mset) <= cap
-    with_finite = sl.add_finite_distances(result, selection.columns)
-    finite_records = [replace(r, delta_F=r.delta_finite) for r in with_finite.records]
-    theta_finite = sl.fit_holder(finite_records).theta
+    finite = finite_distances(result.differences, selection.columns)
+    theta_finite = sl.fit_holder(d_r, finite).theta
     assert theta_finite >= 0.8 * theta_full
     print(
         "criterion 8 PASS: %d measurements reach ratio %.3f (cap %d), "

@@ -129,6 +129,24 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     assert "line" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [('{"problem": ' + "[" * 100000, "recursion depth"), ('{"seed": %s}' % ("1" * 5000), "4300")],
+    ids=["nested-too-deep", "long-integer"],
+)
+def test_undecodable_json_exits_2_naming_the_file(tmp_path, capsys, text, reason):
+    """JSON nested deeper than the recursion limit, or an integer longer
+    than Python converts, is a config error naming the file and the
+    reason, not a traceback."""
+    path = tmp_path / "undecodable.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: cannot decode config file %s: " % path)
+    assert reason in captured.err
+
+
 def test_config_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
     """A config in another encoding is a config error naming the file,
     not a decoding traceback."""
@@ -318,6 +336,7 @@ def test_overflowing_stiffness_is_refused_by_name(tmp_path, capsys, problem, thr
 RECORDS_HEAD = "# holderlab 0.1.0 config=abc seed=7\n# dropped 0\n"
 COLUMNS = "pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n"
 GOOD_ROW = "1,random_random,,0.1,0.01,0.0,,\n"
+LONG_FIELD = "1" * 200000  # past the csv module's field limit, 131072 characters
 
 
 def power_law_records(n):
@@ -376,15 +395,18 @@ def test_fit_on_records_without_column_header_exits_1(tmp_path, capsys, text):
         (RECORDS_HEAD.replace("dropped 0", "dropped -5") + COLUMNS + GOOD_ROW, 2),
         (RECORDS_HEAD + "# dropped 5\n" + COLUMNS + GOOD_ROW, 3),
         (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,random_random,,0.1,0.01,0.0,,caf\xe9\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "3,random_random,," + LONG_FIELD + ",0.01,0.0,,\n", 5),
+        (RECORDS_HEAD + LONG_FIELD + "\n" + GOOD_ROW, 3),
     ],
     ids=[
         "non-numeric", "short-row", "dropped-count", "negative-dropped", "second-dropped",
-        "latin-1",
+        "latin-1", "oversized-field", "oversized-header",
     ],
 )
 def test_fit_on_malformed_records_exits_2_naming_the_line(tmp_path, capsys, text, line):
-    """A malformed records row, or a byte that is not UTF-8, is a config
-    error naming the file and the line, and no fit is written. The file
+    """A malformed records row, a field longer than the csv module's
+    limit, or a byte that is not UTF-8, is a config error naming the
+    file and the line, and no fit is written. The file
     is written as Latin-1 bytes, which are ASCII but for the last case's
     0xe9."""
     csv_path = tmp_path / "records.csv"
@@ -832,7 +854,6 @@ records = st.lists(
         delta_R=st.floats(allow_nan=False),
         delta_F=st.floats(allow_nan=False),
         phi=st.floats(allow_nan=False),
-        delta_finite=st.none() | st.floats(allow_nan=False),
         flags=st.lists(st.sampled_from(["injectivity_violation", "other"])).map(tuple),
     ),
     max_size=5,

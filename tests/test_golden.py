@@ -1,15 +1,17 @@
-"""Golden check: small pinned sweeps, selections, forward maps and
-derivative checks of both problems against committed outputs, so a
-refactor of the solver stack can show it changes no number beyond
+"""Golden check: small pinned sweeps, fits, selections, forward maps
+and derivative checks of both problems against committed outputs, so
+a refactor of the solver stack can show it changes no number beyond
 rounding.
 
 Each tests/golden/<problem>/ holds the config and the records.csv,
-selection.csv, operator.csv and derivcheck.csv it produced;
+selection.csv, operator.csv and derivcheck.csv it produced, and the
+fit.json of fitting that records.csv;
 tests/golden/conductivity/ also holds the counterexample.csv of the
 flat and cubic maps, which read no problem. Regenerate (only when
 outputs change on purpose) from the repository root with
 
     PYTHONPATH=src python -m holderlab.cli sweep tests/golden/<problem>/config.json
+    PYTHONPATH=src python -m holderlab.cli fit tests/golden/<problem>/records.csv
     PYTHONPATH=src python -m holderlab.cli select tests/golden/<problem>/config.json
     PYTHONPATH=src python -m holderlab.cli forward tests/golden/<problem>/config.json
     PYTHONPATH=src python -m holderlab.cli derivcheck tests/golden/<problem>/config.json
@@ -29,8 +31,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # operators, whose rounding error grows like 1/t.
 RAY_TOL_T = 3e-11
 PAIR_TOL = 1e-10
-# Relative tolerance of a selection's achieved ratio, the benchmark's
-# tolerance on summary numbers.
+# Relative tolerance of a selection's achieved ratio and of a fit's
+# floats, the benchmark's tolerance on summary numbers.
 SUMMARY_TOL = 2e-8
 # Tolerance of a forward-map entry, relative to the largest entry.
 OPERATOR_TOL = 1e-13
@@ -91,6 +93,27 @@ def test_sweep_matches_golden_records(problem, tmp_path):
             assert err <= tol, (w["pair_id"], field, err, tol)
             worst = max(worst, err / tol)
     print("%s golden: %d records, worst shift %.1e of tolerance" % (problem, len(got), worst))
+
+
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_fit_matches_golden_fit(problem, tmp_path):
+    """The fit of the committed records.csv, checked as the benchmark
+    checks a fit: the header line and the integer, boolean and null
+    values exactly, the floats within SUMMARY_TOL."""
+    folder = GOLDEN / problem
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(folder / "records.csv"), "--out", str(out)]) == 0
+
+    want_head, _, want = (folder / "fit.json").read_text().partition("\n")
+    got_head, _, got = out.read_text().partition("\n")
+    want, got = json.loads(want), json.loads(got)
+    assert got_head == want_head  # version, config hash, seed
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert rel_err(got[key], value) <= SUMMARY_TOL, (key, got[key], value)
+        else:
+            assert got[key] == value, key
 
 
 @pytest.mark.parametrize("problem", ["conductivity", "elasticity"])

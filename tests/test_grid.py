@@ -34,13 +34,14 @@ def test_grid_runs_one_tree_twice_with_identical_outputs(tmp_path):
     """bench/grid.py on n_sub 4, the repository given as both trees:
     the BENCH file has every run, the environment read after importing
     holderlab.cli, the cells left out, and outputs that all compare
-    equal."""
+    equal. --out names a directory that does not exist yet."""
+    out = tmp_path / "new" / "dir"
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "bench" / "grid.py"),
             "--before", str(ROOT), "--after", str(ROOT), "--label", "smoke",
             "--cells", "conductivity:4,elasticity:4", "--commands", "sweep,fit,select",
-            "--out", str(tmp_path),
+            "--out", str(out),
         ],
         cwd=tmp_path,
         env=child_env(),
@@ -49,7 +50,7 @@ def test_grid_runs_one_tree_twice_with_identical_outputs(tmp_path):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    bench = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    bench = json.loads((out / "BENCH_smoke.json").read_text())
     assert set(bench) >= {"label", "kind", "setup", "trees", "platform", "results"}
     assert len(bench["setup"]["left_out"]) == 6
     for side in ("before", "after"):

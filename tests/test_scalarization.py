@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from holderlab import conductivity as cd
 from holderlab import mesh as mx
 from holderlab import scalarization as sc
-from holderlab import stability as sl
 from holderlab.errors import BasisMismatch, DegenerateSample
 from holderlab.numerics import symmetrize
 from holderlab.operators import operator_distance, whiten
@@ -124,17 +123,6 @@ def test_matrix_element_conductivity_scaling():
             assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1e-30)
 
 
-def finite_distances(diffs, columns):
-    """delta_finite of records whose raw differences are diffs, measured
-    at the given triangle columns."""
-    records = [
-        sl.StabilityRecord(i, "random_random", None, 0.0, 0.0, 0.0) for i in range(len(diffs))
-    ]
-    uppers = np.array([sc.upper_triangle(d) for d in diffs])
-    filled = sl.add_finite_distances(sl.SweepResult(records, 0, uppers), columns)
-    return [r.delta_finite for r in filled.records]
-
-
 def test_triangle_indices_are_the_row_major_upper_triangle():
     for k in range(1, 7):
         rows, cols = divmod(sc.triangle_indices(k), k)
@@ -147,7 +135,8 @@ def test_finite_distance_full_grid_is_frobenius():
     """All k(k+1)/2 columns measure the Frobenius norm of the upper
     triangle, and nothing of a zero difference."""
     a, b = random_pair(4, seed=5)
-    full, zero = finite_distances([a - b, a - a], range(10))
+    uppers = np.array([sc.upper_triangle(a - b), sc.upper_triangle(a - a)])
+    full, zero = sc.finite_distances(uppers, range(10))
     assert abs(full - np.linalg.norm(np.triu(a - b))) <= 1e-14
     assert zero == 0.0
 
@@ -155,7 +144,8 @@ def test_finite_distance_full_grid_is_frobenius():
 def test_finite_distance_singleton():
     a, b = random_pair(4, seed=6)
     column = int(np.flatnonzero(sc.triangle_indices(4) == 1 * 4 + 1)[0])  # entry (1, 1)
-    assert finite_distances([a - b], [column]) == [abs(a[1, 1] - b[1, 1])]
+    finite = sc.finite_distances([sc.upper_triangle(a - b)], [column])
+    assert finite.tolist() == [abs(a[1, 1] - b[1, 1])]
 
 
 def test_measurement_set_validation():
@@ -164,7 +154,7 @@ def test_measurement_set_validation():
     a, b = random_pair(3, seed=7)
     for columns in ([0, 0], [0, 6], [-1]):
         with pytest.raises(ValueError, match="distinct"):
-            finite_distances([a - b], columns)
+            sc.finite_distances([sc.upper_triangle(a - b)], columns)
 
 
 def test_greedy_single_separating_entry():

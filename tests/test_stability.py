@@ -10,7 +10,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +27,13 @@ from holderlab.errors import (
 )
 from holderlab.numerics import spectral_norm, symmetrize
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
-from holderlab.scalarization import greedy_select, triangle_dim, triangle_indices, upper_triangle
+from holderlab.scalarization import (
+    finite_distances,
+    greedy_select,
+    triangle_dim,
+    triangle_indices,
+    upper_triangle,
+)
 
 from helpers import child_env, eig_min, symmetric_from_upper
 
@@ -63,11 +68,9 @@ def points(problem, spec, count, seed, stream=0):
     return [sl.sample_point(problem, spec, seed, stream, i) for i in range(count)]
 
 
-def synthetic_records(delta_f, delta_r):
-    return [
-        sl.StabilityRecord(i, "random_random", None, float(r), float(f), 0.0)
-        for i, (f, r) in enumerate(zip(delta_f, delta_r))
-    ]
+def distances(result):
+    """The delta_R and delta_F of a sweep's records, as two lists."""
+    return [r.delta_R for r in result.records], [r.delta_F for r in result.records]
 
 
 def test_compact_set_validation():
@@ -728,7 +731,7 @@ def test_one_cell_ray_matches_scaling_oracle():
 def test_fit_exact_power_law():
     rng = np.random.default_rng(0)
     d_f = 10.0 ** rng.uniform(-6.0, -1.0, 400)
-    fit = sl.fit_holder(synthetic_records(d_f, d_f**0.5), n_bins=8, slack=0.1)
+    fit = sl.fit_holder(d_f**0.5, d_f, n_bins=8, slack=0.1)
     assert abs(fit.theta - 0.5) <= 1e-6
     assert abs(math.exp(fit.log_C) - 1.0) <= 1e-6
     assert fit.max_violation <= fit.slack
@@ -737,14 +740,15 @@ def test_fit_exact_power_law():
 def test_fit_caps_theta_at_one():
     rng = np.random.default_rng(1)
     d_f = 10.0 ** rng.uniform(-6.0, -1.0, 300)
-    fit = sl.fit_holder(synthetic_records(d_f, d_f**1.5), n_bins=8, slack=0.1)
+    fit = sl.fit_holder(d_f**1.5, d_f, n_bins=8, slack=0.1)
     assert fit.theta == 1.0
     assert fit.theta_precap > 1.2
 
 
 def test_fit_envelope_invariant():
     res = small_sweep()
-    fit = sl.fit_holder(res.records, n_bins=8, slack=0.1)
+    d_r, d_f = distances(res)
+    fit = sl.fit_holder(d_r, d_f, n_bins=8, slack=0.1)
     for r in res.records:
         if r.delta_F > 0 and r.delta_R > 0:
             assert math.log(r.delta_R) <= (
@@ -757,9 +761,9 @@ def test_fit_scale_awareness():
     rng = np.random.default_rng(2)
     d_f = 10.0 ** rng.uniform(-5.0, -1.0, 200)
     d_r = d_f**0.4 * np.exp(rng.uniform(-0.5, 0.0, 200))
-    base = sl.fit_holder(synthetic_records(d_f, d_r), n_bins=8, slack=0.1)
+    base = sl.fit_holder(d_r, d_f, n_bins=8, slack=0.1)
     s = 7.3
-    scaled = sl.fit_holder(synthetic_records(s * d_f, d_r), n_bins=8, slack=0.1)
+    scaled = sl.fit_holder(d_r, s * d_f, n_bins=8, slack=0.1)
     assert abs(scaled.theta - base.theta) <= 1e-10
     assert abs(scaled.log_C - (base.log_C - base.theta * math.log(s))) <= 1e-10
 
@@ -767,14 +771,25 @@ def test_fit_scale_awareness():
 def test_fit_insufficient_spread():
     d_f = np.full(50, 1e-3)
     with pytest.raises(InsufficientSpread):
-        sl.fit_holder(synthetic_records(d_f, d_f**0.5))
+        sl.fit_holder(d_f**0.5, d_f)
 
 
 def test_fit_no_records_raises():
     """No records is not a constant recovered quantity: only a nonempty
     set whose delta_R all vanish gets the constant-R fit."""
     with pytest.raises(InsufficientSpread):
-        sl.fit_holder([])
+        sl.fit_holder([], [])
+
+
+def test_fit_needs_equally_long_distances():
+    """Record i is (delta_R[i], delta_F[i]): sequences of different
+    lengths, or not 1-d, pair no records and are a ValueError."""
+    d_f = 10.0 ** np.linspace(-6.0, -1.0, 30)
+    for r, f in ((d_f[:-1] ** 0.5, d_f), (d_f[:, None] ** 0.5, d_f[:, None])):
+        with pytest.raises(ValueError, match="equally long 1-d"):
+            sl.fit_holder(r, f)
+        with pytest.raises(ValueError, match="equally long 1-d"):
+            sl.injectivity_probe(r, f, 1e-8)
 
 
 @pytest.mark.parametrize("column", ["delta_F", "delta_R"])
@@ -782,10 +797,10 @@ def test_fit_infinite_distance_raises_naming_the_record(column):
     """An infinite distance has no logarithm to fit: a named error
     naming the record, not a failed least squares."""
     d_f = 10.0 ** np.linspace(-6.0, -1.0, 30)
-    records = synthetic_records(d_f, d_f**0.5)
-    records[17] = replace(records[17], **{column: math.inf})
+    given = {"delta_R": d_f**0.5, "delta_F": d_f}
+    given[column][17] = math.inf
     with pytest.raises(DegenerateSample, match="record 17 "):
-        sl.fit_holder(records)
+        sl.fit_holder(**given)
 
 
 @pytest.mark.parametrize("column", ["delta_F", "delta_R"])
@@ -793,18 +808,18 @@ def test_fit_nan_distance_raises_naming_the_record(column):
     """A NaN distance is not dropped in silence, which would leave the
     fit and records_used as if the record did not exist."""
     d_f = 10.0 ** np.linspace(-6.0, -1.0, 30)
-    records = synthetic_records(d_f, d_f**0.5)
-    records[17] = replace(records[17], **{column: math.nan})
+    given = {"delta_R": d_f**0.5, "delta_F": d_f}
+    given[column][17] = math.nan
     with pytest.raises(DegenerateSample, match="record 17 "):
-        sl.fit_holder(records)
+        sl.fit_holder(**given)
 
 
-def per_bin_loop_fit(records, n_bins, slack):
+def per_bin_loop_fit(delta_r, delta_f, n_bins, slack):
     """fit_holder's fit with its anchors picked by a loop over the bins:
     np.argmax gives each bin's first record of largest log delta_R."""
-    usable = [r for r in records if r.delta_F > 0.0 and r.delta_R > 0.0]
-    x = np.log(np.array([r.delta_F for r in usable]))
-    y = np.log(np.array([r.delta_R for r in usable]))
+    usable = [(r, f) for r, f in zip(delta_r, delta_f) if f > 0.0 and r > 0.0]
+    x = np.log(np.array([f for _, f in usable]))
+    y = np.log(np.array([r for r, _ in usable]))
     idx = np.clip(((x - x.min()) / (x.max() - x.min()) * n_bins).astype(int), 0, n_bins - 1)
     ax, ay = [], []
     for b in range(n_bins):
@@ -837,9 +852,9 @@ def test_fit_anchors_match_a_per_bin_loop_on_ties(n_bins, power):
     rng = np.random.default_rng(n_bins)
     d_f = 10.0 ** rng.uniform(-6.0, -1.0, 300)
     d_r = 10.0 ** np.round(np.log10(d_f**power))  # a few values, tied
-    records = synthetic_records(d_f, d_r)
-    records += synthetic_records(d_f[:100], d_r[:100])  # exact duplicates
-    assert sl.fit_holder(records, n_bins=n_bins) == per_bin_loop_fit(records, n_bins, 0.1)
+    d_f = np.concatenate([d_f, d_f[:100]])  # exact duplicates
+    d_r = np.concatenate([d_r, d_r[:100]])
+    assert sl.fit_holder(d_r, d_f, n_bins=n_bins) == per_bin_loop_fit(d_r, d_f, n_bins, 0.1)
 
 
 def test_fit_with_a_billion_bins_returns():
@@ -847,14 +862,14 @@ def test_fit_with_a_billion_bins_returns():
     10^9 bins would take most of an hour on 600 records."""
     rng = np.random.default_rng(3)
     d_f = 10.0 ** rng.uniform(-6.0, -1.0, 600)
-    fit = sl.fit_holder(synthetic_records(d_f, d_f**0.5), n_bins=10**9)
+    fit = sl.fit_holder(d_f**0.5, d_f, n_bins=10**9)
     assert fit.n_bins == 10**9 and fit.records_used == 600
     assert abs(fit.theta - 0.5) <= 1e-6
 
 
 def test_fit_constant_r_flagged():
     d_f = 10.0 ** np.linspace(-6.0, -1.0, 30)
-    fit = sl.fit_holder(synthetic_records(d_f, np.zeros(30)))
+    fit = sl.fit_holder(np.zeros(30), d_f)
     assert fit.constant_R
     assert fit.theta == 1.0
     assert fit.log_C == float("-inf")
@@ -942,37 +957,38 @@ def test_flat_dominates_analytic_slopes():
 
 
 def test_injectivity_probe():
-    good = synthetic_records([1e-2, 2e-2], [1e-1, 2e-1])
-    assert sl.injectivity_probe(good, 1e-8) == []
-    bad = sl.StabilityRecord(0, "random_random", None, 1.0, 0.0, 0.0)
-    assert sl.injectivity_probe([bad], 1e-8) == [bad]
-    assert sl.injectivity_probe([bad], float("inf")) == []
+    """The probe names the violating records by position."""
+    assert sl.injectivity_probe([1e-1, 2e-1], [1e-2, 2e-2], 1e-8) == []
+    assert sl.injectivity_probe([1e-1, 1.0], [1e-2, 0.0], 1e-8) == [1]
+    assert sl.injectivity_probe([1.0], [0.0], 1e-8) == [0]
+    assert sl.injectivity_probe([1.0], [0.0], float("inf")) == []
 
 
 def test_injectivity_probe_one_cell_sweep():
     rq = sl.RecoveredQuantity((1,))
     res = sl.sweep(built("conductivity", n_sub=8), SPEC, rq, 10, 2, sl.default_ray_steps(4), seed=5)
     assert res.dropped == 0
-    assert sl.injectivity_probe(res.records, 1e-8) == []
+    assert sl.injectivity_probe(*distances(res), 1e-8) == []
 
 
-def test_add_finite_distances_fills_column():
+def test_finite_distances_measure_the_columns():
     res = small_sweep(differences=True)
     k = triangle_dim(len(res.differences[0]))
     diagonal = np.flatnonzero(triangle_indices(k) % (k + 1) == 0)  # the columns of (i, i)
-    filled = sl.add_finite_distances(res, diagonal)
-    for rec, d in zip(filled.records, map(symmetric_from_upper, filled.differences)):
+    finite = finite_distances(res.differences, diagonal)
+    assert len(finite) == len(res.records)
+    for f, d in zip(finite, map(symmetric_from_upper, res.differences)):
         expected = float(np.linalg.norm(np.diag(d)))
-        assert abs(rec.delta_finite - expected) <= 1e-14
+        assert abs(f - expected) <= 1e-14
 
 
-def test_add_finite_distances_needs_the_differences():
-    """A sweep keeps no differences unless asked to, and filling
-    delta_finite from one that kept none is a named ValueError."""
+def test_finite_distances_need_the_differences():
+    """A sweep keeps no differences unless asked to, and measuring
+    finite distances on one that kept none is a named ValueError."""
     res = small_sweep()
     assert res.differences is None
     with pytest.raises(ValueError, match="kept no differences"):
-        sl.add_finite_distances(res, [0])
+        finite_distances(res.differences, [0])
 
 
 def test_default_sweep_keeps_no_operator_matrix_per_record():
