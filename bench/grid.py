@@ -12,6 +12,9 @@ cell (problem, n_sub) runs on 2x1 cells, the full bottom patch, seed
 the BLAS thread variables removed, so the command line pins them as it
 does for a user. The commands of one run go in the order given, in one
 fresh directory, so `fit` reads the `records.csv` its `sweep` wrote.
+Besides the default sweep, select and fit, --commands takes mesh,
+forward, derivcheck and counterexample, which take no --threads, so
+one run can compare every command's output file between two trees.
 Every cell runs at each thread count of --threads, the --threads of
 `sweep` and `select`, and the results are keyed by both, as in
 "elasticity-64-threads-2". Run i of a cell at a thread count starts
@@ -47,8 +50,13 @@ from pathlib import Path
 
 PROBLEMS = ("conductivity", "elasticity")
 GRID_N_SUB = (16, 32, 64)
-COMMANDS = ("sweep", "select", "fit")
-OUTPUTS = {"sweep": "records.csv", "select": "selection.csv", "fit": "fit.json"}
+COMMANDS = ("sweep", "select", "fit")  # the default
+OUTPUTS = {
+    "sweep": "records.csv", "select": "selection.csv", "fit": "fit.json", "mesh": "mesh.txt",
+    "forward": "operator.csv", "derivcheck": "derivcheck.csv",
+    "counterexample": "counterexample.csv",
+}
+THREADED = ("sweep", "select")  # the commands that take --threads
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 SEED = 1729
 
@@ -120,7 +128,7 @@ def config(problem, n_sub):
 def argv_of(command, threads):
     if command == "fit":
         return ["fit", "records.csv"]
-    return [command, "config.json", "--threads", str(threads)]
+    return [command, "config.json"] + (["--threads", str(threads)] if command in THREADED else [])
 
 
 def run_child(argv, cwd, env, log):
@@ -168,9 +176,9 @@ def parse_threads(text):
 
 def parse_commands(text):
     commands = [c.strip() for c in text.split(",")]
-    bad = [c for c in commands if c not in COMMANDS]
+    bad = [c for c in commands if c not in OUTPUTS]
     if bad:
-        raise SystemExit("unknown commands %s: expected some of %s" % (bad, list(COMMANDS)))
+        raise SystemExit("unknown commands %s: expected some of %s" % (bad, list(OUTPUTS)))
     if "fit" in commands and "sweep" not in commands[:commands.index("fit")]:
         raise SystemExit("fit reads the records.csv of a sweep listed before it")
     return commands

@@ -11,18 +11,18 @@ compact_set gives only the ellipticity bounds. Every command but
 `_emit`, writes them all: a comment line recording the tool version,
 the hash of the normalized config and the seed, then the command's
 body, in a file under output_dir (`fit` writes to --out), and then one
-stdout line ending `-> <path>`. Exit codes: 0 success, 1 runtime
-numerical failure (the message names the originating error;
-NotIdentifiable included), 2 config validation failure, an unwritable
-output path (the message names output_dir, or --out for `fit`), a
-probe_k above the basis dimension and a counterexample t_lo where F
-underflows below the smallest normal float included.
+stdout line ending `-> <path>`. records.csv holds the columns of a
+SweepResult, and parse_records_csv is records_csv's inverse. Exit
+codes: 0 success, 1 runtime numerical failure (the message names the
+originating error; NotIdentifiable included), 2 config validation
+failure, an unwritable output path (the message names output_dir, or
+--out for `fit`), a probe_k above the basis dimension and a
+counterexample t_lo where F underflows below the smallest normal float
+included.
 """
 
 import argparse
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -231,14 +231,6 @@ def header_line(cfg_hash, seed):
     return "# holderlab %s config=%s seed=%s" % (__version__, cfg_hash, seed)
 
 
-def _fmt(value):
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def build_mesh_from(cfg):
     m = cfg["mesh"]
     return mx.build_mesh(
@@ -317,19 +309,46 @@ def _emit(cfg, name, body, summary, head=None, out=None):
     return 0
 
 
+COLUMNS = "pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags"
+
+
 def records_csv(result):
-    buf = io.StringIO()
-    buf.write("# dropped %d\n" % result.dropped)
-    buf.write("pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n")
-    for r in result.records:
-        row = (r.pair_id, r.kind, r.t, r.delta_R, r.delta_F, r.phi)
-        # no command fills delta_finite; the column stays, empty, so the files keep their header
-        buf.write(",".join(map(_fmt, row)) + ",," + ";".join(r.flags) + "\n")
-    return buf.getvalue()
+    """The dropped count, the column line and a row per record of a
+    SweepResult; no command fills delta_finite, which stays empty."""
+    lines = ["# dropped %d" % result.dropped, COLUMNS]
+    columns = [getattr(result, c).tolist() for c in ("t", "delta_R", "delta_F", "phi")]
+    for pair_id, (t, d_r, d_f, ph) in enumerate(zip(*columns)):
+        step = "" if math.isnan(t) else repr(t)
+        flags = "injectivity_violation" if sl.injectivity_violation(d_r, d_f) else ""
+        lines.append("%d,%s,%s,%r,%r,%r,,%s" % (pair_id, sl.kind(t), step, d_r, d_f, ph, flags))
+    return "\n".join(lines) + "\n"
+
+
+def _record(fields):
+    """t (NaN if empty), delta_R, delta_F and phi of a row's fields; a
+    ValueError unless they are 8, with an integer pair_id, an empty or
+    positive t, the kind t gives and distances that are not negative."""
+    if len(fields) != 8:
+        raise ValueError("expected 8 fields, got %d" % len(fields))
+    pair_id, kind, t, *distances = fields[:6]
+    int(pair_id)
+    step = float(t) if t else math.nan
+    if t and not step > 0.0:
+        raise ValueError("t %s is not positive" % t)
+    if kind != sl.kind(step):
+        raise ValueError("kind %r where t %r gives %s" % (kind, t, sl.kind(step)))
+    distances = [float(d) for d in distances]
+    for name, d in zip(("delta_R", "delta_F", "phi"), distances):
+        if d < 0.0:
+            raise ValueError("negative %s %r" % (name, d))
+    return [step, *distances]
 
 
 def parse_records_csv(path):
-    """Records plus (header tokens, dropped count) from a records CSV."""
+    """A records file's SweepResult, without differences, and header
+    tokens: the inverse of records_csv. Past comment and blank lines,
+    the column line comes first, then the rows (_record); a ConfigError
+    names the first malformed line."""
     def malformed(lineno, exc):
         return ConfigError("records file %s line %d: %s" % (path, lineno, exc))
 
@@ -344,7 +363,7 @@ def parse_records_csv(path):
 
     head = {"config": "-", "seed": "-"}
     dropped, dropped_at = 0, None
-    rows, linenos = [], []
+    rows, columns_seen = [], False
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue
@@ -363,36 +382,17 @@ def parse_records_csv(path):
             for key, eq, value in (tok.partition("=") for tok in parts):
                 if eq and key in head:
                     head[key] = value
-            continue
-        rows.append(line)
-        linenos.append(lineno)
-    if not rows:
-        return [], head, dropped  # nothing to fit; fit_holder says so
-    # a field that a short row lacks reads as empty, which fails below
-    reader = csv.DictReader(io.StringIO("\n".join(rows)), restval="")
-    needed = {"pair_id", "kind", "delta_R", "delta_F"}
-    records = []
-    try:
-        if not needed.issubset(reader.fieldnames or ()):
-            raise ConfigError("records file %s lacks columns %s" % (path, sorted(needed)))
-        for row in reader:
+        elif not columns_seen:
+            if line != COLUMNS:
+                raise malformed(lineno, "expected the column line %s" % COLUMNS)
+            columns_seen = True
+        else:
             try:
-                records.append(
-                    sl.StabilityRecord(
-                        pair_id=int(row["pair_id"]),
-                        kind=row["kind"],
-                        t=float(row["t"]) if row.get("t") else None,
-                        delta_R=float(row["delta_R"]),
-                        delta_F=float(row["delta_F"]),
-                        phi=float(row.get("phi") or 0.0),
-                        flags=tuple(f for f in (row.get("flags") or "").split(";") if f),
-                    )
-                )
+                rows.append(_record(line.split(",")))
             except ValueError as exc:
-                raise malformed(linenos[reader.line_num - 1], exc) from None
-    except csv.Error as exc:  # line_num counts only the lines before the failing one
-        raise malformed(linenos[reader.line_num], exc) from None
-    return records, head, dropped
+                raise malformed(lineno, exc) from None
+    t, d_r, d_f, ph = np.reshape(np.array(rows, dtype=float), (-1, 4)).T
+    return sl.SweepResult(d_r, d_f, ph, t, dropped, None), head
 
 
 def fit_json(fit, dropped):
@@ -478,30 +478,25 @@ def _run_sweep(cfg, threads, differences=False):
 
 def cmd_sweep(cfg, args):
     result = _run_sweep(cfg, args.threads)
-    summary = "sweep: %d records (%d dropped)" % (len(result.records), result.dropped)
+    summary = "sweep: %d records (%d dropped)" % (len(result.delta_R), result.dropped)
     return _emit(cfg, "records.csv", records_csv(result), summary)
 
 
 def cmd_fit(args):
-    records, head_tokens, dropped = parse_records_csv(args.records)
-    d_r, d_f = [r.delta_R for r in records], [r.delta_F for r in records]
-    fit = sl.fit_holder(d_r, d_f, n_bins=args.bins, slack=args.slack)
+    records, head_tokens = parse_records_csv(args.records)
+    fit = sl.fit_holder(records.delta_R, records.delta_F, n_bins=args.bins, slack=args.slack)
     head = header_line(head_tokens["config"], head_tokens["seed"])
     out = args.out or os.path.join(os.path.dirname(args.records) or ".", "fit.json")
     summary = "fit: theta=%s theta_precap=%s records_used=%d" % (
         fit.theta, fit.theta_precap, fit.records_used
     )
-    return _emit(None, None, fit_json(fit, dropped), summary, head=head, out=out)
+    return _emit(None, None, fit_json(fit, records.dropped), summary, head=head, out=out)
 
 
 def cmd_select(cfg, args):
     result = _run_sweep(cfg, args.threads, differences=True)
-    sel = greedy_select(
-        result.differences,
-        [rec.delta_F for rec in result.records],
-        cfg["select"]["target_ratio"],
-        cfg["select"]["max_size"],
-    )
+    target, max_size = cfg["select"]["target_ratio"], cfg["select"]["max_size"]
+    sel = greedy_select(result.differences, result.delta_F, target, max_size)
     lines = [
         "# achieved_ratio %s reached %s size %d"
         % (repr(sel.achieved_ratio), sel.reached, len(sel.mset)),
@@ -512,7 +507,7 @@ def cmd_select(cfg, args):
     summary = "select: %d measurements, ratio %.4f, target %s %s" % (
         len(sel.mset),
         sel.achieved_ratio,
-        cfg["select"]["target_ratio"],
+        target,
         "reached" if sel.reached else "NOT reached",
     )
     return _emit(cfg, "selection.csv", "\n".join(lines) + "\n", summary)

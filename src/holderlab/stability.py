@@ -19,12 +19,13 @@ its differences also writes the raw difference's triangle columns
 (scalarization.triangle_indices) into the row of one (rows x k(k+1)/2)
 block, where scalarization.finite_distances and the greedy selection
 read them.
-Any other sweep keeps no difference beyond the record that made it. One
-pass over the kept rows then makes the records, deriving kind and t
-from the row's index and flags from its measurements, and moves the
-kept triangles up in place, so the result's differences are one array
-with one row per record. A record also holds the recovered-quantity
-distance delta_R. A sweep solves each ray's base point once for all the
+Any other sweep keeps no difference beyond the record that made it. The
+kept rows, gathered once, become the result's columns, record i at
+position i of each: the recovered-quantity distance delta_R, delta_F,
+phi, and the ray step t, which follows from the row's index; kind()
+and injectivity_violation() derive the rest. The kept triangles move
+up in place, so the result's differences are one array with one row
+per record. A sweep solves each ray's base point once for all the
 ray's steps.
 
 A sweep job is a random pair or a whole ray, named by its index: the
@@ -105,23 +106,27 @@ class RecoveredQuantity:
 
 
 @dataclass
-class StabilityRecord:
-    pair_id: int
-    kind: str  # "random_random" or "near_diagonal"
-    t: float | None
-    delta_R: float
-    delta_F: float
-    phi: float
-    flags: tuple = ()
-
-
-@dataclass
 class SweepResult:
-    records: list
+    """Kept records as columns: record i sits at position i of each."""
+
+    delta_R: np.ndarray
+    delta_F: np.ndarray
+    phi: np.ndarray
+    t: np.ndarray  # the ray step; NaN for a random pair
     dropped: int
     # (records x k(k+1)/2): row i is the upper_triangle of record i's raw
     # M_p - M_q; None where the sweep was not asked to keep them
     differences: np.ndarray | None
+
+
+def kind(t):
+    """The kind of a record of ray step t, which is NaN for a random pair."""
+    return "random_random" if math.isnan(t) else "near_diagonal"
+
+
+def injectivity_violation(delta_R, delta_F):
+    """Whether records, one or an array, have equal maps but unequal delta_R."""
+    return (delta_F == 0.0) & (delta_R > 0.0)
 
 
 @dataclass
@@ -280,13 +285,14 @@ def sweep(
     point once and writes row n_random_pairs + r * len(ray_steps) + s
     for step s; without steps there is no ray job, so no base point is
     sampled or solved. A row holds delta_R, delta_F, phi and a kept bit;
-    the record's kind, t and flags follow from its row.
-    `threads` > 1 runs the jobs on up to that many worker processes.
-    Records are ordered by pair id regardless of that count; a record
-    whose solve fails is dropped and counted, and a failed base solve
-    drops all its ray's records. A record whose delta_R, delta_F or phi
-    is not finite, such as a delta_R that overflows on cells near the
-    largest float, raises DegenerateSample naming the first such record.
+    the kept rows, in row order, are the result's columns, and a
+    record's t follows from its row's index. `threads` > 1 runs the jobs
+    on up to that many worker processes; the columns do not depend on
+    that count. A record whose solve fails is dropped and counted, and
+    a failed base solve drops all its ray's records. A record whose
+    delta_R, delta_F or phi is not finite, such as a delta_R that
+    overflows on cells near the largest float, raises DegenerateSample
+    naming the first such record.
     """
     if max(rq.cell_subset) > problem.form.n_cells:
         raise ValueError("recovered cell label outside the partition")
@@ -340,24 +346,22 @@ def sweep(
     else:
         run(0, 1)
 
-    records = []
-    for pair_id, row in enumerate(np.flatnonzero(kept).tolist()):
-        d_r, d_f, ph = values[row].tolist()
-        if not (math.isfinite(d_r) and math.isfinite(d_f) and math.isfinite(ph)):
-            raise DegenerateSample(
-                "record %d has a value that is not finite (delta_R=%r, delta_F=%r, phi=%r)"
-                % (pair_id, d_r, d_f, ph)
-            )
-        if row < n_random_pairs:
-            kind, t = "random_random", None
-        else:
-            kind, t = "near_diagonal", float(steps[(row - n_random_pairs) % len(steps)])
-        flags = ("injectivity_violation",) if d_f == 0.0 and d_r > 0.0 else ()
-        records.append(StabilityRecord(pair_id, kind, t, d_r, d_f, ph, flags=flags))
-        if differences and pair_id != row:
+    rows = np.flatnonzero(kept)
+    measured = values[rows]
+    bad = np.flatnonzero(~np.isfinite(measured).all(axis=1))
+    if bad.size:
+        raise DegenerateSample(
+            "record %d has a value that is not finite (delta_R=%r, delta_F=%r, phi=%r)"
+            % (bad[0], *measured[bad[0]].tolist())
+        )
+    t = np.full(len(rows), np.nan)
+    on_ray = rows >= n_random_pairs
+    t[on_ray] = steps[(rows[on_ray] - n_random_pairs) % len(steps)]
+    for pair_id, row in enumerate(rows.tolist() if differences else ()):
+        if pair_id != row:
             triangles[pair_id] = triangles[row]  # kept rows move up, in place
-    diffs = triangles[: len(records)] if differences else None
-    return SweepResult(records, n_rows - len(records), diffs)
+    diffs = triangles[: len(rows)] if differences else None
+    return SweepResult(*measured.T, t, n_rows - len(rows), diffs)
 
 
 def _distances(delta_R, delta_F):

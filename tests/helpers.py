@@ -21,6 +21,20 @@ def child_env(base=None):
     return env
 
 
+def same_records(a, b):
+    """Whether two SweepResults hold the same records bit for bit: the
+    columns, with NaN t at the same positions, the dropped count and the
+    differences, or no differences in either."""
+
+    def same(x, y):
+        if x is None or y is None:
+            return x is y
+        return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+    names = ("delta_R", "delta_F", "phi", "t", "differences")
+    return a.dropped == b.dropped and all(same(getattr(a, n), getattr(b, n)) for n in names)
+
+
 def eig_min(m):
     """Smallest eigenvalue of a symmetric matrix."""
     m = np.asarray(m, dtype=float)

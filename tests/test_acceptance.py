@@ -200,9 +200,8 @@ def test_criterion_6_counterexample_discrimination():
 
 def test_criterion_7_conductivity_sweep(conductivity_sweep):
     result, elapsed = conductivity_sweep
-    assert len(result.records) == 200 + 20 * 20
-    d_r = [r.delta_R for r in result.records]
-    d_f = [r.delta_F for r in result.records]
+    d_r, d_f = result.delta_R, result.delta_F
+    assert len(d_r) == 200 + 20 * 20
     assert sl.injectivity_probe(d_r, d_f, 1e-8) == []
     fit = sl.fit_holder(d_r, d_f)
     assert fit.theta > 0.05
@@ -214,14 +213,13 @@ def test_criterion_7_conductivity_sweep(conductivity_sweep):
     print(
         "criterion 7 PASS: %d records, no injectivity violations, theta=%.4f, "
         "post-lift excess %.1e <= slack, sweep %.1fs"
-        % (len(result.records), fit.theta, excess.max() - fit.slack, elapsed)
+        % (len(d_r), fit.theta, excess.max() - fit.slack, elapsed)
     )
 
 
 def test_criterion_8_finite_measurements(conductivity_sweep):
     result, _ = conductivity_sweep
-    d_r = [r.delta_R for r in result.records]
-    d_f = [r.delta_F for r in result.records]
+    d_r, d_f = result.delta_R, result.delta_F
     theta_full = sl.fit_holder(d_r, d_f).theta
     k = triangle_dim(result.differences.shape[1])
     cap = k * (k + 1) // 2

@@ -29,7 +29,7 @@ from holderlab.cli import (
 )
 from holderlab.errors import ConfigError
 
-from helpers import child_env
+from helpers import child_env, same_records
 
 BASE = {
     "problem": "conductivity",
@@ -258,14 +258,14 @@ def test_sweep_is_thread_count_invariant(tmp_path):
 def test_sweep_records_roundtrip(tmp_path):
     path = write_config(tmp_path)
     assert main(["sweep", str(path)]) == 0
-    records, head, dropped = parse_records_csv(str(tmp_path / "out" / "records.csv"))
-    assert dropped == 0
+    records, head = parse_records_csv(str(tmp_path / "out" / "records.csv"))
+    assert records.dropped == 0
     assert head["seed"] == "7"
-    assert len(records) == 8 + 2 * 4
-    kinds = {r.kind for r in records}
+    assert len(records.delta_R) == 8 + 2 * 4
+    kinds = {sl.kind(t) for t in records.t.tolist()}
     assert kinds == {"random_random", "near_diagonal"}
-    rays = [r for r in records if r.kind == "near_diagonal"]
-    assert all(r.t is not None for r in rays)
+    rays = [t for t in records.t.tolist() if sl.kind(t) == "near_diagonal"]
+    assert all(t > 0 for t in rays)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -336,7 +336,7 @@ def test_overflowing_stiffness_is_refused_by_name(tmp_path, capsys, problem, thr
 RECORDS_HEAD = "# holderlab 0.1.0 config=abc seed=7\n# dropped 0\n"
 COLUMNS = "pair_id,kind,t,delta_R,delta_F,phi,delta_finite,flags\n"
 GOOD_ROW = "1,random_random,,0.1,0.01,0.0,,\n"
-LONG_FIELD = "1" * 200000  # past the csv module's field limit, 131072 characters
+LONG_FIELD = "1" * 200000  # a number of 200000 digits, which reads as inf
 
 
 def power_law_records(n):
@@ -395,20 +395,35 @@ def test_fit_on_records_without_column_header_exits_1(tmp_path, capsys, text):
         (RECORDS_HEAD.replace("dropped 0", "dropped -5") + COLUMNS + GOOD_ROW, 2),
         (RECORDS_HEAD + "# dropped 5\n" + COLUMNS + GOOD_ROW, 3),
         (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,random_random,,0.1,0.01,0.0,,caf\xe9\n", 5),
-        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "3,random_random,," + LONG_FIELD + ",0.01,0.0,,\n", 5),
         (RECORDS_HEAD + LONG_FIELD + "\n" + GOOD_ROW, 3),
+        (RECORDS_HEAD + "pair_id,kind,delta_R,delta_F\n" + GOOD_ROW, 3),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,random_random,,0.1,0.01,0.0,,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "20,random_random,,-5.0,-0.3,0.0,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,random_random,,0.1,-0.01,0.0,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,random_random,,0.1,0.01,-1e-9,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "21,bogus_kind,0.5,0.2,0.03,0.0,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,near_diagonal,,0.1,0.01,0.0,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,random_random,0.5,0.1,0.01,0.0,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,near_diagonal,0.0,0.1,0.01,0.0,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,near_diagonal,nan,0.1,0.01,0.0,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + "2,random_random,,0.1,0.01,,,\n", 5),
+        (RECORDS_HEAD + COLUMNS + GOOD_ROW + ",random_random,,0.1,0.01,0.0,,\n", 5),
     ],
     ids=[
         "non-numeric", "short-row", "dropped-count", "negative-dropped", "second-dropped",
-        "latin-1", "oversized-field", "oversized-header",
+        "latin-1", "oversized-header", "other-columns", "long-row", "negative-delta_R",
+        "negative-delta_F", "negative-phi", "unknown-kind", "ray-kind-without-t",
+        "pair-kind-with-t", "zero-t", "nan-t", "empty-phi", "empty-pair_id",
     ],
 )
 def test_fit_on_malformed_records_exits_2_naming_the_line(tmp_path, capsys, text, line):
-    """A malformed records row, a field longer than the csv module's
-    limit, or a byte that is not UTF-8, is a config error naming the
-    file and the line, and no fit is written. The file
-    is written as Latin-1 bytes, which are ASCII but for the last case's
-    0xe9."""
+    """A records file that records_csv could not have written is a
+    config error naming the file and the line, and no fit is written: a
+    column line other than its own, a row without its 8 fields, a
+    negative distance or phi, a kind other than the one its t gives, a
+    t that is given but not positive, an empty field other than t, or a
+    byte that is not UTF-8. The file is written as Latin-1 bytes, which
+    are ASCII but for the latin-1 case's 0xe9."""
     csv_path = tmp_path / "records.csv"
     csv_path.write_bytes(text.encode("latin-1"))
     out = tmp_path / "fit.json"
@@ -423,6 +438,16 @@ def test_fit_on_infinite_distance_exits_1_naming_the_record(tmp_path, capsys):
     out = tmp_path / "fit.json"
     assert main(["fit", str(csv_path), "--out", str(out)]) == 1
     assert "DegenerateSample: record 10 " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_on_oversized_distance_exits_1_naming_the_record(tmp_path, capsys):
+    """A distance of 200000 digits reads as inf, which fit refuses."""
+    csv_path = tmp_path / "records.csv"
+    csv_path.write_text(power_law_records(10) + "10,random_random,," + LONG_FIELD + ",0.01,0.0,,\n")
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(csv_path), "--out", str(out)]) == 1
+    assert "DegenerateSample: record 10 has a distance that is not finite" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -845,30 +870,35 @@ def test_wrong_typed_field_is_rejected_by_name(name, value):
     assert err.value.field == name
 
 
-records = st.lists(
-    st.builds(
-        sl.StabilityRecord,
-        pair_id=st.integers(0, 10**9),
-        kind=st.sampled_from(["random_random", "near_diagonal"]),
-        t=st.none() | st.floats(allow_nan=False),
-        delta_R=st.floats(allow_nan=False),
-        delta_F=st.floats(allow_nan=False),
-        phi=st.floats(allow_nan=False),
-        flags=st.lists(st.sampled_from(["injectivity_violation", "other"])).map(tuple),
-    ),
-    max_size=5,
-)
+distance = st.floats(min_value=0.0) | st.just(math.nan)
+ray_step = st.just(math.nan) | st.floats(min_value=0.0, exclude_min=True)
+
+
+@st.composite
+def sweep_results(draw):
+    """A SweepResult without differences: up to 5 records whose distances
+    are not negative or NaN, and whose t is NaN or positive."""
+    n = draw(st.integers(0, 5))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+    d_r, d_f, ph, t = column(distance), column(distance), column(distance), column(ray_step)
+    return sl.SweepResult(d_r, d_f, ph, t, draw(st.integers(0, 1000)), None)
 
 
 @settings(max_examples=50, deadline=None)
-@given(records, st.integers(0, 1000))
-def test_records_csv_roundtrip_is_exact(recs, dropped):
+@given(sweep_results())
+def test_records_csv_roundtrip_is_exact(result):
+    """Parsing what records_csv writes gives the same columns, and
+    writing those again the same bytes."""
     head = header_line("0123456789ab", 17)
+    body = records_csv(result)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "records.csv")
         with open(path, "w") as f:
-            f.write(head + "\n" + records_csv(sl.SweepResult(recs, dropped, [])))
-        got, tokens, got_dropped = parse_records_csv(path)
-    assert got == recs
+            f.write(head + "\n" + body)
+        got, tokens = parse_records_csv(path)
+    assert same_records(got, result)
+    assert records_csv(got) == body
     assert tokens == {"config": "0123456789ab", "seed": "17"}
-    assert got_dropped == dropped

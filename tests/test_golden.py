@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from holderlab.cli import main
+from holderlab.cli import main, parse_records_csv, records_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # Relative tolerances of the benchmark's reference check: a ray
@@ -93,6 +93,15 @@ def test_sweep_matches_golden_records(problem, tmp_path):
             assert err <= tol, (w["pair_id"], field, err, tol)
             worst = max(worst, err / tol)
     print("%s golden: %d records, worst shift %.1e of tolerance" % (problem, len(got), worst))
+
+
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_golden_records_survive_parse_and_write(problem):
+    """records_csv writes the parsed committed records.csv back byte
+    for byte, all but its header line."""
+    path = GOLDEN / problem / "records.csv"
+    records, _ = parse_records_csv(str(path))
+    assert records_csv(records) == path.read_text().split("\n", 1)[1]
 
 
 @pytest.mark.parametrize("problem", ["conductivity", "elasticity"])

@@ -34,13 +34,14 @@ def test_grid_runs_one_tree_twice_with_identical_outputs(tmp_path):
     """bench/grid.py on n_sub 4, the repository given as both trees:
     the BENCH file has every run, the environment read after importing
     holderlab.cli, the cells left out, and outputs that all compare
-    equal. --out names a directory that does not exist yet."""
+    equal, mesh's too, which takes no --threads. --out names a directory
+    that does not exist yet."""
     out = tmp_path / "new" / "dir"
     proc = subprocess.run(
         [
             sys.executable, str(ROOT / "bench" / "grid.py"),
             "--before", str(ROOT), "--after", str(ROOT), "--label", "smoke",
-            "--cells", "conductivity:4,elasticity:4", "--commands", "sweep,fit,select",
+            "--cells", "conductivity:4,elasticity:4", "--commands", "sweep,fit,select,mesh",
             "--out", str(out),
         ],
         cwd=tmp_path,
@@ -60,9 +61,9 @@ def test_grid_runs_one_tree_twice_with_identical_outputs(tmp_path):
     assert bench["setup"]["threads"] == [1]
     assert set(bench["results"]) == {"conductivity-4-threads-1", "elasticity-4-threads-1"}
     for entry in bench["results"].values():
-        assert entry["outputs_identical"] == {"sweep": True, "fit": True, "select": True}
+        assert entry["outputs_identical"] == {"sweep": True, "fit": True, "select": True, "mesh": True}
         for side in ("before", "after"):
-            for command in ("sweep", "fit", "select"):
+            for command in ("sweep", "fit", "select", "mesh"):
                 run = entry[side][command]
                 assert run["exit"] == [0]
                 assert run["wall_median_s"] > 0.0 and run["peak_rss_median_mb"] > 0.0

@@ -35,7 +35,7 @@ from holderlab.scalarization import (
     upper_triangle,
 )
 
-from helpers import child_env, eig_min, symmetric_from_upper
+from helpers import child_env, eig_min, same_records, symmetric_from_upper
 
 
 def bottom_mesh(n_sub, cols=1, rows=1):
@@ -66,11 +66,6 @@ def built(kind, n_sub=4, cols=1, rows=1):
 def points(problem, spec, count, seed, stream=0):
     """The first `count` parameter points of a stream."""
     return [sl.sample_point(problem, spec, seed, stream, i) for i in range(count)]
-
-
-def distances(result):
-    """The delta_R and delta_F of a sweep's records, as two lists."""
-    return [r.delta_R for r in result.records], [r.delta_F for r in result.records]
 
 
 def test_compact_set_validation():
@@ -166,13 +161,12 @@ def small_sweep(threads=1, seed=42, differences=False):
 
 def test_sweep_bookkeeping():
     res = small_sweep()
-    assert len(res.records) + res.dropped == 10 + 3 * 4
-    kinds = [r.kind for r in res.records]
+    assert len(res.delta_R) + res.dropped == 10 + 3 * 4
+    kinds = [sl.kind(t) for t in res.t.tolist()]
     assert kinds.count("random_random") <= 10
-    rays = [r for r in res.records if r.kind == "near_diagonal"]
-    assert all(r.t is not None and r.t > 0 for r in rays)
-    ids = [r.pair_id for r in res.records]
-    assert ids == sorted(ids)
+    rays = [t for t in res.t.tolist() if sl.kind(t) == "near_diagonal"]
+    assert all(t > 0 for t in rays)
+    assert len(res.delta_R) == len(res.delta_F) == len(res.phi) == len(res.t)
 
 
 def test_sweep_contract_no_silent_injectivity_failure(tmp_path, monkeypatch):
@@ -183,9 +177,7 @@ def test_sweep_contract_no_silent_injectivity_failure(tmp_path, monkeypatch):
     from holderlab import cli
 
     res = small_sweep()
-    for r in res.records:
-        if r.delta_F == 0.0 and r.delta_R > 0.0:
-            assert "injectivity_violation" in r.flags
+    assert not sl.injectivity_violation(res.delta_R, res.delta_F).any()
     problem = built("conductivity", n_sub=8, cols=2)
     fixed = cd.nd_matrix(problem, sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_P, 0))
     monkeypatch.setattr(cd, "nd_matrix", lambda problem, cells: fixed)
@@ -201,10 +193,9 @@ def test_sweep_contract_no_silent_injectivity_failure(tmp_path, monkeypatch):
     path.write_text(json.dumps(config))
     for threads in (1, 2):
         res = small_sweep(threads=threads)
-        assert len(res.records) == 10 + 3 * 4
-        for r in res.records:
-            assert r.delta_F == 0.0 and r.delta_R > 0.0
-            assert r.flags == ("injectivity_violation",)
+        assert len(res.delta_R) == 10 + 3 * 4
+        assert np.all(res.delta_F == 0.0) and np.all(res.delta_R > 0.0)
+        assert sl.injectivity_violation(res.delta_R, res.delta_F).all()
         assert cli.main(["sweep", str(path), "--threads", str(threads)]) == 0
         lines = (tmp_path / "records.csv").read_text().splitlines()
         rows = list(csv.DictReader(line for line in lines if not line.startswith("#")))
@@ -215,11 +206,7 @@ def test_sweep_contract_no_silent_injectivity_failure(tmp_path, monkeypatch):
 def test_sweep_thread_count_invariance():
     a = small_sweep(threads=1)
     b = small_sweep(threads=3)
-    assert len(a.records) == len(b.records)
-    for ra, rb in zip(a.records, b.records):
-        assert ra.delta_R == rb.delta_R
-        assert ra.delta_F == rb.delta_F
-        assert ra.phi == rb.phi
+    assert same_records(a, b)
 
 
 @pytest.mark.parametrize("kind", tuple(PROBLEMS))
@@ -234,8 +221,8 @@ def test_sweep_drops_ray_steps_outside_the_cone(kind):
     runs = [sl.sweep(problem, spec, rq, 200, 20, steps, 1729, threads=t) for t in (1, 3)]
     for res in runs:
         assert res.dropped > 0
-        assert len(res.records) + res.dropped == 200 + 20 * 20
-    assert runs[0].records == runs[1].records
+        assert len(res.delta_R) + res.dropped == 200 + 20 * 20
+    assert same_records(runs[0], runs[1])
 
 
 def shared_counter():
@@ -275,7 +262,7 @@ def test_sweep_solves_each_ray_base_once(monkeypatch):
     for threads in (1, 3):
         count.value = 0
         res = small_sweep(threads=threads)
-        assert len(res.records) == 10 + 3 * 4
+        assert len(res.delta_R) == 10 + 3 * 4
         assert count.value == 2 * 10 + 3 * (4 + 1)
 
 
@@ -288,7 +275,7 @@ def test_rays_without_steps_solve_nothing(monkeypatch):
     for threads in (1, 3):
         count.value = 0
         res = sl.sweep(problem, SPEC, sl.RecoveredQuantity((1,)), 3, 4, [], seed=7, threads=threads)
-        assert (len(res.records), res.dropped) == (3, 0)
+        assert (len(res.delta_R), res.dropped) == (3, 0)
         assert count.value == 2 * 3
 
 
@@ -325,7 +312,7 @@ def test_sweep_rejects_probe_k_above_basis_dimension(monkeypatch):
     with pytest.raises(BasisMismatch, match="exceeds basis dimension 8"):
         sl.sweep(problem, SPEC, rq, 5, 1, [1e-3], 42, probe_k=problem.k + 1)
     assert seen == []
-    assert len(sl.sweep(problem, SPEC, rq, 1, 0, [], 42, probe_k=problem.k).records) == 1
+    assert len(sl.sweep(problem, SPEC, rq, 1, 0, [], 42, probe_k=problem.k).delta_R) == 1
 
 
 def test_sweep_samples_points_of_the_problem_shape(monkeypatch):
@@ -336,7 +323,7 @@ def test_sweep_samples_points_of_the_problem_shape(monkeypatch):
     rq = sl.RecoveredQuantity((1, 2, 3, 4))
     res = sl.sweep(problem, SPEC, rq, 6, 1, sl.default_ray_steps(5), 42)
     assert res.dropped == 0
-    assert len(res.records) == 6 + 5
+    assert len(res.delta_R) == 6 + 5
     assert len(seen) == 2 * 6 + 1 + 5
     assert {cells.shape for cells in seen} == {(4, 2, 2)}
 
@@ -365,7 +352,7 @@ def test_single_job_sweep_stays_in_process(monkeypatch):
 
     monkeypatch.setattr(cd, "nd_matrix", recorded)
     res = sl.sweep(built("conductivity"), SPEC, sl.RecoveredQuantity((1,)), 1, 0, [], 3, threads=3)
-    assert len(res.records) == 1
+    assert len(res.delta_R) == 1
     assert pids == [os.getpid()] * 2
 
 
@@ -378,10 +365,7 @@ def test_strided_workers_merge_in_job_order(monkeypatch):
     for threads in (2, 3, 4):
         assert sl._worker_count(threads, 13) == threads
         res = small_sweep(threads=threads, differences=True)
-        assert res.records == ref.records
-        assert res.dropped == ref.dropped
-        assert len(res.differences) == len(ref.differences)
-        assert all(np.array_equal(a, b) for a, b in zip(res.differences, ref.differences))
+        assert same_records(res, ref)
 
 
 def test_shared_rows_drop_and_compact_alike_at_any_worker_count(monkeypatch):
@@ -415,16 +399,14 @@ def test_shared_rows_drop_and_compact_alike_at_any_worker_count(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
     ref = small_sweep(differences=True)
     assert ref.dropped == 1 + 4
-    assert [r.pair_id for r in ref.records] == list(range(len(pairs)))
-    assert [r.t for r in ref.records] == [None] * 9 + [float(t) for t in steps] * 2
+    assert len(ref.delta_R) == len(pairs)
+    assert np.array_equal(ref.t, [math.nan] * 9 + [float(t) for t in steps] * 2, equal_nan=True)
     assert len(ref.differences) == len(want)
     for row, triangle in zip(ref.differences, want):
         assert np.array_equal(row, triangle)
     for threads in (2, 3, 4):
         res = small_sweep(threads=threads, differences=True)
-        assert res.records == ref.records
-        assert res.dropped == ref.dropped
-        assert np.array_equal(res.differences, ref.differences)
+        assert same_records(res, ref)
 
 
 @pytest.mark.parametrize("zero", [False, True], ids=["all_positive", "one_zero"])
@@ -443,7 +425,7 @@ def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads, z
     def sweep(*args, **kwargs):
         seen["result"] = real_sweep(*args, **kwargs)
         if zero:
-            seen["result"].records[1].delta_F = 0.0
+            seen["result"].delta_F[1] = 0.0
         return seen["result"]
 
     def greedy(diffs, dists, *args):
@@ -466,11 +448,11 @@ def test_select_reads_the_sweep_block_in_place(tmp_path, monkeypatch, threads, z
     res = seen["result"]
     assert isinstance(res.differences, np.ndarray)
     assert res.differences.ndim == 2 and res.differences.flags.c_contiguous
-    assert res.differences.shape[0] == len(res.records) == 10 + 3 * 4
+    assert res.differences.shape[0] == len(res.delta_F) == 10 + 3 * 4
     triangle_dim(res.differences.shape[1])
     assert np.shares_memory(seen["diffs"], res.differences)
-    assert list(seen["dists"]) == [r.delta_F for r in res.records]
-    assert (min(r.delta_F for r in res.records) == 0.0) == zero
+    assert list(seen["dists"]) == res.delta_F.tolist()
+    assert (res.delta_F.min() == 0.0) == zero
 
 
 def reaped_statuses(monkeypatch):
@@ -506,8 +488,7 @@ def test_sweep_pool_returns_nothing(monkeypatch):
     assert statuses == [0] * 3
     assert parent_forwards == []
     ref = small_sweep(differences=True)
-    assert res.records == ref.records
-    assert np.array_equal(res.differences, ref.differences)
+    assert same_records(res, ref)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="lists children from /proc")
@@ -533,8 +514,7 @@ def test_killed_worker_share_is_rerun(monkeypatch):
     assert child_pids() == before
     assert statuses[0] == 0 and os.WTERMSIG(statuses[1]) == signal.SIGKILL
     ref = small_sweep(differences=True)
-    assert res.records == ref.records
-    assert np.array_equal(res.differences, ref.differences)
+    assert same_records(res, ref)
 
 
 def test_workers_inherit_the_problem_unpickled(monkeypatch):
@@ -554,8 +534,7 @@ def test_workers_inherit_the_problem_unpickled(monkeypatch):
         )
         for threads in (1, 2)
     )
-    assert res.records == ref.records
-    assert np.array_equal(res.differences, ref.differences)
+    assert same_records(res, ref)
 
 
 BLAS_WORKERS = r"""
@@ -682,10 +661,10 @@ def test_sweep_runs_no_backsolve(backsolves):
     """Every forward of a sweep solves only over the trailing rows of
     the patch-last system: no full back-substitution (back_solve) runs."""
     res = small_sweep(threads=1)
-    assert len(res.records) == 10 + 3 * 4
+    assert len(res.delta_R) == 10 + 3 * 4
     problem = built("elasticity", cols=2)
     res = sl.sweep(problem, SPEC, sl.RecoveredQuantity((1,)), 3, 1, [1e-3, 1e-2], 42)
-    assert len(res.records) == 3 + 2
+    assert len(res.delta_R) == 3 + 2
     assert backsolves == []
 
 
@@ -703,8 +682,8 @@ def test_sweep_failed_ray_base_drops_every_step(monkeypatch):
     monkeypatch.setattr(cd, "nd_matrix", failing)
     res = small_sweep()
     assert res.dropped == 4
-    assert len(res.records) == 10 + 2 * 4
-    assert [r.pair_id for r in res.records] == list(range(18))
+    assert len(res.delta_R) == 10 + 2 * 4
+    assert np.count_nonzero(np.isnan(res.t)) == 10
 
 
 def test_one_cell_ray_matches_scaling_oracle():
@@ -747,12 +726,11 @@ def test_fit_caps_theta_at_one():
 
 def test_fit_envelope_invariant():
     res = small_sweep()
-    d_r, d_f = distances(res)
-    fit = sl.fit_holder(d_r, d_f, n_bins=8, slack=0.1)
-    for r in res.records:
-        if r.delta_F > 0 and r.delta_R > 0:
-            assert math.log(r.delta_R) <= (
-                fit.theta * math.log(r.delta_F) + fit.log_C + fit.slack + 1e-12
+    fit = sl.fit_holder(res.delta_R, res.delta_F, n_bins=8, slack=0.1)
+    for d_r, d_f in zip(res.delta_R.tolist(), res.delta_F.tolist()):
+        if d_f > 0 and d_r > 0:
+            assert math.log(d_r) <= (
+                fit.theta * math.log(d_f) + fit.log_C + fit.slack + 1e-12
             )
     assert fit.max_violation <= fit.slack + 1e-15
 
@@ -968,7 +946,7 @@ def test_injectivity_probe_one_cell_sweep():
     rq = sl.RecoveredQuantity((1,))
     res = sl.sweep(built("conductivity", n_sub=8), SPEC, rq, 10, 2, sl.default_ray_steps(4), seed=5)
     assert res.dropped == 0
-    assert sl.injectivity_probe(*distances(res), 1e-8) == []
+    assert sl.injectivity_probe(res.delta_R, res.delta_F, 1e-8) == []
 
 
 def test_finite_distances_measure_the_columns():
@@ -976,7 +954,7 @@ def test_finite_distances_measure_the_columns():
     k = triangle_dim(len(res.differences[0]))
     diagonal = np.flatnonzero(triangle_indices(k) % (k + 1) == 0)  # the columns of (i, i)
     finite = finite_distances(res.differences, diagonal)
-    assert len(finite) == len(res.records)
+    assert len(finite) == len(res.delta_F)
     for f, d in zip(finite, map(symmetric_from_upper, res.differences)):
         expected = float(np.linalg.norm(np.diag(d)))
         assert abs(f - expected) <= 1e-14
@@ -1005,7 +983,7 @@ def test_default_sweep_keeps_no_operator_matrix_per_record():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < len(res.records) * problem.k**2 * 8
+    assert peak < len(res.delta_R) * problem.k**2 * 8
     assert res.differences is None
 
 
@@ -1033,9 +1011,9 @@ def test_sweep_keeps_an_upper_triangle_per_record(elasticity_selection_sweep):
     about 1.1 MB here, where the triangles take 0.74 MB."""
     problem, res, kept = elasticity_selection_sweep
     k = problem.k
-    assert len(res.differences) == len(res.records) == 200
+    assert len(res.differences) == len(res.delta_R) == 200
     assert all(d.shape == (k * (k + 1) // 2,) for d in res.differences)
-    assert kept < 0.75 * len(res.records) * k * k * 8
+    assert kept < 0.75 * len(res.delta_R) * k * k * 8
 
 
 def test_greedy_peaks_within_a_quarter_over_its_entries(elasticity_selection_sweep):
@@ -1044,7 +1022,7 @@ def test_greedy_peaks_within_a_quarter_over_its_entries(elasticity_selection_swe
     its tracemalloc peak, which includes that array, stays within 1.25
     times it. All 465 entries are picked here, so every step runs."""
     problem, res, _ = elasticity_selection_sweep
-    kept = [(d, r.delta_F) for d, r in zip(res.differences, res.records) if r.delta_F > 0.0]
+    kept = [(d, f) for d, f in zip(res.differences, res.delta_F.tolist()) if f > 0.0]
     diffs, dists = map(list, zip(*kept))
     entries = len(diffs) * len(diffs[0]) * 8
     tracemalloc.start()
@@ -1063,7 +1041,7 @@ def test_sweep_whitens_each_record_once(monkeypatch, threads):
     count, counting = shared_counter()
     monkeypatch.setattr(sl, "whiten", counting(whiten))
     res = small_sweep(threads=threads, differences=True)
-    assert count.value == len(res.records) == len(res.differences)
+    assert count.value == len(res.delta_R) == len(res.differences)
 
 
 def test_sweep_differences_are_raw_operator_differences():
@@ -1080,8 +1058,8 @@ def test_sweep_differences_are_raw_operator_differences():
     t = float(sl.default_ray_steps(4)[0])
     stepped = base + t * sl.sample_direction(problem, 42, index=0)
     want = upper_triangle(problem.forward(base) - problem.forward(stepped))
-    first_ray = next(i for i, r in enumerate(res.records) if r.kind == "near_diagonal")
-    assert res.records[first_ray].t == t
+    first_ray = next(i for i, s in enumerate(res.t.tolist()) if sl.kind(s) == "near_diagonal")
+    assert res.t[first_ray] == t
     assert np.array_equal(res.differences[first_ray], want)
 
 
@@ -1089,8 +1067,8 @@ def test_elasticity_sweep_runs():
     rq = sl.RecoveredQuantity((1,))
     problem = built("elasticity", n_sub=8, cols=2)
     res = sl.sweep(problem, SPEC, rq, 4, 1, sl.default_ray_steps(3), seed=6)
-    assert len(res.records) == 7
+    assert len(res.delta_R) == 7
     assert res.dropped == 0
-    for r in res.records:
-        assert r.delta_F > 0
-        assert eig_min(np.array([[r.phi]])) >= 0  # phi nonnegative
+    for d_f, ph in zip(res.delta_F.tolist(), res.phi.tolist()):
+        assert d_f > 0
+        assert eig_min(np.array([[ph]])) >= 0  # phi nonnegative
