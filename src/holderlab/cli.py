@@ -42,7 +42,8 @@ from . import conductivity as cd
 from . import elasticity as el
 from . import mesh as mx
 from . import stability as sl
-from .errors import ConfigError, DegenerateSample, EmptyPatch, HolderLabError, NotIdentifiable
+from .errors import ConfigError, DegenerateSample, EmptyPatch, HolderLabError
+from .errors import NotIdentifiable, NotPositiveDefinite
 from .scalarization import greedy_select
 
 PROBLEMS = {"conductivity": cd.NDProblem, "elasticity": el.DNProblem}
@@ -447,8 +448,12 @@ def cmd_derivcheck(cfg, args):
     lines = ["h,rel_err"]
     errs = []
     for h in cfg["derivcheck"]["steps"]:
-        plus = problem.forward(cells + h * direction)
-        minus = problem.forward(cells - h * direction)
+        try:
+            plus = problem.forward(cells + h * direction)
+            minus = problem.forward(cells - h * direction)
+        except NotPositiveDefinite as exc:
+            msg = "step %r: a forward at p +- step * dp fails: NotPositiveDefinite: %s" % (h, exc)
+            raise ConfigError(msg, "derivcheck.steps") from None
         err = float(np.abs((plus - minus) / (2.0 * h) - deriv).max() / scale)
         errs.append(err)
         lines.append("%s,%s" % (repr(float(h)), repr(err)))
@@ -520,15 +525,14 @@ def cmd_counterexample(cfg, args):
         flat = sl.flat_counterexample(ts, tol=ce["tol"])
     except DegenerateSample as exc:
         raise ConfigError(str(exc), "counterexample.t_lo") from None
-    ctl = sl.analytic_control(ts, n_bins=cfg["fit"]["n_bins"], slack=cfg["fit"]["slack"])
+    cubic, fit = sl.analytic_control(ts, n_bins=cfg["fit"]["n_bins"], slack=cfg["fit"]["slack"])
     lines = ["map,t,F,local_slope"]
-    for s in flat:
-        lines.append("flat,%s,%s,%s" % (repr(s.t), repr(s.F_t), repr(s.local_slope)))
-    for s in ctl.samples:
-        lines.append("cubic,%s,%s,%s" % (repr(s.t), repr(s.F_t), repr(s.local_slope)))
-    lines.append("# cubic_fit_theta %s" % repr(ctl.fit.theta))
+    for name, table in (("flat", flat), ("cubic", cubic)):
+        for row in zip(*(column.tolist() for column in table)):
+            lines.append("%s,%r,%r,%r" % (name, *row))
+    lines.append("# cubic_fit_theta %r" % fit.theta)
     summary = "counterexample: flat max slope %.1f, cubic max slope %.4f, cubic theta %.4f" % (
-        max(s.local_slope for s in flat), max(s.local_slope for s in ctl.samples), ctl.fit.theta
+        flat[2].max(), cubic[2].max(), fit.theta
     )
     return _emit(cfg, "counterexample.csv", "\n".join(lines) + "\n", summary)
 
@@ -588,7 +592,8 @@ def build_parser():
     fit_p.add_argument("records", help="records CSV from the sweep subcommand")
     fit_p.add_argument("--bins", help="number of log bins", **_flag(fit["n_bins"], int))
     fit_p.add_argument("--slack", help="envelope slack, log units", **_flag(fit["slack"], float))
-    fit_p.add_argument("--out", default=None, help="output JSON path")
+    out = _flag(Field(None, _or_null(_path)), str)
+    fit_p.add_argument("--out", help="output JSON path", **out)
     return parser
 
 

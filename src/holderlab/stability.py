@@ -141,13 +141,6 @@ class HolderFit:
     constant_R: bool = False
 
 
-@dataclass
-class FlatMapSample:
-    t: float
-    F_t: float
-    local_slope: float
-
-
 def _rng(seed, stream, index):
     return np.random.default_rng([int(seed), int(stream), int(index)])
 
@@ -273,9 +266,10 @@ def sweep(
     upper_triangle, one row of k(k+1)/2 floats per record in one
     C-contiguous (records x k(k+1)/2) array, as the greedy selection
     reads them; otherwise no record keeps one and result.differences
-    is None. A recovered cell label outside the problem's partition is a
-    ValueError, and a probe_k above its basis dimension a BasisMismatch,
-    both raised before any solve.
+    is None. A recovered cell label outside the problem's partition or a
+    ray step that is not finite and positive is a ValueError, and a
+    probe_k above its basis dimension a BasisMismatch, all raised before
+    any solve.
 
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Each record whitens its
@@ -300,6 +294,9 @@ def sweep(
     if k > problem.k:
         raise BasisMismatch("truncation order %d exceeds basis dimension %d" % (k, problem.k))
     steps = np.asarray(ray_steps, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(steps) & (steps > 0.0)))
+    if bad.size:
+        raise ValueError("ray step %r is not finite and positive" % float(steps[bad[0]]))
     n_jobs = n_random_pairs + (n_rays if len(steps) else 0)
     n_rows = n_random_pairs + n_rays * len(steps)
     workers = _worker_count(threads, n_jobs)
@@ -439,16 +436,15 @@ def fit_holder(delta_R, delta_F, n_bins=8, slack=0.1):
     )
 
 
-def _slope_samples(ts, fs):
-    """Samples (t, F(t)) with centered log-log difference quotients,
-    one-sided at the ends, as their local slopes."""
+def _slope_table(ts, fs):
+    """The columns (t, F(t), local slope), the slope a centered log-log
+    difference quotient, one-sided at the ends."""
     if len(ts) < 2:
         raise ValueError("a log-log slope needs at least 2 sample points, got %d" % len(ts))
     lt, lf = np.log(ts), np.log(fs)
     i = np.arange(len(ts))
     lo, hi = np.maximum(i - 1, 0), np.minimum(i + 1, len(ts) - 1)
-    slopes = (lf[hi] - lf[lo]) / (lt[hi] - lt[lo])
-    return [FlatMapSample(float(t), float(f), float(s)) for t, f, s in zip(ts, fs, slopes)]
+    return ts, fs, (lf[hi] - lf[lo]) / (lt[hi] - lt[lo])
 
 
 def _sample_points(ts):
@@ -507,13 +503,14 @@ def _flat_map(t, tol):
 
 
 def flat_counterexample(ts, tol=1e-14):
-    """F(t) = integral of exp(-1/s^2) over [0, t], which is
-    Gamma(-1/2, 1/t^2) / 2, to relative tolerance tol, with local
-    log-log slopes; the slopes blow up as t decreases, defeating any
-    power-law envelope. Where F underflows to 0 it has no logarithm,
-    and where it is subnormal it has lost significant bits: the smallest
-    t where F falls below the smallest normal float raises
-    DegenerateSample, as do coincident sample points."""
+    """The columns (t, F, slope) at the sorted sample points: F(t) =
+    integral of exp(-1/s^2) over [0, t], which is Gamma(-1/2, 1/t^2) / 2,
+    to relative tolerance tol, and its local log-log slopes; the slopes
+    blow up as t decreases, defeating any power-law envelope. Where F
+    underflows to 0 it has no logarithm, and where it is subnormal it
+    has lost significant bits: the smallest t where F falls below the
+    smallest normal float raises DegenerateSample, as do coincident
+    sample points."""
     ts = _sample_points(ts)
     fs = np.array([_flat_map(float(t), tol) for t in ts])
     low = np.flatnonzero(fs < np.finfo(float).tiny)
@@ -523,13 +520,7 @@ def flat_counterexample(ts, tol=1e-14):
             "F(%r) underflows to %r, below the smallest normal float, so its "
             "logarithm is lost or inexact" % (t, f)
         )
-    return _slope_samples(ts, fs)
-
-
-@dataclass
-class AnalyticControl:
-    samples: list
-    fit: HolderFit
+    return _slope_table(ts, fs)
 
 
 _CONTROL_GRID = 100  # points per axis of analytic_control's grid of pairs
@@ -537,16 +528,17 @@ _CONTROL_GRID = 100  # points per axis of analytic_control's grid of pairs
 
 def analytic_control(ts, n_bins=8, slack=0.1):
     """Same pipeline on the analytic map F(t) = t^3, evaluated exactly:
-    local slopes (all 3), and an envelope fit over a brute-force grid of
+    the columns (t, F, slope) as flat_counterexample gives them, the
+    slopes all 3, and an envelope fit over a brute-force grid of
     parameter pairs."""
     ts = _sample_points(ts)
-    samples = _slope_samples(ts, ts**3)
+    table = _slope_table(ts, ts**3)
     grid = np.linspace(-1.0, 1.0, _CONTROL_GRID)
     p, q = (a.ravel() for a in np.meshgrid(grid, grid))
     keep = p != q
     d_f = np.abs(p[keep] ** 3 - q[keep] ** 3)
     d_r = np.abs(p[keep] - q[keep])
-    return AnalyticControl(samples, fit_holder(d_r, d_f, n_bins=n_bins, slack=slack))
+    return table, fit_holder(d_r, d_f, n_bins=n_bins, slack=slack)
 
 
 def injectivity_probe(delta_R, delta_F, floor):

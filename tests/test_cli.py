@@ -1,5 +1,6 @@
 """End-to-end checks of the command line front end."""
 
+import importlib
 import json
 import math
 import os
@@ -127,6 +128,13 @@ def test_invalid_json_exits_2(tmp_path, capsys):
     path.write_text("{ not json")
     assert main(["validate", str(path)]) == 2
     assert "line" in capsys.readouterr().err
+
+
+def test_config_root_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text(json.dumps([BASE]))
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: config root must be an object\n"
 
 
 @pytest.mark.parametrize(
@@ -432,6 +440,15 @@ def test_fit_on_malformed_records_exits_2_naming_the_line(tmp_path, capsys, text
     assert not out.exists()
 
 
+def test_fit_on_missing_records_exits_2_naming_the_file(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    out = tmp_path / "fit.json"
+    assert main(["fit", str(missing), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read records file %s: " % missing)
+    assert not out.exists()
+
+
 def test_fit_on_infinite_distance_exits_1_naming_the_record(tmp_path, capsys):
     csv_path = tmp_path / "records.csv"
     csv_path.write_text(power_law_records(10) + "10,random_random,,0.5,inf,0.0,,\n")
@@ -538,6 +555,22 @@ def test_derivcheck_with_a_vanishing_derivative_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "DegenerateSample: the derivative's largest entry is 0.0" in err
     assert not (tmp_path / "out" / "derivcheck.csv").exists()
+
+
+@pytest.mark.parametrize("problem", ["conductivity", "elasticity"])
+def test_derivcheck_step_out_of_the_cone_exits_2_naming_it(tmp_path, capsys, problem):
+    """A step of 10 takes p + h dp or p - h dp out of the SPD cone: a
+    config error naming derivcheck.steps, the step and the forward's
+    message, and no file."""
+    path = write_config(tmp_path, {"problem": problem, "derivcheck": {"steps": [1e-3, 10.0]}})
+    assert main(["derivcheck", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error (field derivcheck.steps): step 10.0: a forward at p +- step * dp fails: "
+        "NotPositiveDefinite: every cell matrix must be positive definite\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def test_counterexample_table_has_both_maps(tmp_path):
@@ -730,7 +763,7 @@ def test_stability_imports_neither_problem_module():
     assert not {"holderlab.conductivity", "holderlab.elasticity"} & loaded
 
 
-@pytest.mark.parametrize("threads", ["0", "-1"])
+@pytest.mark.parametrize("threads", ["0", "-1", "two"])
 def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     path = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -741,7 +774,10 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--bins", "1"), ("--bins", "0"), ("--slack", "-1"), ("--slack", "nan"), ("--slack", "inf")],
+    [
+        ("--bins", "1"), ("--bins", "0"), ("--slack", "-1"), ("--slack", "nan"), ("--slack", "inf"),
+        ("--bins", "2.5"), ("--out", ""),
+    ],
 )
 def test_bad_fit_flags_exit_2(tmp_path, capsys, flag, value):
     path = write_config(tmp_path)
@@ -751,6 +787,21 @@ def test_bad_fit_flags_exit_2(tmp_path, capsys, flag, value):
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not (tmp_path / "out" / "fit.json").exists()
+
+
+def test_console_script_validates_the_golden_config(capsys):
+    """The holderlab console script that pyproject.toml declares, read
+    with a regex (Python 3.10 has no tomllib) and resolved as its
+    module:function, validates the golden conductivity config."""
+    root = pathlib.Path(__file__).parents[1]
+    text = (root / "pyproject.toml").read_text()
+    entry = re.search(r'^\[project\.scripts\]\nholderlab = "([\w.]+):(\w+)"$', text, re.M)
+    assert entry, "no holderlab entry under [project.scripts]"
+    module, function = entry.groups()
+    script = getattr(importlib.import_module(module), function)
+    config = root / "tests" / "golden" / "conductivity" / "config.json"
+    assert script(["validate", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out)["problem"] == "conductivity"
 
 
 def table_fields(table=FIELDS, prefix=""):

@@ -44,6 +44,13 @@ def test_positive_areas_and_total():
 def test_incompatible_subdivision():
     with pytest.raises(IncompatibleSubdivision):
         unit_mesh(3, cols=2, rows=1)
+    with pytest.raises(IncompatibleSubdivision, match="n_sub must be at least 1"):
+        unit_mesh(0)
+
+
+def test_partition_spec_validation():
+    with pytest.raises(ValueError, match="at least 1x1"):
+        mx.PartitionSpec(0, 1)
 
 
 def test_patch_spec_validation():

@@ -303,6 +303,25 @@ def test_sweep_rejects_recovered_cell_outside_partition(monkeypatch):
     assert seen == []
 
 
+@pytest.mark.parametrize(
+    "steps, first",
+    [
+        ([0.0, 1e-3], "0.0"), ([1e-3, -1e-3], "-0.001"), ([1e-3, math.nan], "nan"),
+        ([math.inf], "inf"),
+    ],
+    ids=["zero", "negative", "nan", "inf"],
+)
+def test_sweep_rejects_ray_steps_not_finite_and_positive(monkeypatch, steps, first):
+    """A ray step that is not finite and positive makes a record that
+    parse_records_csv refuses, or none at all: a ValueError naming the
+    first such step before any forward runs."""
+    seen = recorded_forwards(monkeypatch)
+    rq = sl.RecoveredQuantity((1,))
+    with pytest.raises(ValueError, match="ray step %s is not finite and positive" % first):
+        sl.sweep(built("conductivity", n_sub=8), SPEC, rq, 5, 1, steps, 42)
+    assert seen == []
+
+
 def test_sweep_rejects_probe_k_above_basis_dimension(monkeypatch):
     """A probe_k above the basis dimension is a BasisMismatch before
     any forward runs, not after the first record's solves."""
@@ -750,6 +769,8 @@ def test_fit_insufficient_spread():
     d_f = np.full(50, 1e-3)
     with pytest.raises(InsufficientSpread):
         sl.fit_holder(d_f**0.5, d_f)
+    with pytest.raises(InsufficientSpread, match="at least two records with positive distances"):
+        sl.fit_holder([0.1, 0.0, 0.2], [0.01, 0.5, 0.0])
 
 
 def test_fit_no_records_raises():
@@ -855,16 +876,13 @@ def test_fit_constant_r_flagged():
 
 def test_flat_counterexample_properties():
     ts = np.array([0.05, 0.07, 0.1, 0.14, 0.2, 0.28, 0.4])
-    samples = sl.flat_counterexample(ts)
-    fs = [s.F_t for s in samples]
+    ts, fs, slopes = (column.tolist() for column in sl.flat_counterexample(ts))
     assert all(a < b for a, b in zip(fs, fs[1:]))
-    for s in samples:
-        assert 0.0 < s.F_t <= s.t * math.exp(-1.0 / s.t**2)
-    slopes = [s.local_slope for s in samples]
+    for t, f in zip(ts, fs):
+        assert 0.0 < f <= t * math.exp(-1.0 / t**2)
     assert all(a > b for a, b in zip(slopes, slopes[1:]))
-    at_tenth = samples[2]
-    assert abs(at_tenth.t - 0.1) < 1e-12
-    assert at_tenth.local_slope >= 100.0
+    assert abs(ts[2] - 0.1) < 1e-12
+    assert slopes[2] >= 100.0
 
 
 def test_flat_counterexample_names_the_first_t_where_f_underflows():
@@ -878,19 +896,20 @@ def test_flat_counterexample_names_the_first_t_where_f_underflows():
 
 
 def test_flat_map_matches_60_digit_values():
-    samples = sl.flat_counterexample(list(FLAT_EXACT))
-    for s in samples:
-        exact = FLAT_EXACT[s.t]
-        assert abs(s.F_t - exact) <= 1e-12 * exact, (s.t, s.F_t, exact)
+    ts, fs, _ = sl.flat_counterexample(list(FLAT_EXACT))
+    for t, f in zip(ts.tolist(), fs.tolist()):
+        exact = FLAT_EXACT[t]
+        assert abs(f - exact) <= 1e-12 * exact, (t, f, exact)
 
 
 def test_flat_map_looser_tol_stays_within_it():
     """The fraction's convergents bracket its value, so the step it
     stops on bounds its error, at t = 1 too, where it converges
     slowest."""
-    for s in sl.flat_counterexample(list(FLAT_EXACT), tol=1e-6):
-        exact = FLAT_EXACT[s.t]
-        assert abs(s.F_t - exact) <= 1e-6 * exact, (s.t, s.F_t, exact)
+    ts, fs, _ = sl.flat_counterexample(list(FLAT_EXACT), tol=1e-6)
+    for t, f in zip(ts.tolist(), fs.tolist()):
+        exact = FLAT_EXACT[t]
+        assert abs(f - exact) <= 1e-6 * exact, (t, f, exact)
 
 
 def test_flat_map_term_cap_raises(monkeypatch):
@@ -907,11 +926,11 @@ def test_single_sample_point_raises(study):
 
 def test_analytic_control_properties():
     ts = np.array([0.05, 0.1, 0.2, 0.5, 1.0])
-    ctl = sl.analytic_control(ts)
-    for s in ctl.samples:
-        assert abs(s.local_slope - 3.0) <= 1e-10
-    assert abs(ctl.samples[-1].F_t - 1.0) <= 1e-13
-    assert 0.30 <= ctl.fit.theta <= 0.37
+    (_, fs, slopes), fit = sl.analytic_control(ts)
+    for slope in slopes.tolist():
+        assert abs(slope - 3.0) <= 1e-10
+    assert abs(fs[-1] - 1.0) <= 1e-13
+    assert 0.30 <= fit.theta <= 0.37
 
 
 @pytest.mark.parametrize("study", [sl.flat_counterexample, sl.analytic_control])
@@ -929,8 +948,9 @@ def test_coincident_sample_points_raise_naming_the_first(study):
 
 def test_flat_dominates_analytic_slopes():
     ts = np.geomspace(0.05, 0.5, 11)
-    flat = max(s.local_slope for s in sl.flat_counterexample(ts))
-    cubic = max(s.local_slope for s in sl.analytic_control(ts).samples)
+    _, _, flat_slopes = sl.flat_counterexample(ts)
+    (_, _, cubic_slopes), _ = sl.analytic_control(ts)
+    flat, cubic = flat_slopes.max(), cubic_slopes.max()
     assert flat >= 30.0 * cubic
 
 
