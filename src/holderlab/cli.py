@@ -232,15 +232,6 @@ def header_line(cfg_hash, seed):
     return "# holderlab %s config=%s seed=%s" % (__version__, cfg_hash, seed)
 
 
-def build_mesh_from(cfg):
-    m = cfg["mesh"]
-    return mx.build_mesh(
-        m["n_sub"],
-        mx.PartitionSpec(m["grid_cols"], m["grid_rows"]),
-        mx.PatchSpec(m["side"], m["t0"], m["t1"]),
-    )
-
-
 def build_problem_from(cfg):
     """The forward problem of the config's kind on its mesh, after the
     checks that need it built; building it costs no solve. A patch that
@@ -248,7 +239,7 @@ def build_problem_from(cfg):
     errors. A map has k(k+1)/2 entries, so when the cells' m parameters
     outnumber them no data determine every cell, and recovering them
     all is NotIdentifiable."""
-    mesh = build_mesh_from(cfg)
+    mesh = mx.build_mesh(**cfg["mesh"])
     try:
         problem = PROBLEMS[cfg["problem"]](mesh)
     except EmptyPatch as exc:
@@ -269,10 +260,6 @@ def build_problem_from(cfg):
             % (m, k * (k + 1) // 2, k, mesh["n_sub"], mesh["grid_cols"], mesh["grid_rows"])
         )
     return problem
-
-
-def build_spec_from(cfg):
-    return sl.CompactSetSpec(cfg["compact_set"]["lambda_lo"], cfg["compact_set"]["lambda_hi"])
 
 
 def _out_path(cfg, name):
@@ -412,7 +399,7 @@ def fit_json(fit, dropped):
 
 
 def cmd_mesh(cfg, args):
-    mesh = build_mesh_from(cfg)
+    mesh = mx.build_mesh(**cfg["mesh"])
     summary = "mesh: %d nodes, %d triangles, %d patch edges" % (
         mesh.n_nodes, len(mesh.triangles), int(mesh.on_patch.sum())
     )
@@ -422,8 +409,8 @@ def cmd_mesh(cfg, args):
 def _forward_problem(cfg):
     """The forward problem and its first sampled point."""
     problem = build_problem_from(cfg)
-    spec = build_spec_from(cfg)
-    return problem, sl.sample_point(problem, spec, cfg["seed"], sl._STREAM_RANDOM_P, 0)
+    bounds = cfg["compact_set"]["lambda_lo"], cfg["compact_set"]["lambda_hi"]
+    return problem, sl.sample_point(problem, *bounds, cfg["seed"], sl._STREAM_RANDOM_P, 0)
 
 
 def cmd_forward(cfg, args):
@@ -469,8 +456,9 @@ def _run_sweep(cfg, threads, differences=False):
     s = cfg["sweep"]
     return sl.sweep(
         build_problem_from(cfg),
-        build_spec_from(cfg),
-        sl.RecoveredQuantity(tuple(cfg["recovered_cells"])),
+        cfg["compact_set"]["lambda_lo"],
+        cfg["compact_set"]["lambda_hi"],
+        cfg["recovered_cells"],
         s["n_random_pairs"],
         s["n_rays"],
         np.geomspace(s["t_min"], s["t_max"], s["n_ray_steps"]),

@@ -3,7 +3,8 @@
 The domain is always the unit square, partitioned into a grid of
 rectangular cells (the known coefficient partition) and uniformly
 triangulated so that cell boundaries align with mesh lines. One side
-carries a marked measurement patch.
+carries a marked measurement patch. build_mesh takes the config's mesh
+section as keywords and checks it; the mesh keeps the patch's side.
 
 The boundary is a ring of edges, counterclockwise: bottom left to
 right, right upward, top right to left, left downward. A point's side
@@ -22,34 +23,6 @@ from .errors import EmptyPatch, IncompatibleSubdivision
 SIDES = ("bottom", "right", "top", "left")
 
 
-@dataclass(frozen=True)
-class PartitionSpec:
-    """Rectangular tiling of the unit square, cells indexed row-major
-    from 1 starting at the bottom-left."""
-
-    grid_cols: int
-    grid_rows: int
-
-    def __post_init__(self):
-        if self.grid_cols < 1 or self.grid_rows < 1:
-            raise ValueError("partition grid must be at least 1x1")
-
-
-@dataclass(frozen=True)
-class PatchSpec:
-    """Measured boundary portion: arclength fractions [t0, t1] along one side."""
-
-    side: str
-    t0: float
-    t1: float
-
-    def __post_init__(self):
-        if self.side not in SIDES:
-            raise ValueError("side must be one of %s" % (SIDES,))
-        if not (0.0 <= self.t0 < self.t1 <= 1.0):
-            raise ValueError("patch interval must satisfy 0 <= t0 < t1 <= 1")
-
-
 @dataclass
 class Mesh:
     nodes: np.ndarray          # (n_nodes, 2)
@@ -57,7 +30,7 @@ class Mesh:
     labels: np.ndarray         # (n_tri,) cell labels in 1..N
     boundary_edges: np.ndarray  # (n_bnd, 2) node pairs in CCW order
     on_patch: np.ndarray       # (n_bnd,) bool
-    patch: PatchSpec
+    side: str                  # the patch's side, one of SIDES
 
     @property
     def n_nodes(self):
@@ -75,20 +48,29 @@ def _side_coordinates(points, side):
     }[side]
 
 
-def build_mesh(n_sub, part, patch):
+def build_mesh(n_sub, grid_cols, grid_rows, side, t0, t1):
     """Uniform triangulation with (n_sub+1)^2 nodes and 2*n_sub^2
     triangles, every square split along its bottom-left to top-right
-    diagonal.
+    diagonal; the grid_cols x grid_rows cells are labelled row-major
+    from 1 at the bottom-left, and the patch spans arclength fractions
+    [t0, t1] of `side`.
 
-    n_sub must be divisible by both partition dimensions so that cell
-    boundaries land on mesh lines.
+    A grid below 1x1, a side not in SIDES or an interval outside
+    0 <= t0 < t1 <= 1 is a ValueError; then an n_sub below 1 or not
+    divisible by both grid dimensions, so that cell boundaries land on
+    mesh lines, is an IncompatibleSubdivision.
     """
+    if grid_cols < 1 or grid_rows < 1:
+        raise ValueError("partition grid must be at least 1x1")
+    if side not in SIDES:
+        raise ValueError("side must be one of %s" % (SIDES,))
+    if not (0.0 <= t0 < t1 <= 1.0):
+        raise ValueError("patch interval must satisfy 0 <= t0 < t1 <= 1")
     if n_sub < 1:
         raise IncompatibleSubdivision("n_sub must be at least 1")
-    if n_sub % part.grid_cols or n_sub % part.grid_rows:
+    if n_sub % grid_cols or n_sub % grid_rows:
         raise IncompatibleSubdivision(
-            "n_sub=%d not divisible by partition %dx%d"
-            % (n_sub, part.grid_cols, part.grid_rows)
+            "n_sub=%d not divisible by partition %dx%d" % (n_sub, grid_cols, grid_rows)
         )
     m = n_sub + 1
     ix, iy = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
@@ -103,19 +85,19 @@ def build_mesh(n_sub, part, patch):
     ).reshape(-1, 3).astype(np.intp)
 
     cent = nodes[triangles].mean(axis=1)
-    col = np.minimum((cent[:, 0] * part.grid_cols).astype(int), part.grid_cols - 1)
-    row = np.minimum((cent[:, 1] * part.grid_rows).astype(int), part.grid_rows - 1)
-    labels = row * part.grid_cols + col + 1
+    col = np.minimum((cent[:, 0] * grid_cols).astype(int), grid_cols - 1)
+    row = np.minimum((cent[:, 1] * grid_rows).astype(int), grid_rows - 1)
+    labels = row * grid_cols + col + 1
 
     s = np.arange(n_sub)
     ring = np.concatenate([s, n_sub + s * m, n_sub * m + n_sub - s, (n_sub - s) * m])
     boundary_edges = np.column_stack([ring, np.roll(ring, -1)]).astype(np.intp)
 
     mid = 0.5 * (nodes[boundary_edges[:, 0]] + nodes[boundary_edges[:, 1]])
-    depth, along = _side_coordinates(mid, patch.side)
-    on_patch = (depth == 0.0) & (along >= patch.t0) & (along <= patch.t1)
+    depth, along = _side_coordinates(mid, side)
+    on_patch = (depth == 0.0) & (along >= t0) & (along <= t1)
 
-    return Mesh(nodes, triangles, labels, boundary_edges, on_patch, patch)
+    return Mesh(nodes, triangles, labels, boundary_edges, on_patch, side)
 
 
 def triangle_areas(mesh):
@@ -178,13 +160,15 @@ def patch_last_order(mesh):
     along that side in counterclockwise order, so the patch side's
     nodes come last. Mesh neighbours stay at most n_sub + 2 positions
     apart, so a stiffness numbered in this order keeps its narrow band."""
-    depth, along = _side_coordinates(mesh.nodes, mesh.patch.side)
+    depth, along = _side_coordinates(mesh.nodes, mesh.side)
     return np.lexsort((along, -depth))
 
 
 def mesh_to_text(mesh):
     """Plain-text export: one node per line "x y", then one triangle
     per line "i j k label" with zero-based node indices."""
-    lines = ["%r %r" % (float(x), float(y)) for x, y in mesh.nodes]
-    lines += ["%d %d %d %d" % (*t, lab) for t, lab in zip(mesh.triangles, mesh.labels)]
-    return "\n".join(lines) + "\n"
+    nodes = mesh.nodes.ravel().tolist()
+    triangles = np.column_stack([mesh.triangles, mesh.labels]).ravel().tolist()
+    return ("%r %r\n" * len(mesh.nodes)) % tuple(nodes) + (
+        "%d %d %d %d\n" * len(mesh.triangles)
+    ) % tuple(triangles)

@@ -5,7 +5,9 @@ A built forward problem (operators.ForwardProblem) owns its kind's
 parameter space, one symmetric matrix per cell: sampling cells and
 directions, the cell count, the basis dimension k, the whitener and the
 map itself. Sampling and sweeps take the built problem and read all of
-these from it; a CompactSetSpec adds only the ellipticity bounds. This
+these from it; the caller adds only plain values, the ellipticity
+bounds lambda_lo and lambda_hi and a sweep's 1-based recovered-cell
+labels, which sample_point and sweep check before any solve. This
 module imports neither problem module and branches on no kind.
 
 A sweep samples parameter pairs from a compact ellipticity class,
@@ -75,36 +77,6 @@ _STREAM_RAY_BASE = 3
 _STREAM_RAY_DIR = 4
 
 
-@dataclass(frozen=True)
-class CompactSetSpec:
-    """Ellipticity class: all cell matrices have eigenvalues in
-    [lambda_lo, lambda_hi]; the forward problem gives the cell count."""
-
-    lambda_lo: float
-    lambda_hi: float
-
-    def __post_init__(self):
-        if not (0.0 < self.lambda_lo <= self.lambda_hi):
-            raise ValueError("need 0 < lambda_lo <= lambda_hi")
-
-
-@dataclass(frozen=True)
-class RecoveredQuantity:
-    """Cell labels (1-based) whose matrices the stability estimate
-    recovers; the max Frobenius distance over these cells is
-    delta_R."""
-
-    cell_subset: tuple
-
-    def __post_init__(self):
-        if len(self.cell_subset) == 0:
-            raise ValueError("recovered quantity needs at least one cell")
-        if len(set(self.cell_subset)) != len(self.cell_subset):
-            raise ValueError("duplicate cell indices")
-        if min(self.cell_subset) < 1:
-            raise ValueError("cell labels are 1-based")
-
-
 @dataclass
 class SweepResult:
     """Kept records as columns: record i sits at position i of each."""
@@ -145,12 +117,19 @@ def _rng(seed, stream, index):
     return np.random.default_rng([int(seed), int(stream), int(index)])
 
 
-def sample_point(problem, spec, seed, stream, index):
+def _check_bounds(lambda_lo, lambda_hi):
+    """A ValueError unless 0 < lambda_lo <= lambda_hi."""
+    if not (0.0 < lambda_lo <= lambda_hi):
+        raise ValueError("need 0 < lambda_lo <= lambda_hi")
+
+
+def sample_point(problem, lambda_lo, lambda_hi, seed, stream, index):
     """Cell matrices of parameter point `index` of a stream, one per
-    cell of the problem's partition; it depends only on (seed, stream,
-    index)."""
+    cell of the problem's partition, with eigenvalues in [lambda_lo,
+    lambda_hi]; it depends only on (seed, stream, index)."""
+    _check_bounds(lambda_lo, lambda_hi)
     rng = _rng(seed, stream, index)
-    return problem.sample_cells(rng, spec.lambda_lo, spec.lambda_hi)
+    return problem.sample_cells(rng, lambda_lo, lambda_hi)
 
 
 def sample_direction(problem, seed, index=0):
@@ -257,19 +236,22 @@ def _run_on_workers(run, workers):
 
 
 def sweep(
-    problem, spec, rq, n_random_pairs, n_rays, ray_steps, seed, probe_k=None, threads=1,
-    differences=False,
+    problem, lambda_lo, lambda_hi, recovered_cells, n_random_pairs, n_rays, ray_steps, seed,
+    probe_k=None, threads=1, differences=False,
 ):
     """Stability records of a built forward problem for random pairs
-    and near-diagonal rays. With differences=True the result also holds
-    the raw operator difference M_p - M_q of every record as its
-    upper_triangle, one row of k(k+1)/2 floats per record in one
-    C-contiguous (records x k(k+1)/2) array, as the greedy selection
-    reads them; otherwise no record keeps one and result.differences
-    is None. A recovered cell label outside the problem's partition or a
-    ray step that is not finite and positive is a ValueError, and a
-    probe_k above its basis dimension a BasisMismatch, all raised before
-    any solve.
+    and near-diagonal rays, sampled with eigenvalues in [lambda_lo,
+    lambda_hi]; delta_R is the largest Frobenius distance over the cells
+    whose 1-based labels recovered_cells lists. With differences=True
+    the result also holds the raw operator difference M_p - M_q of every
+    record as its upper_triangle, one row of k(k+1)/2 floats per record
+    in one C-contiguous (records x k(k+1)/2) array, as the greedy
+    selection reads them; otherwise no record keeps one and
+    result.differences is None. Bounds outside 0 < lambda_lo <= lambda_hi, recovered
+    labels that are empty, repeated, below 1 or outside the problem's
+    partition, and a ray step that is not finite and positive are each a
+    ValueError, and a probe_k above the basis dimension a BasisMismatch,
+    all raised before any solve.
 
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Each record whitens its
@@ -288,7 +270,15 @@ def sweep(
     overflows on cells near the largest float, raises DegenerateSample
     naming the first such record.
     """
-    if max(rq.cell_subset) > problem.form.n_cells:
+    _check_bounds(lambda_lo, lambda_hi)
+    labels = np.array(recovered_cells, dtype=int)
+    if len(labels) == 0:
+        raise ValueError("recovered quantity needs at least one cell")
+    if len(np.unique(labels)) != len(labels):
+        raise ValueError("duplicate cell indices")
+    if labels.min() < 1:
+        raise ValueError("cell labels are 1-based")
+    if labels.max() > problem.form.n_cells:
         raise ValueError("recovered cell label outside the partition")
     k = problem.k if probe_k is None else probe_k
     if k > problem.k:
@@ -303,7 +293,7 @@ def sweep(
     upper = triangle_indices(problem.k)
     triangles, values, kept = _row_arrays(n_rows, len(upper) if differences else 0)
     weights = probe_weights(k)
-    recovered = np.array(rq.cell_subset, dtype=int) - 1
+    recovered = labels - 1
 
     def record(row, cells_p, m_p, cells_q):
         try:
@@ -323,12 +313,12 @@ def sweep(
         for i in range(start, n_jobs, step):
             if i < n_random_pairs:
                 row = i
-                cells_p = sample_point(problem, spec, seed, _STREAM_RANDOM_P, i)
-                qs = [sample_point(problem, spec, seed, _STREAM_RANDOM_Q, i)]
+                cells_p = sample_point(problem, lambda_lo, lambda_hi, seed, _STREAM_RANDOM_P, i)
+                qs = [sample_point(problem, lambda_lo, lambda_hi, seed, _STREAM_RANDOM_Q, i)]
             else:
                 r = i - n_random_pairs
                 row = n_random_pairs + r * len(steps)
-                cells_p = sample_point(problem, spec, seed, _STREAM_RAY_BASE, r)
+                cells_p = sample_point(problem, lambda_lo, lambda_hi, seed, _STREAM_RAY_BASE, r)
                 dp = sample_direction(problem, seed, r)
                 qs = [cells_p + t * dp for t in steps]
             try:

@@ -15,7 +15,7 @@ from holderlab import conductivity as cd
 from holderlab import elasticity as el
 from holderlab import stability as sl
 from holderlab.cli import main
-from holderlab.mesh import PartitionSpec, PatchSpec, build_mesh
+from holderlab.mesh import build_mesh
 from holderlab.numerics import spectral_norm
 from holderlab.operators import operator_distance, whiten
 from holderlab.scalarization import (
@@ -29,14 +29,14 @@ from holderlab.scalarization import (
 from helpers import eig_min
 
 SEED = 1729
-FULL_BOTTOM = PatchSpec("bottom", 0.0, 1.0)
+FULL_BOTTOM = ("bottom", 0.0, 1.0)  # side, t0, t1
 FLAT_TS = np.array([0.05, 0.07, 0.1, 0.14, 0.2, 0.28, 0.4])
-SPEC = sl.CompactSetSpec(0.5, 2.0)
+BOUNDS = (0.5, 2.0)  # lambda_lo, lambda_hi
 
 
 def points(problem, count, stream=0):
     """The first `count` parameter points of a stream, seed SEED."""
-    return [sl.sample_point(problem, SPEC, SEED, stream, i) for i in range(count)]
+    return [sl.sample_point(problem, *BOUNDS, SEED, stream, i) for i in range(count)]
 
 
 def rel_gap(got, want):
@@ -45,7 +45,7 @@ def rel_gap(got, want):
 
 @pytest.fixture(scope="module")
 def small_mesh():
-    return build_mesh(8, PartitionSpec(2, 1), FULL_BOTTOM)
+    return build_mesh(8, 2, 1, *FULL_BOTTOM)
 
 
 @pytest.fixture(scope="module")
@@ -53,13 +53,12 @@ def conductivity_sweep():
     """2-cell, n_sub=16, full bottom patch, (0.5, 2) ellipticity class,
     200 random pairs plus 20 rays of 20 steps. Shared by the sweep,
     finite-measurement, and timing checks."""
-    mesh = build_mesh(16, PartitionSpec(2, 1), FULL_BOTTOM)
-    rq = sl.RecoveredQuantity((1, 2))
+    mesh = build_mesh(16, 2, 1, *FULL_BOTTOM)
     start = time.perf_counter()
     result = sl.sweep(
         cd.NDProblem(mesh),
-        SPEC,
-        rq,
+        *BOUNDS,
+        (1, 2),
         200,
         20,
         sl.default_ray_steps(20),
@@ -74,7 +73,7 @@ def test_criterion_1_scaling_identities():
     start = time.perf_counter()
     worst = 0.0
     for n_sub in (4, 8):
-        mesh = build_mesh(n_sub, PartitionSpec(2, 1), FULL_BOTTOM)
+        mesh = build_mesh(n_sub, 2, 1, *FULL_BOTTOM)
         cp = cd.NDProblem(mesh)
         ep = el.DNProblem(mesh)
         pc = points(cp, 1)[0]

@@ -531,10 +531,8 @@ def test_select_without_positive_distance_exits_1(tmp_path, capsys, monkeypatch,
         path = write_config(tmp_path, {"sweep": {"n_random_pairs": 0, "n_rays": 0}})
     else:
         path = write_config(tmp_path)
-        problem = PROBLEMS["conductivity"](mx.build_mesh(
-            8, mx.PartitionSpec(2, 1), mx.PatchSpec("bottom", 0.0, 1.0)
-        ))
-        fixed = problem.forward(sl.sample_point(problem, sl.CompactSetSpec(0.5, 2.0), 7, 0, 0))
+        problem = PROBLEMS["conductivity"](mx.build_mesh(8, 2, 1, "bottom", 0.0, 1.0))
+        fixed = problem.forward(sl.sample_point(problem, 0.5, 2.0, 7, 0, 0))
         monkeypatch.setattr(cd, "nd_matrix", lambda problem, cells: fixed)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(["select", str(path), "--threads", threads]) == 1

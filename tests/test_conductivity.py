@@ -1,3 +1,6 @@
+import functools
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -7,13 +10,12 @@ from holderlab.errors import NotPositiveDefinite
 from holderlab.numerics import spectral_norm
 from holderlab.operators import gram_inv_sqrt, operator_distance, whiten
 
+import oracle
 from helpers import eig_min, random_conductivity, symmetric_2x2
 
 
 def unit_mesh(n_sub, cols=1, rows=1):
-    return mx.build_mesh(
-        n_sub, mx.PartitionSpec(cols, rows), mx.PatchSpec("bottom", 0.0, 1.0)
-    )
+    return mx.build_mesh(n_sub, cols, rows, "bottom", 0.0, 1.0)
 
 
 def test_params_reject_indefinite():
@@ -40,7 +42,7 @@ def test_params_matrix_roundtrip():
 
 def test_current_basis_dimensions():
     assert len(cd.current_basis(unit_mesh(4))[1]) == 4
-    m = mx.build_mesh(4, mx.PartitionSpec(1, 1), mx.PatchSpec("bottom", 0.0, 0.3))
+    m = mx.build_mesh(4, 1, 1, "bottom", 0.0, 0.3)
     assert len(cd.current_basis(m)[1]) == 1
 
 
@@ -106,7 +108,7 @@ def test_nd_problem_keeps_only_the_trailing_loads():
 def test_ground_node_off_patch():
     for side in mx.SIDES:
         for t0, t1 in ((0.0, 1.0), (0.0, 0.25), (0.5, 1.0), (0.25, 0.75)):
-            m = mx.build_mesh(8, mx.PartitionSpec(2, 2), mx.PatchSpec(side, t0, t1))
+            m = mx.build_mesh(8, 2, 2, side, t0, t1)
             pn = mx.patch_nodes(m)
             assert cd.ground_node(m, pn) not in pn
 
@@ -239,3 +241,74 @@ def test_operator_distance_scaling():
     w = gram_inv_sqrt(problem.gram)
     half_norm = 0.5 * spectral_norm(w @ a @ w)
     assert abs(operator_distance(whiten(problem.whitener, a - b)) - half_norm) <= 1e-12 * half_norm
+
+
+# Dyadic SPD cells, one per cell of a 2x2 partition; a 2x1 partition
+# takes the first two. At n_sub 4 every stiffness entry is then dyadic.
+DYADIC_CELLS = [
+    [[Fraction(1), Fraction(1, 4)], [Fraction(1, 4), Fraction(3, 2)]],
+    [[Fraction(2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(1)]],
+    [[Fraction(1, 2), Fraction(0)], [Fraction(0), Fraction(5, 4)]],
+    [[Fraction(3), Fraction(1)], [Fraction(1), Fraction(3, 4)]],
+]
+EXACT_CASES = [
+    (cols, rows, t0, t1)
+    for cols, rows in ((2, 1), (2, 2))
+    for t0, t1 in ((Fraction(0), Fraction(1)), (Fraction(1, 4), Fraction(3, 4)),
+                   (Fraction(0), Fraction(1, 2)))
+]
+EXACT_IDS = ["%dx%d-%g-%g" % (cols, rows, t0, t1) for cols, rows, t0, t1 in EXACT_CASES]
+
+# The float map against the exact one, relative to its largest entry:
+# measured at most 2.5 eps over EXACT_CASES.
+EXACT_MAP_ULPS = 8
+
+
+@functools.lru_cache(maxsize=None)
+def exact_and_float(cols, rows, t0, t1):
+    """The exact problem of the dyadic cells on n_sub 4 with a bottom
+    patch [t0, t1], the float problem of the same mesh, and the cells as
+    floats, which hold them exactly."""
+    cells = DYADIC_CELLS[: cols * rows]
+    problem = cd.NDProblem(mx.build_mesh(4, cols, rows, "bottom", float(t0), float(t1)))
+    return oracle.nd_map(4, cols, rows, cells, t0, t1), problem, np.array(cells, dtype=float)
+
+
+def as_float(rows):
+    return np.array([[float(v) for v in row] for row in rows])
+
+
+@pytest.mark.parametrize("cols, rows, t0, t1", EXACT_CASES, ids=EXACT_IDS)
+def test_stiffness_values_equal_exact_slots(cols, rows, t0, t1):
+    """Every slot value of the stiffness equals the exact stiffness
+    entry it stands for, bit for bit, and the slots hold every nonzero
+    entry among the free dofs."""
+    exact, problem, cells = exact_and_float(cols, rows, t0, t1)
+    form, dofs = problem.form, problem.dofs.tolist()
+    want = [float(exact.stiffness.get((dofs[r], dofs[c]), 0)) for r, c in
+            zip(form.rows.tolist(), form.cols.tolist())]
+    assert form.values(cells).tobytes() == np.array(want).tobytes()
+    at = {node: i for i, node in enumerate(dofs)}
+    nonzero = {
+        (min(at[a], at[b]), max(at[a], at[b]))
+        for (a, b), v in exact.stiffness.items() if v != 0 and a in at and b in at
+    }
+    assert nonzero <= set(zip(form.rows.tolist(), form.cols.tolist()))
+
+
+@pytest.mark.parametrize("cols, rows, t0, t1", EXACT_CASES, ids=EXACT_IDS)
+def test_nd_map_matches_exact_elimination(cols, rows, t0, t1):
+    """The float map is within EXACT_MAP_ULPS eps of the exact one,
+    relative to its largest entry; the ground is the same node, and the
+    Gram matrix and the loads are within one eps of their largest
+    entries, the loads zero above their trailing rows."""
+    exact, problem, cells = exact_and_float(cols, rows, t0, t1)
+    eps = np.finfo(float).eps
+    want = as_float(exact.matrix)
+    assert np.abs(problem.forward(cells) - want).max() <= EXACT_MAP_ULPS * eps * np.abs(want).max()
+    assert problem.ground == exact.ground
+    gram = as_float(exact.gram)
+    assert np.abs(problem.gram - gram).max() <= eps * np.abs(gram).max()
+    loads = as_float([exact.loads.get(node, [0] * problem.k) for node in problem.dofs.tolist()])
+    assert not loads[: problem.first].any()
+    assert np.abs(problem.loads - loads[problem.first:]).max() <= eps * np.abs(loads).max()

@@ -10,9 +10,7 @@ from helpers import eig_min, isotropic_tensor, random_mandel
 
 
 def unit_mesh(n_sub, cols=1, rows=1, t0=0.0, t1=1.0):
-    return mx.build_mesh(
-        n_sub, mx.PartitionSpec(cols, rows), mx.PatchSpec("bottom", t0, t1)
-    )
+    return mx.build_mesh(n_sub, cols, rows, "bottom", t0, t1)
 
 
 def test_isotropic_examples():

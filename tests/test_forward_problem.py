@@ -28,7 +28,7 @@ TOL = 1e-13
 
 
 def mesh_2x2(side="bottom", t0=0.0, t1=1.0):
-    return mx.build_mesh(4, mx.PartitionSpec(2, 2), mx.PatchSpec(side, t0, t1))
+    return mx.build_mesh(4, 2, 2, side, t0, t1)
 
 
 def reference_gradients(xy):
@@ -238,10 +238,9 @@ def test_forward_is_invariant_under_mesh_symmetries(kind, side, interval):
     j, shift, reverse = SIDE_MAPS[side]
     t0, t1 = interval
     image = (1.0 - t1, 1.0 - t0) if reverse else interval
-    part = mx.PartitionSpec(2, 2)
     build = cd.NDProblem if kind == "conductivity" else el.DNProblem
-    bottom = build(mx.build_mesh(8, part, mx.PatchSpec("bottom", t0, t1)))
-    mapped = build(mx.build_mesh(8, part, mx.PatchSpec(side, *image)))
+    bottom = build(mx.build_mesh(8, 2, 2, "bottom", t0, t1))
+    mapped = build(mx.build_mesh(8, 2, 2, side, *image))
     cells = (conductivity_points() if kind == "conductivity" else elasticity_points())[0]
     want = bottom.forward(cells)
     if reverse:
@@ -258,7 +257,7 @@ def test_patch_last_band_and_trailing_block(kind, side):
     (the nonzero rows of the conductivity loads, the elasticity basis
     dofs) fits in the last two node rows."""
     n_sub = 8
-    m = mx.build_mesh(n_sub, mx.PartitionSpec(2, 2), mx.PatchSpec(side, 0.0, 1.0))
+    m = mx.build_mesh(n_sub, 2, 2, side, 0.0, 1.0)
     if kind == "conductivity":
         problem, per_node = cd.NDProblem(m), 1
     else:
@@ -290,7 +289,7 @@ MEMORY_CASES = [("conductivity", 32), ("elasticity", 16), ("elasticity", 32)]
 
 
 def memory_case(kind, n_sub):
-    m = mx.build_mesh(n_sub, mx.PartitionSpec(2, 2), mx.PatchSpec("bottom", 0.0, 1.0))
+    m = mx.build_mesh(n_sub, 2, 2, "bottom", 0.0, 1.0)
     cells = (random_conductivity if kind == "conductivity" else random_mandel)(4, seed=23)
     return m, PROBLEMS[kind], cells
 
@@ -368,7 +367,7 @@ INDEFINITE = {"conductivity": [[1.0, 2.0], [2.0, 1.0]], "elasticity": np.diag([1
 
 
 def unit_problem(kind, n_sub, cols=1):
-    m = mx.build_mesh(n_sub, mx.PartitionSpec(cols, 1), mx.PatchSpec("bottom", 0.0, 1.0))
+    m = mx.build_mesh(n_sub, cols, 1, "bottom", 0.0, 1.0)
     return PROBLEMS[kind](m)
 
 
@@ -446,13 +445,12 @@ def test_monotonicity_sandwich(kind, n_sub):
     pairs on 2x2 cells. Each gap, whitened, has no eigenvalue below
     -SANDWICH_ULPS * u times the whitened difference's spectral norm; a
     derivative of the wrong sign breaks the upper bound by that norm."""
-    m = mx.build_mesh(n_sub, mx.PartitionSpec(2, 2), mx.PatchSpec("bottom", 0.0, 1.0))
+    m = mx.build_mesh(n_sub, 2, 2, "bottom", 0.0, 1.0)
     problem = PROBLEMS[kind](m)
-    spec = sl.CompactSetSpec(0.5, 2.0)
     u = np.finfo(float).eps
     for i in range(10):
-        p = sl.sample_point(problem, spec, 11, 1, i)
-        q = sl.sample_point(problem, spec, 11, 2, i)
+        p = sl.sample_point(problem, 0.5, 2.0, 11, 1, i)
+        q = sl.sample_point(problem, 0.5, 2.0, 11, 2, i)
         pqp = p @ np.linalg.solve(q, p)
         pqp = 0.5 * (pqp + pqp.transpose(0, 2, 1))  # exactly symmetric, as a direction must be
 
@@ -481,7 +479,7 @@ def test_basis_matrices_are_exactly_symmetric(kind):
         for side in mx.SIDES:
             for t0, t1 in [(0.0, 1.0), (0.25, 0.75), (0.1, 0.6)]:
                 try:
-                    m = mx.build_mesh(n_sub, mx.PartitionSpec(1, 1), mx.PatchSpec(side, t0, t1))
+                    m = mx.build_mesh(n_sub, 1, 1, side, t0, t1)
                     assert exactly_symmetric(mx.boundary_mass_matrix(m))
                     problem = PROBLEMS[kind](m)
                 except HolderLabError:

@@ -14,7 +14,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 PYPROJECT = ROOT / "pyproject.toml"
 # the package, the tests' modules and perfbench's, which imports its siblings by name
-LOCAL = {"holderlab", "helpers", "conftest", "run", "traced"}
+LOCAL = {"holderlab", "helpers", "oracle", "conftest", "run", "traced"}
 
 
 def installed_by_workflow():

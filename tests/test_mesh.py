@@ -8,9 +8,7 @@ from helpers import eig_min
 
 
 def unit_mesh(n_sub, cols=1, rows=1, side="bottom", t0=0.0, t1=1.0):
-    return mx.build_mesh(
-        n_sub, mx.PartitionSpec(cols, rows), mx.PatchSpec(side, t0, t1)
-    )
+    return mx.build_mesh(n_sub, cols, rows, side, t0, t1)
 
 
 def test_minimal_mesh_counts():
@@ -49,31 +47,40 @@ def test_incompatible_subdivision():
 
 
 def test_partition_spec_validation():
-    with pytest.raises(ValueError, match="at least 1x1"):
-        mx.PartitionSpec(0, 1)
+    """A grid below 1x1 is a ValueError from build_mesh, checked ahead
+    of the n_sub checks, which would otherwise divide by it."""
+    for cols, rows in ((0, 1), (1, 0), (-2, 1)):
+        for n_sub in (0, 3, 4):
+            with pytest.raises(ValueError, match="partition grid must be at least 1x1"):
+                mx.build_mesh(n_sub, cols, rows, "bottom", 0.0, 1.0)
 
 
 def test_patch_spec_validation():
-    with pytest.raises(ValueError):
-        mx.PatchSpec("bottom", 0.5, 0.5)
-    with pytest.raises(ValueError):
-        mx.PatchSpec("north", 0.0, 1.0)
+    """A side not in SIDES and an interval outside 0 <= t0 < t1 <= 1 are
+    each a ValueError from build_mesh, ahead of the n_sub checks."""
+    for n_sub in (0, 3):
+        with pytest.raises(ValueError, match="side must be one of"):
+            mx.build_mesh(n_sub, 2, 1, "north", 0.0, 1.0)
+        for t0, t1 in ((0.5, 0.5), (0.75, 0.25), (-0.1, 1.0), (0.0, 1.5)):
+            with pytest.raises(ValueError, match="patch interval must satisfy 0 <= t0 < t1 <= 1"):
+                mx.build_mesh(n_sub, 2, 1, "bottom", t0, t1)
+    assert mx.build_mesh(2, 1, 1, "left", 0.0, 1.0).side == "left"
 
 
 def test_refinement_preserves_labels():
-    part = mx.PartitionSpec(2, 2)
-    coarse = unit_mesh(4, cols=part.grid_cols, rows=part.grid_rows)
-    fine = unit_mesh(8, cols=part.grid_cols, rows=part.grid_rows)
+    cols, rows = 2, 2
+    coarse = unit_mesh(4, cols=cols, rows=rows)
+    fine = unit_mesh(8, cols=cols, rows=rows)
 
-    def label_at(pt, part):
-        col = min(int(pt[0] * part.grid_cols), part.grid_cols - 1)
-        row = min(int(pt[1] * part.grid_rows), part.grid_rows - 1)
-        return row * part.grid_cols + col + 1
+    def label_at(pt):
+        col = min(int(pt[0] * cols), cols - 1)
+        row = min(int(pt[1] * rows), rows - 1)
+        return row * cols + col + 1
 
     for m in (coarse, fine):
         cents = m.nodes[m.triangles].mean(axis=1)
         for c, lab in zip(cents, m.labels):
-            assert lab == label_at(c, part)
+            assert lab == label_at(c)
 
 
 def test_patch_nodes_full_bottom():
@@ -193,6 +200,17 @@ def test_build_mesh_matches_loop_reference():
                 assert mx.mesh_to_text(m) == text
                 assert m.triangles.dtype == m.boundary_edges.dtype == np.intp
                 assert m.boundary_edges.tobytes() == edges.tobytes()
+
+
+@pytest.mark.parametrize("side", mx.SIDES)
+@pytest.mark.parametrize("n_sub", [1, 4, 64])
+def test_mesh_to_text_matches_per_line_format(n_sub, side):
+    """The one-pass export gives the bytes of one formatted line per
+    node and per triangle."""
+    m = unit_mesh(n_sub, cols=1 if n_sub == 1 else 2, rows=1 if n_sub == 1 else 2, side=side)
+    lines = ["%r %r" % (float(x), float(y)) for x, y in m.nodes]
+    lines += ["%d %d %d %d" % (*t, lab) for t, lab in zip(m.triangles, m.labels)]
+    assert mx.mesh_to_text(m).encode() == ("\n".join(lines) + "\n").encode()
 
 
 def loop_patch_reference(n_sub, side, t0, t1):

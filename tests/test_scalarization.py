@@ -111,7 +111,7 @@ def test_phi_truncation_bound_check():
 def test_matrix_element_conductivity_scaling():
     """Doubling the conductivity halves every ND matrix entry, each to
     relative accuracy."""
-    m = mx.build_mesh(4, mx.PartitionSpec(1, 1), mx.PatchSpec("bottom", 0.0, 1.0))
+    m = mx.build_mesh(4, 1, 1, "bottom", 0.0, 1.0)
     problem = cd.NDProblem(m)
     cells = np.array([[[1.3, 0.2], [0.2, 1.1]]])
     a = problem.forward(cells)

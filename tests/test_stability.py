@@ -39,12 +39,10 @@ from helpers import child_env, eig_min, same_records, symmetric_from_upper
 
 
 def bottom_mesh(n_sub, cols=1, rows=1):
-    return mx.build_mesh(
-        n_sub, mx.PartitionSpec(cols, rows), mx.PatchSpec("bottom", 0.0, 1.0)
-    )
+    return mx.build_mesh(n_sub, cols, rows, "bottom", 0.0, 1.0)
 
 
-SPEC = sl.CompactSetSpec(0.5, 2.0)
+BOUNDS = (0.5, 2.0)  # lambda_lo, lambda_hi
 
 # F(t) = Gamma(-1/2, 1/t^2) / 2 at these binary t, from a 60-digit
 # evaluation and rounded to the nearest float. The tests run without an
@@ -63,35 +61,67 @@ def built(kind, n_sub=4, cols=1, rows=1):
     return PROBLEMS[kind](bottom_mesh(n_sub, cols, rows))
 
 
-def points(problem, spec, count, seed, stream=0):
+def points(problem, bounds, count, seed, stream=0):
     """The first `count` parameter points of a stream."""
-    return [sl.sample_point(problem, spec, seed, stream, i) for i in range(count)]
+    return [sl.sample_point(problem, *bounds, seed, stream, i) for i in range(count)]
 
 
-def test_compact_set_validation():
-    with pytest.raises(ValueError):
-        sl.CompactSetSpec(2.0, 0.5)
-    with pytest.raises(ValueError):
-        sl.CompactSetSpec(0.0, 2.0)
+def test_compact_set_validation(monkeypatch):
+    """Bounds outside 0 < lambda_lo <= lambda_hi are a ValueError from
+    sample_point, and from sweep before any forward runs; equal bounds
+    pass."""
+    seen = recorded_forwards(monkeypatch)
+    problem = built("conductivity", cols=2)
+    for lo, hi in ((2.0, 0.5), (0.0, 2.0), (-1.0, 2.0)):
+        with pytest.raises(ValueError, match="need 0 < lambda_lo <= lambda_hi"):
+            sl.sample_point(problem, lo, hi, 42, sl._STREAM_RANDOM_P, 0)
+        with pytest.raises(ValueError, match="need 0 < lambda_lo <= lambda_hi"):
+            sl.sweep(problem, lo, hi, (1, 2), 5, 1, [1e-3], 42, threads=2)
+    assert seen == []
+    assert sl.sample_point(problem, 1.0, 1.0, 42, sl._STREAM_RANDOM_P, 0).shape == (2, 2, 2)
 
 
-def test_recovered_quantity_validation():
-    with pytest.raises(ValueError):
-        sl.RecoveredQuantity(())
-    with pytest.raises(ValueError):
-        sl.RecoveredQuantity((0,))
-    with pytest.raises(ValueError):
-        sl.RecoveredQuantity((1, 1))
+def test_recovered_quantity_validation(monkeypatch):
+    """Recovered labels that are empty, repeated, below 1 or beyond the
+    problem's partition are each a ValueError from sweep before any
+    forward runs."""
+    seen = recorded_forwards(monkeypatch)
+    problem = built("conductivity", cols=2)
+    for labels, message in (
+        ((), "recovered quantity needs at least one cell"),
+        ([], "recovered quantity needs at least one cell"),
+        ((1, 1), "duplicate cell indices"),
+        ([2, 1, 2], "duplicate cell indices"),
+        ((0,), "cell labels are 1-based"),
+        ((0, 1), "cell labels are 1-based"),
+        (np.array([3]), "recovered cell label outside the partition"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            sl.sweep(problem, *BOUNDS, labels, 5, 1, [1e-3], 42, threads=2)
+    assert seen == []
+
+
+def test_sweep_reads_recovered_labels_of_any_sequence():
+    """A list, a tuple and an array of the same labels give the same
+    records bit for bit."""
+    problem = built("conductivity", n_sub=8, cols=2)
+    runs = [
+        sl.sweep(problem, *BOUNDS, labels, 4, 2, sl.default_ray_steps(3), 42)
+        for labels in ([2], (2,), np.array([2]), [1, 2], (1, 2), np.array([1, 2]))
+    ]
+    for group in (runs[:3], runs[3:]):
+        assert all(same_records(group[0], res) for res in group[1:])
+    assert not same_records(runs[0], runs[3])
 
 
 def test_sampling_deterministic():
     problem = built("conductivity", n_sub=3, cols=3)
-    a = points(problem, SPEC, 4, seed=9)
-    b = points(problem, SPEC, 4, seed=9)
+    a = points(problem, BOUNDS, 4, seed=9)
+    b = points(problem, BOUNDS, 4, seed=9)
     for p, q in zip(a, b):
         assert np.array_equal(p, q)
     # sample i depends only on (seed, i), not on count
-    c = points(problem, SPEC, 2, seed=9)
+    c = points(problem, BOUNDS, 2, seed=9)
     assert np.array_equal(a[0], c[0])
     assert np.array_equal(a[1], c[1])
 
@@ -102,7 +132,7 @@ def test_sampling_eigenvalue_bounds():
     states: F(2 p) = 2^degree F(p)."""
     for kind in PROBLEMS:
         problem = built(kind, cols=2)
-        for cells in points(problem, SPEC, 10, seed=3):
+        for cells in points(problem, BOUNDS, 10, seed=3):
             assert np.array_equal(cells, cells.transpose(0, 2, 1))
             for m in cells:
                 w = np.linalg.eigvalsh(m)
@@ -114,19 +144,18 @@ def test_sampling_eigenvalue_bounds():
 
 
 def test_sampling_degenerate_interval():
-    spec = sl.CompactSetSpec(1.0, 1.0)
-    for cells in points(built("conductivity", cols=2), spec, 3, seed=1):
+    for cells in points(built("conductivity", cols=2), (1.0, 1.0), 3, seed=1):
         for m in cells:
             assert np.allclose(m, np.eye(2), atol=1e-12)
-    for cells in points(built("elasticity"), spec, 3, seed=1):
+    for cells in points(built("elasticity"), (1.0, 1.0), 3, seed=1):
         assert np.allclose(cells[0], np.eye(3), atol=1e-12)
 
 
-def per_cell_elasticity(rng, spec, n_cells):
+def per_cell_elasticity(rng, lo, hi, n_cells):
     """Elasticity cells drawn and rotated one cell at a time."""
     cells = np.empty((n_cells, 3, 3))
     for j in range(n_cells):
-        e = rng.uniform(spec.lambda_lo, spec.lambda_hi, 3)
+        e = rng.uniform(lo, hi, 3)
         g = rng.standard_normal((3, 3))
         q, r = np.linalg.qr(g)
         q = q * np.sign(np.diag(r))
@@ -140,16 +169,15 @@ def test_elasticity_sampling_matches_per_cell_loop(n_cells):
     problem = built("elasticity", cols=n_cells)
     for seed in range(100):
         for stream in (1, 3):
-            want = per_cell_elasticity(sl._rng(seed, stream, 7), SPEC, n_cells)
-            assert np.array_equal(sl.sample_point(problem, SPEC, seed, stream, 7), want)
+            want = per_cell_elasticity(sl._rng(seed, stream, 7), *BOUNDS, n_cells)
+            assert np.array_equal(sl.sample_point(problem, *BOUNDS, seed, stream, 7), want)
 
 
 def small_sweep(threads=1, seed=42, differences=False):
-    rq = sl.RecoveredQuantity((1, 2))
     return sl.sweep(
         built("conductivity", n_sub=8, cols=2),
-        SPEC,
-        rq,
+        *BOUNDS,
+        (1, 2),
         n_random_pairs=10,
         n_rays=3,
         ray_steps=sl.default_ray_steps(4),
@@ -179,7 +207,7 @@ def test_sweep_contract_no_silent_injectivity_failure(tmp_path, monkeypatch):
     res = small_sweep()
     assert not sl.injectivity_violation(res.delta_R, res.delta_F).any()
     problem = built("conductivity", n_sub=8, cols=2)
-    fixed = cd.nd_matrix(problem, sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_P, 0))
+    fixed = cd.nd_matrix(problem, sl.sample_point(problem, *BOUNDS, 42, sl._STREAM_RANDOM_P, 0))
     monkeypatch.setattr(cd, "nd_matrix", lambda problem, cells: fixed)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     config = {
@@ -214,11 +242,9 @@ def test_sweep_drops_ray_steps_outside_the_cone(kind):
     """Long rays from a wide class leave the SPD cone; those steps are
     dropped and counted, and the sweep still finishes the same on any
     thread count."""
-    spec = sl.CompactSetSpec(0.1, 2.0)
-    rq = sl.RecoveredQuantity((1, 2))
     steps = np.geomspace(1e-6, 0.9, 20)
     problem = built(kind, n_sub=8, cols=2)
-    runs = [sl.sweep(problem, spec, rq, 200, 20, steps, 1729, threads=t) for t in (1, 3)]
+    runs = [sl.sweep(problem, 0.1, 2.0, (1, 2), 200, 20, steps, 1729, threads=t) for t in (1, 3)]
     for res in runs:
         assert res.dropped > 0
         assert len(res.delta_R) + res.dropped == 200 + 20 * 20
@@ -274,7 +300,7 @@ def test_rays_without_steps_solve_nothing(monkeypatch):
     problem = built("conductivity", n_sub=8, cols=2)
     for threads in (1, 3):
         count.value = 0
-        res = sl.sweep(problem, SPEC, sl.RecoveredQuantity((1,)), 3, 4, [], seed=7, threads=threads)
+        res = sl.sweep(problem, *BOUNDS, (1,), 3, 4, [], seed=7, threads=threads)
         assert (len(res.delta_R), res.dropped) == (3, 0)
         assert count.value == 2 * 3
 
@@ -297,9 +323,8 @@ def test_sweep_rejects_recovered_cell_outside_partition(monkeypatch):
     """A recovered cell label the problem's partition lacks is an error
     before any forward runs."""
     seen = recorded_forwards(monkeypatch)
-    rq = sl.RecoveredQuantity((1, 3))
     with pytest.raises(ValueError, match="outside the partition"):
-        sl.sweep(built("conductivity", cols=2), SPEC, rq, 5, 1, [1e-3], 42)
+        sl.sweep(built("conductivity", cols=2), *BOUNDS, (1, 3), 5, 1, [1e-3], 42)
     assert seen == []
 
 
@@ -316,9 +341,8 @@ def test_sweep_rejects_ray_steps_not_finite_and_positive(monkeypatch, steps, fir
     parse_records_csv refuses, or none at all: a ValueError naming the
     first such step before any forward runs."""
     seen = recorded_forwards(monkeypatch)
-    rq = sl.RecoveredQuantity((1,))
     with pytest.raises(ValueError, match="ray step %s is not finite and positive" % first):
-        sl.sweep(built("conductivity", n_sub=8), SPEC, rq, 5, 1, steps, 42)
+        sl.sweep(built("conductivity", n_sub=8), *BOUNDS, (1,), 5, 1, steps, 42)
     assert seen == []
 
 
@@ -327,11 +351,27 @@ def test_sweep_rejects_probe_k_above_basis_dimension(monkeypatch):
     any forward runs, not after the first record's solves."""
     seen = recorded_forwards(monkeypatch)
     problem = built("conductivity", n_sub=8)
-    rq = sl.RecoveredQuantity((1,))
     with pytest.raises(BasisMismatch, match="exceeds basis dimension 8"):
-        sl.sweep(problem, SPEC, rq, 5, 1, [1e-3], 42, probe_k=problem.k + 1)
+        sl.sweep(problem, *BOUNDS, (1,), 5, 1, [1e-3], 42, probe_k=problem.k + 1)
     assert seen == []
-    assert len(sl.sweep(problem, SPEC, rq, 1, 0, [], 42, probe_k=problem.k).delta_R) == 1
+    assert len(sl.sweep(problem, *BOUNDS, (1,), 1, 0, [], 42, probe_k=problem.k).delta_R) == 1
+
+
+@pytest.mark.parametrize("kind", tuple(PROBLEMS))
+def test_sweep_samples_the_same_pairs_at_every_n_sub(kind):
+    """Sampling is per cell, so one config gives the same parameter
+    pairs on every mesh of its partition: on 2x1 cells, delta_R and t
+    are bit-identical at n_sub 4, 8 and 16, and no record is dropped."""
+    runs = [
+        sl.sweep(built(kind, n_sub=n_sub, cols=2), *BOUNDS, (1, 2), 20, 3,
+                 sl.default_ray_steps(5), 1729)
+        for n_sub in (4, 8, 16)
+    ]
+    for res in runs:
+        assert res.dropped == 0
+        assert len(res.delta_R) == 20 + 3 * 5
+        assert res.delta_R.tobytes() == runs[0].delta_R.tobytes()
+        assert res.t.tobytes() == runs[0].t.tobytes()
 
 
 def test_sweep_samples_points_of_the_problem_shape(monkeypatch):
@@ -339,8 +379,7 @@ def test_sweep_samples_points_of_the_problem_shape(monkeypatch):
     the problem's partition, and no record is dropped."""
     seen = recorded_forwards(monkeypatch)
     problem = built("conductivity", cols=2, rows=2)
-    rq = sl.RecoveredQuantity((1, 2, 3, 4))
-    res = sl.sweep(problem, SPEC, rq, 6, 1, sl.default_ray_steps(5), 42)
+    res = sl.sweep(problem, *BOUNDS, (1, 2, 3, 4), 6, 1, sl.default_ray_steps(5), 42)
     assert res.dropped == 0
     assert len(res.delta_R) == 6 + 5
     assert len(seen) == 2 * 6 + 1 + 5
@@ -370,7 +409,7 @@ def test_single_job_sweep_stays_in_process(monkeypatch):
         return real(problem, cells)
 
     monkeypatch.setattr(cd, "nd_matrix", recorded)
-    res = sl.sweep(built("conductivity"), SPEC, sl.RecoveredQuantity((1,)), 1, 0, [], 3, threads=3)
+    res = sl.sweep(built("conductivity"), *BOUNDS, (1,), 1, 0, [], 3, threads=3)
     assert len(res.delta_R) == 1
     assert pids == [os.getpid()] * 2
 
@@ -393,8 +432,8 @@ def test_shared_rows_drop_and_compact_alike_at_any_worker_count(monkeypatch):
     workers, and each kept row, moved up over the dropped ones, holds
     the upper triangle of its own record's M_p - M_q."""
     problem = built("conductivity", n_sub=8, cols=2)
-    q3 = sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_Q, 3)
-    base1 = sl.sample_point(problem, SPEC, 42, sl._STREAM_RAY_BASE, 1)
+    q3 = sl.sample_point(problem, *BOUNDS, 42, sl._STREAM_RANDOM_Q, 3)
+    base1 = sl.sample_point(problem, *BOUNDS, 42, sl._STREAM_RAY_BASE, 1)
     real = cd.nd_matrix
 
     def failing(problem, cells):
@@ -404,12 +443,12 @@ def test_shared_rows_drop_and_compact_alike_at_any_worker_count(monkeypatch):
 
     steps = sl.default_ray_steps(4)
     pairs = [
-        (sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_P, i),
-         sl.sample_point(problem, SPEC, 42, sl._STREAM_RANDOM_Q, i))
+        (sl.sample_point(problem, *BOUNDS, 42, sl._STREAM_RANDOM_P, i),
+         sl.sample_point(problem, *BOUNDS, 42, sl._STREAM_RANDOM_Q, i))
         for i in range(10) if i != 3
     ]
     for r in (0, 2):
-        base = sl.sample_point(problem, SPEC, 42, sl._STREAM_RAY_BASE, r)
+        base = sl.sample_point(problem, *BOUNDS, 42, sl._STREAM_RAY_BASE, r)
         dp = sl.sample_direction(problem, 42, r)
         pairs += [(base, base + t * dp) for t in steps]
     want = [upper_triangle(problem.forward(p) - problem.forward(q)) for p, q in pairs]
@@ -517,7 +556,7 @@ def test_killed_worker_share_is_rerun(monkeypatch):
     differences are those of the in-process sweep, and no child is
     left."""
     parent = os.getpid()
-    base = sl.sample_point(built("conductivity", n_sub=8, cols=2), SPEC, 42, sl._STREAM_RAY_BASE, 1)
+    base = sl.sample_point(built("conductivity", n_sub=8, cols=2), *BOUNDS, 42, sl._STREAM_RAY_BASE, 1)
     real = cd.nd_matrix
 
     def killing(problem, cells):
@@ -548,7 +587,7 @@ def test_workers_inherit_the_problem_unpickled(monkeypatch):
     assert sl._worker_count(2, 13) == 2
     ref, res = (
         sl.sweep(
-            problem, SPEC, sl.RecoveredQuantity((1, 2)), 10, 3, sl.default_ray_steps(4), 42,
+            problem, *BOUNDS, (1, 2), 10, 3, sl.default_ray_steps(4), 42,
             threads=threads, differences=True,
         )
         for threads in (1, 2)
@@ -593,9 +632,9 @@ def whiten(whitener, raw):
 
 sl.whiten = whiten
 os.sched_getaffinity = lambda pid: {0, 1}
-mesh = mx.build_mesh(8, mx.PartitionSpec(2, 1), mx.PatchSpec("bottom", 0.0, 1.0))
+mesh = mx.build_mesh(8, 2, 1, "bottom", 0.0, 1.0)
 before = blas_threads()
-sl.sweep(cd.NDProblem(mesh), sl.CompactSetSpec(0.5, 2.0), sl.RecoveredQuantity((1,)), 4, 2,
+sl.sweep(cd.NDProblem(mesh), 0.5, 2.0, (1,), 4, 2,
          sl.default_ray_steps(2), 42, threads=2)
 print(json.dumps({"pid": os.getpid(), "before": before, "after": blas_threads()}))
 """
@@ -628,7 +667,7 @@ def inject_failure(monkeypatch, seed):
     """Make the forward of the last ray's base point of small_sweep
     raise an error that is not a HolderLabError."""
     problem = built("conductivity", cols=2)
-    base = sl.sample_point(problem, SPEC, seed, sl._STREAM_RAY_BASE, 2)
+    base = sl.sample_point(problem, *BOUNDS, seed, sl._STREAM_RAY_BASE, 2)
     real = cd.nd_matrix
 
     def failing(problem, cells):
@@ -682,7 +721,7 @@ def test_sweep_runs_no_backsolve(backsolves):
     res = small_sweep(threads=1)
     assert len(res.delta_R) == 10 + 3 * 4
     problem = built("elasticity", cols=2)
-    res = sl.sweep(problem, SPEC, sl.RecoveredQuantity((1,)), 3, 1, [1e-3, 1e-2], 42)
+    res = sl.sweep(problem, *BOUNDS, (1,), 3, 1, [1e-3, 1e-2], 42)
     assert len(res.delta_R) == 3 + 2
     assert backsolves == []
 
@@ -690,7 +729,7 @@ def test_sweep_runs_no_backsolve(backsolves):
 def test_sweep_failed_ray_base_drops_every_step(monkeypatch):
     """A failed base solve drops each record of its ray, counted one
     by one; the other rays and the pairs are unaffected."""
-    base = sl.sample_point(built("conductivity", cols=2), SPEC, 42, sl._STREAM_RAY_BASE, 1)
+    base = sl.sample_point(built("conductivity", cols=2), *BOUNDS, 42, sl._STREAM_RAY_BASE, 1)
     real = cd.nd_matrix
 
     def failing(problem, cells):
@@ -963,8 +1002,7 @@ def test_injectivity_probe():
 
 
 def test_injectivity_probe_one_cell_sweep():
-    rq = sl.RecoveredQuantity((1,))
-    res = sl.sweep(built("conductivity", n_sub=8), SPEC, rq, 10, 2, sl.default_ray_steps(4), seed=5)
+    res = sl.sweep(built("conductivity", n_sub=8), *BOUNDS, (1,), 10, 2, sl.default_ray_steps(4), seed=5)
     assert res.dropped == 0
     assert sl.injectivity_probe(res.delta_R, res.delta_F, 1e-8) == []
 
@@ -995,11 +1033,10 @@ def test_default_sweep_keeps_no_operator_matrix_per_record():
     n_records * k^2 float64s that keeping them would take, here about
     0.7 MB for 100 elasticity records of k = 30."""
     problem = built("elasticity", n_sub=16, cols=2, rows=2)
-    rq = sl.RecoveredQuantity((1,))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res = sl.sweep(problem, SPEC, rq, 50, 5, sl.default_ray_steps(10), 7)
+        res = sl.sweep(problem, *BOUNDS, (1,), 50, 5, sl.default_ray_steps(10), 7)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -1014,11 +1051,10 @@ def elasticity_selection_sweep():
     result keeps: those tracemalloc sees, plus the shared mapping of the
     triangle block, which it does not see."""
     problem = built("elasticity", n_sub=16, cols=2, rows=2)
-    rq = sl.RecoveredQuantity((1,))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res = sl.sweep(problem, SPEC, rq, 100, 10, sl.default_ray_steps(10), 1729, differences=True)
+        res = sl.sweep(problem, *BOUNDS, (1,), 100, 10, sl.default_ray_steps(10), 1729, differences=True)
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -1069,12 +1105,12 @@ def test_sweep_differences_are_raw_operator_differences():
     for a random pair and for a ray step alike."""
     problem = cd.NDProblem(bottom_mesh(8, cols=2))
     res = small_sweep(differences=True)
-    ps = points(problem, SPEC, 10, 42, sl._STREAM_RANDOM_P)
-    qs = points(problem, SPEC, 10, 42, sl._STREAM_RANDOM_Q)
+    ps = points(problem, BOUNDS, 10, 42, sl._STREAM_RANDOM_P)
+    qs = points(problem, BOUNDS, 10, 42, sl._STREAM_RANDOM_Q)
     for i in (0, 9):
         want = upper_triangle(problem.forward(ps[i]) - problem.forward(qs[i]))
         assert np.array_equal(res.differences[i], want)
-    base = sl.sample_point(problem, SPEC, 42, sl._STREAM_RAY_BASE, 0)
+    base = sl.sample_point(problem, *BOUNDS, 42, sl._STREAM_RAY_BASE, 0)
     t = float(sl.default_ray_steps(4)[0])
     stepped = base + t * sl.sample_direction(problem, 42, index=0)
     want = upper_triangle(problem.forward(base) - problem.forward(stepped))
@@ -1084,9 +1120,8 @@ def test_sweep_differences_are_raw_operator_differences():
 
 
 def test_elasticity_sweep_runs():
-    rq = sl.RecoveredQuantity((1,))
     problem = built("elasticity", n_sub=8, cols=2)
-    res = sl.sweep(problem, SPEC, rq, 4, 1, sl.default_ray_steps(3), seed=6)
+    res = sl.sweep(problem, *BOUNDS, (1,), 4, 1, sl.default_ray_steps(3), seed=6)
     assert len(res.delta_R) == 7
     assert res.dropped == 0
     for d_f, ph in zip(res.delta_F.tolist(), res.phi.tolist()):
