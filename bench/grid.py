@@ -3,10 +3,11 @@ trees, alternating, with each run's wall time, peak RSS and outputs.
 
     python3 bench/grid.py --before TREE --after TREE --label NAME
         [--cells conductivity:16,elasticity:64] [--commands sweep,select]
-        [--runs N] [--threads 1,2] [--out DIR]
+        [--runs N] [--threads 1,2] [--grid COLSxROWS] [--out DIR]
 
 A tree is a checkout whose `src/` holds the holderlab package. Every
-cell (problem, n_sub) runs on 2x1 cells, the full bottom patch, seed
+cell (problem, n_sub) runs on the partition grid of --grid (default
+2x1 cells, which must divide every n_sub), the full bottom patch, seed
 1729 and the default sweep (600 records). Each run is a fresh child
 `python -m holderlab.cli` with PYTHONPATH set to the tree's `src/` and
 the BLAS thread variables removed, so the command line pins them as it
@@ -41,6 +42,7 @@ import filecmp
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -117,11 +119,11 @@ def tree_commit(tree):
     return head.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def config(problem, n_sub):
+def config(problem, n_sub, grid):
     return {
         "problem": problem,
         "seed": SEED,
-        "mesh": {"n_sub": n_sub, "grid_cols": 2, "grid_rows": 1},
+        "mesh": {"n_sub": n_sub, "grid_cols": grid[0], "grid_rows": grid[1]},
     }
 
 
@@ -142,10 +144,10 @@ def run_child(argv, cwd, env, log):
     return wall, usage.ru_maxrss / 1024.0, proc.returncode
 
 
-def run_side(tree, cell, commands, threads, run_dir):
+def run_side(tree, cell, grid, commands, threads, run_dir):
     """One run of the commands on one tree, in run_dir: a dict per command."""
     run_dir.mkdir(parents=True)
-    (run_dir / "config.json").write_text(json.dumps(config(*cell)) + "\n")
+    (run_dir / "config.json").write_text(json.dumps(config(*cell, grid)) + "\n")
     env = child_env(tree)
     out = {}
     with open(run_dir / "log.txt", "w") as log:
@@ -172,6 +174,15 @@ def parse_threads(text):
     if not all(item.isdigit() and int(item) >= 1 for item in items):
         raise SystemExit("bad --threads %r: expected counts >= 1, e.g. 1,2" % text)
     return [int(item) for item in items]
+
+
+def parse_grid(text):
+    """(cols, rows) of a COLSxROWS partition grid, each at least 1; an
+    argparse type, so a malformed grid exits through the parser."""
+    match = re.fullmatch(r"([0-9]+)x([0-9]+)", text.strip())
+    if not match or min(int(g) for g in match.groups()) < 1:
+        raise argparse.ArgumentTypeError("bad grid %r: expected COLSxROWS, e.g. 2x2" % text)
+    return int(match[1]), int(match[2])
 
 
 def parse_commands(text):
@@ -203,7 +214,7 @@ def same_file(a, b):
     return a.exists() and b.exists() and filecmp.cmp(a, b, shallow=False)
 
 
-def grid(before, after, cells, commands, runs, thread_counts, work):
+def grid(before, after, cells, partition, commands, runs, thread_counts, work):
     results = {}
     for cell in cells:
         ref = None  # the before tree's first run of the cell
@@ -216,7 +227,9 @@ def grid(before, after, cells, commands, runs, thread_counts, work):
                 for side in order:
                     run_dir = work / name / ("%s-%d" % (side, i))
                     tree = before if side == "before" else after
-                    sides[side].append(run_side(tree, cell, commands, threads, run_dir))
+                    sides[side].append(
+                        run_side(tree, cell, partition, commands, threads, run_dir)
+                    )
                     dirs[side].append(run_dir)
                     line = json.dumps(sides[side][-1])
                     print("%s %s run %d: %s" % (name, side, i, line), flush=True)
@@ -249,9 +262,16 @@ def main(argv=None):
     parser.add_argument(
         "--threads", default="1", help="comma-separated --threads of sweep and select (default: 1)"
     )
+    parser.add_argument(
+        "--grid", type=parse_grid, default="2x1", help="COLSxROWS cells of every run (default: 2x1)"
+    )
     parser.add_argument("--out", default=".", help="directory of the BENCH file, made if missing")
     args = parser.parse_args(argv)
     cells = parse_cells(args.cells)
+    cols, rows = args.grid
+    uneven = sorted({n for _, n in cells if n % cols or n % rows})
+    if uneven:
+        parser.error("--grid %dx%d does not divide n_sub %s" % (cols, rows, uneven))
     commands = parse_commands(args.commands)
     thread_counts = parse_threads(args.threads)
     if args.runs < 1:
@@ -264,7 +284,9 @@ def main(argv=None):
     full = [(p, n) for p in PROBLEMS for n in GRID_N_SUB]
     with tempfile.TemporaryDirectory(prefix="holderlab-grid-") as work:
         work = Path(work)
-        results = grid(args.before, args.after, cells, commands, args.runs, thread_counts, work)
+        results = grid(
+            args.before, args.after, cells, args.grid, commands, args.runs, thread_counts, work
+        )
     bench = {
         "label": args.label,
         "kind": "end to end only: wall and peak RSS of whole CLI children, no layer times",
@@ -274,7 +296,8 @@ def main(argv=None):
             "commands": commands,
             "runs": args.runs,
             "threads": thread_counts,
-            "mesh": "2x1 cells, full bottom patch",
+            "grid": "%dx%d" % args.grid,
+            "mesh": "%dx%d cells, full bottom patch" % args.grid,
             "seed": SEED,
             "sweep": "default: 200 pairs and 20 rays of 20 steps",
             "order": "run i starts with the before tree when i is even",

@@ -7,12 +7,14 @@ calls stay with their callers: the Gram whitening's eigh
 (ForwardProblem.check_cells) and the fit's lstsq (stability.fit_holder).
 Matrices are 64-bit floats throughout. A stiffness
 matrix is linear in the entries of its symmetric cell matrices, so
-CellStiffness stores it once per mesh as one row of slot values per
-independent entry on a fixed sparsity pattern, summed one such entry
-at a time, together with where each slot sits in LAPACK band storage; a
-call is a small matmul and one placement into a Fortran-ordered band,
-which is narrow under the mesh's patch-last numbering
-(mesh.patch_last_order) and which pbtrf factors in place as
+CellStiffness stores it once per mesh on a fixed sparsity pattern, one
+cell at a time: the slots of the pattern that the cell's triangles
+reach and one row of their values per independent entry. What it keeps
+grows with the mesh, not with the cell count times the mesh. It also
+keeps where each slot sits in LAPACK band storage. A call adds one
+small matmul per cell into the slot values and places them into a
+Fortran-ordered band, which is narrow under the mesh's patch-last
+numbering (mesh.patch_last_order) and which pbtrf factors in place as
 K = U.T @ U, so a solve holds one band and no copy of it.
 trailing_solve computes U^-T b for a block b that vanishes above its
 last rows with one triangular band solve (tbtrs) over them, and
@@ -137,9 +139,14 @@ class CellStiffness:
     rows <= cols. A cell matrix enters through its independent entries,
     the diagonal ones and then those above the diagonal in row order:
     (c11, c22, c12) for d = 2, (c11, c22, c33, c12, c13, c23) for d = 3.
-    values(c) = (those entries of every cell) @ stack. band(values) is K
-    in LAPACK upper band storage of shape band_shape; where each slot
-    lands there is worked out once.
+    Cell i keeps the sorted positions of the slots its triangles reach
+    and a block, one row of their values per entry, so
+    values(c) = sum over cells i of (cell i's entries) @ block_i, added
+    into cell i's slots. Off the cell interfaces a slot belongs to one
+    cell, so the blocks together hold about one value per slot and
+    entry, whatever the cell count. band(values) is K in LAPACK upper
+    band storage of shape band_shape; where each slot lands there is
+    worked out once.
 
     ops (n_tri, d, n_loc) maps a triangle's local dofs to its gradient
     or strain vector, dofs (n_tri, n_loc) gives the global dof of every
@@ -154,26 +161,35 @@ class CellStiffness:
         # one unit component per entry on or above the diagonal, with
         # its mirror image below
         er, ec = (np.concatenate([np.arange(d), i]) for i in np.triu_indices(d, 1))
-        self._entries, n_comp = (er, ec), er.size
+        self._entries = er, ec
         self.n_cells = int(labels.max())
-        loc = active[dofs]
-        r = np.broadcast_to(loc[:, :, None], (len(loc), n_loc, n_loc))
-        c = np.broadcast_to(loc[:, None, :], (len(loc), n_loc, n_loc))
-        t, a, b = np.nonzero((r >= 0) & (r <= c))
         n = int(active.max()) + 1
-        slots, slot = np.unique(r[t, a, b] * n + c[t, a, b], return_inverse=True)
+        # per cell, from its triangles only: its sorted slot keys
+        # r * n + c and one sum per (component, slot), filled one
+        # component at a time
+        keys, self._blocks = [], []
+        for label in range(1, self.n_cells + 1):
+            tri = np.flatnonzero(labels == label)
+            loc = active[dofs[tri]]
+            r = np.broadcast_to(loc[:, :, None], (len(loc), n_loc, n_loc))
+            c = np.broadcast_to(loc[:, None, :], (len(loc), n_loc, n_loc))
+            t, a, b = np.nonzero((r >= 0) & (r <= c))
+            cell_keys, slot = np.unique(r[t, a, b] * n + c[t, a, b], return_inverse=True)
+            t[:] = tri[t]  # in place: t shares one buffer with a and b
+            block = np.empty((er.size, cell_keys.size))
+            for j, (p, q) in enumerate(zip(er, ec)):
+                w = ops[t, p, a] * ops[t, q, b]
+                if p != q:
+                    w += ops[t, q, a] * ops[t, p, b]
+                w *= area[t]
+                block[j] = np.bincount(slot, w, minlength=cell_keys.size)
+            keys.append(cell_keys)
+            self._blocks.append(block)
+        # the pattern: the union of the cells' slots, sorted by key
+        slots = np.unique(np.concatenate(keys))
+        # each cell's slots as positions among them
+        self._slots = [np.searchsorted(slots, k) for k in keys]
         self.rows, self.cols = np.divmod(slots, n)
-        # one sum per (cell, slot), filled one component at a time
-        slot += (labels[t] - 1) * slots.size
-        stack = np.empty((self.n_cells, n_comp, slots.size))
-        size = self.n_cells * slots.size
-        for j, (p, q) in enumerate(zip(er, ec)):
-            w = ops[t, p, a] * ops[t, q, b]
-            if p != q:
-                w += ops[t, q, a] * ops[t, p, b]
-            w *= area[t]
-            stack[:, j] = np.bincount(slot, w, minlength=size).reshape(self.n_cells, -1)
-        self.stack = stack.reshape(-1, slots.size)
         # a diagonal entry appears once in the upper triangle, an
         # off-diagonal one stands for two entries of K
         self._weight = np.where(self.rows == self.cols, 0.5, 1.0)
@@ -184,13 +200,23 @@ class CellStiffness:
 
     def values(self, cells):
         """Slot values of K at the (N, d, d) cell matrices, or
-        directions, which it reads only on and above the diagonal."""
+        directions, which it reads only on and above the diagonal: each
+        cell's entries times its block, added into its slots, cells in
+        label order. A shape other than (n_cells, d, d) is a
+        DimensionMismatch, or a CellCountMismatch where only N differs."""
         cells = np.asarray(cells, dtype=float)
+        d = self.dim
+        if cells.ndim != 3 or cells.shape[1:] != (d, d):
+            raise DimensionMismatch("cells of shape %s, not (N, %d, %d)" % (cells.shape, d, d))
         if len(cells) != self.n_cells:
             raise CellCountMismatch(
                 "cells of shape %s for a %d-cell partition" % (cells.shape, self.n_cells)
             )
-        return cells[:, self._entries[0], self._entries[1]].reshape(-1) @ self.stack
+        coeffs = cells[:, self._entries[0], self._entries[1]]
+        out = np.zeros(self.rows.size)
+        for row, slots, block in zip(coeffs, self._slots, self._blocks):
+            np.add.at(out, slots, row @ block)
+        return out
 
     def pairing(self, values, u):
         """u.T @ K @ u for the K with these slot values; u holds one

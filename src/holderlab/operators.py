@@ -94,8 +94,9 @@ class ForwardProblem:
 
     def factor(self, cells):
         """Banded Cholesky factor of K(cells); the cells are checked
-        first, and a K that overflows is a NotPositiveDefinite."""
-        with np.errstate(over="ignore"):
+        first, and a K that overflows is a NotPositiveDefinite, also
+        where infinities of both signs meet in a slot."""
+        with np.errstate(over="ignore", invalid="ignore"):
             values = self.form.values(self.check_cells(cells))
         if not np.isfinite(values).all():
             raise NotPositiveDefinite("the stiffness of these cells overflows")

@@ -123,6 +123,32 @@ def _check_bounds(lambda_lo, lambda_hi):
         raise ValueError("need 0 < lambda_lo <= lambda_hi")
 
 
+def _check_labels(recovered_cells, n_cells):
+    """The 1-based recovered-cell labels as an intp array. Anything but
+    a 1-d sequence of Python or numpy integers, bools not among them,
+    is a ValueError naming the labels, and so are labels that are
+    empty, repeated, below 1 or above n_cells."""
+    try:
+        items = list(recovered_cells)
+    except TypeError:
+        items = None
+    if items is None or not all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, bool) for x in items
+    ):
+        raise ValueError(
+            "recovered cell labels %r are not a 1-d sequence of integers" % (recovered_cells,)
+        )
+    if not items:
+        raise ValueError("recovered quantity needs at least one cell")
+    if len(set(items)) != len(items):
+        raise ValueError("duplicate cell indices")
+    if min(items) < 1:
+        raise ValueError("cell labels are 1-based")
+    if max(items) > n_cells:
+        raise ValueError("recovered cell label outside the partition")
+    return np.array(items, dtype=np.intp)
+
+
 def sample_point(problem, lambda_lo, lambda_hi, seed, stream, index):
     """Cell matrices of parameter point `index` of a stream, one per
     cell of the problem's partition, with eigenvalues in [lambda_lo,
@@ -248,10 +274,10 @@ def sweep(
     in one C-contiguous (records x k(k+1)/2) array, as the greedy
     selection reads them; otherwise no record keeps one and
     result.differences is None. Bounds outside 0 < lambda_lo <= lambda_hi, recovered
-    labels that are empty, repeated, below 1 or outside the problem's
-    partition, and a ray step that is not finite and positive are each a
-    ValueError, and a probe_k above the basis dimension a BasisMismatch,
-    all raised before any solve.
+    labels that are no 1-d sequence of integers, or are empty, repeated,
+    below 1 or outside the problem's partition, and a ray step that is
+    not finite and positive are each a ValueError, and a probe_k above
+    the basis dimension a BasisMismatch, all raised before any solve.
 
     Rays fix a base point p and a unit direction dp per ray and walk
     q = p + t*dp along the given steps. Each record whitens its
@@ -271,15 +297,7 @@ def sweep(
     naming the first such record.
     """
     _check_bounds(lambda_lo, lambda_hi)
-    labels = np.array(recovered_cells, dtype=int)
-    if len(labels) == 0:
-        raise ValueError("recovered quantity needs at least one cell")
-    if len(np.unique(labels)) != len(labels):
-        raise ValueError("duplicate cell indices")
-    if labels.min() < 1:
-        raise ValueError("cell labels are 1-based")
-    if labels.max() > problem.form.n_cells:
-        raise ValueError("recovered cell label outside the partition")
+    labels = _check_labels(recovered_cells, problem.form.n_cells)
     k = problem.k if probe_k is None else probe_k
     if k > problem.k:
         raise BasisMismatch("truncation order %d exceeds basis dimension %d" % (k, problem.k))

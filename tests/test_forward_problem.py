@@ -8,6 +8,7 @@ the vertex coordinates, with gradients from the inverse of the affine
 map, and shares no code with the package's assembly.
 """
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,7 +19,12 @@ from holderlab import elasticity as el
 from holderlab import mesh as mx
 from holderlab import stability as sl
 from holderlab.cli import PROBLEMS
-from holderlab.errors import CellCountMismatch, HolderLabError, NotPositiveDefinite
+from holderlab.errors import (
+    CellCountMismatch,
+    DimensionMismatch,
+    HolderLabError,
+    NotPositiveDefinite,
+)
 from holderlab.operators import operator_distance, whiten
 
 from helpers import random_conductivity, random_mandel, symmetric_2x2
@@ -285,30 +291,51 @@ def traced(fn):
     return result, peak - base, held - base
 
 
-MEMORY_CASES = [("conductivity", 32), ("elasticity", 16), ("elasticity", 32)]
+# (kind, n_sub, grid side): a grid of side x side cells, named in the
+# id where it is not 2x2
+MEMORY_CASES = [
+    ("conductivity", 32, 2), ("elasticity", 16, 2), ("elasticity", 32, 2), ("conductivity", 32, 4),
+]
+MEMORY_IDS = [
+    "%s-%d" % (kind, n_sub) + ("" if side == 2 else "-%dx%d" % (side, side))
+    for kind, n_sub, side in MEMORY_CASES
+]
 
 
-def memory_case(kind, n_sub):
-    m = mx.build_mesh(n_sub, 2, 2, "bottom", 0.0, 1.0)
-    cells = (random_conductivity if kind == "conductivity" else random_mandel)(4, seed=23)
+def memory_case(kind, n_sub, side=2):
+    m = mx.build_mesh(n_sub, side, side, "bottom", 0.0, 1.0)
+    cells = RANDOM_CELLS[kind](side * side, seed=23)
     return m, PROBLEMS[kind], cells
 
 
-@pytest.mark.parametrize("kind, n_sub", MEMORY_CASES)
-def test_build_peaks_within_three_times_what_it_keeps(kind, n_sub):
+@pytest.mark.parametrize("kind, n_sub, side", MEMORY_CASES, ids=MEMORY_IDS)
+def test_build_peaks_within_three_times_what_it_keeps(kind, n_sub, side):
     """A problem's construction holds no array of every element matrix
     or of every (entry, component) pair: its peak stays within 3x the
     slot values, indices and loads it keeps."""
-    m, build, _ = memory_case(kind, n_sub)
+    m, build, _ = memory_case(kind, n_sub, side)
     _, peak, kept = traced(lambda: build(m))
     assert peak <= 3.0 * kept
 
 
-@pytest.mark.parametrize("kind, n_sub", MEMORY_CASES)
-def test_forward_peaks_within_one_and_a_half_bands(kind, n_sub):
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_build_keeps_memory_in_proportion_to_the_mesh_not_the_cells(kind):
+    """The stiffness keeps one block per cell over the slots its
+    triangles reach, not every slot for every cell: at n_sub 32 a built
+    problem on 4x4 cells keeps within 1.25x the bytes of one on 1x1
+    cells. A (cells x entries x slots) array would keep 6x to 9x."""
+    kept = {}
+    for side in (1, 4):
+        m, build, _ = memory_case(kind, 32, side)
+        _, _, kept[side] = traced(lambda: build(m))
+    assert kept[4] <= 1.25 * kept[1]
+
+
+@pytest.mark.parametrize("kind, n_sub, side", MEMORY_CASES, ids=MEMORY_IDS)
+def test_forward_peaks_within_one_and_a_half_bands(kind, n_sub, side):
     """A forward factors its band in place: it never holds the band
     and a copy of it."""
-    m, build, cells = memory_case(kind, n_sub)
+    m, build, cells = memory_case(kind, n_sub, side)
     problem = build(m)
     _, peak, _ = traced(lambda: problem.forward(cells))
     assert peak <= 1.5 * 8 * np.prod(problem.form.band_shape)
@@ -382,6 +409,19 @@ def test_indefinite_cell_fails_factorization(kind):
         problem.derivative(np.array([INDEFINITE[kind]]), zero_directions(problem, 1))
 
 
+@pytest.mark.parametrize("off", [0.9, -0.9])
+def test_stiffness_overflowing_to_both_signs_is_refused_by_name(off):
+    """SPD conductivities near the largest float whose off-diagonal
+    entries have opposite signs in the two cells overflow slots to inf
+    and -inf, which meet in a slot as nan: a NotPositiveDefinite naming
+    the overflow, with no warning (every warning fails a test)."""
+    problem = unit_problem("conductivity", 4, cols=2)
+    big = 1.7e308
+    cells = np.array([[[big, off * big], [off * big, big]], [[big, -off * big], [-off * big, big]]])
+    with pytest.raises(NotPositiveDefinite, match="overflows"):
+        problem.forward(cells)
+
+
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
 def test_stiffness_cell_count_mismatch(kind):
     problem = unit_problem(kind, 4, cols=2)
@@ -389,6 +429,22 @@ def test_stiffness_cell_count_mismatch(kind):
         problem.forward(RANDOM_CELLS[kind](1, seed=1))
     with pytest.raises(CellCountMismatch):
         problem.derivative(RANDOM_CELLS[kind](2, seed=1), zero_directions(problem, 3))
+
+
+@pytest.mark.parametrize("kind", sorted(PROBLEMS))
+def test_stiffness_values_refuse_cells_of_another_shape(kind):
+    """The stiffness reads cells of shape (n_cells, d, d) only: larger
+    or smaller matrices, or another number of axes, are a
+    DimensionMismatch naming the shape, not their top-left entries or
+    an IndexError; a wrong cell count alone stays a CellCountMismatch."""
+    form = unit_problem(kind, 4, cols=2).form
+    d = form.dim
+    for shape in ((2, d + 1, d + 1), (2, d - 1, d - 1), (2, d, d + 1), (2, d), (2, d, d, 1), ()):
+        with pytest.raises(DimensionMismatch, match=re.escape(str(shape))):
+            form.values(np.ones(shape))
+    for n in (1, 3):
+        with pytest.raises(CellCountMismatch):
+            form.values(np.zeros((n, d, d)))
 
 
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))

@@ -1,6 +1,8 @@
+import argparse
 import importlib.util
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -28,6 +30,45 @@ def test_grid_parses_a_list_of_thread_counts():
     for bad in ("", "0", "1,", "1,-2", "two", "1.5"):
         with pytest.raises(SystemExit, match="bad --threads"):
             grid.parse_threads(bad)
+
+
+def test_grid_parses_a_partition_grid():
+    """--grid is COLSxROWS with both at least 1."""
+    grid = load_grid()
+    assert grid.parse_grid("2x1") == (2, 1)
+    assert grid.parse_grid(" 4x4 ") == (4, 4)
+    for bad in ("", "2", "2x", "x2", "0x1", "2x0", "2x-1", "2*2", "2X2", "1.5x1", "2x2x2", "２x2"):
+        with pytest.raises(argparse.ArgumentTypeError, match="bad grid"):
+            grid.parse_grid(bad)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--grid", "2by2"], "argument --grid: bad grid '2by2'"),
+        (["--grid", "0x1"], "argument --grid: bad grid '0x1'"),
+        (
+            ["--grid", "3x1", "--cells", "conductivity:6,elasticity:16"],
+            r"3x1 does not divide n_sub \[16\]",
+        ),
+        (["--grid", "1x3"], r"1x3 does not divide n_sub \[16, 32, 64\]"),
+    ],
+    ids=["malformed", "zero", "uneven", "uneven-default-cells"],
+)
+def test_grid_exits_through_the_parser_on_a_bad_grid(monkeypatch, tmp_path, capsys, argv, message):
+    """A malformed grid, or one that does not divide every n_sub of
+    --cells, the default cells included, exits through the parser
+    before any child starts or any file is made."""
+    grid = load_grid()
+    monkeypatch.setattr(grid.subprocess, "Popen", None)
+    monkeypatch.setattr(grid.subprocess, "run", None)
+    out = tmp_path / "out"
+    base = ["--before", ".", "--after", ".", "--label", "x", "--out", str(out)]
+    with pytest.raises(SystemExit) as info:
+        grid.main(base + argv)
+    assert info.value.code == 2
+    assert re.search(message, capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_grid_runs_one_tree_twice_with_identical_outputs(tmp_path):

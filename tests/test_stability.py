@@ -114,6 +114,22 @@ def test_sweep_reads_recovered_labels_of_any_sequence():
     assert not same_records(runs[0], runs[3])
 
 
+def test_sweep_refuses_labels_that_are_no_sequence_of_integers(monkeypatch):
+    """Labels that are floats, strings, bools, nested or no sequence at
+    all are a ValueError naming them before any forward runs, not cast
+    to some other labels; numpy integers pass."""
+    seen = recorded_forwards(monkeypatch)
+    problem = built("conductivity", n_sub=4, cols=2)
+    for labels in ([1.7], ["1"], [True], [np.True_], [[1, 2]], np.array([[1, 2]]), 2,
+                   np.array(2), "12", [1, None], np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="not a 1-d sequence of integers") as info:
+            sl.sweep(problem, *BOUNDS, labels, 2, 1, [1e-3], 42)
+        assert repr(labels) in str(info.value)
+    assert seen == []
+    for labels in ([np.int64(2)], (np.int32(1), 2), np.array([1, 2], dtype=np.uint8)):
+        assert len(sl.sweep(problem, *BOUNDS, labels, 2, 0, [], 42).delta_R) == 2
+
+
 def test_sampling_deterministic():
     problem = built("conductivity", n_sub=3, cols=3)
     a = points(problem, BOUNDS, 4, seed=9)
